@@ -7,7 +7,7 @@ r - kappa(r) is a PBW deformation of B # H, and solves for the full family
 of admissible deformation maps kappa.
 """
 
-from .scalar import Scalar, scalar_make, scalar_field_ops, zeta, parse_scalar, format_scalar
+from .scalar import Scalar, scalar_make, zeta, parse_scalar, format_scalar
 from .exactla import Matrix, Subspace, rref, kernel, intersect, solve, membership
 from .hopf import HopfAlgebra, ValidationReport, validate_hopf, adjoint_on_H, group_algebra, preset_hopf
 from .modalg import ModuleAlgebra, validate_action, act_on_tensor, graded_dim, koszul_component
@@ -16,7 +16,7 @@ from .deform import Kappa, ConditionReport, KappaFamily, check_invariance, check
 from .oracle import FilteredDimReport, filtered_dims, pbw_probe
 
 __all__ = [
-    "Scalar", "scalar_make", "scalar_field_ops", "zeta", "parse_scalar", "format_scalar",
+    "Scalar", "scalar_make", "zeta", "parse_scalar", "format_scalar",
     "Matrix", "Subspace", "rref", "kernel", "intersect", "solve", "membership",
     "HopfAlgebra", "ValidationReport", "validate_hopf", "adjoint_on_H", "group_algebra", "preset_hopf",
     "ModuleAlgebra", "validate_action", "act_on_tensor", "graded_dim", "koszul_component",

@@ -27,7 +27,8 @@ import sys
 
 from .scalar import Scalar, parse_scalar, format_scalar, ScalarError
 from .hopf import (HopfAlgebra, validate_hopf, format_hvec, UnknownPreset, HopfError)
-from .modalg import ModuleAlgebra, validate_action, graded_dim, koszul_component, DEFAULT_CUTOFF, CutoffExceeded
+from .modalg import (ModuleAlgebra, ModAlgError, action_from_generators, validate_action, graded_dim,
+                     koszul_component, DEFAULT_CUTOFF, CutoffExceeded)
 from .deform import Kappa, check_pbw, solve_kappa, kappa_block_dims
 from .oracle import filtered_dims, pbw_probe, CONSISTENT_CAVEAT
 from .presets import Problem, build_problem, PRESET_NAMES
@@ -217,17 +218,19 @@ def problem_from_json(doc: dict, cutoff: int | None = None) -> Problem:
             if not s.is_zero():
                 rel[(i, j)] = s
         rel_vecs.append(rel)
-    action = [None] * d
+    given: dict = {}
     for ent in adoc.get("action", []):
         if len(ent) != 4:
             raise ParseError(f"algebra.action entry {ent!r} is not [h, row, col, scalar]")
         h, r, c = (int(x) for x in ent[:3])
         if not (0 <= h < d and 0 <= r < vd and 0 <= c < vd):
             raise ParseError(f"algebra.action entry {ent!r} out of range")
-        if action[h] is None:
-            action[h] = [[zero] * vd for _ in range(vd)]
-        action[h][r][c] = _parse_sc(ent[3], order, "algebra.action")
-    action = _derive_action(H, vd, action)
+        mat = given.setdefault(h, [[zero] * vd for _ in range(vd)])
+        mat[r][c] = _parse_sc(ent[3], order, "algebra.action")
+    try:
+        action = action_from_generators(H, vd, given)
+    except ModAlgError as exc:
+        raise ParseError(f"algebra.action: {exc}") from exc
 
     B = ModuleAlgebra.make(order, vlabels, rel_vecs, action,
                            cutoff=cutoff if cutoff is not None else int(doc.get("cutoff", DEFAULT_CUTOFF)))
@@ -262,46 +265,6 @@ def problem_from_json(doc: dict, cutoff: int | None = None) -> Problem:
     if not arep.passed:
         raise ValidationError("action axioms fail", arep.failures)
     return Problem(doc.get("name", "problem"), H, B, kappa)
-
-
-def _derive_action(H: HopfAlgebra, vd: int, action: list) -> list:
-    """Fill missing action matrices multiplicatively from the given ones.
-
-    A file may carry matrices for algebra generators only; any basis
-    element expressible as a product of covered elements (with the unit
-    acting as the identity) gets its matrix derived.  Whatever remains
-    uncovered is a parse error.  validate_action then re-checks the whole
-    assignment exhaustively.
-    """
-    zero = Scalar.zero(H.order)
-    one = Scalar.one(H.order)
-    known = {h: m for h, m in enumerate(action) if m is not None}
-    if len(known) < H.dim and len(H.unit) == 1:
-        ((ui, uc),) = H.unit.items()
-        if uc == one and ui not in known:
-            known[ui] = [[one if r == c else zero for c in range(vd)] for r in range(vd)]
-
-    def matmul(A, B):
-        return [[sum((A[r][t] * B[t][c] for t in range(vd)), zero)
-                 for c in range(vd)] for r in range(vd)]
-
-    changed = True
-    while changed and len(known) < H.dim:
-        changed = False
-        for i in sorted(known):
-            for j in sorted(known):
-                prod = H.mult[i][j]
-                if len(prod) == 1:
-                    ((k, ck),) = prod.items()
-                    if ck == one and k not in known:
-                        known[k] = matmul(known[i], known[j])
-                        changed = True
-    missing = [h for h in range(H.dim) if h not in known]
-    if missing:
-        raise ParseError(
-            "algebra.action: no matrix given or derivable for basis elements "
-            + ", ".join(str(h) for h in missing))
-    return [known[h] for h in range(H.dim)]
 
 
 def load_spec(path: str, cutoff: int | None = None) -> Problem:

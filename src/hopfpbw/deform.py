@@ -31,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .scalar import Scalar
-from .exactla import Matrix, Subspace, membership, NotMember, sparse_kernel, _rref_rows
+from .exactla import (Matrix, Subspace, membership, NoSolution, NotMember, solve as la_solve,
+                      sparse_kernel, _rref_rows)
 from .hopf import HopfAlgebra, add_into, adjoint_on_H, format_hvec
 from .modalg import ModuleAlgebra, act_on_tensor, koszul_component
 from .smash import straighten, adjoint_on_VH
@@ -206,7 +207,6 @@ def expand_right(B: ModuleAlgebra, s: dict) -> list[dict]:
 
 
 def _expand(B: ModuleAlgebra, s: dict, left: bool) -> list[dict]:
-    from .exactla import solve as la_solve
     vd = B.vdim
     p = B.dim_relations()
     zero = Scalar.zero(B.order)
@@ -232,7 +232,7 @@ def _expand(B: ModuleAlgebra, s: dict, left: bool) -> list[dict]:
     m = Matrix.from_rows(rows, cols=ncols)
     try:
         x, _hom = la_solve(m, rhs)
-    except Exception as exc:
+    except NoSolution as exc:
         raise NotInD3(f"tensor does not lie in the required side: {exc}") from exc
     out = []
     for a in range(p):

@@ -1,20 +1,25 @@
 """Deterministic exact linear algebra over cyclotomic scalars.
 
-Dense Gaussian elimination with the first nonzero entry in scan order as
-pivot, so every result (RREF, kernel bases, subspace bases) is canonical
-and golden-test stable.  Subspaces are stored in reduced row echelon form,
-which makes subspace equality structural equality.
+Every row reduction in the package runs on one engine, ``SparseEchelon``:
+a sparse, fraction-free echelon over Z[zeta_N] that works on the integer
+coordinates of the coefficients.  Scalar rows enter it with one common
+denominator cleared per row, and a final back-substitution returns the
+reduced row echelon form in Scalars.  The oracle feeds it integer rows
+directly.
 
-A sparse echelon helper is included for the larger homogeneous systems
-assembled by the deformation solver; it computes the same canonical
-kernels as the dense path.
+The pivot of a row is its first nonzero column, so every result (RREF,
+kernel bases, subspace bases) is the unique canonical one and golden-test
+stable.  Subspaces are stored in reduced row echelon form, which makes
+subspace equality structural equality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from math import gcd, lcm
+from operator import add, floordiv, mul, not_, sub
 
-from .scalar import Scalar
+from .scalar import Scalar, field
 
 
 class LinAlgError(Exception):
@@ -106,37 +111,33 @@ def _zero_like(s: Scalar) -> Scalar:
     return Scalar.zero(s.order)
 
 
+def _rref_sparse(rows: list[dict], order: int) -> dict:
+    """Canonical RREF of sparse Scalar rows: {pivot col: {col: Scalar}}."""
+    ech = SparseEchelon(order)
+    for r in rows:
+        ech.insert(ech.from_scalars(r))
+    return ech.rref_rows()
+
+
+def _dense_rows(red: dict, ncols: int, order: int) -> tuple[list[list[Scalar]], list[int]]:
+    zero = Scalar.zero(order)
+    pivots = sorted(red)
+    out = []
+    for p in pivots:
+        v = [zero] * ncols
+        for c, s in red[p].items():
+            v[c] = s
+        out.append(v)
+    return out, pivots
+
+
 def _rref_rows(rows: list[list[Scalar]], ncols: int) -> tuple[list[list[Scalar]], list[int]]:
-    """In-place RREF; returns (nonzero rows, pivot columns)."""
-    nrows = len(rows)
-    piv_r = 0
-    pivots: list[int] = []
-    for piv_c in range(ncols):
-        sel = None
-        for r in range(piv_r, nrows):
-            if not rows[r][piv_c].is_zero():
-                sel = r
-                break
-        if sel is None:
-            continue
-        rows[piv_r], rows[sel] = rows[sel], rows[piv_r]
-        lead = rows[piv_r][piv_c]
-        if not (lead.den == 1 and lead.num[0] == 1 and not any(lead.num[1:])):
-            inv = lead.inverse()
-            rows[piv_r] = [c * inv for c in rows[piv_r]]
-        prow = rows[piv_r]
-        for r in range(nrows):
-            if r == piv_r:
-                continue
-            f = rows[r][piv_c]
-            if f.is_zero():
-                continue
-            rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
-        pivots.append(piv_c)
-        piv_r += 1
-        if piv_r == nrows:
-            break
-    return rows[:piv_r], pivots
+    """RREF of dense rows; returns (nonzero rows, pivot columns)."""
+    order = next((c.order for r in rows for c in r), None)
+    if order is None:
+        return [], []
+    red = _rref_sparse([{j: c for j, c in enumerate(r) if c} for r in rows], order)
+    return _dense_rows(red, ncols, order)
 
 
 def rref(m: Matrix) -> tuple[int, Matrix, list[int]]:
@@ -164,12 +165,21 @@ class Subspace:
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: list[list[Scalar]]) -> "Subspace":
-        rows = [list(v) for v in vectors]
-        for v in rows:
+        for v in vectors:
             if len(v) != ambient_dim:
                 raise AmbientMismatch("vector length differs from ambient dimension")
-        nz, pivots = _rref_rows(rows, ambient_dim)
+        nz, pivots = _rref_rows(vectors, ambient_dim)
         return Subspace(ambient_dim, tuple(tuple(r) for r in nz), tuple(pivots))
+
+    @staticmethod
+    def from_sparse(ambient_dim: int, rows: list[dict], order: int) -> "Subspace":
+        """The span of sparse rows {col: Scalar}."""
+        return Subspace._from_rref(ambient_dim, _rref_sparse(rows, order), order)
+
+    @staticmethod
+    def _from_rref(ambient_dim: int, red: dict, order: int) -> "Subspace":
+        basis, pivots = _dense_rows(red, ambient_dim, order)
+        return Subspace(ambient_dim, tuple(tuple(r) for r in basis), tuple(pivots))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -233,15 +243,16 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(n)
     order = a.basis[0][0].order
-    zero = Scalar.zero(order)
     rows = []
     for v in a.basis:
-        rows.append(list(v) + list(v))
+        row = {j: c for j, c in enumerate(v) if c}
+        rows.append({**row, **{n + j: c for j, c in row.items()}})
     for v in b.basis:
-        rows.append(list(v) + [zero] * n)
-    nz, _ = _rref_rows(rows, 2 * n)
-    vecs = [r[n:] for r in nz if all(c.is_zero() for c in r[:n])]
-    return Subspace.from_vectors(n, vecs)
+        rows.append({j: c for j, c in enumerate(v) if c})
+    # rows with a zero left block span the intersection, already in RREF
+    red = _rref_sparse(rows, order)
+    inter = {p - n: {c - n: s for c, s in row.items()} for p, row in red.items() if p >= n}
+    return Subspace._from_rref(n, inter, order)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -270,91 +281,133 @@ def solve(m: Matrix, rhs: list[Scalar]) -> tuple[list[Scalar], Subspace]:
 
 
 # ---------------------------------------------------------------------------
-# Sparse echelon for large homogeneous constraint systems.
+# The elimination engine: every row reduction in the package runs here.
 
-@dataclass
 class SparseEchelon:
-    """Incremental echelon of sparse rows (dict col -> Scalar).
+    """Incremental, fraction-free echelon form of sparse rows over Z[zeta_N].
 
-    Pivot rows are normalized to leading coefficient 1 and kept reduced
-    against each other lazily; `rref_rows` performs the final
-    back-substitution.  Insertion order does not affect the row space.
+    A row is a dict col -> coefficient, where a coefficient holds the
+    integer coordinates of an element of Z[zeta_N] in the power basis: a
+    tuple of phi(N) ints, or a plain int when phi(N) = 1.  The ring
+    operations on coefficients are the attributes ``mul``, ``add``, ``sub``,
+    ``scale`` (by an int) and ``is_zero``.
+
+    Reduction cross-multiplies by the pivot's leading coefficient and strips
+    the integer content of the result, so nothing is divided until
+    ``rref_rows``.  Scalar rows enter through ``from_scalars``, which clears
+    one common denominator per row and so keeps the row space.  The pivot
+    rows are stored unreduced against each other; insertion order does not
+    affect the row space, and ``rref_rows`` returns its unique reduced row
+    echelon form.
     """
 
-    ncols: int
-    pivots: dict = dc_field(default_factory=dict)  # col -> row dict
+    def __init__(self, order: int):
+        f = field(order)
+        self.order = order
+        self.pivots: dict = {}      # col -> row with its leading entry at col
+        self._unit = 1 if f.phi == 1 else (1,) + (0,) * (f.phi - 1)
+        self.phi = f.phi
+        if f.phi == 1:
+            self.mul, self.add, self.sub, self.scale = mul, add, sub, mul
+            self.is_zero, self._content, self._divide = not_, abs, floordiv
+        else:
+            self.mul = f.mul_vec
+            self.add = lambda a, b: tuple(map(add, a, b))
+            self.sub = lambda a, b: tuple(map(sub, a, b))
+            self.scale = lambda a, c: tuple(x * c for x in a)
+            self.is_zero = lambda a: not any(a)
+            self._content = lambda a: gcd(*a)
+            self._divide = lambda a, g: tuple(x // g for x in a)
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, row: dict) -> dict:
-        row = dict(row)
+    def coeff(self, s: Scalar, den: int):
+        """Integer coordinates of den * s, for den a multiple of s.den."""
+        m = den // s.den
+        return s.num[0] * m if self.phi == 1 else tuple(x * m for x in s.num)
+
+    def from_scalars(self, row: dict) -> dict:
+        """A sparse Scalar row times the lcm of its denominators."""
+        den = lcm(*(s.den for s in row.values()))
+        return {c: self.coeff(s, den) for c, s in row.items() if s}
+
+    def _strip(self, row: dict) -> dict:
+        g = 0
+        for v in row.values():
+            g = gcd(g, self._content(v))
+            if g == 1:
+                return row
+        divide = self._divide
+        return {c: divide(v, g) for c, v in row.items()}
+
+    def insert(self, row: dict) -> int | None:
+        """Insert an integer row; returns its new pivot column, or None if
+        the row is dependent on the rows inserted so far."""
+        mul, sub, scale, is_zero = self.mul, self.sub, self.scale, self.is_zero
+        row = {c: v for c, v in row.items() if not is_zero(v)}
         while row:
             c = min(row)
             piv = self.pivots.get(c)
             if piv is None:
-                return row
-            f = row[c]
-            del row[c]
+                self.pivots[c] = row = self._strip(row)
+                return c
+            pc = piv[c]
+            rc = row.pop(c)
+            out = row if pc == self._unit else {col: mul(pc, v) for col, v in row.items()}
             for col, v in piv.items():
                 if col == c:
                     continue
-                cur = row.get(col)
-                nv = (cur - f * v) if cur is not None else -(f * v)
-                if nv.is_zero():
-                    row.pop(col, None)
+                t = mul(rc, v)
+                cur = out.get(col)
+                nv = sub(cur, t) if cur is not None else scale(t, -1)
+                if is_zero(nv):
+                    out.pop(col, None)
                 else:
-                    row[col] = nv
-        return row
-
-    def insert(self, row: dict) -> int | None:
-        """Insert a row; returns its new pivot column, or None if dependent."""
-        red = self.reduce(row)
-        if not red:
-            return None
-        c = min(red)
-        lead = red[c]
-        inv = lead.inverse()
-        self.pivots[c] = {col: v * inv for col, v in red.items()}
-        return c
+                    out[col] = nv
+            row = self._strip(out)
+        return None
 
     def rref_rows(self) -> dict:
-        """Back-substitute to full RREF; returns {pivot_col: row dict}."""
-        cols = sorted(self.pivots, reverse=True)
-        for c in cols:
-            row = self.pivots[c]
-            for c2 in [k for k in row if k != c and k in self.pivots]:
-                f = row[c2]
-                other = self.pivots[c2]
-                del row[c2]
-                for col, v in other.items():
+        """Back-substitute to the unique RREF: {pivot col: {col: Scalar}},
+        every row scaled to leading coefficient 1."""
+        order, phi = self.order, self.phi
+        one = Scalar.one(order)
+        red: dict = {}
+        for c in sorted(self.pivots, reverse=True):
+            row = {col: Scalar._make(order, 1, (v,) if phi == 1 else v)
+                   for col, v in self.pivots[c].items()}
+            if row[c] != one:
+                inv = row[c].inverse()
+                row = {col: s * inv for col, s in row.items()}
+            for c2 in [k for k in row if k != c and k in red]:
+                f = row.pop(c2)
+                for col, v in red[c2].items():
                     if col == c2:
                         continue
                     cur = row.get(col)
                     nv = (cur - f * v) if cur is not None else -(f * v)
-                    if nv.is_zero():
-                        row.pop(col, None)
-                    else:
+                    if nv:
                         row[col] = nv
-        return self.pivots
+                    else:
+                        row.pop(col, None)
+            red[c] = row
+        return red
 
 
 def sparse_kernel(rows: list[dict], ncols: int, order: int) -> list[list[Scalar]]:
     """Canonical kernel basis (dense vectors) of a sparse homogeneous system."""
-    ech = SparseEchelon(ncols)
-    for r in rows:
-        ech.insert(r)
-    red = ech.rref_rows()
+    red = _rref_sparse(rows, order)
     one, zero = Scalar.one(order), Scalar.zero(order)
-    pivcols = sorted(red)
-    free = [c for c in range(ncols) if c not in red]
     out = []
-    for f in free:
+    for f in range(ncols):
+        if f in red:
+            continue
         v = [zero] * ncols
         v[f] = one
-        for p in pivcols:
-            c = red[p].get(f)
+        for p, row in red.items():
+            c = row.get(f)
             if c is not None:
                 v[p] = -c
         out.append(v)

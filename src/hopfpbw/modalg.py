@@ -140,6 +140,46 @@ def _expand_product(out: dict, parts: list[dict], coeff: Scalar) -> None:
         add_into(out, w, c)
 
 
+def action_from_generators(H: HopfAlgebra, vdim: int, given: dict) -> list:
+    """Extend action matrices given on some basis elements to the whole basis.
+
+    ``given`` maps basis indices to vdim x vdim matrices (rows = output),
+    typically on algebra generators only.  A unit basis element with
+    coefficient 1 acts as the identity, and a basis element e_k = e_i e_j
+    with e_i, e_j covered gets the product matrix, until nothing changes.
+    Raises ModAlgError naming the basis elements left uncovered;
+    validate_action then re-checks the whole assignment exhaustively.
+    """
+    zero = Scalar.zero(H.order)
+    one = Scalar.one(H.order)
+    known = dict(given)
+    if len(known) < H.dim and len(H.unit) == 1:
+        ((ui, uc),) = H.unit.items()
+        if uc == one and ui not in known:
+            known[ui] = [[one if r == c else zero for c in range(vdim)] for r in range(vdim)]
+
+    def matmul(A, B):
+        return [[sum((A[r][t] * B[t][c] for t in range(vdim)), zero)
+                 for c in range(vdim)] for r in range(vdim)]
+
+    changed = True
+    while changed and len(known) < H.dim:
+        changed = False
+        for i in sorted(known):
+            for j in sorted(known):
+                prod = H.mult[i][j]
+                if len(prod) == 1:
+                    ((k, ck),) = prod.items()
+                    if ck == one and k not in known:
+                        known[k] = matmul(known[i], known[j])
+                        changed = True
+    missing = [h for h in range(H.dim) if h not in known]
+    if missing:
+        raise ModAlgError("no matrix given or derivable for basis elements "
+                          + ", ".join(str(h) for h in missing))
+    return [known[h] for h in range(H.dim)]
+
+
 def validate_action(H: HopfAlgebra, B: ModuleAlgebra) -> ValidationReport:
     """Check that the action makes B an H-module algebra in degree <= 2.
 
@@ -201,21 +241,18 @@ def validate_action(H: HopfAlgebra, B: ModuleAlgebra) -> ValidationReport:
     return ValidationReport(passed=not fails, failures=fails)
 
 
-def _layer_rows(B: ModuleAlgebra, n: int) -> list[dict]:
-    """Sparse spanning rows of sum_j V^j (x) I (x) V^(n-2-j) inside V^(x)n."""
+def _layer_rows(B: ModuleAlgebra, n: int, j: int) -> list[dict]:
+    """Sparse spanning rows of V^j (x) I (x) V^(n-2-j) inside V^(x)n."""
     vd = B.vdim
     rows = []
     rels = [B.relation_sparse(a) for a in range(B.dim_relations())]
-    for j in range(n - 1):
-        tail = n - 2 - j
-        for pre in product(range(vd), repeat=j):
-            for rel in rels:
-                for post in product(range(vd), repeat=tail):
-                    row = {}
-                    for (p, q), c in rel.items():
-                        word = pre + (p, q) + post
-                        row[_word_rank(word, vd)] = c
-                    rows.append(row)
+    for pre in product(range(vd), repeat=j):
+        for rel in rels:
+            for post in product(range(vd), repeat=n - 2 - j):
+                row = {}
+                for (p, q), c in rel.items():
+                    row[_word_rank(pre + (p, q) + post, vd)] = c
+                rows.append(row)
     return rows
 
 
@@ -236,9 +273,10 @@ def graded_dim(B: ModuleAlgebra, n: int) -> int:
         return 1
     if n == 1:
         return B.vdim
-    ech = SparseEchelon(B.vdim ** n)
-    for row in _layer_rows(B, n):
-        ech.insert(row)
+    ech = SparseEchelon(B.order)
+    for j in range(n - 1):
+        for row in _layer_rows(B, n, j):
+            ech.insert(ech.from_scalars(row))
     return B.vdim ** n - ech.rank
 
 
@@ -252,24 +290,11 @@ def koszul_component(B: ModuleAlgebra, i: int) -> Subspace:
         raise ModAlgError("overlap components start at degree 2")
     if i > B.cutoff:
         raise CutoffExceeded(f"degree {i} exceeds cutoff {B.cutoff}")
-    vd = B.vdim
     if i == 2:
         return B.relations
-    ambient = vd ** i
-    zero = Scalar.zero(B.order)
     result: Subspace | None = None
-    rels = [B.relation_sparse(a) for a in range(B.dim_relations())]
     for j in range(i - 1):
-        tail = i - 2 - j
-        vecs = []
-        for pre in product(range(vd), repeat=j):
-            for rel in rels:
-                for post in product(range(vd), repeat=tail):
-                    v = [zero] * ambient
-                    for (p, q), c in rel.items():
-                        v[_word_rank(pre + (p, q) + post, vd)] = c
-                    vecs.append(v)
-        layer = Subspace.from_vectors(ambient, vecs)
+        layer = Subspace.from_sparse(B.vdim ** i, _layer_rows(B, i, j), B.order)
         result = layer if result is None else intersect(result, layer)
         if result.dim == 0:
             return result

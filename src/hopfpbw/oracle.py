@@ -13,20 +13,24 @@ The spanning degree is N + k for a report at filtration degree N; the
 buffer k absorbs cancellations between relator multiples of neighbouring
 degrees.  Larger buffers can only shrink the computed dimensions.
 
-Everything is exact.  The elimination works over integer coefficient
-vectors (cleared denominators, content-stripped) with fraction-free row
-reduction, and the column order is by descending degree so that pivot
-counts per degree block give the intersection dimensions directly.
+Everything is exact.  Rows are integer coefficient vectors reduced by the
+shared fraction-free engine ``exactla.SparseEchelon``.  Each generated row
+is a fixed multiple of the true product: the relators, the straightening
+table and the multiplication table each clear one common denominator, and
+a left H-multiple clears one per row.  The column order is by descending
+degree, so pivot counts per degree block give the intersection dimensions
+directly.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field as dc_field
-from math import gcd
+from math import lcm
 
-from .scalar import Scalar, field as scalar_field
-from .hopf import HopfAlgebra, algebra_generators
+from .scalar import Scalar
+from .exactla import SparseEchelon
+from .hopf import HopfAlgebra, add_into, algebra_generators
 from .modalg import ModuleAlgebra, CutoffExceeded, graded_dim
 from .smash import straighten
 from .deform import Kappa
@@ -61,115 +65,6 @@ class ProbeReport:
     falsified_at: int | None = None
     falsified_buffer: int | None = None
     reports: list = dc_field(default_factory=list)
-
-
-# -- integer coefficient arithmetic -------------------------------------------
-
-class _ZOps:
-    """Ring operations on integer coordinate vectors of Q(zeta_N) elements."""
-
-    def __init__(self, order: int):
-        f = scalar_field(order)
-        self.order = order
-        self.phi = f.phi
-        self.f = f
-        self.zero = 0 if f.phi == 1 else (0,) * f.phi
-
-    def to_int(self, s: Scalar):
-        # numerator vector; the caller tracks the denominator
-        if self.phi == 1:
-            return s.num[0]
-        return s.num
-
-    def mulvec(self, a, b):
-        if self.phi == 1:
-            return a * b
-        return self.f.mul_vec(a, b)
-
-    def addvec(self, a, b):
-        if self.phi == 1:
-            return a + b
-        return tuple(x + y for x, y in zip(a, b))
-
-    def subvec(self, a, b):
-        if self.phi == 1:
-            return a - b
-        return tuple(x - y for x, y in zip(a, b))
-
-    def scale(self, a, c: int):
-        if self.phi == 1:
-            return a * c
-        return tuple(x * c for x in a)
-
-    def iszero(self, a) -> bool:
-        if self.phi == 1:
-            return a == 0
-        return not any(a)
-
-    def content(self, a) -> int:
-        if self.phi == 1:
-            return abs(a)
-        g = 0
-        for x in a:
-            g = gcd(g, x)
-            if g == 1:
-                return 1
-        return g
-
-
-def _row_content(ops: _ZOps, row: dict) -> int:
-    g = 0
-    for v in row.values():
-        g = gcd(g, ops.content(v))
-        if g == 1:
-            return 1
-    return g
-
-
-def _strip(ops: _ZOps, row: dict) -> dict:
-    g = _row_content(ops, row)
-    if g > 1:
-        if ops.phi == 1:
-            return {c: v // g for c, v in row.items()}
-        return {c: tuple(x // g for x in v) for c, v in row.items()}
-    return row
-
-
-class _IntEchelon:
-    """Echelon form without back-substitution, fraction-free over Z[zeta]."""
-
-    def __init__(self, ops: _ZOps):
-        self.ops = ops
-        self.pivots: dict = {}      # col -> row dict
-
-    def insert(self, row: dict) -> int | None:
-        ops = self.ops
-        mul, sub, iszero = ops.mulvec, ops.subvec, ops.iszero
-        row = {c: v for c, v in row.items() if not iszero(v)}
-        while row:
-            c = min(row)
-            piv = self.pivots.get(c)
-            if piv is None:
-                row = _strip(ops, row)
-                self.pivots[c] = row
-                return c
-            pc = piv[c]
-            rc = row.pop(c)
-            out = {}
-            for col, v in row.items():
-                out[col] = mul(pc, v)
-            for col, v in piv.items():
-                if col == c:
-                    continue
-                t = mul(rc, v)
-                cur = out.get(col)
-                nv = sub(cur, t) if cur is not None else (ops.scale(t, -1))
-                if iszero(nv):
-                    out.pop(col, None)
-                else:
-                    out[col] = nv
-            row = _strip(ops, out)
-        return None
 
 
 # -- column indexing -----------------------------------------------------------
@@ -215,81 +110,41 @@ class _Ambient:
 
 # -- the spanning oracle ---------------------------------------------------------
 
-def _relator_rows(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa, amb: _Ambient, ops: _ZOps):
+def _relator_rows(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa, amb: _Ambient,
+                  ech: SparseEchelon) -> list[dict]:
     """Relators r_a - kappa^L(r_a) - kappa^C(r_a) as integer rows."""
     vd, d = B.vdim, H.dim
     rows = []
     for a in range(B.dim_relations()):
-        entries: dict = {}
-        den = 1
-
-        def add(col, s: Scalar):
-            nonlocal den, entries
-            if s.is_zero():
-                return
-            if s.den != den:
-                g = gcd(den, s.den)
-                lift = s.den // g
-                if lift > 1:
-                    entries = {c: ops.scale(v, lift) for c, v in entries.items()}
-                    den *= lift
-                my = den // s.den
-            else:
-                my = 1
-            v = ops.scale(ops.to_int(s), my)
-            cur = entries.get(col)
-            nv = ops.addvec(cur, v) if cur is not None else v
-            if ops.iszero(nv):
-                entries.pop(col, None)
-            else:
-                entries[col] = nv
-
+        row: dict = {}
         for (i, j), c in B.relation_sparse(a).items():
             for u, cu in H.unit.items():
-                add(amb.col(i * vd + j, 2, u), c * cu)
+                add_into(row, amb.col(i * vd + j, 2, u), c * cu)
         for (v, h), c in kappa.l_vec(a, d).items():
-            add(amb.col(v, 1, h), -c)
+            add_into(row, amb.col(v, 1, h), -c)
         for h, c in kappa.c_vec(a).items():
-            add(amb.col(0, 0, h), -c)
-        rows.append(_strip(ops, entries))
+            add_into(row, amb.col(0, 0, h), -c)
+        rows.append(ech.from_scalars(row))
     return rows
 
 
-def _prepare_tables(H: HopfAlgebra, B: ModuleAlgebra, ops: _ZOps):
-    """Integerized straightening and multiplication tables.
+def _prepare_tables(H: HopfAlgebra, B: ModuleAlgebra, ech: SparseEchelon):
+    """Integer straightening and multiplication tables.
 
-    Per-row denominators are dropped: scaling a generated row does not
-    change the span it contributes.
+    Each table is scaled by one common denominator, so a row built from it
+    is a fixed multiple of the true product and spans the same line.
     """
     vd, d = B.vdim, H.dim
     one = Scalar.one(H.order)
-    # straight[h][v] = list of (v_out, h_out, coeff_vec) with a common
-    # denominator cleared per (h, v) pair
-    straight = []
-    for h in range(d):
-        per_v = []
-        for v in range(vd):
-            moved = straighten(H, B, {h: one}, {(v,): one})
-            den = 1
-            for c in moved.values():
-                den = den * c.den // gcd(den, c.den)
-            ent = []
-            for (word, h2), c in moved.items():
-                ent.append((word[0], h2, ops.scale(ops.to_int(c), den // c.den)))
-            per_v.append(ent)
-        straight.append(per_v)
-    # hmul[h][g] = list of (h_out, coeff_vec), denominators cleared
-    hmul = []
-    for h in range(d):
-        per_g = []
-        for g in range(d):
-            prod = H.mult[h][g]
-            den = 1
-            for c in prod.values():
-                den = den * c.den // gcd(den, c.den)
-            ent = [(k, ops.scale(ops.to_int(c), den // c.den)) for k, c in prod.items()]
-            per_g.append(ent)
-        hmul.append(per_g)
+    # straight[h][v] = list of (v_out, h_out, coeff) for e_h . v
+    moved = [[straighten(H, B, {h: one}, {(v,): one}) for v in range(vd)] for h in range(d)]
+    den = lcm(*(c.den for per_v in moved for m in per_v for c in m.values()))
+    straight = [[[(word[0], h2, ech.coeff(c, den)) for (word, h2), c in m.items()]
+                 for m in per_v] for per_v in moved]
+    # hmul[h][g] = list of (h_out, coeff) for e_h e_g
+    den = lcm(*(c.den for per_g in H.mult for prod in per_g for c in prod.values()))
+    hmul = [[[(k, ech.coeff(c, den)) for k, c in prod.items()] for prod in per_g]
+            for per_g in H.mult]
     return straight, hmul
 
 
@@ -303,10 +158,10 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
     if D > B.cutoff:
         raise CutoffExceeded(f"spanning degree {D} exceeds cutoff {B.cutoff}")
     vd, d = B.vdim, H.dim
-    ops = _ZOps(H.order)
     amb = _Ambient(vd, d, D)
-    ech = _IntEchelon(ops)
-    straight, hmul = _prepare_tables(H, B, ops)
+    ech = SparseEchelon(H.order)
+    mul, addv, iszero = ech.mul, ech.add, ech.is_zero
+    straight, hmul = _prepare_tables(H, B, ech)
     hgens = algebra_generators(H)
 
     gen_of: dict = {}        # pivot col -> generation degree
@@ -320,7 +175,6 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
 
     def right_h(row: dict, g: int) -> dict:
         out: dict = {}
-        mul, addv, iszero = ops.mulvec, ops.addvec, ops.iszero
         for col, v in row.items():
             wr, m, h = amb.decode(col)
             base = amb.base[m] + wr * d
@@ -336,30 +190,27 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
         return out
 
     def left_h(row: dict, g: int) -> dict:
-        # straighten e_g through every term; fan-out over iterated coproducts
-        out: dict = {}
+        # straighten e_g through every term, with one denominator for the row
         one = Scalar.one(H.order)
-        mul, addv, iszero = ops.mulvec, ops.addvec, ops.iszero
+        terms = []
         for col, v in row.items():
             wr, m, h = amb.decode(col)
             word = []
-            r = wr
             for _ in range(m):
-                word.append(r % vd)
-                r //= vd
-            word.reverse()
-            moved = straighten(H, B, {g: one}, {tuple(word): one})
-            den = 1
-            for c in moved.values():
-                den = den * c.den // gcd(den, c.den)
+                word.append(wr % vd)
+                wr //= vd
+            terms.append((v, m, h, straighten(H, B, {g: one}, {tuple(reversed(word)): one})))
+        den = lcm(*(c.den for *_, moved in terms for c in moved.values()))
+        out: dict = {}
+        for v, m, h, moved in terms:
             for (w2, hmid), c in moved.items():
-                cv = ops.scale(ops.to_int(c), den // c.den)
+                cv = mul(v, ech.coeff(c, den))
                 wr2 = 0
                 for wi in w2:
                     wr2 = wr2 * vd + wi
                 base = amb.base[m] + wr2 * d
                 for h2, cm in hmul[hmid][h]:
-                    t = mul(mul(v, cv), cm)
+                    t = mul(cv, cm)
                     c2 = base + h2
                     cur = out.get(c2)
                     nv = addv(cur, t) if cur is not None else t
@@ -378,7 +229,6 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
 
     def right_v(row: dict, v: int) -> dict:
         out: dict = {}
-        mul, addv, iszero = ops.mulvec, ops.addvec, ops.iszero
         for col, val in row.items():
             wr, m, h = amb.decode(col)
             for v2, h2, cs in straight[h][v]:
@@ -401,7 +251,7 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
                 if seed:
                     insert(left_h(row, g), gen, True)
 
-    for row in _relator_rows(H, B, kappa, amb, ops):
+    for row in _relator_rows(H, B, kappa, amb, ech):
         insert(row, 2, True)
     drain()
     for j in range(2, D):

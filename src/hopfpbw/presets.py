@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .scalar import Scalar, zeta
 from .hopf import HopfAlgebra, UnknownPreset, preset_hopf, parse_preset_name, nth_root_of_unity
-from .modalg import ModuleAlgebra, DEFAULT_CUTOFF
+from .modalg import ModuleAlgebra, DEFAULT_CUTOFF, action_from_generators
 from .deform import Kappa
 
 PRESET_NAMES = ("sweedler", "taft-n", "h8", "ha1", "cbh-cyclic-n")
@@ -22,45 +22,6 @@ class Problem:
     hopf: HopfAlgebra
     algebra: ModuleAlgebra
     kappa: Kappa | None = None
-
-
-def _action_from_generators(H: HopfAlgebra, vdim: int, gen_mats: dict) -> list:
-    """Extend matrices on algebra generators to every basis monomial.
-
-    gen_mats maps a basis index to its vdim x vdim matrix (rows = output);
-    every other basis element must be a product of these, supplied via the
-    monomial structure of the presets: we close multiplicatively starting
-    from the unit matrix.
-    """
-    zero = Scalar.zero(H.order)
-    one = Scalar.one(H.order)
-    ident = [[one if i == j else zero for j in range(vdim)] for i in range(vdim)]
-
-    def matmul(A, B):
-        return [[sum((A[r][t] * B[t][c] for t in range(vdim)), zero)
-                 for c in range(vdim)] for r in range(vdim)]
-
-    known: dict = {}
-    for i, c in H.unit.items():
-        # unit must be a basis element with coefficient 1 in all presets
-        if c == one:
-            known[i] = ident
-    known.update(gen_mats)
-    # close under products until all basis elements are covered
-    changed = True
-    while changed and len(known) < H.dim:
-        changed = False
-        for i in list(known):
-            for j in list(known):
-                prod = H.mult[i][j]
-                if len(prod) == 1:
-                    (k, ck), = prod.items()
-                    if ck == one and k not in known:
-                        known[k] = matmul(known[i], known[j])
-                        changed = True
-    if len(known) < H.dim:
-        raise UnknownPreset("generator matrices do not reach the whole basis")
-    return [known[i] for i in range(H.dim)]
 
 
 def _commutator(i: int, j: int, order: int, sign: int = -1) -> dict:
@@ -78,7 +39,7 @@ def _sweedler_problem(with_kappa: bool) -> Problem:
     gx = {(1, 0): [[one, zero], [zero, -one]],        # g = diag(1, -1)
           (0, 1): [[zero, one], [zero, zero]]}        # x: v -> u
     gen_mats = {n * 1 + 0: gx[(1, 0)], 0 * n + 1: gx[(0, 1)]}
-    action = _action_from_generators(H, 2, gen_mats)
+    action = action_from_generators(H, 2, gen_mats)
     B = ModuleAlgebra.make(order, ["u", "v"], [_commutator(0, 1, order)], action)
     kappa = None
     if with_kappa:
@@ -101,7 +62,7 @@ def _taft_problem(n: int, with_kappa: bool) -> Problem:
     zz = nth_root_of_unity(order, n)
     g_mat = [[one, zero], [zero, zz]]                 # g = diag(1, zeta)
     x_mat = [[zero, one], [zero, zero]]               # x: v -> u
-    action = _action_from_generators(H, 2, {1 * n + 0: g_mat, 0 * n + 1: x_mat})
+    action = action_from_generators(H, 2, {1 * n + 0: g_mat, 0 * n + 1: x_mat})
     B = ModuleAlgebra.make(order, ["u", "v"], [_commutator(0, 1, order)], action)
     kappa = None
     if with_kappa:
@@ -118,7 +79,7 @@ def _h8_problem(with_kappa: bool) -> Problem:
     x_mat = [[-one, zero], [zero, one]]
     y_mat = [[one, zero], [zero, -one]]
     z_mat = [[zero, one], [one, zero]]
-    action = _action_from_generators(H, 2, {1: x_mat, 2: y_mat, 4: z_mat})
+    action = action_from_generators(H, 2, {1: x_mat, 2: y_mat, 4: z_mat})
     # relation u^2 + v^2
     rel = {(0, 0): one, (1, 1): one}
     B = ModuleAlgebra.make(order, ["u", "v"], [rel], action)
@@ -148,7 +109,7 @@ def _ha1_problem(with_kappa: bool) -> Problem:
              [one, zero, zero, zero],
              [zero, zero, zero, one],
              [zero, zero, one, zero]]
-    action = _action_from_generators(H, 4, {1: x_mat, 4: y_mat, 8: z_mat})
+    action = action_from_generators(H, 4, {1: x_mat, 4: y_mat, 8: z_mat})
     # skew-commutation relations on t, u, v, w (indices 0..3)
     rels = [
         _commutator(0, 1, order),        # tu - ut
@@ -178,7 +139,7 @@ def _cbh_cyclic_problem(n: int, with_kappa: bool) -> Problem:
     for _ in range((n - 1) % max(n, 1)):
         zinv = zinv * zz
     g_mat = [[zz, zero], [zero, zinv]]                # det = 1
-    action = _action_from_generators(H, 2, {1 % n: g_mat})
+    action = action_from_generators(H, 2, {1 % n: g_mat})
     B = ModuleAlgebra.make(order, ["u", "v"], [_commutator(0, 1, order)], action)
     kappa = None
     if with_kappa:

@@ -307,18 +307,6 @@ def scalar_make(order: int, terms) -> Scalar:
     return Scalar._make(order, acc_den, acc)
 
 
-def scalar_field_ops(a: Scalar, b: Scalar, op: str) -> Scalar:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # Literal syntax: a sum of terms `num/den*z^p`, e.g. "1/2 + -1/2*z^2".
 # `z` denotes zeta_N for the ambient order.

@@ -8,7 +8,7 @@ from hopfpbw.hopf import format_hvec
 from hopfpbw.modalg import koszul_component
 from hopfpbw.deform import (
     Kappa, check_invariance, check_overlap, check_pbw, overlap_maps,
-    solve_kappa, kappa_block_dims, NotInD3,
+    solve_kappa, kappa_block_dims, expand_left, NotInD3,
 )
 
 
@@ -57,6 +57,17 @@ def test_overlap_not_in_d3(problem):
     kp = Kappa.zero(prob.hopf, prob.algebra)
     with pytest.raises(NotInD3):
         overlap_maps(prob.hopf, prob.algebra, kp, {(0, 0, 0): one(4)})
+
+
+def test_expand_left_outside_i_tensor_v(problem):
+    # ttt is not in I (x) V for the skew-commutation relations of ha1, while
+    # r_0 (x) t = (tu - ut) (x) t expands with y_0 = t
+    B = problem("ha1").algebra
+    with pytest.raises(NotInD3):
+        expand_left(B, {(0, 0, 0): one(4)})
+    s = {(0, 1, 0): one(4), (1, 0, 0): -one(4)}
+    ys = expand_left(B, s)
+    assert ys[0] == {0: one(4)} and not any(ys[1:])
 
 
 def test_overlap_central_constant_passes(problem):

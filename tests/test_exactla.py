@@ -3,11 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfpbw.scalar import Scalar, zeta
+from hopfpbw.scalar import Scalar, zeta, field
 from hopfpbw.exactla import (
     Matrix, Subspace, rref, kernel, intersect, solve, membership,
-    subspace_sum, sparse_kernel, AmbientMismatch, NoSolution, NotMember,
+    subspace_sum, sparse_kernel, AmbientMismatch, NoSolution, NotMember, _rref_rows,
 )
+from hopfpbw.modalg import ModuleAlgebra, graded_dim, _layer_rows
 
 
 def S(n, order=1):
@@ -154,3 +155,116 @@ def test_kernel_property_hypothesis(r, c, data):
     assert k.dim == c - rank
     for v in k.basis:
         assert all(x.is_zero() for x in m.mul_vec(list(v)))
+
+
+# -- the engine against an independent reference ------------------------------
+#
+# Plain dense Gauss-Jordan elimination in Scalar arithmetic, with the first
+# nonzero entry in scan order as pivot: the unique RREF, computed without the
+# package's fraction-free sparse engine.
+
+def reference_rref(rows, ncols):
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    piv_r = 0
+    pivots = []
+    for piv_c in range(ncols):
+        sel = next((r for r in range(piv_r, nrows) if not rows[r][piv_c].is_zero()), None)
+        if sel is None:
+            continue
+        rows[piv_r], rows[sel] = rows[sel], rows[piv_r]
+        inv = rows[piv_r][piv_c].inverse()
+        rows[piv_r] = [c * inv for c in rows[piv_r]]
+        prow = rows[piv_r]
+        for r in range(nrows):
+            f = rows[r][piv_c]
+            if r != piv_r and not f.is_zero():
+                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
+        pivots.append(piv_c)
+        piv_r += 1
+        if piv_r == nrows:
+            break
+    return rows[:piv_r], pivots
+
+
+def reference_kernel(rows, ncols, order):
+    red, pivots = reference_rref(rows, ncols)
+    one, zero = Scalar.one(order), Scalar.zero(order)
+    out = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [zero] * ncols
+        v[f] = one
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        out.append(v)
+    return out
+
+
+FIELDS = [1, 4, 9]          # Q, Q(i), Q(zeta_9)
+
+
+def rand_scalar(rng, order, density=0.6):
+    if rng.random() > density:
+        return Scalar.zero(order)
+    phi = field(order).phi
+    return Scalar._make(order, rng.choice([1, 1, 2, 3, 6]),
+                        [rng.randint(-3, 3) for _ in range(phi)])
+
+
+def dense_to_sparse(rows):
+    return [{j: c for j, c in enumerate(r) if not c.is_zero()} for r in rows]
+
+
+def test_engine_matches_reference_random():
+    rng = random.Random(23)
+    for order in FIELDS:
+        for _ in range(12):
+            r, c = rng.randint(1, 6), rng.randint(1, 7)
+            rows = [[rand_scalar(rng, order) for _ in range(c)] for _ in range(r)]
+            if rng.random() < 0.3:      # force a dependency with a fractional multiple
+                f = rand_scalar(rng, order, density=1.0)
+                rows.append([f * x + y for x, y in zip(rows[0], rows[-1])])
+            assert _rref_rows(rows, c) == reference_rref(rows, c)
+            assert sparse_kernel(dense_to_sparse(rows), c, order) == reference_kernel(rows, c, order)
+
+
+def test_graded_dim_matches_reference_rank():
+    rng = random.Random(29)
+    for order in FIELDS:
+        for _ in range(4):
+            vd = rng.randint(2, 3)
+            rels = []
+            for _ in range(rng.randint(1, 3)):
+                rel = {(i, j): s for i in range(vd) for j in range(vd)
+                       if not (s := rand_scalar(rng, order, density=0.4)).is_zero()}
+                rels.append(rel or {(0, 1): Scalar.one(order)})
+            ident = [[Scalar.one(order) if a == b else Scalar.zero(order) for b in range(vd)]
+                     for a in range(vd)]
+            B = ModuleAlgebra.make(order, [f"v{i}" for i in range(vd)], rels, [ident])
+            for n in (2, 3, 4):
+                ncols = vd ** n
+                zero = Scalar.zero(order)
+                dense = []
+                for j in range(n - 1):
+                    for row in _layer_rows(B, n, j):
+                        v = [zero] * ncols
+                        for col, s in row.items():
+                            v[col] = s
+                        dense.append(v)
+                rank = len(reference_rref(dense, ncols)[0])
+                assert graded_dim(B, n) == ncols - rank
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(1, 4), st.integers(1, 5), st.data())
+def test_engine_matches_reference_hypothesis(order, r, c, data):
+    phi = field(order).phi
+    coord = st.integers(-3, 3)
+    den = st.sampled_from([1, 2, 5])
+    rows = [[Scalar._make(order, data.draw(den), [data.draw(coord) for _ in range(phi)])
+             for _ in range(c)] for _ in range(r)]
+    nz, pivots = _rref_rows(rows, c)
+    assert (nz, pivots) == reference_rref(rows, c)
+    assert sparse_kernel(dense_to_sparse(rows), c, order) == reference_kernel(rows, c, order)

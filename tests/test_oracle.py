@@ -1,8 +1,12 @@
+from collections import deque
+
 import pytest
 
 from hopfpbw.scalar import Scalar
+from hopfpbw.hopf import add_into, algebra_generators
 from hopfpbw.deform import Kappa, check_pbw, solve_kappa
-from hopfpbw.modalg import CutoffExceeded
+from hopfpbw.modalg import CutoffExceeded, graded_dim
+from hopfpbw.smash import straighten
 from hopfpbw.oracle import filtered_dims, pbw_probe, OracleError
 
 
@@ -125,3 +129,121 @@ def test_free_algebra_no_relations(problem):
     rep = filtered_dims(H, B, kp, 3, 1)
     assert rep.verdict == "CONSISTENT"
     assert rep.computed_dims == rep.expected_dims == [2, 6, 14, 30]
+
+
+# -- the oracle against an exact-Scalar reference -------------------------------
+#
+# The same spanning algorithm as `filtered_dims`, written directly in Scalar
+# arithmetic: products come from smash.straighten and H.mult, rows are keyed
+# by (-degree, word, h) so that the smallest key is the oracle's pivot column,
+# and rows are reduced by their own small sparse elimination with no
+# denominator clearing.  Pivot rows agree with the oracle's up to a scalar, so
+# the pivot counts, and with them computed_dims, must agree exactly.
+
+def _reduce(pivots, row):
+    row = {key: c for key, c in row.items() if not c.is_zero()}
+    while row:
+        lead = min(row)
+        piv = pivots.get(lead)
+        if piv is None:
+            inv = row[lead].inverse()
+            pivots[lead] = {key: c * inv for key, c in row.items()}
+            return lead
+        f = row.pop(lead)
+        for key, c in piv.items():
+            if key != lead:
+                add_into(row, key, -(f * c))
+    return None
+
+
+def reference_computed_dims(H, B, kappa, N, k):
+    vd, d, D = B.vdim, H.dim, N + k
+    one = Scalar.one(H.order)
+    pivots, gen_of, pending = {}, {}, deque()
+
+    def insert(row, gen, seed):
+        lead = _reduce(pivots, row)
+        if lead is not None:
+            gen_of[lead] = gen
+            pending.append((lead, gen, seed))
+
+    def times_h(row, g, left):
+        out = {}
+        for (negm, word, h), c in row.items():
+            moved = straighten(H, B, {g: one}, {word: one}) if left else {(word, h): one}
+            for (w2, h1), c1 in moved.items():
+                for h2, c2 in (H.mult[h1][h] if left else H.mult[h1][g]).items():
+                    add_into(out, (negm, w2, h2), c * c1 * c2)
+        return out
+
+    def times_v(row, v, left):
+        out = {}
+        for (negm, word, h), c in row.items():
+            if left:
+                add_into(out, (negm - 1, (v,) + word, h), c)
+                continue
+            for ((v2,), h2), c2 in straighten(H, B, {h: one}, {(v,): one}).items():
+                add_into(out, (negm - 1, word + (v2,), h2), c * c2)
+        return out
+
+    def drain():
+        while pending:
+            lead, gen, seed = pending.popleft()
+            row = pivots[lead]
+            for g in algebra_generators(H):
+                insert(times_h(row, g, False), gen, seed)
+                if seed:
+                    insert(times_h(row, g, True), gen, True)
+
+    for a in range(B.dim_relations()):
+        row = {}
+        for (i, j), c in B.relation_sparse(a).items():
+            for u, cu in H.unit.items():
+                add_into(row, (-2, (i, j), u), c * cu)
+        for (v, h), c in kappa.l_vec(a, d).items():
+            add_into(row, (-1, (v,), h), -c)
+        for h, c in kappa.c_vec(a).items():
+            add_into(row, (0, (), h), -c)
+        insert(row, 2, True)
+    drain()
+    for j in range(2, D):
+        for lead in [lead for lead, g in gen_of.items() if g == j]:
+            for v in range(vd):
+                insert(times_v(pivots[lead], v, True), j + 1, False)
+                insert(times_v(pivots[lead], v, False), j + 1, False)
+        drain()
+    return [d * sum(vd ** j for j in range(m + 1)) - sum(1 for lead in pivots if -lead[0] <= m)
+            for m in range(N + 1)]
+
+
+def _ha1_kappa(prob, rel, cvec):
+    cv = [dict() for _ in range(6)]
+    cv[rel] = cvec
+    return Kappa.from_vectors(prob.hopf, prob.algebra, cv, [dict() for _ in range(6)])
+
+
+def test_oracle_matches_scalar_reference(problem):
+    h8 = problem("h8", True)
+    one1 = Scalar.one(1)
+    xz = h8.hopf.labels.index("xz")
+    # h8 with kappa^C(r) = 1 - xz: structure constants with denominators
+    # (z^2 = (1 + x + y - xy)/2) once made the oracle span rows outside the ideal
+    bad_h8 = Kappa.from_vectors(h8.hopf, h8.algebra, [{0: one1, xz: -one1}], [dict()])
+    ha1 = problem("ha1", True)
+    one4 = Scalar.one(4)
+    cases = [
+        (h8, bad_h8, 3, 1, [1, 1, 1, 33]),
+        (h8, h8.kappa, 3, 1, [8, 24, 48, 80]),
+        (ha1, ha1.kappa, 3, 0, None),
+        (ha1, _ha1_kappa(ha1, 5, {9: one4, 13: -one4}), 3, 0, None),   # overlap only
+        (ha1, _ha1_kappa(ha1, 0, {8: one4}), 3, 0, None),              # not invariant
+    ]
+    for prob, kp, N, k, want in cases:
+        rep = filtered_dims(prob.hopf, prob.algebra, kp, N, k)
+        ref = reference_computed_dims(prob.hopf, prob.algebra, kp, N, k)
+        assert rep.computed_dims == ref, prob.name
+        if want is not None:
+            assert ref == want
+        assert rep.expected_dims == [prob.hopf.dim * sum(graded_dim(prob.algebra, j)
+                                                        for j in range(m + 1))
+                                     for m in range(N + 1)]
