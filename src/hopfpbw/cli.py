@@ -120,11 +120,22 @@ def _parse_sc(text, order: int, where: str) -> Scalar:
         raise ParseError(f"{where}: {exc}") from exc
 
 
-def problem_from_json(doc: dict, cutoff: int | None = None) -> Problem:
-    """Parse and fully validate a problem document.
+def _index(x, bound: int, where: str) -> int:
+    """An index field of the document: a JSON integer in 0..bound-1."""
+    if type(x) is not int or not 0 <= x < bound:
+        raise ParseError(f"{where}: index {x!r} is not an integer in 0..{bound - 1}")
+    return x
 
-    Raises ParseError for structural problems and ValidationError when the
-    Hopf or action axioms fail.
+
+def _entry(ent, size: int, where: str, shape: str) -> None:
+    if not isinstance(ent, list) or len(ent) != size:
+        raise ParseError(f"{where} entry {ent!r} is not {shape}")
+
+
+def parse_problem(doc: dict, cutoff: int | None = None) -> Problem:
+    """Parse a problem document without validating its axioms.
+
+    Raises ParseError for structural problems.
     """
     try:
         order = int(doc["field"]["cyclotomic_order"])
@@ -146,33 +157,24 @@ def problem_from_json(doc: dict, cutoff: int | None = None) -> Problem:
 
     mult = [[{} for _ in range(d)] for _ in range(d)]
     for ent in hdoc.get("mult", []):
-        if len(ent) != 4:
-            raise ParseError(f"hopf.mult entry {ent!r} is not [i, j, k, scalar]")
-        i, j, k = (int(x) for x in ent[:3])
-        if not (0 <= i < d and 0 <= j < d and 0 <= k < d):
-            raise ParseError(f"hopf.mult entry {ent!r} out of range")
+        _entry(ent, 4, "hopf.mult", "[i, j, k, scalar]")
+        i, j, k = (_index(x, d, "hopf.mult") for x in ent[:3])
         s = _parse_sc(ent[3], order, "hopf.mult")
         if not s.is_zero():
             mult[i][j][k] = s
 
     comult = [{} for _ in range(d)]
     for ent in hdoc.get("comult", []):
-        if len(ent) != 4:
-            raise ParseError(f"hopf.comult entry {ent!r} is not [i, j, k, scalar]")
-        i, j, k = (int(x) for x in ent[:3])
-        if not (0 <= i < d and 0 <= j < d and 0 <= k < d):
-            raise ParseError(f"hopf.comult entry {ent!r} out of range")
+        _entry(ent, 4, "hopf.comult", "[i, j, k, scalar]")
+        i, j, k = (_index(x, d, "hopf.comult") for x in ent[:3])
         s = _parse_sc(ent[3], order, "hopf.comult")
         if not s.is_zero():
             comult[i][(j, k)] = s
 
     antipode = [{} for _ in range(d)]
     for ent in hdoc.get("antipode", []):
-        if len(ent) != 3:
-            raise ParseError(f"hopf.antipode entry {ent!r} is not [i, j, scalar]")
-        i, j = int(ent[0]), int(ent[1])
-        if not (0 <= i < d and 0 <= j < d):
-            raise ParseError(f"hopf.antipode entry {ent!r} out of range")
+        _entry(ent, 3, "hopf.antipode", "[i, j, scalar]")
+        i, j = (_index(x, d, "hopf.antipode") for x in ent[:2])
         s = _parse_sc(ent[2], order, "hopf.antipode")
         if not s.is_zero():
             antipode[i][j] = s
@@ -180,12 +182,11 @@ def problem_from_json(doc: dict, cutoff: int | None = None) -> Problem:
     unit_doc = hdoc.get("unit")
     unit: dict = {}
     if isinstance(unit_doc, int):
-        unit[unit_doc] = Scalar.one(order)
+        unit[_index(unit_doc, d, "hopf.unit")] = Scalar.one(order)
     elif isinstance(unit_doc, list):
         for ent in unit_doc:
-            if len(ent) != 2:
-                raise ParseError(f"hopf.unit entry {ent!r} is not [index, scalar]")
-            unit[int(ent[0])] = _parse_sc(ent[1], order, "hopf.unit")
+            _entry(ent, 2, "hopf.unit", "[index, scalar]")
+            unit[_index(ent[0], d, "hopf.unit")] = _parse_sc(ent[1], order, "hopf.unit")
     else:
         raise ParseError("hopf.unit must be an index or a sparse vector")
 
@@ -195,8 +196,11 @@ def problem_from_json(doc: dict, cutoff: int | None = None) -> Problem:
     counit = [_parse_sc(t, order, "hopf.counit") for t in counit_doc]
 
     gens = hdoc.get("generators")
-    H = HopfAlgebra(order, d, labels, mult, comult, unit, counit, antipode,
-                    generators=list(gens) if gens is not None else None)
+    if gens is not None:
+        if not isinstance(gens, list):
+            raise ParseError("hopf.generators must be a list of basis indices")
+        gens = [_index(g, d, "hopf.generators") for g in gens]
+    H = HopfAlgebra(order, d, labels, mult, comult, unit, counit, antipode, generators=gens)
 
     adoc = doc.get("algebra")
     if not isinstance(adoc, dict):
@@ -207,24 +211,21 @@ def problem_from_json(doc: dict, cutoff: int | None = None) -> Problem:
         raise ParseError("algebra.generators must be nonempty")
     rel_vecs = []
     for rdoc in adoc.get("relations", []):
+        if not isinstance(rdoc, list):
+            raise ParseError(f"algebra.relations entry {rdoc!r} is not a list of [i, j, scalar]")
         rel = {}
         for ent in rdoc:
-            if len(ent) != 3:
-                raise ParseError(f"algebra.relations entry {ent!r} is not [i, j, scalar]")
-            i, j = int(ent[0]), int(ent[1])
-            if not (0 <= i < vd and 0 <= j < vd):
-                raise ParseError(f"algebra.relations entry {ent!r} out of range")
+            _entry(ent, 3, "algebra.relations", "[i, j, scalar]")
+            i, j = (_index(x, vd, "algebra.relations") for x in ent[:2])
             s = _parse_sc(ent[2], order, "algebra.relations")
             if not s.is_zero():
                 rel[(i, j)] = s
         rel_vecs.append(rel)
     given: dict = {}
     for ent in adoc.get("action", []):
-        if len(ent) != 4:
-            raise ParseError(f"algebra.action entry {ent!r} is not [h, row, col, scalar]")
-        h, r, c = (int(x) for x in ent[:3])
-        if not (0 <= h < d and 0 <= r < vd and 0 <= c < vd):
-            raise ParseError(f"algebra.action entry {ent!r} out of range")
+        _entry(ent, 4, "algebra.action", "[h, row, col, scalar]")
+        h = _index(ent[0], d, "algebra.action")
+        r, c = (_index(x, vd, "algebra.action") for x in ent[1:3])
         mat = given.setdefault(h, [[zero] * vd for _ in range(vd)])
         mat[r][c] = _parse_sc(ent[3], order, "algebra.action")
     try:
@@ -257,14 +258,26 @@ def problem_from_json(doc: dict, cutoff: int | None = None) -> Problem:
             lvecs.append({(i // d, i % d): s for i, t in enumerate(ldoc[a])
                           if not (s := _parse_sc(t, order, "kappa.linear")).is_zero()})
         kappa = Kappa.from_vectors(H, B, cvecs, lvecs)
+    return Problem(doc.get("name", "problem"), H, B, kappa)
 
-    hrep = validate_hopf(H)
+
+def problem_from_json(doc: dict, cutoff: int | None = None) -> Problem:
+    """Parse and fully validate a problem document.
+
+    Raises ParseError for structural problems and ValidationError when the
+    Hopf or action axioms fail, or the ``hopf.generators`` hint does not
+    generate H.
+    """
+    prob = parse_problem(doc, cutoff)
+    hrep = validate_hopf(prob.hopf)
     if not hrep.passed:
         raise ValidationError("Hopf axioms fail", hrep.failures)
-    arep = validate_action(H, B)
+    arep = validate_action(prob.hopf, prob.algebra)
     if not arep.passed:
         raise ValidationError("action axioms fail", arep.failures)
-    return Problem(doc.get("name", "problem"), H, B, kappa)
+    return prob
+
+
 
 
 def load_spec(path: str, cutoff: int | None = None) -> Problem:

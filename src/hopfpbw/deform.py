@@ -33,7 +33,7 @@ from dataclasses import dataclass, field as dc_field
 from .scalar import Scalar
 from .exactla import (Matrix, Subspace, membership, NoSolution, NotMember, solve as la_solve,
                       sparse_kernel, _rref_rows)
-from .hopf import HopfAlgebra, add_into, adjoint_on_H, format_hvec
+from .hopf import HopfAlgebra, add_into, adjoint_on_H, algebra_generators, format_hvec
 from .modalg import ModuleAlgebra, act_on_tensor, koszul_component
 from .smash import straighten, adjoint_on_VH
 
@@ -434,13 +434,13 @@ def check_pbw(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa) -> ConditionReport
 
 # -- the solver ----------------------------------------------------------------
 
-def _adjoint_columns(H: HopfAlgebra, B: ModuleAlgebra):
-    """Per H-basis i: sparse columns of the adjoint actions on H and V (x) H."""
+def _adjoint_columns(H: HopfAlgebra, B: ModuleAlgebra, gens: list[int]):
+    """Per generator i: sparse columns of the adjoint actions on H and V (x) H."""
     d, vd = H.dim, B.vdim
     adjh = []
     adjvh = []
     one = Scalar.one(H.order)
-    for i in range(d):
+    for i in gens:
         ei = H.basis_vec(i)
         cols_h = [adjoint_on_H(H, ei, {h: one}) for h in range(d)]
         cols_vh = {}
@@ -464,6 +464,12 @@ def solve_kappa(H: HopfAlgebra, B: ModuleAlgebra, force_linear_zero: bool = Fals
 
     With force_linear_zero the linear part of kappa is excluded from the
     unknowns entirely.
+
+    H and the action must already pass ``validate_hopf`` and
+    ``validate_action``: condition (a) is imposed for the generators
+    ``algebra_generators(H)`` only.  The elements under which kappa is
+    invariant form a unital subalgebra, so this is the same kernel as
+    imposing it for every basis element (see ``hopf``).
     """
     d, vd, p = H.dim, B.vdim, B.dim_relations()
     nC = p * d
@@ -479,17 +485,18 @@ def solve_kappa(H: HopfAlgebra, B: ModuleAlgebra, force_linear_zero: bool = Fals
 
     rows: list[dict] = []
 
-    # condition (a): adjoint action of every basis element matches kappa
+    # condition (a): the adjoint action of every generator matches kappa
     # composed with the action on relations
-    adjh, adjvh = _adjoint_columns(H, B)
+    gens = algebra_generators(H)
+    adjh, adjvh = _adjoint_columns(H, B, gens)
     act_coords = []
-    for i in range(d):
+    for i in gens:
         per_rel = []
         for a in range(p):
             img = act_on_tensor(H, B, H.basis_vec(i), B.relation_sparse(a))
             per_rel.append(rel_coords(B, img))
         act_coords.append(per_rel)
-    for i in range(d):
+    for i in range(len(gens)):
         for a in range(p):
             coords = act_coords[i][a]
             # H-component rows

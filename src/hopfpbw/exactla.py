@@ -342,17 +342,16 @@ class SparseEchelon:
         divide = self._divide
         return {c: divide(v, g) for c, v in row.items()}
 
-    def insert(self, row: dict) -> int | None:
-        """Insert an integer row; returns its new pivot column, or None if
-        the row is dependent on the rows inserted so far."""
+    def _reduce(self, row: dict) -> tuple[int | None, dict]:
+        """Reduce a row until its leading column has no pivot; returns that
+        column and the stripped row, or (None, {}) when the row reduces to 0."""
         mul, sub, scale, is_zero = self.mul, self.sub, self.scale, self.is_zero
         row = {c: v for c, v in row.items() if not is_zero(v)}
         while row:
             c = min(row)
             piv = self.pivots.get(c)
             if piv is None:
-                self.pivots[c] = row = self._strip(row)
-                return c
+                return c, self._strip(row)
             pc = piv[c]
             rc = row.pop(c)
             out = row if pc == self._unit else {col: mul(pc, v) for col, v in row.items()}
@@ -367,7 +366,19 @@ class SparseEchelon:
                 else:
                     out[col] = nv
             row = self._strip(out)
-        return None
+        return None, {}
+
+    def insert(self, row: dict) -> int | None:
+        """Insert an integer row; returns its new pivot column, or None if
+        the row is dependent on the rows inserted so far."""
+        c, row = self._reduce(row)
+        if c is not None:
+            self.pivots[c] = row
+        return c
+
+    def contains(self, row: dict) -> bool:
+        """Whether an integer row lies in the span of the rows inserted so far."""
+        return self._reduce(row)[0] is None
 
     def rref_rows(self) -> dict:
         """Back-substitute to the unique RREF: {pivot col: {col: Scalar}},

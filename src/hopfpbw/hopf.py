@@ -7,11 +7,29 @@ structure data is:
 * ``comult[i]``   -- the coproduct of e_i as a dict ``{(j, k): Scalar}``,
 * ``unit``        -- the identity as a sparse vector,
 * ``counit[i]``   -- the counit on e_i,
-* ``antipode[i]`` -- the antipode image of e_i as a sparse vector.
+* ``antipode[i]`` -- the antipode image of e_i as a sparse vector,
+* ``generators``  -- optional: basis indices of algebra generators.
 
-``validate_hopf`` checks every axiom exhaustively over basis tuples
-(trivial at these dimensions, and exhaustiveness is the point), verifies
-that the antipode is bijective, and fills in its inverse.
+``validate_hopf`` checks every axiom, verifies that the antipode is
+bijective, and fills in its inverse.  Properties that are closed under
+products are checked on one generating set S = ``algebra_generators(H)``
+only: the ``generators`` hint, or a greedy set when there is none.  S is
+accepted only if the left closure of the unit under x -> e_g x (g in S)
+is all of H.  That is exact, by one lemma:
+
+    Let A = {a : (a y) z = a (y z) for all y, z}.  The unit law, which is
+    checked on every basis element, puts 1 in A.  If g and a are in A,
+    so is g a: ((g a) y) z = (g (a y)) z = g ((a y) z) = g (a (y z))
+    = (g a)(y z).  So if S lies in A and S left-generates H, A = H.
+
+The same argument, with associativity now known, shows that the set of a
+with Delta(a y) = Delta(a) Delta(y) and eps(a y) = eps(a) eps(y) for all
+y is all of H once it holds for S, Delta(1) = 1 (x) 1 and eps(1) = 1; that
+the action is multiplicative once it is on S and rho(1) = id
+(``modalg.validate_action``); and that kappa is H-invariant once it is
+invariant under S (``deform.solve_kappa``).  So associativity loops over
+i in S (j, k over all of H), and the bialgebra and action checks over
+i in S (j over all of H).
 
 The preset catalog carries the finite-dimensional Hopf algebras used by
 the bundled worked problems: the Sweedler and Taft algebras, the
@@ -23,8 +41,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+from collections import deque
+
 from .scalar import Scalar, zeta
-from .exactla import Matrix, rref
+from .exactla import Matrix, SparseEchelon, rref
 
 HVec = dict  # {int: Scalar}
 TVec = dict  # {(int, int): Scalar}
@@ -48,6 +68,10 @@ class NotAGroup(HopfError):
 
 class SingularAntipode(HopfError):
     pass
+
+
+class NotGenerating(HopfError):
+    """The generator set does not left-generate H from its unit."""
 
 
 # -- sparse vector helpers ---------------------------------------------------
@@ -93,7 +117,7 @@ class HopfAlgebra:
     counit: list                     # counit[i] -> Scalar
     antipode: list                   # antipode[i] -> HVec
     antipode_inverse: list | None = None
-    generators: list[int] | None = None   # optional algebra-generator hint
+    generators: list[int] | None = None   # optional algebra-generator hint, verified
 
     def basis_vec(self, i: int) -> HVec:
         return {i: Scalar.one(self.order)}
@@ -238,10 +262,13 @@ def _fmt_tensor(H: HopfAlgebra, t: TVec) -> str:
 
 
 def validate_hopf(H: HopfAlgebra) -> ValidationReport:
-    """Exhaustive check of all Hopf axioms; populates the antipode inverse.
+    """Check all Hopf axioms; populates the antipode inverse.
 
-    Failures carry (axiom name, witness basis indices, lhs, rhs) with both
-    sides rendered in the basis labels.
+    Properties closed under products are checked with their first factor
+    in S = ``algebra_generators(H)`` (see the module docstring); a hint
+    that does not left-generate H is a ``generators`` failure.  Failures
+    carry (axiom name, witness basis indices, lhs, rhs) with both sides
+    rendered in the basis labels.
     """
     fails = []
     d = H.dim
@@ -250,8 +277,13 @@ def validate_hopf(H: HopfAlgebra) -> ValidationReport:
     def emit(axiom, witness, lhs, rhs):
         fails.append((axiom, witness, lhs, rhs))
 
-    # associativity
-    for i in range(d):
+    S, problem = _generator_set(H)
+    if problem is not None:
+        emit("generators", tuple(S if H.generators is None else H.generators), problem,
+             "a set that left-generates H")
+
+    # associativity, first factor in S
+    for i in S:
         for j in range(d):
             eij = H.mult[i][j]
             for k in range(d):
@@ -308,7 +340,7 @@ def validate_hopf(H: HopfAlgebra) -> ValidationReport:
     eps_unit = counit_of(H, H.unit)
     if eps_unit != one:
         emit("bialgebra", ("unit",), str(eps_unit), "1")
-    for i in range(d):
+    for i in S:
         for j in range(d):
             lhs = coproduct(H, H.mult[i][j])
             rhs = tensor_mult(H, H.comult[i], H.comult[j])
@@ -692,42 +724,62 @@ def preset_hopf(name: str, order: int | None = None) -> HopfAlgebra:
     raise UnknownPreset(f"unknown preset {name!r}")
 
 
-# -- algebra generators (used by the spanning oracle) -------------------------
+# -- algebra generators ----------------------------------------------------------
+
+def _left_closure(H: HopfAlgebra, gens: list[int] | None) -> tuple[list[int], int]:
+    """Close the unit under x -> e_g x for g in the generator set.
+
+    With ``gens`` given the set is fixed.  With None it is greedy: the
+    basis is visited in order and each e_i outside the closure so far is
+    adjoined as a generator, so the search ends after at most dim H steps
+    even when the unit is wrong.  Returns (generators, closure dimension).
+    """
+    one = H.one_scalar()
+    ech = SparseEchelon(H.order)
+    S: list[int] = []
+    kept: list[HVec] = []
+    work: deque = deque()
+
+    def add(v: HVec) -> None:
+        if v and ech.insert(ech.from_scalars(v)) is not None:
+            kept.append(v)
+            work.extend((g, v) for g in S)
+
+    def adjoin(g: int) -> None:
+        S.append(g)
+        work.extend((g, v) for v in kept)
+        while work:
+            h, v = work.popleft()
+            add(h_mul(H, {h: one}, v))
+
+    add(H.unit)
+    for i in (gens if gens is not None else range(H.dim)):
+        if gens is not None or (ech.rank < H.dim and not ech.contains({i: ech.coeff(one, 1)})):
+            adjoin(i)
+    return S, ech.rank
+
+
+def _generator_set(H: HopfAlgebra) -> tuple[list[int], str | None]:
+    """The set S of ``algebra_generators`` and why it fails to left-generate
+    H, or None when it does."""
+    d = H.dim
+    if H.generators is not None:
+        ok = [g for g in H.generators if type(g) is int and 0 <= g < d]
+        if len(ok) < len(H.generators):
+            return ok, f"generator indices must lie in 0..{d - 1}"
+    S, rank = _left_closure(H, H.generators)
+    if rank < d:
+        return S, f"left closure of the unit has dimension {rank} of {d}"
+    return S, None
+
 
 def algebra_generators(H: HopfAlgebra) -> list[int]:
-    """A small set of basis indices generating H as a unital algebra.
-
-    Greedy: repeatedly adjoin the first basis element outside the current
-    unital subalgebra and close under products.  Deterministic.
+    """Basis indices that generate H as a unital algebra: the
+    ``generators`` hint, or greedily the first basis elements outside the
+    subalgebra generated so far.  Either way the set is verified to
+    left-generate H from its unit; raises NotGenerating otherwise.
     """
-    if H.generators is not None:
-        return list(H.generators)
-    from .exactla import Subspace
-
-    d = H.dim
-    zero = H.zero_scalar()
-
-    def dense(v: HVec) -> list[Scalar]:
-        return [v.get(i, zero) for i in range(d)]
-
-    gens: list[int] = []
-    span_vecs = [dense(H.unit)]
-    span = Subspace.from_vectors(d, span_vecs)
-    while span.dim < d:
-        nxt = next(i for i in range(d) if not span.contains(dense(H.basis_vec(i))))
-        gens.append(nxt)
-        grew = True
-        while grew:
-            grew = False
-            cur = [list(b) for b in span.basis]
-            new_vecs = list(cur)
-            for b in cur:
-                bv = {i: c for i, c in enumerate(b) if not c.is_zero()}
-                for g in gens:
-                    new_vecs.append(dense(h_mul(H, bv, H.basis_vec(g))))
-                    new_vecs.append(dense(h_mul(H, H.basis_vec(g), bv)))
-            newspan = Subspace.from_vectors(d, new_vecs)
-            if newspan.dim > span.dim:
-                span = newspan
-                grew = True
-    return gens
+    S, problem = _generator_set(H)
+    if problem is not None:
+        raise NotGenerating(problem)
+    return S

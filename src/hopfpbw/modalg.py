@@ -16,7 +16,7 @@ from itertools import product
 
 from .scalar import Scalar
 from .exactla import Subspace, SparseEchelon, intersect
-from .hopf import HopfAlgebra, ValidationReport, add_into, coproduct_iter
+from .hopf import HopfAlgebra, ValidationReport, add_into, algebra_generators, coproduct_iter
 
 
 class ModAlgError(Exception):
@@ -187,6 +187,10 @@ def validate_action(H: HopfAlgebra, B: ModuleAlgebra) -> ValidationReport:
     the relation space is stable under the degree-2 action; the module
     algebra law in higher degrees then holds automatically because the
     action on tensors is defined through the iterated coproduct.
+
+    H must already pass ``validate_hopf``: multiplicativity is checked
+    for first factors in ``algebra_generators(H)`` only, which is exact
+    once H is associative and rho(1) = id (see ``hopf``).
     """
     fails = []
     d = H.dim
@@ -206,8 +210,8 @@ def validate_action(H: HopfAlgebra, B: ModuleAlgebra) -> ValidationReport:
             if ident[r][s] != want:
                 fails.append(("action_unital", (r, s), str(ident[r][s]), str(want)))
 
-    # rho(e_i) rho(e_j) = rho(e_i e_j)
-    for i in range(d):
+    # rho(e_i) rho(e_j) = rho(e_i e_j), for i in the generating set
+    for i in algebra_generators(H):
         for j in range(d):
             prod = [[zero] * vd for _ in range(vd)]
             for r in range(vd):

@@ -108,6 +108,8 @@ class CycloField:
             else:
                 pows.append(rows[k - self.phi])
         self.powers = tuple(pows)
+        # the Galois automorphisms zeta -> zeta^k other than the identity
+        self.conjugators = tuple(k for k in range(2, order) if gcd(k, order) == 1)
 
     def mul_vec(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         """Multiply two integer coefficient vectors modulo the cyclotomic polynomial."""
@@ -129,6 +131,23 @@ class CycloField:
                     if r:
                         out[i] += c * r
         return tuple(out)
+
+    def conjugate(self, a: tuple[int, ...], k: int) -> tuple[int, ...]:
+        """sigma_k(a): the image of a under zeta -> zeta^k, k coprime to N."""
+        out = [0] * self.phi
+        for i, ai in enumerate(a):
+            if ai:
+                for j, r in enumerate(self.powers[i * k % self.order]):
+                    if r:
+                        out[j] += ai * r
+        return tuple(out)
+
+    def norm_cofactor(self, a: tuple[int, ...]) -> tuple[int, ...]:
+        """prod_{k != 1} sigma_k(a), so that a times it is the norm N(a) in Q."""
+        out = self.powers[0]
+        for k in self.conjugators:
+            out = self.mul_vec(out, self.conjugate(a, k))
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -223,26 +242,16 @@ class Scalar:
         return Scalar._make(self.order, self.den * other.den, f.mul_vec(self.num, other.num))
 
     def inverse(self) -> "Scalar":
+        """x^-1 = prod_{k != 1} sigma_k(x) / N(x), through the norm map."""
         if self.is_zero():
             raise DivideByZero("inverse of zero")
         f = field(self.order)
-        phi = f.phi
-        if phi == 1:
+        if f.phi == 1:
             return Scalar._make(self.order, self.num[0], [self.den])
-        # Solve m(self) * x = 1 where m(self) is the multiplication matrix in
-        # the power basis.  Fraction arithmetic; phi is tiny.
-        cols = []
-        for j in range(phi):
-            e = [0] * phi
-            e[j] = 1
-            cols.append(f.mul_vec(self.num, tuple(e)))
-        mat = [[Fraction(cols[j][i]) for j in range(phi)] for i in range(phi)]
-        rhs = [Fraction(self.den if i == 0 else 0) for i in range(phi)]
-        x = _solve_dense_fractions(mat, rhs)
-        den = 1
-        for c in x:
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Scalar._make(self.order, den, [int(c * den) for c in x])
+        cof = f.norm_cofactor(self.num)
+        norm = f.mul_vec(self.num, cof)
+        assert not any(norm[1:]), "norm map left Q"
+        return Scalar._make(self.order, norm[0], [self.den * c for c in cof])
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         self._check(other)
@@ -256,23 +265,6 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self.order}, {format_scalar(self)!r})"
-
-
-def _solve_dense_fractions(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    n = len(mat)
-    for col in range(n):
-        piv = next(r for r in range(col, n) if mat[r][col])
-        mat[col], mat[piv] = mat[piv], mat[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = 1 / mat[col][col]
-        mat[col] = [c * inv for c in mat[col]]
-        rhs[col] = rhs[col] * inv
-        for r in range(n):
-            if r != col and mat[r][col]:
-                fac = mat[r][col]
-                mat[r] = [a - fac * b for a, b in zip(mat[r], mat[col])]
-                rhs[r] = rhs[r] - fac * rhs[col]
-    return rhs
 
 
 def zeta(order: int, power: int = 1) -> Scalar:

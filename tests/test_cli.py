@@ -218,3 +218,81 @@ def test_check_without_kappa_is_parse_error(tmp_path, capsys):
     path = emit(tmp_path, "sweedler", with_kappa=False)
     assert main(["check", str(path)]) == 1
     assert "kappa" in capsys.readouterr().err
+
+
+def _taft3_doc(tmp_path, edit):
+    path = emit(tmp_path, "taft-3")
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("gens", [[99], ["a"], [3, -1], 3])
+def test_generators_hint_malformed_is_parse_error(tmp_path, capsys, gens):
+    path = _taft3_doc(tmp_path, lambda doc: doc["hopf"].update(generators=gens))
+    for cmd in (["validate", str(path)], ["oracle", str(path)]):
+        assert main(cmd) == 1
+        err = capsys.readouterr().err
+        assert "parse error: hopf.generators" in err and "Traceback" not in err
+
+
+def test_generators_hint_out_of_range_no_traceback(tmp_path):
+    # the oracle once died here with an IndexError traceback
+    import subprocess
+    import sys
+    path = _taft3_doc(tmp_path, lambda doc: doc["hopf"].update(generators=[99]))
+    proc = subprocess.run([sys.executable, "-m", "hopfpbw.cli", "oracle", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "hopf.generators" in proc.stderr
+
+
+def test_generators_hint_not_generating_is_validation_failure(tmp_path, capsys):
+    # g alone generates only k[g]: the oracle once reported [9, 27, 60, 117]
+    # (against the true [9, 27, 54, 90]) and read CONSISTENT
+    path = _taft3_doc(tmp_path, lambda doc: doc["hopf"].update(generators=[3]))
+    assert main(["validate", str(path)]) == 2
+    assert "generators" in capsys.readouterr().out
+    assert main(["--json", "validate", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["failures"] == [["generators", [3]]]
+    assert main(["oracle", str(path), "--degree", "3", "--buffer", "1"]) == 2
+    assert "generators" in capsys.readouterr().err
+
+
+def _set(block, key, pos, slot, value):
+    def edit(doc):
+        doc[block][key][pos][slot] = value
+    return edit
+
+
+HOSTILE = [
+    ("unit-99", _set("hopf", "unit", 0, 0, 99), "hopf.unit"),
+    ("unit-string", _set("hopf", "unit", 0, 0, "0"), "hopf.unit"),
+    ("unit-bare-99", lambda doc: doc["hopf"].update(unit=99), "hopf.unit"),
+    ("mult-string", _set("hopf", "mult", 0, 0, "a"), "hopf.mult"),
+    ("mult-9", _set("hopf", "mult", 0, 2, 9), "hopf.mult"),
+    ("mult-float", _set("hopf", "mult", 0, 1, 1.5), "hopf.mult"),
+    ("mult-entry-int", lambda doc: doc["hopf"]["mult"].__setitem__(0, 5), "hopf.mult"),
+    ("comult-string", _set("hopf", "comult", 0, 1, "a"), "hopf.comult"),
+    ("comult-negative", _set("hopf", "comult", 0, 2, -1), "hopf.comult"),
+    ("antipode-null", _set("hopf", "antipode", 0, 1, None), "hopf.antipode"),
+    ("antipode-9", _set("hopf", "antipode", 0, 0, 9), "hopf.antipode"),
+    ("relations-2", lambda doc: doc["algebra"]["relations"][0][0].__setitem__(0, 2),
+     "algebra.relations"),
+    ("relations-string", lambda doc: doc["algebra"]["relations"][0][0].__setitem__(1, "v"),
+     "algebra.relations"),
+    ("relation-int", lambda doc: doc["algebra"]["relations"].__setitem__(0, 5),
+     "algebra.relations"),
+    ("action-99", _set("algebra", "action", 0, 0, 99), "algebra.action"),
+    ("action-string", _set("algebra", "action", 0, 1, "r"), "algebra.action"),
+    ("action-bool", _set("algebra", "action", 0, 2, True), "algebra.action"),
+]
+
+
+@pytest.mark.parametrize("edit, where", [c[1:] for c in HOSTILE], ids=[c[0] for c in HOSTILE])
+def test_hostile_index_fields_are_parse_errors(tmp_path, capsys, edit, where):
+    path = _taft3_doc(tmp_path, edit)
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"parse error: {where}" in err and "Traceback" not in err

@@ -1,0 +1,275 @@
+"""Generators do the work: the checks closed under products run on one
+verified generating set S = algebra_generators(H).
+
+The exhaustive loops the reduced checks replaced live on here as
+references (``reference_*``).  The reduced and the exhaustive validators
+must give the same verdict on every preset, on the criterion-7 mutation
+corpus, and on mutations of product-table rows outside S; the solver must
+give the same family for the greedy S as for the declared hint; and the
+solver must build its condition-(a) rows from S alone.
+"""
+
+import json
+import random
+
+import pytest
+
+from hopfpbw import deform
+from hopfpbw.cli import parse_problem, problem_to_json
+from hopfpbw.deform import solve_kappa
+from hopfpbw.hopf import (NotGenerating, _left_closure, algebra_generators, coproduct,
+                          counit_of, format_hvec, h_mul, preset_hopf, tensor_mult,
+                          validate_hopf, vec_eq)
+from hopfpbw.modalg import validate_action
+from hopfpbw.presets import build_problem
+from hopfpbw.scalar import Scalar, format_scalar, parse_scalar
+
+from test_acceptance import PRESET_LIST, _mutate, _mutation_sites
+
+HOPF_PRESETS = ["sweedler", "taft-3", "taft-4", "taft-5", "h8", "ha1",
+                "cyclic-1", "cyclic-2", "cyclic-3", "cyclic-4"]
+PROBLEMS = PRESET_LIST + ["taft-4", "taft-5", "cbh-cyclic-2", "cbh-cyclic-4"]
+REDUCED_AXIOMS = ("associativity", "bialgebra", "generators")
+
+
+# -- the exhaustive references ----------------------------------------------------
+
+def reference_associativity_failures(H):
+    fails = []
+    d = H.dim
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                lhs = h_mul(H, H.mult[i][j], H.basis_vec(k))
+                rhs = h_mul(H, H.basis_vec(i), H.mult[j][k])
+                if not vec_eq(lhs, rhs):
+                    fails.append(("associativity", (i, j, k), format_hvec(H, lhs),
+                                  format_hvec(H, rhs)))
+    return fails
+
+
+def reference_bialgebra_failures(H):
+    fails = []
+    d = H.dim
+    for i in range(d):
+        for j in range(d):
+            diff = dict(coproduct(H, H.mult[i][j]))
+            for key, c in tensor_mult(H, H.comult[i], H.comult[j]).items():
+                diff[key] = diff.get(key, Scalar.zero(H.order)) - c
+            if any(c for c in diff.values()):
+                fails.append(("bialgebra", (i, j)))
+            if counit_of(H, H.mult[i][j]) != H.counit[i] * H.counit[j]:
+                fails.append(("bialgebra", (i, j)))
+    return fails
+
+
+def reference_hopf_passed(H) -> bool:
+    """The exhaustive verdict: every basis triple for associativity, every
+    pair for the bialgebra laws, the rest of validate_hopf's checks as is."""
+    rep = validate_hopf(H)
+    others = [f for f in rep.failures if f[0] not in REDUCED_AXIOMS]
+    return not (others or reference_associativity_failures(H)
+                or reference_bialgebra_failures(H))
+
+
+def reference_action_multiplicative_failures(H, B):
+    fails = []
+    vd = B.vdim
+    zero = Scalar.zero(B.order)
+    for i in range(H.dim):
+        for j in range(H.dim):
+            for r in range(vd):
+                for s in range(vd):
+                    prod = sum((B.action[i][r][t] * B.action[j][t][s] for t in range(vd)), zero)
+                    target = sum((ck * B.action[k][r][s] for k, ck in H.mult[i][j].items()), zero)
+                    if prod != target:
+                        fails.append(("action_multiplicative", (i, j, r, s)))
+    return fails
+
+
+def reference_action_passed(H, B) -> bool:
+    rep = validate_action(H, B)
+    others = [f for f in rep.failures if f[0] != "action_multiplicative"]
+    return not (others or reference_action_multiplicative_failures(H, B))
+
+
+def _unvalidated(doc):
+    return parse_problem(json.loads(json.dumps(doc)))
+
+
+# -- reduced == exhaustive -------------------------------------------------------------
+
+@pytest.mark.parametrize("name", HOPF_PRESETS)
+def test_reduced_hopf_validation_matches_exhaustive_on_presets(name):
+    H = preset_hopf(name)
+    assert validate_hopf(H).passed and reference_hopf_passed(H)
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_reduced_action_validation_matches_exhaustive_on_presets(name):
+    prob = build_problem(name)
+    assert validate_hopf(prob.hopf).passed
+    assert validate_action(prob.hopf, prob.algebra).passed
+    assert reference_action_passed(prob.hopf, prob.algebra)
+
+
+def test_reduced_matches_exhaustive_on_criterion7_corpus():
+    # the corpus of test_criterion7_axiom_suites, built the same way: no
+    # generator hint (so S is the greedy set), 20 shuffled sites per preset
+    checked = expected = 0
+    for name in PRESET_LIST:
+        prob = build_problem(name, with_kappa=True)
+        prob.hopf.generators = None
+        doc = problem_to_json(prob)
+        order = doc["field"]["cyclotomic_order"]
+        rng = random.Random(hash(name) & 0xFFFF)
+        sites = _mutation_sites(doc)
+        rng.shuffle(sites)
+        expected += min(20, len(sites))
+        for site in sites[:20]:
+            H = _unvalidated(_mutate(doc, site, order)).hopf
+            reduced = validate_hopf(H).passed
+            assert reduced == reference_hopf_passed(H), (name, site)
+            assert not reduced, (name, site)
+            checked += 1
+    assert checked == expected > 80
+
+
+@pytest.mark.parametrize("name", PRESET_LIST + ["taft-4"])
+def test_reduced_matches_exhaustive_on_rows_outside_s(name):
+    # 25 single-entry mutations of mult[i][j] with i outside S: the reduced
+    # check never multiplies e_i from the left, so only the lemma catches them
+    prob = build_problem(name)
+    H = prob.hopf
+    S = algebra_generators(H)
+    doc = problem_to_json(prob)
+    order = H.order
+    rng = random.Random(f"rows-outside-s:{name}")
+    outside = [i for i in range(H.dim) if i not in S]
+    for trial in range(25):
+        i, j = rng.choice(outside), rng.randrange(H.dim)
+        k = rng.randrange(H.dim)
+        bumped = Scalar.from_int(order, rng.choice((-2, -1, 1, 2)))
+        mutated = json.loads(json.dumps(doc))
+        mult = mutated["hopf"]["mult"]
+        for ent in mult:
+            if ent[:3] == [i, j, k]:
+                ent[3] = format_scalar(parse_scalar(ent[3], order) + bumped)
+                break
+        else:
+            mult.append([i, j, k, format_scalar(bumped)])
+        mH = _unvalidated(mutated).hopf
+        assert algebra_generators(mH) == S
+        reduced = validate_hopf(mH).passed
+        assert reduced == reference_hopf_passed(mH), (name, i, j, k)
+        assert not reduced, (name, i, j, k)
+
+
+@pytest.mark.parametrize("name", ["taft-3", "h8", "ha1"])
+def test_reduced_action_matches_exhaustive_on_derived_matrices(name):
+    # H valid, one entry of a matrix rho(e_h) with h outside S corrupted
+    prob = build_problem(name)
+    H, B = prob.hopf, prob.algebra
+    S = algebra_generators(H)
+    rng = random.Random(f"action-outside-s:{name}")
+    for trial in range(10):
+        h = rng.choice([i for i in range(H.dim) if i not in S])
+        r, c = rng.randrange(B.vdim), rng.randrange(B.vdim)
+        saved = B.action[h]
+        B.action[h] = [list(row) for row in saved]
+        B.action[h][r][c] = B.action[h][r][c] + Scalar.one(H.order)
+        try:
+            reduced = validate_action(H, B).passed
+            assert reduced == reference_action_passed(H, B), (name, h, r, c)
+            assert not reduced, (name, h, r, c)
+        finally:
+            B.action[h] = saved
+
+
+# -- where S comes from -------------------------------------------------------------------
+
+def test_greedy_set_matches_the_hints():
+    # cyclic-1's hint [0] is its unit; the greedy set for it is empty
+    for name in HOPF_PRESETS:
+        if name == "cyclic-1":
+            continue
+        H = preset_hopf(name)
+        hint = algebra_generators(H)
+        H.generators = None
+        assert sorted(algebra_generators(H)) == sorted(hint), name
+
+
+def _family(H, B):
+    fam = solve_kappa(H, B)
+    return fam.family_dim, [(kp.constant, kp.linear) for kp in fam.linear_basis]
+
+
+@pytest.mark.parametrize("name", ["taft-3", "taft-4", "h8", "ha1"])
+def test_family_independent_of_generating_set(name):
+    prob = build_problem(name)
+    H, B = prob.hopf, prob.algebra
+    want = _family(H, B)
+    H.generators = None                    # the greedy set
+    assert _family(H, B) == want
+    if name.startswith("taft"):
+        n = int(name.split("-")[1])
+        H.generators = [n, n + 1]          # g and gx: x = g^(n-1) (gx)
+        assert validate_hopf(H).passed
+        assert _family(H, B) == want
+
+
+def test_bad_hint_is_a_generators_failure():
+    H = preset_hopf("taft-3")
+    H.generators = [3]                     # g alone spans only k[g]
+    rep = validate_hopf(H)
+    assert not rep.passed and rep.axioms_failed() == ["generators"]
+    with pytest.raises(NotGenerating):
+        algebra_generators(H)
+    H.generators = [3, 99]
+    assert "generators" in validate_hopf(H).axioms_failed()
+    with pytest.raises(NotGenerating):
+        algebra_generators(H)
+
+
+@pytest.mark.parametrize("unit", [{}, {1: Scalar.one(3)}, {0: Scalar.from_int(3, 2)}],
+                         ids=["zero", "x", "twice-one"])
+def test_greedy_terminates_on_a_bad_unit(unit):
+    H = preset_hopf("taft-3")
+    H.generators = None
+    H.unit = unit
+    S, rank = _left_closure(H, None)
+    assert len(S) <= H.dim and len(set(S)) == len(S)
+    rep = validate_hopf(H)
+    assert not rep.passed and not reference_hopf_passed(H)
+    assert "unit" in rep.axioms_failed()
+    if rank < H.dim:
+        assert "generators" in rep.axioms_failed()
+        with pytest.raises(NotGenerating):
+            algebra_generators(H)
+
+
+# -- the exact-count guard --------------------------------------------------------------
+
+def test_solver_assembles_condition_a_on_generators_only(monkeypatch):
+    prob = build_problem("taft-5")
+    H, B = prob.hopf, prob.algebra
+    calls = {"vh": 0, "h": 0}
+    real_vh, real_h = deform.adjoint_on_VH, deform.adjoint_on_H
+
+    def count_vh(*args):
+        calls["vh"] += 1
+        return real_vh(*args)
+
+    def count_h(*args):
+        calls["h"] += 1
+        return real_h(*args)
+
+    monkeypatch.setattr(deform, "adjoint_on_VH", count_vh)
+    monkeypatch.setattr(deform, "adjoint_on_H", count_h)
+    fam = solve_kappa(H, B)
+    assert fam.family_dim == 10
+    S = algebra_generators(H)
+    assert len(S) == 2
+    # |S| * vdim * d images on V (x) H and |S| * d on H, not d * vdim * d
+    assert calls["vh"] == len(S) * B.vdim * H.dim == 100
+    assert calls["h"] == len(S) * H.dim == 50

@@ -247,3 +247,74 @@ def test_oracle_matches_scalar_reference(problem):
         assert rep.expected_dims == [prob.hopf.dim * sum(graded_dim(prob.algebra, j)
                                                         for j in range(m + 1))
                                      for m in range(N + 1)]
+
+
+# -- a metamorphic check on the oracle's denominator clearing -----------------------
+
+def _rescale(B, t):
+    """B with V rescaled by T = diag(t): rho'(h) = T rho(h) T^-1 and r' = (T (x) T) r.
+
+    Returns (B', move) where move carries a kappa on B to the matching kappa
+    on B': on each canonical relation r'_a = (T (x) T)(sum_b m_ab r_b) it
+    is sum_b m_ab (kappa^C(r_b) + (T (x) id) kappa^L(r_b)).
+    """
+    from hopfpbw.deform import rel_coords
+    from hopfpbw.modalg import ModuleAlgebra
+    vd, order = B.vdim, B.order
+    T = [Scalar.from_int(order, c) for c in t]
+    Tinv = [c.inverse() for c in T]
+    action = [[[T[r] * m[r][c] * Tinv[c] for c in range(vd)] for r in range(vd)]
+              for m in B.action]
+    rels = [{(i, j): c * T[i] * T[j] for (i, j), c in B.relation_sparse(a).items()}
+            for a in range(B.dim_relations())]
+    B2 = ModuleAlgebra.make(order, B.vlabels, rels, action, B.cutoff)
+    pulled = [rel_coords(B, {(i, j): c * Tinv[i] * Tinv[j]
+                             for (i, j), c in B2.relation_sparse(a).items()})
+              for a in range(B2.dim_relations())]
+
+    def move(H, kappa):
+        cvecs, lvecs = [], []
+        for coords in pulled:
+            cv, lv = {}, {}
+            for b, m in enumerate(coords):
+                for h, c in kappa.c_vec(b).items():
+                    add_into(cv, h, m * c)
+                for (v, h), c in kappa.l_vec(b, H.dim).items():
+                    add_into(lv, (v, h), m * T[v] * c)
+            cvecs.append(cv)
+            lvecs.append(lv)
+        return Kappa.from_vectors(H, B2, cvecs, lvecs)
+
+    return B2, move
+
+
+def test_oracle_invariant_under_rescaling_v(problem):
+    # V of h8 rescaled by diag(2, 1): z then acts by [[0, 2], [1/2, 0]], so
+    # the oracle's straightening table and its left H-multiples carry
+    # denominators that differ from entry to entry.  The rescaled problem is
+    # isomorphic to the original, so every answer must be the same.
+    from hopfpbw.modalg import validate_action
+    prob = problem("h8", True)
+    H, B = prob.hopf, prob.algebra
+    B2, move = _rescale(B, [2, 1])
+    assert validate_action(H, B2).passed
+    one = Scalar.one(1)
+    dens = {c.den for m in range(H.dim) for v in range(2)
+            for c in straighten(H, B2, {m: one}, {(v,): one}).values()}
+    assert dens == {1, 2}
+    fam, fam2 = solve_kappa(H, B), solve_kappa(H, B2)
+    assert fam.family_dim == fam2.family_dim == 5
+    member = fam.linear_basis[0]
+    for kp in fam.linear_basis[1:]:
+        member = member.add(kp)
+    xz = H.labels.index("xz")
+    bad = Kappa.from_vectors(H, B, [{0: one, xz: -one}], [dict()])
+    cases = [(prob.kappa, 3, 1), (member, 3, 1), (bad, 3, 1), (bad, 2, 0)]
+    for kp, N, k in cases:
+        kp2 = move(H, kp)
+        assert check_pbw(H, B, kp).passed == check_pbw(H, B2, kp2).passed
+        rep, rep2 = filtered_dims(H, B, kp, N, k), filtered_dims(H, B2, kp2, N, k)
+        assert rep2.computed_dims == rep.computed_dims, (N, k)
+        assert rep2.verdict == rep.verdict
+    for kp in fam.linear_basis:
+        assert check_pbw(H, B2, move(H, kp)).passed

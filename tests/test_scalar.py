@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -107,3 +108,48 @@ def test_canonical_representation():
     b = Scalar.from_rational(12, 1, 2)
     assert a == b and a.den == b.den and a.num == b.num
     assert len(a.num) == field(12).phi
+
+
+def reference_inverse(x: Scalar) -> Scalar:
+    """x^-1 by a Fraction Gaussian elimination on the multiplication matrix
+    of x in the power basis (the former Scalar.inverse)."""
+    f = field(x.order)
+    phi = f.phi
+    cols = [f.mul_vec(x.num, tuple(int(i == j) for i in range(phi))) for j in range(phi)]
+    mat = [[Fraction(cols[j][i]) for j in range(phi)] for i in range(phi)]
+    rhs = [Fraction(x.den if i == 0 else 0) for i in range(phi)]
+    for col in range(phi):
+        piv = next(r for r in range(col, phi) if mat[r][col])
+        mat[col], mat[piv] = mat[piv], mat[col]
+        rhs[col], rhs[piv] = rhs[piv], rhs[col]
+        inv = 1 / mat[col][col]
+        mat[col] = [c * inv for c in mat[col]]
+        rhs[col] = rhs[col] * inv
+        for r in range(phi):
+            if r != col and mat[r][col]:
+                fac = mat[r][col]
+                mat[r] = [a - fac * b for a, b in zip(mat[r], mat[col])]
+                rhs[r] = rhs[r] - fac * rhs[col]
+    den = lcm(*(c.denominator for c in rhs))
+    return Scalar._make(x.order, den, [int(c * den) for c in rhs])
+
+
+INVERSE_ORDERS = [1, 3, 4, 9, 12, 15]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(INVERSE_ORDERS).flatmap(scalars).filter(bool))
+def test_inverse_through_the_norm_map(x):
+    inv = x.inverse()
+    assert x * inv == Scalar.one(x.order)
+    assert inv == reference_inverse(x)
+
+
+def test_inverse_examples():
+    for n in INVERSE_ORDERS:
+        for k in range(n):
+            assert zeta(n, k).inverse() == zeta(n, -k), (n, k)
+    # 1 + zeta_3 = -zeta_3^2, so its inverse is -zeta_3
+    assert (Scalar.one(3) + zeta(3)).inverse() == -zeta(3)
+    half = Scalar.from_rational(9, 1, 2)
+    assert (half * zeta(9, 4)).inverse() == Scalar.from_int(9, 2) * zeta(9, 5)
