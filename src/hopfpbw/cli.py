@@ -98,13 +98,19 @@ def problem_to_json(prob: Problem) -> dict:
     if H.generators is not None:
         doc["hopf"]["generators"] = list(H.generators)
     if prob.kappa is not None:
-        doc["kappa"] = {
-            "constant": [[format_scalar(prob.kappa.constant.at(a, h)) for h in range(d)]
-                         for a in range(B.dim_relations())],
-            "linear": [[format_scalar(prob.kappa.linear.at(a, c)) for c in range(B.vdim * d)]
-                       for a in range(B.dim_relations())],
-        }
+        doc["kappa"] = _kappa_json(H, B, prob.kappa)
     return doc
+
+
+def _kappa_json(H: HopfAlgebra, B: ModuleAlgebra, kp: Kappa) -> dict:
+    """Dense rows of scalar literals: constant[a][h] and linear[a][v * d + h]."""
+    zero = Scalar.zero(H.order)
+    return {
+        "constant": [[format_scalar(row.get(h, zero)) for h in range(H.dim)]
+                     for row in kp.constant],
+        "linear": [[format_scalar(row.get((v, h), zero)) for v in range(B.vdim) for h in range(H.dim)]
+                   for row in kp.linear],
+    }
 
 
 def render_problem(prob: Problem) -> str:
@@ -124,6 +130,13 @@ def _index(x, bound: int, where: str) -> int:
     """An index field of the document: a JSON integer in 0..bound-1."""
     if type(x) is not int or not 0 <= x < bound:
         raise ParseError(f"{where}: index {x!r} is not an integer in 0..{bound - 1}")
+    return x
+
+
+def _list(x, where: str) -> list:
+    """A list-valued field of the document."""
+    if not isinstance(x, list):
+        raise ParseError(f"{where} must be a list, got {type(x).__name__}")
     return x
 
 
@@ -156,7 +169,7 @@ def parse_problem(doc: dict, cutoff: int | None = None) -> Problem:
     zero = Scalar.zero(order)
 
     mult = [[{} for _ in range(d)] for _ in range(d)]
-    for ent in hdoc.get("mult", []):
+    for ent in _list(hdoc.get("mult", []), "hopf.mult"):
         _entry(ent, 4, "hopf.mult", "[i, j, k, scalar]")
         i, j, k = (_index(x, d, "hopf.mult") for x in ent[:3])
         s = _parse_sc(ent[3], order, "hopf.mult")
@@ -164,7 +177,7 @@ def parse_problem(doc: dict, cutoff: int | None = None) -> Problem:
             mult[i][j][k] = s
 
     comult = [{} for _ in range(d)]
-    for ent in hdoc.get("comult", []):
+    for ent in _list(hdoc.get("comult", []), "hopf.comult"):
         _entry(ent, 4, "hopf.comult", "[i, j, k, scalar]")
         i, j, k = (_index(x, d, "hopf.comult") for x in ent[:3])
         s = _parse_sc(ent[3], order, "hopf.comult")
@@ -172,7 +185,7 @@ def parse_problem(doc: dict, cutoff: int | None = None) -> Problem:
             comult[i][(j, k)] = s
 
     antipode = [{} for _ in range(d)]
-    for ent in hdoc.get("antipode", []):
+    for ent in _list(hdoc.get("antipode", []), "hopf.antipode"):
         _entry(ent, 3, "hopf.antipode", "[i, j, scalar]")
         i, j = (_index(x, d, "hopf.antipode") for x in ent[:2])
         s = _parse_sc(ent[2], order, "hopf.antipode")
@@ -205,12 +218,12 @@ def parse_problem(doc: dict, cutoff: int | None = None) -> Problem:
     adoc = doc.get("algebra")
     if not isinstance(adoc, dict):
         raise ParseError("algebra block missing")
-    vlabels = list(adoc.get("generators", []))
+    vlabels = list(_list(adoc.get("generators", []), "algebra.generators"))
     vd = len(vlabels)
     if vd == 0:
         raise ParseError("algebra.generators must be nonempty")
     rel_vecs = []
-    for rdoc in adoc.get("relations", []):
+    for rdoc in _list(adoc.get("relations", []), "algebra.relations"):
         if not isinstance(rdoc, list):
             raise ParseError(f"algebra.relations entry {rdoc!r} is not a list of [i, j, scalar]")
         rel = {}
@@ -222,7 +235,7 @@ def parse_problem(doc: dict, cutoff: int | None = None) -> Problem:
                 rel[(i, j)] = s
         rel_vecs.append(rel)
     given: dict = {}
-    for ent in adoc.get("action", []):
+    for ent in _list(adoc.get("action", []), "algebra.action"):
         _entry(ent, 4, "algebra.action", "[h, row, col, scalar]")
         h = _index(ent[0], d, "algebra.action")
         r, c = (_index(x, vd, "algebra.action") for x in ent[1:3])
@@ -233,12 +246,18 @@ def parse_problem(doc: dict, cutoff: int | None = None) -> Problem:
     except ModAlgError as exc:
         raise ParseError(f"algebra.action: {exc}") from exc
 
-    B = ModuleAlgebra.make(order, vlabels, rel_vecs, action,
-                           cutoff=cutoff if cutoff is not None else int(doc.get("cutoff", DEFAULT_CUTOFF)))
+    if cutoff is None:
+        try:
+            cutoff = int(doc.get("cutoff", DEFAULT_CUTOFF))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"cutoff must be an integer, got {doc['cutoff']!r}") from exc
+    B = ModuleAlgebra.make(order, vlabels, rel_vecs, action, cutoff=cutoff)
 
     kappa = None
     kdoc = doc.get("kappa")
     if kdoc is not None:
+        if not isinstance(kdoc, dict):
+            raise ParseError("kappa must be an object with constant and linear rows")
         p = B.dim_relations()
         cdoc = kdoc.get("constant")
         ldoc = kdoc.get("linear")
@@ -249,15 +268,15 @@ def parse_problem(doc: dict, cutoff: int | None = None) -> Problem:
         cvecs = []
         lvecs = []
         for a in range(p):
-            if len(cdoc[a]) != d:
-                raise ParseError(f"kappa.constant row {a} must have {d} entries")
-            if len(ldoc[a]) != vd * d:
-                raise ParseError(f"kappa.linear row {a} must have {vd * d} entries")
+            if not isinstance(cdoc[a], list) or len(cdoc[a]) != d:
+                raise ParseError(f"kappa.constant row {a} must be a list of {d} scalars")
+            if not isinstance(ldoc[a], list) or len(ldoc[a]) != vd * d:
+                raise ParseError(f"kappa.linear row {a} must be a list of {vd * d} scalars")
             cvecs.append({i: s for i, t in enumerate(cdoc[a])
                           if not (s := _parse_sc(t, order, "kappa.constant")).is_zero()})
             lvecs.append({(i // d, i % d): s for i, t in enumerate(ldoc[a])
                           if not (s := _parse_sc(t, order, "kappa.linear")).is_zero()})
-        kappa = Kappa.from_vectors(H, B, cvecs, lvecs)
+        kappa = Kappa(order, cvecs, lvecs)
     return Problem(doc.get("name", "problem"), H, B, kappa)
 
 
@@ -310,11 +329,10 @@ def _fail_lines(failures: list) -> list[str]:
 
 
 def _kappa_lines(H: HopfAlgebra, B: ModuleAlgebra, kp: Kappa) -> list[str]:
-    d = H.dim
     lines = []
     for a in range(B.dim_relations()):
         cv = kp.c_vec(a)
-        lv = kp.l_vec(a, d)
+        lv = kp.l_vec(a)
         if not cv and not lv:
             continue
         parts = []
@@ -394,11 +412,7 @@ def cmd_solve(prob_path: str, as_json: bool, cutoff: int | None, fix_linear_zero
             "stage1_dim": len(fam.ab_basis),
             "block_dims": [{"relation": a, "constant": c, "linear": l}
                            for a, (c, l) in enumerate(blocks)],
-            "basis": [{"constant": [[format_scalar(kp.constant.at(a, h)) for h in range(H.dim)]
-                                    for a in range(B.dim_relations())],
-                       "linear": [[format_scalar(kp.linear.at(a, c)) for c in range(B.vdim * H.dim)]
-                                  for a in range(B.dim_relations())]}
-                      for kp in fam.linear_basis],
+            "basis": [_kappa_json(H, B, kp) for kp in fam.linear_basis],
             "residual_system": [rp.render() for rp in fam.residual_system],
             "notes": fam.notes,
         }

@@ -24,6 +24,11 @@ space.  The quadratic coefficient tensors vanish in every bundled problem
 (the linear part of the solution space is zero, or the overlap space is),
 so the residual constraints are linear and the solver reports the final
 family; otherwise it returns the residual polynomial system symbolically.
+
+Deformation maps are sparse throughout: ``Kappa`` keeps one dict per
+relation for each part, {h: Scalar} for kappa^C and {(v, h): Scalar} for
+kappa^L, and the overlap expansions and all four conditions read those
+dicts directly.
 """
 
 from __future__ import annotations
@@ -31,8 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .scalar import Scalar
-from .exactla import (Matrix, Subspace, membership, NoSolution, NotMember, solve as la_solve,
-                      sparse_kernel, _rref_rows)
+from .exactla import Subspace, membership, NotMember, sparse_kernel, _rref_rows
 from .hopf import HopfAlgebra, add_into, adjoint_on_H, algebra_generators, format_hvec
 from .modalg import ModuleAlgebra, act_on_tensor, koszul_component
 from .smash import straighten, adjoint_on_VH
@@ -46,24 +50,28 @@ class NotInD3(DeformError):
     """Argument is outside the degree-3 overlap space."""
 
 
+def _nonzero(vec: dict) -> dict:
+    return {k: c for k, c in vec.items() if not c.is_zero()}
+
+
 @dataclass
 class Kappa:
     """Coefficients of a deformation map on the canonical relation basis.
 
-    ``constant`` is dim I x d (image in H); ``linear`` is
-    dim I x (vdim * d) with column index v * d + h (image in V (x) H).
+    Both parts are stored sparse, one dict per relation r_a, and zero
+    entries are never stored: ``constant[a]`` maps an H-basis index h to
+    the coefficient of h in kappa^C(r_a), and ``linear[a]`` maps a pair
+    (v, h) to the coefficient of v (x) h in kappa^L(r_a).
     """
 
     order: int
-    constant: Matrix
-    linear: Matrix
+    constant: list[dict]
+    linear: list[dict]
 
     @staticmethod
     def zero(H: HopfAlgebra, B: ModuleAlgebra) -> "Kappa":
         p = B.dim_relations()
-        return Kappa(H.order,
-                     Matrix.zero(p, H.dim, H.order),
-                     Matrix.zero(p, B.vdim * H.dim, H.order))
+        return Kappa(H.order, [{} for _ in range(p)], [{} for _ in range(p)])
 
     @staticmethod
     def from_vectors(H: HopfAlgebra, B: ModuleAlgebra,
@@ -71,46 +79,35 @@ class Kappa:
         """Build from per-relation sparse images: cvecs[a] over H indices,
         lvecs[a] over (v, h) pairs."""
         p = B.dim_relations()
-        d, vd = H.dim, B.vdim
-        zero = Scalar.zero(H.order)
-        crow = []
-        lrow = []
-        for a in range(p):
-            c = [zero] * d
-            for i, s in (cvecs[a] or {}).items():
-                c[i] = c[i] + s
-            crow.append(c)
-            l = [zero] * (vd * d)
-            for (v, h), s in (lvecs[a] or {}).items():
-                l[v * d + h] = l[v * d + h] + s
-            lrow.append(l)
-        return Kappa(H.order, Matrix.from_rows(crow, cols=d),
-                     Matrix.from_rows(lrow, cols=vd * d))
+        if len(cvecs) != p or len(lvecs) != p:
+            raise DeformError(f"kappa needs one row per canonical relation ({p}), "
+                              f"got {len(cvecs)} constant and {len(lvecs)} linear")
+        return Kappa(H.order, [_nonzero(v or {}) for v in cvecs],
+                     [_nonzero(v or {}) for v in lvecs])
 
     def c_vec(self, a: int) -> dict:
-        return {i: c for i, c in enumerate(self.constant.row(a)) if not c.is_zero()}
+        """kappa^C(r_a) as {h: Scalar}; the stored dict, read-only."""
+        return self.constant[a]
 
-    def l_vec(self, a: int, d: int) -> dict:
-        row = self.linear.row(a)
-        return {(i // d, i % d): c for i, c in enumerate(row) if not c.is_zero()}
+    def l_vec(self, a: int) -> dict:
+        """kappa^L(r_a) as {(v, h): Scalar}; the stored dict, read-only."""
+        return self.linear[a]
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.constant.entries) and \
-               all(c.is_zero() for c in self.linear.entries)
+        return not any(self.constant) and not any(self.linear)
 
     def scale(self, c: Scalar) -> "Kappa":
-        return Kappa(self.order,
-                     Matrix(self.constant.rows, self.constant.cols,
-                            tuple(e * c for e in self.constant.entries)),
-                     Matrix(self.linear.rows, self.linear.cols,
-                            tuple(e * c for e in self.linear.entries)))
+        return Kappa(self.order, [_nonzero({k: e * c for k, e in row.items()}) for row in self.constant],
+                     [_nonzero({k: e * c for k, e in row.items()}) for row in self.linear])
 
     def add(self, other: "Kappa") -> "Kappa":
-        return Kappa(self.order,
-                     Matrix(self.constant.rows, self.constant.cols,
-                            tuple(a + b for a, b in zip(self.constant.entries, other.constant.entries))),
-                     Matrix(self.linear.rows, self.linear.cols,
-                            tuple(a + b for a, b in zip(self.linear.entries, other.linear.entries))))
+        def merge(x: dict, y: dict) -> dict:
+            out = dict(x)
+            for k, c in y.items():
+                add_into(out, k, c)
+            return out
+        return Kappa(self.order, [merge(x, y) for x, y in zip(self.constant, other.constant)],
+                     [merge(x, y) for x, y in zip(self.linear, other.linear)])
 
 
 @dataclass
@@ -207,41 +204,24 @@ def expand_right(B: ModuleAlgebra, s: dict) -> list[dict]:
 
 
 def _expand(B: ModuleAlgebra, s: dict, left: bool) -> list[dict]:
-    vd = B.vdim
-    p = B.dim_relations()
-    zero = Scalar.zero(B.order)
-    ncols = p * vd
-    rows = []
-    rhs = []
-    rels = [B.relation_sparse(a) for a in range(p)]
-    for w1 in range(vd):
-        for w2 in range(vd):
-            for w3 in range(vd):
-                row = [zero] * ncols
-                for a, rel in enumerate(rels):
-                    if left:
-                        c = rel.get((w1, w2))
-                        if c is not None:
-                            row[a * vd + w3] = c
-                    else:
-                        c = rel.get((w2, w3))
-                        if c is not None:
-                            row[a * vd + w1] = c
-                rows.append(row)
-                rhs.append(s.get((w1, w2, w3), zero))
-    m = Matrix.from_rows(rows, cols=ncols)
-    try:
-        x, _hom = la_solve(m, rhs)
-    except NoSolution as exc:
-        raise NotInD3(f"tensor does not lie in the required side: {exc}") from exc
-    out = []
-    for a in range(p):
-        vec = {}
-        for v in range(vd):
-            c = x[a * vd + v]
+    """I (x) V is the direct sum of the slices I (x) w, so y_a[w] is the
+    coordinate of r_a in the slice of s at last letter w (at first letter
+    w for V (x) I)."""
+    slices: dict = {}
+    for (w1, w2, w3), c in s.items():
+        if left:
+            slices.setdefault(w3, {})[(w1, w2)] = c
+        else:
+            slices.setdefault(w1, {})[(w2, w3)] = c
+    out: list[dict] = [{} for _ in range(B.dim_relations())]
+    for w in sorted(slices):
+        try:
+            coords = rel_coords(B, slices[w])
+        except NotMember as exc:
+            raise NotInD3(f"tensor does not lie in the required side: {exc}") from exc
+        for a, c in enumerate(coords):
             if not c.is_zero():
-                vec[v] = c
-        out.append(vec)
+                out[a][w] = c
     return out
 
 
@@ -252,28 +232,20 @@ def overlap_maps(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa, s: dict) -> tup
 
     Returns (deltaL, deltaC): deltaL is a sparse vector over (v1, v2, h)
     keys in V (x) V (x) H, deltaC over (v, h) keys in V (x) H.  Raises
-    NotInD3 when s is outside (I (x) V) cap (V (x) I).
+    NotInD3 when s is outside (I (x) V) cap (V (x) I), that is, when one
+    of its two expansions does not exist.
     """
-    D3 = koszul_component(B, 3)
-    dense = [Scalar.zero(B.order)] * (B.vdim ** 3)
-    for (a, b, c), v in s.items():
-        dense[(a * B.vdim + b) * B.vdim + c] = dense[(a * B.vdim + b) * B.vdim + c] + v
-    if not D3.contains(dense):
-        raise NotInD3("element is outside the degree-3 overlap space")
-    ys = expand_left(B, s)
-    zs = expand_right(B, s)
-    return _overlap_from_expansions(H, B, kappa, ys, zs)
+    return _overlap_from_expansions(H, B, kappa, expand_left(B, s), expand_right(B, s))
 
 
 def _overlap_from_expansions(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
                              ys: list[dict], zs: list[dict]) -> tuple[dict, dict]:
-    d = H.dim
     deltaL: dict = {}
     deltaC: dict = {}
     for a in range(B.dim_relations()):
         y, z = ys[a], zs[a]
         kc = kappa.c_vec(a)
-        kl = kappa.l_vec(a, d)
+        kl = kappa.l_vec(a)
         if y:
             t = {(vi,): c for vi, c in y.items()}
             if kc:
@@ -311,9 +283,8 @@ def _deltaL_rel_coords(B: ModuleAlgebra, d: int, deltaL: dict) -> dict | None:
 def _apply_kl_ext(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa, coords: dict) -> dict:
     """kappa^L extended to I (x) H: apply on the relation leg, multiply H legs."""
     out: dict = {}
-    d = H.dim
     for (a, h), c in coords.items():
-        for (v, h1), cl in kappa.l_vec(a, d).items():
+        for (v, h1), cl in kappa.l_vec(a).items():
             for h2, cm in H.mult[h1][h].items():
                 add_into(out, (v, h2), c * cl * cm)
     return out
@@ -349,7 +320,7 @@ def check_invariance(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa) -> Conditio
         ei = H.basis_vec(i)
         for a in range(p):
             lhs_c = adjoint_on_H(H, ei, kappa.c_vec(a))
-            lhs_l = adjoint_on_VH(H, B, ei, kappa.l_vec(a, d))
+            lhs_l = adjoint_on_VH(H, B, ei, kappa.l_vec(a))
             img = act_on_tensor(H, B, ei, B.relation_sparse(a))
             coords = rel_coords(B, img)
             rhs_c: dict = {}
@@ -359,7 +330,7 @@ def check_invariance(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa) -> Conditio
                     continue
                 for idx, cc in kappa.c_vec(q).items():
                     add_into(rhs_c, idx, c * cc)
-                for key, cc in kappa.l_vec(q, d).items():
+                for key, cc in kappa.l_vec(q).items():
                     add_into(rhs_l, key, c * cc)
             diff_c = dict(lhs_c)
             for k, c in rhs_c.items():
@@ -434,22 +405,17 @@ def check_pbw(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa) -> ConditionReport
 
 # -- the solver ----------------------------------------------------------------
 
-def _adjoint_columns(H: HopfAlgebra, B: ModuleAlgebra, gens: list[int]):
-    """Per generator i: sparse columns of the adjoint actions on H and V (x) H."""
-    d, vd = H.dim, B.vdim
-    adjh = []
-    adjvh = []
+def _adjoint_columns(H: HopfAlgebra, B: ModuleAlgebra, i: int, linear: bool) -> dict:
+    """Sparse columns of the adjoint action of the generator e_i: the image
+    of h under key h, and, when ``linear``, of v (x) h under key (v, h)."""
+    ei = H.basis_vec(i)
     one = Scalar.one(H.order)
-    for i in gens:
-        ei = H.basis_vec(i)
-        cols_h = [adjoint_on_H(H, ei, {h: one}) for h in range(d)]
-        cols_vh = {}
-        for v in range(vd):
-            for h in range(d):
-                cols_vh[(v, h)] = adjoint_on_VH(H, B, ei, {(v, h): one})
-        adjh.append(cols_h)
-        adjvh.append(cols_vh)
-    return adjh, adjvh
+    cols = {h: adjoint_on_H(H, ei, {h: one}) for h in range(H.dim)}
+    if linear:
+        for v in range(B.vdim):
+            for h in range(H.dim):
+                cols[(v, h)] = adjoint_on_VH(H, B, ei, {(v, h): one})
+    return cols
 
 
 def solve_kappa(H: HopfAlgebra, B: ModuleAlgebra, force_linear_zero: bool = False) -> KappaFamily:
@@ -483,67 +449,27 @@ def solve_kappa(H: HopfAlgebra, B: ModuleAlgebra, force_linear_zero: bool = Fals
     def uL(a, v, h):
         return nC + a * vd * d + v * d + h
 
+    def u(a, key):
+        return uC(a, key) if type(key) is int else uL(a, *key)
+
     rows: list[dict] = []
 
-    # condition (a): the adjoint action of every generator matches kappa
-    # composed with the action on relations
-    gens = algebra_generators(H)
-    adjh, adjvh = _adjoint_columns(H, B, gens)
-    act_coords = []
-    for i in gens:
-        per_rel = []
+    # condition (a): for every generator e_i and relation r_a, the adjoint
+    # action on kappa(r_a) equals kappa(e_i . r_a); one row per output key
+    # h of H and (v, h) of V (x) H
+    for i in algebra_generators(H):
+        cols = _adjoint_columns(H, B, i, linear=bool(nL))
         for a in range(p):
-            img = act_on_tensor(H, B, H.basis_vec(i), B.relation_sparse(a))
-            per_rel.append(rel_coords(B, img))
-        act_coords.append(per_rel)
-    for i in range(len(gens)):
-        for a in range(p):
-            coords = act_coords[i][a]
-            # H-component rows
+            coords = rel_coords(B, act_on_tensor(H, B, H.basis_vec(i), B.relation_sparse(a)))
             byout: dict = {}
-            for h in range(d):
-                col = adjh[i][h]
-                for outh, c in col.items():
-                    byout.setdefault(outh, {})[uC(a, h)] = c
-            for outh in range(d):
-                row = dict(byout.get(outh, {}))
-                for q, cq in enumerate(coords):
-                    if not cq.is_zero():
-                        cur = row.get(uC(q, outh), zero)
-                        nv = cur - cq
-                        if nv.is_zero():
-                            row.pop(uC(q, outh), None)
-                        else:
-                            row[uC(q, outh)] = nv
-                if row:
-                    rows.append(row)
-            # V (x) H component rows
-            if nL:
-                byout = {}
-                for v in range(vd):
-                    for h in range(d):
-                        col = adjvh[i][(v, h)]
-                        for key, c in col.items():
-                            byout.setdefault(key, {})[uL(a, v, h)] = c
-                keys = set(byout)
-                for q, cq in enumerate(coords):
-                    if not cq.is_zero():
-                        for v in range(vd):
-                            for h in range(d):
-                                keys.add((v, h))
-                for key in sorted(keys):
-                    row = dict(byout.get(key, {}))
-                    ov, oh = key
-                    for q, cq in enumerate(coords):
-                        if not cq.is_zero():
-                            cur = row.get(uL(q, ov, oh), zero)
-                            nv = cur - cq
-                            if nv.is_zero():
-                                row.pop(uL(q, ov, oh), None)
-                            else:
-                                row[uL(q, ov, oh)] = nv
-                    if row:
-                        rows.append(row)
+            for key, col in cols.items():
+                for out, c in col.items():
+                    add_into(byout.setdefault(out, {}), u(a, key), c)
+            for q, cq in enumerate(coords):
+                if not cq.is_zero():
+                    for key in cols:
+                        add_into(byout.setdefault(key, {}), u(q, key), -cq)
+            rows.extend(byout[key] for key in cols if byout.get(key))
 
     # condition (b): the straightened linear mismatch lies in I (x) H
     D3 = koszul_component(B, 3)
@@ -565,59 +491,38 @@ def solve_kappa(H: HopfAlgebra, B: ModuleAlgebra, force_linear_zero: bool = Fals
             _, rem = B.relations.reduce(e)
             rem_cols.append({i: c for i, c in enumerate(rem) if not c.is_zero()})
         one = Scalar.one(H.order)
-        for t_idx, (ys, zs) in enumerate(expansions):
+        for ys, zs in expansions:
             # unit contributions of each kappa^L unknown to deltaL
             contrib: dict = {}   # (outw, h2) -> {unknown: Scalar}
             for a in range(p):
-                y, z = ys[a], zs[a]
-                if y:
-                    t = {(vi,): c for vi, c in y.items()}
+                if ys[a]:
+                    t = {(vi,): c for vi, c in ys[a].items()}
                     for h in range(d):
-                        moved = straighten(H, B, {h: one}, t)
-                        for (word, h2), c in moved.items():
+                        for (word, h2), c in straighten(H, B, {h: one}, t).items():
                             for v in range(vd):
-                                w = v * vd + word[0]
-                                contrib.setdefault((w, h2), {})[uL(a, v, h)] = c
-                if z:
-                    for zv, cz in z.items():
-                        for v in range(vd):
-                            w = zv * vd + v
-                            for h in range(d):
-                                cell = contrib.setdefault((w, h), {})
-                                cur = cell.get(uL(a, v, h), zero)
-                                nv = cur - cz
-                                if nv.is_zero():
-                                    cell.pop(uL(a, v, h), None)
-                                else:
-                                    cell[uL(a, v, h)] = nv
+                                add_into(contrib.setdefault((v * vd + word[0], h2), {}),
+                                         uL(a, v, h), c)
+                for zv, cz in zs[a].items():
+                    for v in range(vd):
+                        for h in range(d):
+                            add_into(contrib.setdefault((zv * vd + v, h), {}), uL(a, v, h), -cz)
             # rows: remainder of every (h2-slice) must vanish coordinatewise
             byrow: dict = {}
             for (w, h2), cell in contrib.items():
-                col = rem_cols[w]
-                if not col:
-                    continue
-                for outw, rc in col.items():
+                for outw, rc in rem_cols[w].items():
                     dst = byrow.setdefault((outw, h2), {})
-                    for u, c in cell.items():
-                        cur = dst.get(u, zero)
-                        nv = cur + rc * c
-                        if nv.is_zero():
-                            dst.pop(u, None)
-                        else:
-                            dst[u] = nv
+                    for unknown, c in cell.items():
+                        add_into(dst, unknown, rc * c)
             rows.extend(r for r in byrow.values() if r)
 
     kernel_vecs = sparse_kernel(rows, n, H.order)
     kernel_vecs, _ = _rref_rows([list(v) for v in kernel_vecs], n)
 
     def vec_to_kappa(vec) -> Kappa:
-        crows = [[vec[uC(a, h)] for h in range(d)] for a in range(p)]
-        if nL:
-            lrows = [[vec[uL(a, v, h)] for v in range(vd) for h in range(d)] for a in range(p)]
-        else:
-            lrows = [[zero] * (vd * d) for _ in range(p)]
-        return Kappa(H.order, Matrix.from_rows(crows, cols=d),
-                     Matrix.from_rows(lrows, cols=vd * d))
+        cvecs = [_nonzero({h: vec[uC(a, h)] for h in range(d)}) for a in range(p)]
+        lvecs = [_nonzero({(v, h): vec[uL(a, v, h)] for v in range(vd) for h in range(d)})
+                 if nL else {} for a in range(p)]
+        return Kappa(H.order, cvecs, lvecs)
 
     ab_basis = [vec_to_kappa(v) for v in kernel_vecs]
     k = len(ab_basis)
@@ -691,12 +596,11 @@ def solve_kappa(H: HopfAlgebra, B: ModuleAlgebra, force_linear_zero: bool = Fals
 
 def kappa_block_dims(B: ModuleAlgebra, H: HopfAlgebra, basis: list[Kappa]) -> list[tuple[int, int]]:
     """Per-relation (constant, linear) block dimensions of a kappa family."""
-    p = B.dim_relations()
+    d = H.dim
     out = []
-    for a in range(p):
-        crows = [kp.constant.row(a) for kp in basis]
-        lrows = [kp.linear.row(a) for kp in basis]
-        cdim = Subspace.from_vectors(H.dim, crows).dim if crows else 0
-        ldim = Subspace.from_vectors(B.vdim * H.dim, lrows).dim if lrows else 0
-        out.append((cdim, ldim))
+    for a in range(B.dim_relations()):
+        crows = [kp.constant[a] for kp in basis]
+        lrows = [{v * d + h: c for (v, h), c in kp.linear[a].items()} for kp in basis]
+        out.append((Subspace.from_sparse(d, crows, H.order).dim,
+                    Subspace.from_sparse(B.vdim * d, lrows, H.order).dim))
     return out

@@ -66,9 +66,6 @@ class ModuleAlgebra:
     def dim_relations(self) -> int:
         return self.relations.dim
 
-    def act_matrix_entry(self, h: int, r: int, c: int) -> Scalar:
-        return self.action[h][r][c]
-
     def format_word(self, word: tuple) -> str:
         return "".join(self.vlabels[i] for i in word) if word else "1"
 

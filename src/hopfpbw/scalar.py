@@ -257,9 +257,6 @@ class Scalar:
         self._check(other)
         return self * other.inverse()
 
-    def as_fraction_coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self.den) for c in self.num)
-
     def __str__(self) -> str:
         return format_scalar(self)
 

@@ -30,17 +30,8 @@ class NormalElement:
     cutoff: int
     terms: dict = dc_field(default_factory=dict)   # {(word, h): Scalar}
 
-    def degree_terms(self, m: int) -> dict:
-        return {k: c for k, c in self.terms.items() if len(k[0]) == m}
-
-    def top_degree(self) -> int:
-        return max((len(w) for (w, _h) in self.terms), default=0)
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def copy(self) -> "NormalElement":
-        return NormalElement(self.cutoff, dict(self.terms))
 
     def add(self, other: "NormalElement") -> "NormalElement":
         out = dict(self.terms)
@@ -66,15 +57,6 @@ def unit_element(H: HopfAlgebra, cutoff: int) -> NormalElement:
 
 def from_h(H: HopfAlgebra, a: dict, cutoff: int) -> NormalElement:
     return NormalElement(cutoff, {((), i): c for i, c in a.items()})
-
-
-def from_tensor(t: dict, H: HopfAlgebra, cutoff: int) -> NormalElement:
-    """Embed a V-tensor as tensor # 1_H."""
-    out: dict = {}
-    for word, c in t.items():
-        for i, cu in H.unit.items():
-            add_into(out, (word, i), c * cu)
-    return NormalElement(cutoff, out)
 
 
 def straighten(H: HopfAlgebra, B: ModuleAlgebra, a: dict, t: dict) -> dict:

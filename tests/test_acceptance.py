@@ -37,7 +37,7 @@ def _family_strings(fam, H, B):
             cv = kp.c_vec(a)
             if cv:
                 out.append(("C", a, format_hvec(H, cv)))
-            lv = kp.l_vec(a, H.dim)
+            lv = kp.l_vec(a)
             if lv:
                 out.append(("L", a, tuple(sorted(lv))))
     return out
@@ -51,7 +51,7 @@ def test_criterion1_sweedler_family(problem):
     elapsed = time.monotonic() - t0
     assert fam.family_dim == 4
     cvecs = [kp.c_vec(0) for kp in fam.linear_basis if kp.c_vec(0)]
-    lvecs = [kp.l_vec(0, H.dim) for kp in fam.linear_basis if kp.l_vec(0, H.dim)]
+    lvecs = [kp.l_vec(0) for kp in fam.linear_basis if kp.l_vec(0)]
     one = Scalar.one(1)
     assert cvecs == [{1: one}, {3: one}]                 # x, gx
     assert lvecs == [{(0, 1): one}, {(0, 3): one}]       # u(x)x, u(x)gx
@@ -67,7 +67,7 @@ def test_criterion2_h8_family(problem):
     fam = solve_kappa(H, B)
     elapsed = time.monotonic() - t0
     # linear block of the invariant space is zero
-    assert all(all(c.is_zero() for c in kp.linear.entries) for kp in fam.ab_basis)
+    assert all(not row for kp in fam.ab_basis for row in kp.linear)
     assert fam.family_dim == 5
     names = [format_hvec(H, kp.c_vec(0)) for kp in fam.linear_basis]
     assert names == ["1", "x + y", "xy", "z + xyz", "xz + yz"]
@@ -180,7 +180,7 @@ def test_criterion4_taft_family_as_computed(problem):
         top = {i * n + (n - 1) for i in range(n)}      # g^i x^(n-1)
         for kp in fam.linear_basis:
             assert set(kp.c_vec(0)) <= top
-            lv = kp.l_vec(0, H.dim)
+            lv = kp.l_vec(0)
             assert {k[1] for k in lv} <= top and {k[0] for k in lv} <= {0}
         member = fam.linear_basis[0].add(fam.linear_basis[n])
         assert check_pbw(H, B, member).passed
@@ -337,7 +337,7 @@ def test_criterion7_axiom_suites(tmp_path, capsys, problem):
         prob.hopf.generators = None
         doc = problem_to_json(prob)
         order = doc["field"]["cyclotomic_order"]
-        rng = random.Random(hash(name) & 0xFFFF)
+        rng = random.Random(name)
         sites = _mutation_sites(doc)
         rng.shuffle(sites)
         for site in sites[:20]:

@@ -287,6 +287,14 @@ HOSTILE = [
     ("action-99", _set("algebra", "action", 0, 0, 99), "algebra.action"),
     ("action-string", _set("algebra", "action", 0, 1, "r"), "algebra.action"),
     ("action-bool", _set("algebra", "action", 0, 2, True), "algebra.action"),
+    # structural fields of the wrong JSON type
+    ("cutoff-string", lambda doc: doc.update(cutoff="x"), "cutoff"),
+    ("kappa-constant-int-row", lambda doc: doc["kappa"].update(constant=[5]), "kappa.constant"),
+    ("kappa-linear-int-row", lambda doc: doc["kappa"].update(linear=[7]), "kappa.linear"),
+    ("kappa-list", lambda doc: doc.update(kappa=[]), "kappa"),
+    ("generators-int", lambda doc: doc["algebra"].update(generators=3), "algebra.generators"),
+    ("relations-int", lambda doc: doc["algebra"].update(relations=5), "algebra.relations"),
+    ("mult-int", lambda doc: doc["hopf"].update(mult=5), "hopf.mult"),
 ]
 
 

@@ -200,7 +200,7 @@ def reference_computed_dims(H, B, kappa, N, k):
         for (i, j), c in B.relation_sparse(a).items():
             for u, cu in H.unit.items():
                 add_into(row, (-2, (i, j), u), c * cu)
-        for (v, h), c in kappa.l_vec(a, d).items():
+        for (v, h), c in kappa.l_vec(a).items():
             add_into(row, (-1, (v,), h), -c)
         for h, c in kappa.c_vec(a).items():
             add_into(row, (0, (), h), -c)
@@ -279,7 +279,7 @@ def _rescale(B, t):
             for b, m in enumerate(coords):
                 for h, c in kappa.c_vec(b).items():
                     add_into(cv, h, m * c)
-                for (v, h), c in kappa.l_vec(b, H.dim).items():
+                for (v, h), c in kappa.l_vec(b).items():
                     add_into(lv, (v, h), m * T[v] * c)
             cvecs.append(cv)
             lvecs.append(lv)
