@@ -38,6 +38,14 @@ class ParseError(Exception):
     pass
 
 
+# The largest cyclotomic order a problem file may declare.  A Scalar product
+# costs about phi(N)^2, and phi(N) = N - 1 for a prime N: with N = 251 the
+# taft-3 document validates in about 2 s, with N = 997 it ran for more than
+# 60 s (Python 3.11, one core), so the order is refused before any field is
+# built.
+MAX_CYCLOTOMIC_ORDER = 256
+
+
 class ValidationError(Exception):
     def __init__(self, message: str, failures: list):
         super().__init__(message)
@@ -152,10 +160,13 @@ def parse_problem(doc: dict, cutoff: int | None = None) -> Problem:
     """
     try:
         order = int(doc["field"]["cyclotomic_order"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError("field.cyclotomic_order missing or malformed") from exc
     if order < 1:
         raise ParseError("field.cyclotomic_order must be a positive integer")
+    if order > MAX_CYCLOTOMIC_ORDER:
+        raise ParseError(f"field.cyclotomic_order {order} exceeds the supported maximum "
+                         f"{MAX_CYCLOTOMIC_ORDER}")
     hdoc = doc.get("hopf")
     if not isinstance(hdoc, dict):
         raise ParseError("hopf block missing")

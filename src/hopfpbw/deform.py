@@ -39,7 +39,7 @@ from .scalar import Scalar
 from .exactla import Subspace, membership, NotMember, sparse_kernel, _rref_rows
 from .hopf import HopfAlgebra, add_into, adjoint_on_H, algebra_generators, format_hvec
 from .modalg import ModuleAlgebra, act_on_tensor, koszul_component
-from .smash import straighten, adjoint_on_VH
+from .smash import AdjointVH, straighten, adjoint_on_VH
 
 
 class DeformError(Exception):
@@ -318,9 +318,10 @@ def check_invariance(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa) -> Conditio
     p = B.dim_relations()
     for i in range(d):
         ei = H.basis_vec(i)
+        adj = AdjointVH(H, B, ei)
         for a in range(p):
             lhs_c = adjoint_on_H(H, ei, kappa.c_vec(a))
-            lhs_l = adjoint_on_VH(H, B, ei, kappa.l_vec(a))
+            lhs_l = adjoint_on_VH(H, B, ei, kappa.l_vec(a), adj)
             img = act_on_tensor(H, B, ei, B.relation_sparse(a))
             coords = rel_coords(B, img)
             rhs_c: dict = {}
@@ -412,9 +413,10 @@ def _adjoint_columns(H: HopfAlgebra, B: ModuleAlgebra, i: int, linear: bool) -> 
     one = Scalar.one(H.order)
     cols = {h: adjoint_on_H(H, ei, {h: one}) for h in range(H.dim)}
     if linear:
+        adj = AdjointVH(H, B, ei)
         for v in range(B.vdim):
             for h in range(H.dim):
-                cols[(v, h)] = adjoint_on_VH(H, B, ei, {(v, h): one})
+                cols[(v, h)] = adjoint_on_VH(H, B, ei, {(v, h): one}, adj)
     return cols
 
 

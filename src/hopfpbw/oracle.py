@@ -13,22 +13,47 @@ The spanning degree is N + k for a report at filtration degree N; the
 buffer k absorbs cancellations between relator multiples of neighbouring
 degrees.  Larger buffers can only shrink the computed dimensions.
 
-Everything is exact.  Rows are integer coefficient vectors reduced by the
-shared fraction-free engine ``exactla.SparseEchelon``.  Each generated row
-is a fixed multiple of the true product: the relators, the straightening
-table and the multiplication table each clear one common denominator, and
-a left H-multiple clears one per row.  The column order is by descending
-degree, so pivot counts per degree block give the intersection dimensions
-directly.
+Exact rows.  Rows are integer coefficient vectors over Z[zeta_N], reduced
+by the shared fraction-free engine ``exactla.SparseEchelon``; it is the
+only store of pivots, and the reported tables are read from its pivot
+columns alone.  Each generated row is a fixed multiple of the true
+product: the relators, the straightening table and the multiplication
+table each clear one common denominator, and a left H-multiple clears one
+per row.  The column order is by descending degree, so pivot counts per
+degree block give the intersection dimensions directly.
+
+The F_p shadow.  Most candidate rows op(pivot) lie in the span already,
+and reducing them exactly is the bulk of the work.  So every candidate is
+first built and reduced modulo a prime ideal P = (p, zeta - w), with p a
+prime below 2^61, p = 1 (mod N) and w a primitive N-th root of unity mod
+p, against the images of the exact pivots, each normalized to lead 1 and
+packed in flat arrays.  Only a candidate whose image does not reduce to
+zero is rebuilt from the exact pivot and inserted into the exact engine.
+The shadow decides nothing else:
+
+- It never adds a row.  Every row the exact engine holds is still a
+  genuine multiple of an element of the ideal, so the exact span can only
+  shrink, ``computed_dims`` can only grow, and FALSIFIED is still a proof
+  and needs no rerun.
+- While every exact pivot lead is a unit modulo P, a candidate that lies in
+  the exact span reduces to zero in the shadow too, and a candidate the
+  shadow keeps adds an exact pivot.  The tables are then the ones an
+  exact-only span gives, unless a row that is nonzero over Z[zeta_N]
+  vanishes modulo P.
+- An exact pivot whose lead lies in P (or a table denominator divisible
+  by p) would break that, so the shadow moves to the next prime of one
+  fixed deterministic list and re-images the stored exact pivots.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 from math import lcm
+from operator import add, mul, not_
 
-from .scalar import Scalar
+from .scalar import Scalar, field
 from .exactla import SparseEchelon
 from .hopf import HopfAlgebra, add_into, algebra_generators
 from .modalg import ModuleAlgebra, CutoffExceeded, graded_dim
@@ -75,37 +100,314 @@ class _Ambient:
     def __init__(self, vdim: int, hdim: int, D: int):
         self.vdim = vdim
         self.hdim = hdim
-        self.D = D
         self.block = [vdim ** m * hdim for m in range(D + 1)]
-        base = {}
-        off = 0
+        self.base = [0] * (D + 1)
+        deg = bytearray()           # column -> degree
         for m in range(D, -1, -1):
-            base[m] = off
-            off += self.block[m]
-        self.base = base
-        self.total = off
-        bounds = []
-        for m in range(D + 1):
-            bounds.append((self.base[m], self.base[m] + self.block[m]))
-        self.bounds = bounds
+            self.base[m] = len(deg)
+            deg += bytes([m]) * self.block[m]
+        self.deg = deg
+        self.total = len(deg)
 
     def col(self, word_rank: int, deg: int, h: int) -> int:
         return self.base[deg] + word_rank * self.hdim + h
 
-    def degree_of(self, col: int) -> int:
-        for m in range(self.D, -1, -1):
-            lo, hi = self.bounds[m]
-            if lo <= col < hi:
-                return m
-        raise OracleError("column out of range")
-
-    def decode(self, col: int) -> tuple[int, int, int]:
-        m = self.degree_of(col)
-        rest = col - self.base[m]
-        return rest // self.hdim, m, rest % self.hdim
-
     def dim_upto(self, m: int) -> int:
         return sum(self.block[j] for j in range(m + 1))
+
+
+# -- coefficient domains ---------------------------------------------------------
+
+def _straightened(H: HopfAlgebra, B: ModuleAlgebra, gens: list) -> dict:
+    """straighten(e_g, word) as [(word rank, h, Scalar)], once per (g, word):
+    for every basis element and letter (the right V-multiples), and for
+    every generator and word of length at most 2 (the left H-multiples act
+    on seed rows only, and those never leave degree 2)."""
+    vd = B.vdim
+    one = Scalar.one(H.order)
+    keys = [(h, v, 1) for h in range(H.dim) for v in range(vd)]
+    keys += [(g, wr, m) for g in gens for m in range(3) for wr in range(vd ** m)]
+    out: dict = {}
+    for key in keys:
+        if key in out:
+            continue
+        g, wr, m = key
+        word = []
+        for _ in range(m):
+            word.append(wr % vd)
+            wr //= vd
+        moved = straighten(H, B, {g: one}, {tuple(reversed(word)): one})
+        terms = []
+        for (w2, h2), c in moved.items():
+            wr2 = 0
+            for wi in w2:
+                wr2 = wr2 * vd + wi
+            terms.append((wr2, h2, c))
+        out[key] = terms
+    return out
+
+
+class _Ring:
+    """One coefficient domain of the oracle's rows: the ring operations
+    ``mul``, ``add``, ``is_zero`` and ``scale`` (by an int), and the
+    smash-product tables converted into it.  ``convert`` maps a list of
+    Scalars to (den, coefficients of den * s) for one common den."""
+
+    def __init__(self, ops: tuple, convert, H: HopfAlgebra, vdim: int, straightened: dict):
+        self.mul, self.add, self.is_zero, self.scale = ops
+        # hmul[h][g] = [(k, c)] for e_h e_g, one denominator for the table
+        _, cs = convert([c for per_g in H.mult for prod in per_g for c in prod.values()])
+        it = iter(cs)
+        self.hmul = [[[(k, next(it)) for k in prod] for prod in per_g] for per_g in H.mult]
+        # straight[h][v] = [(v_out, h_out, c)] for e_h . v, one denominator for the table
+        moved = [[straightened[h, v, 1] for v in range(vdim)] for h in range(H.dim)]
+        _, cs = convert([c for per_v in moved for terms in per_v for *_, c in terms])
+        it = iter(cs)
+        self.straight = [[[(v2, h2, next(it)) for v2, h2, _ in terms] for terms in per_v]
+                         for per_v in moved]
+        # moved[g, word rank, m] = (den, [(word rank, h, c)]) for straighten(e_g, word)
+        self.moved = {}
+        for key, terms in straightened.items():
+            den, cs = convert([c for *_, c in terms])
+            self.moved[key] = (den, [(w, h, c) for (w, h, _), c in zip(terms, cs)])
+
+
+def _exact_ring(ech: SparseEchelon, H: HopfAlgebra, vdim: int, straightened) -> _Ring:
+    def convert(scalars):
+        den = lcm(*(s.den for s in scalars))
+        return den, [ech.coeff(s, den) for s in scalars]
+
+    return _Ring((ech.mul, ech.add, ech.is_zero, ech.scale), convert, H, vdim, straightened)
+
+
+# -- the four row operators, one body over any domain ------------------------------
+#
+# Each takes a ring, the column layout, the (col, coefficient) pairs of a
+# row and one generator, and returns the product as a sparse row.
+
+def _right_h(R: _Ring, amb: _Ambient, row, g: int) -> dict:
+    """row * (1 # e_g)."""
+    mul, add, is_zero, hmul = R.mul, R.add, R.is_zero, R.hmul
+    deg, base, d = amb.deg, amb.base, amb.hdim
+    out: dict = {}
+    for col, v in row:
+        m = deg[col]
+        wr, h = divmod(col - base[m], d)
+        b = base[m] + wr * d
+        for h2, cm in hmul[h][g]:
+            t = mul(v, cm)
+            c2 = b + h2
+            cur = out.get(c2)
+            nv = add(cur, t) if cur is not None else t
+            if is_zero(nv):
+                out.pop(c2, None)
+            else:
+                out[c2] = nv
+    return out
+
+
+def _left_h(R: _Ring, amb: _Ambient, row, g: int) -> dict:
+    """(1 # e_g) * row, with one denominator for the row."""
+    mul, add, is_zero, scale, hmul, moved = R.mul, R.add, R.is_zero, R.scale, R.hmul, R.moved
+    deg, base, d = amb.deg, amb.base, amb.hdim
+    terms = []
+    for col, v in row:
+        m = deg[col]
+        wr, h = divmod(col - base[m], d)
+        terms.append((v, m, h, moved[g, wr, m]))
+    den = lcm(*(t[3][0] for t in terms))
+    out: dict = {}
+    for v, m, h, (dt, straightened) in terms:
+        f = den // dt
+        for wr2, hmid, c in straightened:
+            cv = mul(v, c if f == 1 else scale(c, f))
+            b = base[m] + wr2 * d
+            for h2, cm in hmul[hmid][h]:
+                t = mul(cv, cm)
+                c2 = b + h2
+                cur = out.get(c2)
+                nv = add(cur, t) if cur is not None else t
+                if is_zero(nv):
+                    out.pop(c2, None)
+                else:
+                    out[c2] = nv
+    return out
+
+
+def _left_v(R: _Ring, amb: _Ambient, row, v: int) -> dict:
+    """(v # 1) * row: a relabelling, no arithmetic."""
+    deg, base, d, vd = amb.deg, amb.base, amb.hdim, amb.vdim
+    out = {}
+    for col, val in row:
+        m = deg[col]
+        # the word v w has rank v * vd^m + rank(w), so its column is an offset
+        out[col - base[m] + base[m + 1] + v * vd ** m * d] = val
+    return out
+
+
+def _right_v(R: _Ring, amb: _Ambient, row, v: int) -> dict:
+    """row * (v # 1)."""
+    mul, add, is_zero, straight = R.mul, R.add, R.is_zero, R.straight
+    deg, base, d, vd = amb.deg, amb.base, amb.hdim, amb.vdim
+    out: dict = {}
+    for col, val in row:
+        m = deg[col]
+        wr, h = divmod(col - base[m], d)
+        b = base[m + 1] + wr * vd * d
+        for v2, h2, cs in straight[h][v]:
+            t = mul(val, cs)
+            c2 = b + v2 * d + h2
+            cur = out.get(c2)
+            nv = add(cur, t) if cur is not None else t
+            if is_zero(nv):
+                out.pop(c2, None)
+            else:
+                out[c2] = nv
+    return out
+
+
+# -- the F_p shadow ----------------------------------------------------------------
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases: exact below 3.3e24."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    s, t = 0, n - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    for a in _MR_BASES:
+        x = pow(a, t, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _shadow_primes(order: int):
+    """The fixed list of shadow primes for Q(zeta_order): every prime
+    p < 2^61 with p = 1 (mod order), largest first."""
+    t = (2 ** 61 - 2) // order
+    while t > 0:
+        p = t * order + 1
+        if _is_prime(p):
+            yield p
+        t -= 1
+
+
+def _root_of_unity(order: int, p: int) -> int:
+    """The first primitive order-th root of unity mod p, for p = 1 (mod order)."""
+    qs = [q for q in range(2, order + 1) if order % q == 0 and _is_prime(q)]
+    return next(w for w in (pow(x, (p - 1) // order, p) for x in range(1, p))
+                if all(pow(w, order // q, p) != 1 for q in qs))
+
+
+class _BadPrime(Exception):
+    """The shadow prime is not 1 mod N, or divides a table denominator."""
+
+
+class _Shadow:
+    """Images modulo P = (p, zeta - w) of the exact pivot rows, each
+    normalized to lead 1 and packed: the pivot at column c is the slice
+    start[c] : start[c] + size[c] of ``cols``/``vals``, lead first."""
+
+    def __init__(self, p: int, H: HopfAlgebra, vdim: int, total: int, straightened):
+        if (p - 1) % H.order:
+            raise _BadPrime(p)
+        self.p = p
+        w = _root_of_unity(H.order, p)
+        phi = field(H.order).phi
+        self.pows = [pow(w, j, p) for j in range(phi)]
+        self.ring = _Ring((mul, add, not_, mul), self._convert, H, vdim, straightened)
+        self.start = array("q", bytes(8 * total))
+        self.size = array("q", bytes(8 * total))
+        self.cols = array("q")
+        self.vals = array("q")
+
+    def image(self, v) -> int:
+        """The image mod P of an integer coordinate vector (or int)."""
+        if isinstance(v, int):
+            return v % self.p
+        return sum(map(mul, v, self.pows)) % self.p
+
+    def _convert(self, scalars) -> tuple:
+        p = self.p
+        out = []
+        for s in scalars:
+            if s.den % p == 0:
+                raise _BadPrime(p)
+            out.append(self.image(s.num) * pow(s.den, -1, p) % p)
+        return 1, out
+
+    def add_pivot(self, c: int, row: dict) -> bool:
+        """Store the image of an exact pivot row; False if its lead lies in P."""
+        p = self.p
+        lead = self.image(row[c])
+        if not lead:
+            return False
+        inv = pow(lead, -1, p)
+        cols, vals = self.cols, self.vals
+        self.start[c] = len(cols)
+        cols.append(c)
+        vals.append(1)
+        for col, v in row.items():
+            if col != c:
+                x = self.image(v) * inv % p
+                if x:
+                    cols.append(col)
+                    vals.append(x)
+        self.size[c] = len(cols) - self.start[c]
+        return True
+
+    def row(self, c: int):
+        s = self.start[c]
+        e = s + self.size[c]
+        return zip(self.cols[s:e], self.vals[s:e])
+
+    def reduces_to_zero(self, row: dict) -> bool:
+        """Whether a row (coefficients mod p, not yet reduced) lies in the
+        span of the stored images.  Entries that cancel mod p stay in the
+        row as zeros and are dropped when they come to lead."""
+        p, start, size, cols, vals = self.p, self.start, self.size, self.cols, self.vals
+        red = {c: x % p for c, x in row.items()}
+        get = red.get
+        while red:
+            c = min(red)
+            f = red.pop(c)
+            if not f:
+                continue
+            n = size[c]
+            if not n:
+                return False
+            s = start[c] + 1
+            e = s + n - 1
+            for col, x in zip(cols[s:e], vals[s:e]):
+                red[col] = (get(col, 0) - f * x) % p
+        return True
+
+
+def _next_shadow(primes, H: HopfAlgebra, vdim: int, total: int, straightened,
+                 pivots: dict) -> _Shadow:
+    """A shadow on the next prime of the list under which every table
+    denominator and every stored exact pivot lead is a unit."""
+    for p in primes:
+        try:
+            sh = _Shadow(p, H, vdim, total, straightened)
+        except _BadPrime:
+            continue
+        if all(sh.add_pivot(c, row) for c, row in pivots.items()):
+            return sh
+    raise OracleError("no usable shadow prime")
 
 
 # -- the spanning oracle ---------------------------------------------------------
@@ -128,26 +430,6 @@ def _relator_rows(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa, amb: _Ambient,
     return rows
 
 
-def _prepare_tables(H: HopfAlgebra, B: ModuleAlgebra, ech: SparseEchelon):
-    """Integer straightening and multiplication tables.
-
-    Each table is scaled by one common denominator, so a row built from it
-    is a fixed multiple of the true product and spans the same line.
-    """
-    vd, d = B.vdim, H.dim
-    one = Scalar.one(H.order)
-    # straight[h][v] = list of (v_out, h_out, coeff) for e_h . v
-    moved = [[straighten(H, B, {h: one}, {(v,): one}) for v in range(vd)] for h in range(d)]
-    den = lcm(*(c.den for per_v in moved for m in per_v for c in m.values()))
-    straight = [[[(word[0], h2, ech.coeff(c, den)) for (word, h2), c in m.items()]
-                 for m in per_v] for per_v in moved]
-    # hmul[h][g] = list of (h_out, coeff) for e_h e_g
-    den = lcm(*(c.den for per_g in H.mult for prod in per_g for c in prod.values()))
-    hmul = [[[(k, ech.coeff(c, den)) for k, c in prod.items()] for prod in per_g]
-            for per_g in H.mult]
-    return straight, hmul
-
-
 def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
                   N: int = 3, k: int = 1) -> FilteredDimReport:
     """Span the relator ideal through degree N + k and report the filtered
@@ -160,111 +442,50 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
     vd, d = B.vdim, H.dim
     amb = _Ambient(vd, d, D)
     ech = SparseEchelon(H.order)
-    mul, addv, iszero = ech.mul, ech.add, ech.is_zero
-    straight, hmul = _prepare_tables(H, B, ech)
     hgens = algebra_generators(H)
+    straightened = _straightened(H, B, hgens)
+    exact = _exact_ring(ech, H, vd, straightened)
+    primes = _shadow_primes(H.order)
+    shadow = _next_shadow(primes, H, vd, amb.total, straightened, ech.pivots)
 
     gen_of: dict = {}        # pivot col -> generation degree
     pending = deque()        # (pivot col, generation degree, seed flag)
 
-    def insert(row: dict, gen: int, seed: bool) -> None:
-        piv = ech.insert(row)
-        if piv is not None:
-            gen_of[piv] = gen
-            pending.append((piv, gen, seed))
+    def record(piv, gen: int, seed: bool) -> None:
+        nonlocal shadow
+        if piv is None:
+            return
+        gen_of[piv] = gen
+        pending.append((piv, gen, seed))
+        if not shadow.add_pivot(piv, ech.pivots[piv]):
+            shadow = _next_shadow(primes, H, vd, amb.total, straightened, ech.pivots)
 
-    def right_h(row: dict, g: int) -> dict:
-        out: dict = {}
-        for col, v in row.items():
-            wr, m, h = amb.decode(col)
-            base = amb.base[m] + wr * d
-            for h2, cm in hmul[h][g]:
-                t = mul(v, cm)
-                c2 = base + h2
-                cur = out.get(c2)
-                nv = addv(cur, t) if cur is not None else t
-                if iszero(nv):
-                    out.pop(c2, None)
-                else:
-                    out[c2] = nv
-        return out
-
-    def left_h(row: dict, g: int) -> dict:
-        # straighten e_g through every term, with one denominator for the row
-        one = Scalar.one(H.order)
-        terms = []
-        for col, v in row.items():
-            wr, m, h = amb.decode(col)
-            word = []
-            for _ in range(m):
-                word.append(wr % vd)
-                wr //= vd
-            terms.append((v, m, h, straighten(H, B, {g: one}, {tuple(reversed(word)): one})))
-        den = lcm(*(c.den for *_, moved in terms for c in moved.values()))
-        out: dict = {}
-        for v, m, h, moved in terms:
-            for (w2, hmid), c in moved.items():
-                cv = mul(v, ech.coeff(c, den))
-                wr2 = 0
-                for wi in w2:
-                    wr2 = wr2 * vd + wi
-                base = amb.base[m] + wr2 * d
-                for h2, cm in hmul[hmid][h]:
-                    t = mul(cv, cm)
-                    c2 = base + h2
-                    cur = out.get(c2)
-                    nv = addv(cur, t) if cur is not None else t
-                    if iszero(nv):
-                        out.pop(c2, None)
-                    else:
-                        out[c2] = nv
-        return out
-
-    def left_v(row: dict, v: int) -> dict:
-        out = {}
-        for col, val in row.items():
-            wr, m, h = amb.decode(col)
-            out[amb.col(v * (vd ** m) + wr, m + 1, h)] = val
-        return out
-
-    def right_v(row: dict, v: int) -> dict:
-        out: dict = {}
-        for col, val in row.items():
-            wr, m, h = amb.decode(col)
-            for v2, h2, cs in straight[h][v]:
-                t = mul(val, cs)
-                c2 = amb.col(wr * vd + v2, m + 1, h2)
-                cur = out.get(c2)
-                nv = addv(cur, t) if cur is not None else t
-                if iszero(nv):
-                    out.pop(c2, None)
-                else:
-                    out[c2] = nv
-        return out
+    def consider(op, piv: int, arg: int, gen: int, seed: bool) -> None:
+        # the exact engine only sees rows whose shadow adds a pivot
+        if not shadow.reduces_to_zero(op(shadow.ring, amb, shadow.row(piv), arg)):
+            record(ech.insert(op(exact, amb, ech.pivots[piv].items(), arg)), gen, seed)
 
     def drain() -> None:
         while pending:
             piv, gen, seed = pending.popleft()
-            row = ech.pivots[piv]
             for g in hgens:
-                insert(right_h(row, g), gen, seed)
+                consider(_right_h, piv, g, gen, seed)
                 if seed:
-                    insert(left_h(row, g), gen, True)
+                    consider(_left_h, piv, g, gen, True)
 
     for row in _relator_rows(H, B, kappa, amb, ech):
-        insert(row, 2, True)
+        record(ech.insert(row), 2, True)
     drain()
     for j in range(2, D):
         layer = [piv for piv, g in gen_of.items() if g == j]
         for piv in layer:
-            row = ech.pivots[piv]
             for v in range(vd):
-                insert(left_v(row, v), j + 1, False)
-                insert(right_v(row, v), j + 1, False)
+                consider(_left_v, piv, v, j + 1, False)
+                consider(_right_v, piv, v, j + 1, False)
         drain()
 
     # pivot counts by degree give dim(span  cap  T_{<=m})
-    pivot_deg = [amb.degree_of(c) for c in ech.pivots]
+    pivot_deg = [amb.deg[c] for c in ech.pivots]
     computed = []
     expected = []
     for m in range(N + 1):

@@ -122,24 +122,53 @@ def _word_tensor(word: tuple, order: int) -> dict:
     return {word: Scalar.one(order)}
 
 
-def adjoint_on_VH(H: HopfAlgebra, B: ModuleAlgebra, a: dict, w: dict) -> dict:
+class AdjointVH:
+    """The left adjoint action of one fixed a on V (x) H.
+
+    The 3-leg coproduct of a is taken once, and the products a2 e_l S(a3)
+    once per H-basis index l, so every image under the same a reuses them.
+    """
+
+    def __init__(self, H: HopfAlgebra, B: ModuleAlgebra, a: dict):
+        self.H, self.B = H, B
+        legs = coproduct_iter(H, a, 3)
+        # a leg whose e_k1 acts on V as zero contributes nothing
+        acting = {k1: any(any(row) for row in B.action[k1]) for k1, _k2, _k3 in legs}
+        self.legs = [(key, c) for key, c in legs.items() if acting[key[0]]]
+        self._mids: dict = {}
+
+    def _mid(self, l: int) -> list:
+        """[(k1, the sum of c a2 e_l S(a3) over the legs c (k1, a2, a3))]."""
+        out = self._mids.get(l)
+        if out is None:
+            H = self.H
+            by_k1: dict = {}
+            for (k1, k2, k3), c in self.legs:
+                acc = by_k1.setdefault(k1, {})
+                for hout, ch in h_mul(H, H.mult[k2][l], H.antipode[k3]).items():
+                    add_into(acc, hout, c * ch)
+            out = self._mids[l] = [(k1, acc) for k1, acc in by_k1.items() if acc]
+        return out
+
+    def image(self, w: dict) -> dict:
+        out: dict = {}
+        for (v, l), cw in w.items():
+            for k1, mid in self._mid(l):
+                for vout, cv in act_on_generator(self.B, k1, v).items():
+                    f = cw * cv
+                    for hout, ch in mid.items():
+                        add_into(out, (vout, hout), f * ch)
+        return out
+
+
+def adjoint_on_VH(H: HopfAlgebra, B: ModuleAlgebra, a: dict, w: dict,
+                  adj: AdjointVH | None = None) -> dict:
     """Left adjoint action on V (x) H: a . (v (x) l) = sum (a1.v) (x) a2 l S(a3).
 
-    w is a sparse dict {(vidx, hidx): Scalar}.
+    w is a sparse dict {(vidx, hidx): Scalar}.  ``adj``, an ``AdjointVH``
+    of the same a, shares the legs and their products across calls.
     """
-    out: dict = {}
-    legs = coproduct_iter(H, a, 3)
-    for (k1, k2, k3), c in legs.items():
-        s3 = H.antipode[k3]
-        for (v, l), cw in w.items():
-            img = act_on_generator(B, k1, v)
-            if not img:
-                continue
-            mid = h_mul(H, h_mul(H, H.basis_vec(k2), {l: Scalar.one(H.order)}), s3)
-            for vout, cv in img.items():
-                for hout, ch in mid.items():
-                    add_into(out, (vout, hout), c * cw * cv * ch)
-    return out
+    return (adj or AdjointVH(H, B, a)).image(w)
 
 
 def eps_project(H: HopfAlgebra, vec: dict) -> dict:

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from hopfpbw.cli import main, load_spec, render_problem, emit_preset, ParseError, ValidationError
+from hopfpbw.cli import (main, load_spec, render_problem, emit_preset, ParseError, ValidationError,
+                         MAX_CYCLOTOMIC_ORDER)
 from hopfpbw.scalar import Scalar
 
 PRESETS = ["sweedler", "taft-3", "h8", "ha1", "cbh-cyclic-3"]
@@ -246,6 +247,30 @@ def test_generators_hint_out_of_range_no_traceback(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr and "hopf.generators" in proc.stderr
+
+
+@pytest.mark.parametrize("order", [MAX_CYCLOTOMIC_ORDER + 1, 10 ** 6])
+def test_cyclotomic_order_bound_refused_at_load(tmp_path, order):
+    # order 10^6 once ran for more than 15 s before any check
+    import subprocess
+    import sys
+    import time
+    path = _taft3_doc(tmp_path, lambda doc: doc["field"].update(cyclotomic_order=order))
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "hopfpbw.cli", "validate", str(path)],
+                          capture_output=True, text=True, timeout=60)
+    assert time.monotonic() - t0 < 10
+    assert proc.returncode == 1
+    assert "parse error: field.cyclotomic_order" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cyclotomic_order_at_bound_loads(tmp_path, capsys):
+    # the bound itself is accepted: the taft-3 constants are not a Hopf
+    # algebra over Q(zeta_256), so validation fails on the axioms, not at load
+    path = _taft3_doc(tmp_path, lambda doc: doc["field"].update(cyclotomic_order=MAX_CYCLOTOMIC_ORDER))
+    assert main(["validate", str(path)]) == 2
+    assert "parse error" not in capsys.readouterr().err
 
 
 def test_generators_hint_not_generating_is_validation_failure(tmp_path, capsys):

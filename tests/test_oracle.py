@@ -1,6 +1,11 @@
+import itertools
+import random
+import time
 from collections import deque
 
 import pytest
+
+from hopfpbw import oracle
 
 from hopfpbw.scalar import Scalar
 from hopfpbw.hopf import add_into, algebra_generators
@@ -318,3 +323,120 @@ def test_oracle_invariant_under_rescaling_v(problem):
         assert rep2.verdict == rep.verdict
     for kp in fam.linear_basis:
         assert check_pbw(H, B2, move(H, kp)).passed
+
+
+# -- the F_p shadow against the exact reference ---------------------------------------
+#
+# The oracle screens every candidate row modulo a prime before the exact engine
+# sees it.  Skipping a row can only shrink the exact span, so the tables can
+# only grow; they equal the reference unless a row nonzero over Z[zeta_N]
+# vanishes modulo the prime, which the primes below 2^61 never showed.
+
+def _dense_kappa(prob, seed, share=0.3):
+    """kappa^C with `share` of its cells (relation, h) set to +-{1, 2, 3}."""
+    H, B = prob.hopf, prob.algebra
+    p = B.dim_relations()
+    rng = random.Random(seed)
+    cells = [(a, h) for a in range(p) for h in range(H.dim)]
+    cv = [dict() for _ in range(p)]
+    for a, h in rng.sample(cells, round(share * len(cells))):
+        cv[a][h] = Scalar.from_int(H.order, rng.choice((-3, -2, -1, 1, 2, 3)))
+    return Kappa.from_vectors(H, B, cv, [dict() for _ in range(p)])
+
+
+def test_shadow_matches_reference_on_presets_catalog_and_dense(problem):
+    from test_acceptance import PRESET_LIST, _invalid_catalog
+    cases = []
+    for name in PRESET_LIST:
+        prob = problem(name, True)
+        cases.append((prob, prob.kappa, 3, 1))
+        prob, bads = _invalid_catalog(problem, name)
+        # the Scalar reference takes about 5 s per ha1 kappa at buffer 1
+        cases += [(prob, kp, 3, 0 if name == "ha1" else 1) for kp in bads]
+    ha1 = problem("ha1")
+    cases += [(ha1, _dense_kappa(ha1, s), 3, 0) for s in (1, 2, 3)]
+    for prob, kp, N, k in cases:
+        rep = filtered_dims(prob.hopf, prob.algebra, kp, N, k)
+        assert rep.computed_dims == reference_computed_dims(prob.hopf, prob.algebra, kp, N, k), \
+            (prob.name, N, k)
+
+
+def test_exact_engine_sees_only_rows_that_add_a_pivot(problem, monkeypatch):
+    # While every exact pivot lead is a unit mod the prime, a row the shadow
+    # keeps is outside the exact span; a shadow with wrong tables would pass
+    # rows that reduce to zero, and its skips would no longer be screened.
+    kept = []
+
+    class Counting(oracle.SparseEchelon):
+        def insert(self, row):
+            piv = super().insert(row)
+            kept.append(piv is not None)
+            return piv
+
+    monkeypatch.setattr(oracle, "SparseEchelon", Counting)
+    h8, ha1 = problem("h8", True), problem("ha1", True)
+    one1 = Scalar.one(1)
+    xz = h8.hopf.labels.index("xz")
+    B2, move = _rescale(h8.algebra, [2, 1])
+    bad = Kappa.from_vectors(h8.hopf, h8.algebra, [{0: one1, xz: -one1}], [dict()])
+    cases = [(h8.hopf, h8.algebra, h8.kappa, 3, 1), (h8.hopf, h8.algebra, bad, 3, 1),
+             (h8.hopf, B2, move(h8.hopf, bad), 3, 1), (ha1.hopf, ha1.algebra, ha1.kappa, 3, 0),
+             (ha1.hopf, ha1.algebra, _dense_kappa(ha1, 2), 3, 0)]
+    for H, B, kp, N, k in cases:
+        kept.clear()
+        filtered_dims(H, B, kp, N, k)
+        assert len(kept) > B.dim_relations() and all(kept)
+
+
+def test_dense_kappa_guard(problem):
+    # about 30% of the kappa^C cells: the exact-only span had not finished
+    # after 150 s on seed 1, with 824,163-bit pivot entries
+    prob = problem("ha1")
+    for seed in (1, 2, 3):
+        kp = _dense_kappa(prob, seed)
+        t0 = time.monotonic()
+        rep = filtered_dims(prob.hopf, prob.algebra, kp, 3, 0)
+        assert time.monotonic() - t0 < 20, seed
+        assert rep.verdict == "FALSIFIED"
+        assert rep.computed_dims == [0, 0, 160, 480]
+
+
+def test_shadow_prime_fallback_is_sound(problem, monkeypatch):
+    # Small primes put table denominators and pivot leads into the prime
+    # ideal, so the shadow moves down the list and re-images the pivots,
+    # and rows nonzero over Z[zeta_N] can vanish mod p and be skipped.
+    # Either way the tables may only grow, and FALSIFIED must stay a proof.
+    real = oracle._shadow_primes
+    monkeypatch.setattr(oracle, "_shadow_primes", lambda order: itertools.chain(
+        [q for q in (2, 3, 5, 7, 11, 13, 17) if q % order == 1 % order], real(order)))
+    moved: list = []
+    add_pivot = oracle._Shadow.add_pivot
+
+    def counted(self, c, row):
+        ok = add_pivot(self, c, row)
+        if not ok:
+            moved.append(self.p)
+        return ok
+
+    monkeypatch.setattr(oracle._Shadow, "add_pivot", counted)
+    h8, ha1, sw, taft5 = (problem("h8", True), problem("ha1", True), problem("sweedler"),
+                          problem("taft-5"))
+    one1, one4 = Scalar.one(1), Scalar.one(4)
+    xz = h8.hopf.labels.index("xz")
+    cases = [
+        (h8, h8.kappa, 3, 1),                         # p = 2 divides a table denominator
+        (h8, Kappa.from_vectors(h8.hopf, h8.algebra, [{0: one1, xz: -one1}], [dict()]), 3, 1),
+        (h8, _dense_kappa(h8, 1, 0.6), 3, 0),         # a pivot lead lies in (3)
+        (taft5, _dense_kappa(taft5, 1), 3, 0),        # a pivot lead lies over 11
+        (sw, Kappa.from_vectors(sw.hopf, sw.algebra, [{0: one1}], [dict()]), 3, 1),
+        (ha1, ha1.kappa, 3, 0),
+        (ha1, _ha1_kappa(ha1, 5, {9: one4, 13: -one4}), 3, 0),
+        (ha1, _ha1_kappa(ha1, 0, {8: one4}), 3, 0),
+    ]
+    for prob, kp, N, k in cases:
+        rep = filtered_dims(prob.hopf, prob.algebra, kp, N, k)
+        ref = reference_computed_dims(prob.hopf, prob.algebra, kp, N, k)
+        assert all(c >= r for c, r in zip(rep.computed_dims, ref)), prob.name
+        if rep.falsified:
+            assert any(r < e for r, e in zip(ref, rep.expected_dims)), prob.name
+    assert 3 in moved and 11 in moved
