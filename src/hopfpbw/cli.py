@@ -30,7 +30,7 @@ from .hopf import (HopfAlgebra, validate_hopf, format_hvec, UnknownPreset, HopfE
 from .modalg import (ModuleAlgebra, ModAlgError, action_from_generators, validate_action, graded_dim,
                      koszul_component, DEFAULT_CUTOFF, CutoffExceeded)
 from .deform import Kappa, check_pbw, solve_kappa, kappa_block_dims
-from .oracle import filtered_dims, pbw_probe, CONSISTENT_CAVEAT
+from .oracle import filtered_dims, pbw_probe, CONSISTENT_CAVEAT, OracleError
 from .presets import Problem, build_problem, PRESET_NAMES
 
 
@@ -562,7 +562,7 @@ def main(argv: list[str] | None = None) -> int:
         for line in _fail_lines(exc.failures):
             print(line, file=sys.stderr)
         return 2
-    except (UnknownPreset, HopfError, CutoffExceeded) as exc:
+    except (UnknownPreset, HopfError, CutoffExceeded, OracleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

@@ -13,6 +13,27 @@ The spanning degree is N + k for a report at filtration degree N; the
 buffer k absorbs cancellations between relator multiples of neighbouring
 degrees.  Larger buffers can only shrink the computed dimensions.
 
+Spanning order.  The relator rows and their left and right multiples by
+the generators ``algebra_generators(H)`` are the seeds, generation 2.
+Generation j + 1 is the left and right V-multiples of the generation-j
+pivots, for j < N + k; no later generation is closed under H again, and
+this loses nothing.  Let S_j be the span through generation j and L_j the
+generation-j pivots, so S_{j+1} = S_j + V L_j + L_j V, and V S_j and S_j V
+lie in S_{j+1} (V L_i and L_i V lie in S_{i+1} for i < j).  If S_j is a
+two-sided H-module, then so is S_{j+1}; for x in L_j, v in V and h in H:
+
+- (v x) h = v (x h) and h (x v) = (h x) v lie in V S_j and S_j V;
+- (x v) h = x (v h) lies in S_j V, and h (v x) = (h v) x in V S_j,
+  because v h and h v are sums of h' v' and v' h' in T(V) # H: the
+  straightening map h (x) v -> sum (h_1 . v) (x) h_2 is bijective once
+  the antipode is, and every finite-dimensional Hopf algebra has a
+  bijective antipode (Larson-Sweedler, Amer. J. Math. 91 (1969)).
+
+So the spans, the pivot columns and the rows the exact engine sees are
+the ones that an H-closure after every generation gives.  This needs
+T(V) # H to be an associative smash product: H and the action must
+already pass ``validate_hopf`` and ``validate_action``.
+
 Exact rows.  Rows are integer coefficient vectors over Z[zeta_N], reduced
 by the shared fraction-free engine ``exactla.SparseEchelon``; it is the
 only store of pivots, and the reported tables are read from its pivot
@@ -48,7 +69,6 @@ The shadow decides nothing else:
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass, field as dc_field
 from math import lcm
 from operator import add, mul, not_
@@ -63,6 +83,16 @@ from .deform import Kappa
 
 class OracleError(Exception):
     pass
+
+
+# The largest span the oracle starts: d * sum_{m <= D} vd^m columns.  Its
+# cost grows with the column count and the depth D: ha1 (vd = 4) at
+# D = 5/6/7 has 21,840/87,376/349,520 columns and takes 0.7/2.6/11.5 s, but
+# sweedler (vd = 2) at D = 10/11/13 has 8,188/16,380/65,532 columns and
+# takes 2.7/10.6/216 s (Python 3.11, one core).  The bound admits every
+# bundled preset at the CLI defaults (ha1 at D = 5 is the largest) and
+# refuses larger spans before anything is built.
+MAX_SPAN_COLUMNS = 25_000
 
 
 CONSISTENT_CAVEAT = ("CONSISTENT is evidence only; a finite span cannot rule out "
@@ -433,13 +463,22 @@ def _relator_rows(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa, amb: _Ambient,
 def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
                   N: int = 3, k: int = 1) -> FilteredDimReport:
     """Span the relator ideal through degree N + k and report the filtered
-    dimension upper bounds for degrees 0..N against the PBW expectation."""
+    dimension upper bounds for degrees 0..N against the PBW expectation.
+
+    Only the seeds are closed under H; every later generation is a
+    two-sided H-module already (module docstring).  H and the action must
+    already pass ``validate_hopf`` and ``validate_action``.  A span of more
+    than ``MAX_SPAN_COLUMNS`` columns is refused with ``OracleError``."""
     if N < 2:
         raise OracleError("degree bound must be at least 2")
     D = N + k
     if D > B.cutoff:
         raise CutoffExceeded(f"spanning degree {D} exceeds cutoff {B.cutoff}")
     vd, d = B.vdim, H.dim
+    columns = d * sum(vd ** m for m in range(D + 1))
+    if columns > MAX_SPAN_COLUMNS:
+        raise OracleError(f"the span through degree {D} has {columns} columns, "
+                          f"above the limit {MAX_SPAN_COLUMNS}")
     amb = _Ambient(vd, d, D)
     ech = SparseEchelon(H.order)
     hgens = algebra_generators(H)
@@ -448,50 +487,43 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
     primes = _shadow_primes(H.order)
     shadow = _next_shadow(primes, H, vd, amb.total, straightened, ech.pivots)
 
-    gen_of: dict = {}        # pivot col -> generation degree
-    pending = deque()        # (pivot col, generation degree, seed flag)
+    layers = [[] for _ in range(D + 1)]     # pivot columns by generation degree
 
-    def record(piv, gen: int, seed: bool) -> None:
+    def record(piv, gen: int) -> None:
         nonlocal shadow
         if piv is None:
             return
-        gen_of[piv] = gen
-        pending.append((piv, gen, seed))
+        layers[gen].append(piv)
         if not shadow.add_pivot(piv, ech.pivots[piv]):
             shadow = _next_shadow(primes, H, vd, amb.total, straightened, ech.pivots)
 
-    def consider(op, piv: int, arg: int, gen: int, seed: bool) -> None:
+    def consider(op, piv: int, arg: int, gen: int) -> None:
         # the exact engine only sees rows whose shadow adds a pivot
         if not shadow.reduces_to_zero(op(shadow.ring, amb, shadow.row(piv), arg)):
-            record(ech.insert(op(exact, amb, ech.pivots[piv].items(), arg)), gen, seed)
-
-    def drain() -> None:
-        while pending:
-            piv, gen, seed = pending.popleft()
-            for g in hgens:
-                consider(_right_h, piv, g, gen, seed)
-                if seed:
-                    consider(_left_h, piv, g, gen, True)
+            record(ech.insert(op(exact, amb, ech.pivots[piv].items(), arg)), gen)
 
     for row in _relator_rows(H, B, kappa, amb, ech):
-        record(ech.insert(row), 2, True)
-    drain()
+        record(ech.insert(row), 2)
+    # the seeds' H-closure; the list grows while it is read
+    for piv in layers[2]:
+        for g in hgens:
+            consider(_right_h, piv, g, 2)
+            consider(_left_h, piv, g, 2)
     for j in range(2, D):
-        layer = [piv for piv, g in gen_of.items() if g == j]
-        for piv in layer:
+        for piv in layers[j]:
             for v in range(vd):
-                consider(_left_v, piv, v, j + 1, False)
-                consider(_right_v, piv, v, j + 1, False)
-        drain()
+                consider(_left_v, piv, v, j + 1)
+                consider(_right_v, piv, v, j + 1)
 
     # pivot counts by degree give dim(span  cap  T_{<=m})
     pivot_deg = [amb.deg[c] for c in ech.pivots]
+    graded = [graded_dim(B, j) for j in range(N + 1)]
     computed = []
     expected = []
     for m in range(N + 1):
         inter = sum(1 for pd in pivot_deg if pd <= m)
         computed.append(amb.dim_upto(m) - inter)
-        expected.append(sum(graded_dim(B, j) for j in range(m + 1)) * d)
+        expected.append(sum(graded[:m + 1]) * d)
     falsified_at = next((m for m in range(N + 1) if computed[m] < expected[m]), None)
     verdict = "FALSIFIED" if falsified_at is not None else "CONSISTENT"
     return FilteredDimReport(N, k, computed, expected, verdict, falsified_at)

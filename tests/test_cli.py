@@ -249,6 +249,20 @@ def test_generators_hint_out_of_range_no_traceback(tmp_path):
     assert "Traceback" not in proc.stderr and "hopf.generators" in proc.stderr
 
 
+@pytest.mark.parametrize("args", [["--degree", "1"],
+                                  ["--degree", "3", "--buffer", "9"]])
+def test_oracle_refusal_is_a_clean_error(tmp_path, args):
+    # OracleError once escaped main with a traceback; sweedler spanned to
+    # degree 12 has 32,764 columns and is refused before any row is built
+    import subprocess
+    import sys
+    path = emit(tmp_path, "sweedler")
+    proc = subprocess.run([sys.executable, "-m", "hopfpbw.cli", "--cutoff", "12", "oracle",
+                           str(path)] + args, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("order", [MAX_CYCLOTOMIC_ORDER + 1, 10 ** 6])
 def test_cyclotomic_order_bound_refused_at_load(tmp_path, order):
     # order 10^6 once ran for more than 15 s before any check

@@ -1,7 +1,7 @@
 import itertools
 import random
 import time
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -239,6 +239,10 @@ def test_oracle_matches_scalar_reference(problem):
     cases = [
         (h8, bad_h8, 3, 1, [1, 1, 1, 33]),
         (h8, h8.kappa, 3, 1, [8, 24, 48, 80]),
+        # buffer 2: the generations past the seeds, which are never closed
+        # under H again, carry the deficiency in degree 3
+        (h8, bad_h8, 3, 2, [1, 1, 1, 1]),
+        (h8, h8.kappa, 3, 2, [8, 24, 48, 80]),
         (ha1, ha1.kappa, 3, 0, None),
         (ha1, _ha1_kappa(ha1, 5, {9: one4, 13: -one4}), 3, 0, None),   # overlap only
         (ha1, _ha1_kappa(ha1, 0, {8: one4}), 3, 0, None),              # not invariant
@@ -440,3 +444,77 @@ def test_shadow_prime_fallback_is_sound(problem, monkeypatch):
         if rep.falsified:
             assert any(r < e for r, e in zip(ref, rep.expected_dims)), prob.name
     assert 3 in moved and 11 in moved
+
+
+# -- the seeds are the only H-closure -------------------------------------------------
+
+def test_h_multiples_run_on_seed_pivots_only(problem, monkeypatch):
+    # Every generation after the seeds is a two-sided H-module already
+    # (oracle module docstring), so the shadow builds |S| right and |S| left
+    # H-multiples of each seed pivot and none of a V-layer pivot.
+    events = []
+    exact_rings = []
+    real_exact_ring = oracle._exact_ring
+
+    def exact_ring(*args):
+        exact_rings.append(real_exact_ring(*args))
+        return exact_rings[-1]
+
+    def counted(name, op):
+        def run(R, amb, row, arg):
+            events.append((name, R is not exact_rings[-1]))
+            return op(R, amb, row, arg)
+        return run
+
+    class Counting(oracle.SparseEchelon):
+        def insert(self, row):
+            piv = super().insert(row)
+            events.append(("pivot", piv is not None))
+            return piv
+
+    monkeypatch.setattr(oracle, "_exact_ring", exact_ring)
+    for name in ("_right_h", "_left_h", "_left_v", "_right_v"):
+        monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
+    monkeypatch.setattr(oracle, "SparseEchelon", Counting)
+    for prob, N, k in ((problem("ha1", True), 3, 2), (problem("h8", True), 3, 1)):
+        events.clear()
+        rep = filtered_dims(prob.hopf, prob.algebra, prob.kappa, N, k)
+        assert rep.verdict == "CONSISTENT"
+        S = algebra_generators(prob.hopf)
+        first_v = next(i for i, (name, _) in enumerate(events) if name == "_left_v")
+        seeds = sum(1 for name, kept in events[:first_v] if name == "pivot" and kept)
+        in_shadow = Counter(name for name, shadow in events if name != "pivot" and shadow)
+        assert in_shadow["_right_h"] == in_shadow["_left_h"] == len(S) * seeds, prob.name
+        assert all(name not in ("_right_h", "_left_h") for name, _ in events[first_v:])
+        # the V-layers do add pivots, so the last check is not vacuous
+        assert any(name == "pivot" and kept for name, kept in events[first_v:])
+        assert in_shadow["_left_v"] == in_shadow["_right_v"] > 0
+
+
+# -- refusing oversized spans ------------------------------------------------------
+
+def test_span_size_guard_at_the_bound(problem, monkeypatch):
+    prob = problem("sweedler", True)
+    H, B = prob.hopf, prob.algebra
+    columns = H.dim * sum(B.vdim ** m for m in range(5))     # (N, k) = (3, 1)
+    assert columns == 124
+    monkeypatch.setattr(oracle, "MAX_SPAN_COLUMNS", columns)
+    assert filtered_dims(H, B, prob.kappa, 3, 1).computed_dims == [4, 12, 24, 40]
+    monkeypatch.setattr(oracle, "MAX_SPAN_COLUMNS", columns - 1)
+    with pytest.raises(OracleError, match="124 columns"):
+        filtered_dims(H, B, prob.kappa, 3, 1)
+
+
+def test_span_size_bound_admits_presets_at_cli_defaults(problem):
+    # the CLI defaults span to degree 4, and to degree 5 under --probe;
+    # ha1 at degree 5 (21,840 columns) is the largest, degree 6 is refused
+    from test_acceptance import PRESET_LIST
+    for name in PRESET_LIST + ["taft-5", "taft-7", "taft-9"]:
+        prob = problem(name)
+        columns = prob.hopf.dim * sum(prob.algebra.vdim ** m for m in range(6))
+        assert columns <= oracle.MAX_SPAN_COLUMNS, name
+    ha1 = problem("ha1", True)
+    t0 = time.monotonic()
+    with pytest.raises(OracleError, match="87376 columns"):
+        filtered_dims(ha1.hopf, ha1.algebra, ha1.kappa, 3, 3)
+    assert time.monotonic() - t0 < 1
