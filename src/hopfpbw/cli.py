@@ -210,7 +210,10 @@ def parse_problem(doc: dict, cutoff: int | None = None) -> Problem:
     elif isinstance(unit_doc, list):
         for ent in unit_doc:
             _entry(ent, 2, "hopf.unit", "[index, scalar]")
-            unit[_index(ent[0], d, "hopf.unit")] = _parse_sc(ent[1], order, "hopf.unit")
+            u = _index(ent[0], d, "hopf.unit")
+            s = _parse_sc(ent[1], order, "hopf.unit")
+            if not s.is_zero():
+                unit[u] = s
     else:
         raise ParseError("hopf.unit must be an index or a sparse vector")
 

@@ -16,7 +16,8 @@ from itertools import product
 
 from .scalar import Scalar
 from .exactla import Subspace, SparseEchelon, intersect
-from .hopf import HopfAlgebra, ValidationReport, add_into, algebra_generators, coproduct_iter
+from .hopf import (HopfAlgebra, ValidationReport, add_into, algebra_generators, coproduct_iter,
+                   product_memo)
 
 
 class ModAlgError(Exception):
@@ -195,12 +196,17 @@ def validate_action(H: HopfAlgebra, B: ModuleAlgebra) -> ValidationReport:
     zero = Scalar.zero(B.order)
     one = Scalar.one(B.order)
 
+    mul = product_memo()
+    # sparse rows of the action matrices: nz[h][r] = [(t, rho(e_h)[r][t]) nonzero]
+    nz = [[[(t, c) for t, c in enumerate(row) if not c.is_zero()] for row in mat]
+          for mat in B.action]
+
     # rho(1_H) = id
     ident = [[zero] * vd for _ in range(vd)]
     for i, c in H.unit.items():
         for r in range(vd):
-            for s in range(vd):
-                ident[r][s] = ident[r][s] + c * B.action[i][r][s]
+            for s, a in nz[i][r]:
+                ident[r][s] = ident[r][s] + mul(c, a)
     for r in range(vd):
         for s in range(vd):
             want = one if r == s else zero
@@ -211,17 +217,14 @@ def validate_action(H: HopfAlgebra, B: ModuleAlgebra) -> ValidationReport:
     for i in algebra_generators(H):
         for j in range(d):
             prod = [[zero] * vd for _ in range(vd)]
-            for r in range(vd):
-                for s in range(vd):
-                    acc = zero
-                    for t in range(vd):
-                        acc = acc + B.action[i][r][t] * B.action[j][t][s]
-                    prod[r][s] = acc
             target = [[zero] * vd for _ in range(vd)]
-            for k, ck in H.mult[i][j].items():
-                for r in range(vd):
-                    for s in range(vd):
-                        target[r][s] = target[r][s] + ck * B.action[k][r][s]
+            for r in range(vd):
+                for t, a in nz[i][r]:
+                    for s, b in nz[j][t]:
+                        prod[r][s] = prod[r][s] + mul(a, b)
+                for k, ck in H.mult[i][j].items():
+                    for s, b in nz[k][r]:
+                        target[r][s] = target[r][s] + mul(ck, b)
             for r in range(vd):
                 for s in range(vd):
                     if prod[r][s] != target[r][s]:

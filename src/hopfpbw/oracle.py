@@ -70,6 +70,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field as dc_field
+from itertools import repeat
 from math import lcm
 from operator import add, mul, not_
 
@@ -132,10 +133,12 @@ class _Ambient:
         self.hdim = hdim
         self.block = [vdim ** m * hdim for m in range(D + 1)]
         self.base = [0] * (D + 1)
-        deg = bytearray()           # column -> degree
+        # column -> degree; a span has at least D + 1 columns, so the span
+        # bound keeps every degree below 2^16
+        deg = array("H")
         for m in range(D, -1, -1):
             self.base[m] = len(deg)
-            deg += bytes([m]) * self.block[m]
+            deg.extend(repeat(m, self.block[m]))
         self.deg = deg
         self.total = len(deg)
 

@@ -346,7 +346,10 @@ def parse_scalar(text: str, order: int) -> Scalar:
             if rest == "":
                 power = 1
             elif rest.startswith("^"):
-                power = int(rest[1:])
+                try:
+                    power = int(rest[1:])
+                except ValueError as exc:
+                    raise ScalarParseError(f"bad power in {t!r}") from exc
             else:
                 raise ScalarParseError(f"bad power in {t!r}")
         try:

@@ -4,6 +4,7 @@ import pytest
 
 from hopfpbw.cli import (main, load_spec, render_problem, emit_preset, ParseError, ValidationError,
                          MAX_CYCLOTOMIC_ORDER)
+from hopfpbw.presets import build_problem
 from hopfpbw.scalar import Scalar
 
 PRESETS = ["sweedler", "taft-3", "h8", "ha1", "cbh-cyclic-3"]
@@ -313,6 +314,7 @@ HOSTILE = [
     ("mult-9", _set("hopf", "mult", 0, 2, 9), "hopf.mult"),
     ("mult-float", _set("hopf", "mult", 0, 1, 1.5), "hopf.mult"),
     ("mult-entry-int", lambda doc: doc["hopf"]["mult"].__setitem__(0, 5), "hopf.mult"),
+    ("mult-bad-power", _set("hopf", "mult", 0, 3, "z^a"), "hopf.mult"),
     ("comult-string", _set("hopf", "comult", 0, 1, "a"), "hopf.comult"),
     ("comult-negative", _set("hopf", "comult", 0, 2, -1), "hopf.comult"),
     ("antipode-null", _set("hopf", "antipode", 0, 1, None), "hopf.antipode"),
@@ -343,3 +345,99 @@ def test_hostile_index_fields_are_parse_errors(tmp_path, capsys, edit, where):
     assert main(["validate", str(path)]) == 1
     err = capsys.readouterr().err
     assert f"parse error: {where}" in err and "Traceback" not in err
+
+
+def test_zero_unit_entry_is_dropped_at_parse(tmp_path, capsys):
+    # every other sparse field drops zero entries; the unit once kept them
+    clean = emit(tmp_path, "taft-3")
+    doc = json.loads(clean.read_text())
+    doc["hopf"]["unit"].append([1, "0"])
+    padded = tmp_path / "padded.json"
+    padded.write_text(json.dumps(doc))
+    assert load_spec(str(padded)).hopf.unit == {0: Scalar.one(3)}
+    for cmd in ("validate", "check", "solve", "oracle"):
+        outs = []
+        for path in (clean, padded):
+            rc = main(["--json", cmd, str(path)])
+            outs.append((rc, capsys.readouterr().out))
+        assert outs[0] == outs[1], cmd
+
+
+def test_oracle_spans_deeper_than_degree_255(tmp_path):
+    # column degrees were once stored in a bytearray: degree 255 died with
+    # "ValueError: bytes must be in range(0, 256)" and a traceback.  One
+    # generator and no relations keep d * (D + 1) columns under the span bound.
+    import subprocess
+    import sys
+    path = emit(tmp_path, "cbh-cyclic-3", with_kappa=False)
+    doc = json.loads(path.read_text())
+    doc["algebra"] = {"generators": ["u"], "relations": [], "action": [[1, 0, 0, "1*z"]]}
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "hopfpbw.cli", "--cutoff", "300", "oracle",
+                           str(path), "--degree", "298"], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr and "CONSISTENT" in proc.stdout
+
+
+# -- hostile input fuzz -------------------------------------------------------------
+
+FUZZ_PRESETS = ["sweedler", "taft-3", "h8", "cbh-cyclic-3"]
+FUZZ_FIELDS = [("hopf", "mult"), ("hopf", "comult"), ("hopf", "antipode"), ("hopf", "unit"),
+               ("hopf", "counit"), ("algebra", "action")]
+
+
+def _fuzz_values():
+    from hypothesis import strategies as st
+    return st.one_of(
+        st.sampled_from(["0", "1", "-1", "1/2", "-1/2", "z", "z^2", "-z^5", "1/0", "0/0",
+                         "z^", "z^a", "a", "", "+", "1/2/3", "2*z*z", "1e3", "z^99999"]),
+        st.integers(min_value=-3, max_value=20),
+        st.sampled_from([2 ** 64, -(10 ** 30), None, True, 0.5, [], {}, [0, "1"]]))
+
+
+def test_fuzz_hostile_documents_exit_cleanly():
+    # seeded single-entry mutations of emitted preset documents: a slot of an
+    # entry, a whole entry, or a dropped entry.  Whatever the document, the
+    # CLI returns a documented exit code and raises nothing but SystemExit.
+    import contextlib
+    import io
+    import tempfile
+    from pathlib import Path
+
+    from hypothesis import given, settings, strategies as st
+
+    docs = {name: json.loads(render_problem(build_problem(name, with_kappa=True)))
+            for name in FUZZ_PRESETS}
+    workdir = tempfile.TemporaryDirectory()
+    path = Path(workdir.name) / "fuzz.json"
+
+    @settings(max_examples=120, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def run(data):
+        doc = json.loads(json.dumps(docs[data.draw(st.sampled_from(FUZZ_PRESETS))]))
+        block, key = data.draw(st.sampled_from(FUZZ_FIELDS))
+        field = doc[block][key]
+        pos = data.draw(st.integers(0, len(field) - 1))
+        value = data.draw(_fuzz_values())
+        kind = data.draw(st.sampled_from(["slot", "entry", "drop"]))
+        if kind == "slot" and isinstance(field[pos], list):
+            field[pos][data.draw(st.integers(0, len(field[pos]) - 1))] = value
+        elif kind == "drop":
+            del field[pos]
+        else:
+            field[pos] = value
+        path.write_text(json.dumps(doc))
+        for cmd in ("validate", "check"):
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                try:
+                    rc = main([cmd, str(path)])
+                except SystemExit as exc:
+                    rc = exc.code
+            assert rc in (0, 1, 2, 3, 4), (cmd, block, key, pos, kind, value, sink.getvalue())
+
+    try:
+        run()
+    finally:
+        workdir.cleanup()

@@ -7,6 +7,11 @@ must give the same verdict on every preset, on the criterion-7 mutation
 corpus, and on mutations of product-table rows outside S; the solver must
 give the same family for the greedy S as for the declared hint; and the
 solver must build its condition-(a) rows from S alone.
+
+``reference_validate_hopf`` is the validator as it was before its loops
+combined the tables directly; the rewritten one must return the same
+failure list, tuple for tuple and in order, on every preset and corpus,
+and must multiply each pair of constants once per call.
 """
 
 import json
@@ -17,9 +22,10 @@ import pytest
 from hopfpbw import deform
 from hopfpbw.cli import parse_problem, problem_to_json
 from hopfpbw.deform import solve_kappa
-from hopfpbw.hopf import (NotGenerating, _left_closure, algebra_generators, coproduct,
-                          counit_of, format_hvec, h_mul, preset_hopf, tensor_mult,
-                          validate_hopf, vec_eq)
+from hopfpbw.exactla import Matrix, rref
+from hopfpbw.hopf import (NotGenerating, ValidationReport, _fmt_tensor, _generator_set,
+                          _left_closure, add_into, algebra_generators, coproduct, counit_of,
+                          format_hvec, h_mul, preset_hopf, tensor_mult, validate_hopf, vec_eq)
 from hopfpbw.modalg import validate_action
 from hopfpbw.presets import build_problem
 from hopfpbw.scalar import Scalar, format_scalar, parse_scalar
@@ -91,6 +97,151 @@ def reference_action_passed(H, B) -> bool:
     rep = validate_action(H, B)
     others = [f for f in rep.failures if f[0] != "action_multiplicative"]
     return not (others or reference_action_multiplicative_failures(H, B))
+
+
+# validate_hopf as it was before its loops read the tables directly, kept
+# verbatim (with the two helpers it called) as the reference for the
+# rewritten validator's full failure list
+
+def vec_scale(v: dict, c: Scalar) -> dict:
+    if c.is_zero():
+        return {}
+    return {k: x * c for k, x in v.items()}
+
+
+def _tensor_eq(a, b) -> bool:
+    diff = dict(a)
+    for k, c in b.items():
+        add_into(diff, k, -c)
+    return diff == {}
+
+
+def reference_validate_hopf(H):
+    """Check all Hopf axioms; populates the antipode inverse.
+
+    Properties closed under products are checked with their first factor
+    in S = ``algebra_generators(H)`` (see the module docstring); a hint
+    that does not left-generate H is a ``generators`` failure.  Failures
+    carry (axiom name, witness basis indices, lhs, rhs) with both sides
+    rendered in the basis labels.
+    """
+    fails = []
+    d = H.dim
+    one = H.one_scalar()
+
+    def emit(axiom, witness, lhs, rhs):
+        fails.append((axiom, witness, lhs, rhs))
+
+    S, problem = _generator_set(H)
+    if problem is not None:
+        emit("generators", tuple(S if H.generators is None else H.generators), problem,
+             "a set that left-generates H")
+
+    # associativity, first factor in S
+    for i in S:
+        for j in range(d):
+            eij = H.mult[i][j]
+            for k in range(d):
+                lhs = h_mul(H, eij, H.basis_vec(k))
+                rhs = h_mul(H, H.basis_vec(i), H.mult[j][k])
+                if not vec_eq(lhs, rhs):
+                    emit("associativity", (i, j, k), format_hvec(H, lhs), format_hvec(H, rhs))
+
+    # unit law
+    for i in range(d):
+        e = H.basis_vec(i)
+        left = h_mul(H, H.unit, e)
+        right = h_mul(H, e, H.unit)
+        if not vec_eq(left, e):
+            emit("unit", (i,), format_hvec(H, left), H.labels[i])
+        if not vec_eq(right, e):
+            emit("unit", (i,), format_hvec(H, right), H.labels[i])
+
+    # coassociativity
+    for i in range(d):
+        lhs: dict = {}
+        rhs: dict = {}
+        for (j, k), c in H.comult[i].items():
+            for (a, b), c2 in H.comult[j].items():
+                add_into(lhs, (a, b, k), c * c2)
+            for (a, b), c2 in H.comult[k].items():
+                add_into(rhs, (j, a, b), c * c2)
+        diff = dict(lhs)
+        for key, c in rhs.items():
+            add_into(diff, key, -c)
+        if diff:
+            emit("coassociativity", (i,), str(len(lhs)), str(len(rhs)))
+
+    # counit law
+    for i in range(d):
+        lvec: HVec = {}
+        rvec: HVec = {}
+        for (j, k), c in H.comult[i].items():
+            add_into(lvec, k, c * H.counit[j])
+            add_into(rvec, j, c * H.counit[k])
+        if not vec_eq(lvec, H.basis_vec(i)):
+            emit("counit", (i,), format_hvec(H, lvec), H.labels[i])
+        if not vec_eq(rvec, H.basis_vec(i)):
+            emit("counit", (i,), format_hvec(H, rvec), H.labels[i])
+
+    # bialgebra compatibility
+    unit_tensor: TVec = {}
+    for i, ci in H.unit.items():
+        for j, cj in H.unit.items():
+            add_into(unit_tensor, (i, j), ci * cj)
+    cop_unit = coproduct(H, H.unit)
+    if not _tensor_eq(cop_unit, unit_tensor):
+        emit("bialgebra", ("unit",), _fmt_tensor(H, cop_unit), _fmt_tensor(H, unit_tensor))
+    eps_unit = counit_of(H, H.unit)
+    if eps_unit != one:
+        emit("bialgebra", ("unit",), str(eps_unit), "1")
+    for i in S:
+        for j in range(d):
+            lhs = coproduct(H, H.mult[i][j])
+            rhs = tensor_mult(H, H.comult[i], H.comult[j])
+            if not _tensor_eq(lhs, rhs):
+                emit("bialgebra", (i, j), _fmt_tensor(H, lhs), _fmt_tensor(H, rhs))
+            el = counit_of(H, H.mult[i][j])
+            er = H.counit[i] * H.counit[j]
+            if el != er:
+                emit("bialgebra", (i, j), str(el), str(er))
+
+    # antipode law (both convolution sides)
+    for i in range(d):
+        lvec: HVec = {}
+        rvec: HVec = {}
+        for (j, k), c in H.comult[i].items():
+            for idx, ci in h_mul(H, H.antipode[j], H.basis_vec(k)).items():
+                add_into(lvec, idx, c * ci)
+            for idx, ci in h_mul(H, H.basis_vec(j), H.antipode[k]).items():
+                add_into(rvec, idx, c * ci)
+        target = vec_scale(H.unit, H.counit[i])
+        if not vec_eq(lvec, target):
+            emit("antipode", (i,), format_hvec(H, lvec), format_hvec(H, target))
+        if not vec_eq(rvec, target):
+            emit("antipode", (i,), format_hvec(H, rvec), format_hvec(H, target))
+
+    # antipode bijectivity; compute the inverse matrix
+    zero = H.zero_scalar()
+    aug_rows = []
+    for r in range(d):
+        row = [H.antipode[c].get(r, zero) for c in range(d)]
+        row += [one if r == c else zero for c in range(d)]
+        aug_rows.append(row)
+    rank, red, _ = rref(Matrix.from_rows(aug_rows, cols=2 * d))
+    lead_rank = sum(1 for p in range(d) if any(not red.at(r, p).is_zero() for r in range(d)))
+    if rank < d or lead_rank < d:
+        emit("antipode_bijective", ("S",), f"rank {rank}", f"rank {d}")
+        H.antipode_inverse = None
+    else:
+        inv_cols = [[red.at(r, d + c) for r in range(d)] for c in range(d)]
+        # column c of S^-1 gives S^-1(e_c)
+        H.antipode_inverse = [
+            {r: inv_cols[c][r] for r in range(d) if not inv_cols[c][r].is_zero()}
+            for c in range(d)
+        ]
+
+    return ValidationReport(passed=not fails, failures=fails)
 
 
 def _unvalidated(doc):
@@ -184,6 +335,97 @@ def test_reduced_action_matches_exhaustive_on_derived_matrices(name):
             assert not reduced, (name, h, r, c)
         finally:
             B.action[h] = saved
+
+
+# -- the rewritten validator == the reference, failure by failure -------------------------
+
+def _same_failures_as_reference(H):
+    rep = validate_hopf(H)
+    inverse = H.antipode_inverse
+    want = reference_validate_hopf(H)
+    assert rep.failures == want.failures
+    assert rep.passed == want.passed and inverse == H.antipode_inverse
+    return rep
+
+
+@pytest.mark.parametrize("name", HOPF_PRESETS)
+def test_validator_matches_reference_on_presets(name):
+    assert _same_failures_as_reference(preset_hopf(name)).passed
+
+
+def test_validator_matches_reference_on_criterion7_corpus():
+    checked = 0
+    for name in PRESET_LIST:
+        prob = build_problem(name, with_kappa=True)
+        prob.hopf.generators = None
+        doc = problem_to_json(prob)
+        order = doc["field"]["cyclotomic_order"]
+        rng = random.Random(name)
+        sites = _mutation_sites(doc)
+        rng.shuffle(sites)
+        for site in sites[:20]:
+            rep = _same_failures_as_reference(_unvalidated(_mutate(doc, site, order)).hopf)
+            assert not rep.passed, (name, site)
+            checked += 1
+    assert checked > 80
+
+
+@pytest.mark.parametrize("name", PRESET_LIST + ["taft-4"])
+def test_validator_matches_reference_on_rows_outside_s(name):
+    # the corpus of test_reduced_matches_exhaustive_on_rows_outside_s, same draws
+    prob = build_problem(name)
+    H = prob.hopf
+    S = algebra_generators(H)
+    doc = problem_to_json(prob)
+    order = H.order
+    rng = random.Random(f"rows-outside-s:{name}")
+    outside = [i for i in range(H.dim) if i not in S]
+    for trial in range(25):
+        i, j = rng.choice(outside), rng.randrange(H.dim)
+        k = rng.randrange(H.dim)
+        bumped = Scalar.from_int(order, rng.choice((-2, -1, 1, 2)))
+        mutated = json.loads(json.dumps(doc))
+        mult = mutated["hopf"]["mult"]
+        for ent in mult:
+            if ent[:3] == [i, j, k]:
+                ent[3] = format_scalar(parse_scalar(ent[3], order) + bumped)
+                break
+        else:
+            mult.append([i, j, k, format_scalar(bumped)])
+        assert not _same_failures_as_reference(_unvalidated(mutated).hopf).passed
+
+
+TABLE_BUMPS = ("1", "-1", "2", "1/2", "-1/2")
+
+
+@pytest.mark.parametrize("key", ["comult", "counit", "antipode"])
+def test_validator_matches_reference_on_table_mutations(key):
+    # 15 seeded single-entry mutations per table, 3 on each preset (h8's
+    # tables carry 1/2, so a -1/2 bump can also cancel an entry): either an
+    # existing entry is bumped or an absent one is set
+    rng = random.Random(f"table-mutation:{key}")
+    failed = 0
+    for trial in range(15):
+        name = PRESET_LIST[trial % len(PRESET_LIST)]
+        mutated = problem_to_json(build_problem(name))
+        order, d = mutated["field"]["cyclotomic_order"], mutated["hopf"]["dim"]
+        bump = parse_scalar(rng.choice(TABLE_BUMPS), order)
+        table = mutated["hopf"][key]
+        if key == "counit":
+            pos = rng.randrange(d)
+            table[pos] = format_scalar(parse_scalar(table[pos], order) + bump)
+        elif rng.random() < 0.5:
+            ent = rng.choice(table)
+            ent[-1] = format_scalar(parse_scalar(ent[-1], order) + bump)
+        else:
+            idx = [rng.randrange(d) for _ in range(3 if key == "comult" else 2)]
+            ent = next((e for e in table if e[:-1] == idx), None)
+            if ent is None:
+                table.append(idx + [format_scalar(bump)])
+            else:
+                ent[-1] = format_scalar(parse_scalar(ent[-1], order) + bump)
+        failed += not _same_failures_as_reference(_unvalidated(mutated).hopf).passed
+    assert failed >= 10
 
 
 # -- where S comes from -------------------------------------------------------------------
@@ -295,3 +537,24 @@ def test_solver_computes_no_linear_columns_under_fix_linear_zero(monkeypatch):
     assert all(not row for kp in fam.linear_basis for row in kp.linear)
     # with no kappa^L unknowns, no image on V (x) H is needed
     assert calls == {"vh": 0, "h": len(algebra_generators(H)) * H.dim}
+
+
+def test_hopf_validation_multiplies_each_constant_pair_once(monkeypatch):
+    H = preset_hopf("taft-9")
+    calls = [0]
+    real = Scalar.__mul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    assert validate_hopf(H).passed
+    first, calls[0] = calls[0], 0
+    # the product memo dies with the call, so a second call pays the same
+    assert validate_hopf(H).passed
+    assert calls[0] == first
+    # 44,523 when each side went through h_mul/tensor_mult; what is left is
+    # one product per distinct constant pair, the closure of S and the
+    # antipode-inverse RREF
+    assert first <= 1209
