@@ -178,12 +178,22 @@ def parse_problem(doc: dict, cutoff: int | None = None) -> Problem:
     if len(labels) != d:
         raise ParseError(f"hopf.labels: expected {d} labels, got {len(labels)}")
     zero = Scalar.zero(order)
+    # one Scalar per distinct literal of this document, so that equal
+    # constants are one object (validate_hopf's product memo then hits by
+    # identity); the memo dies with this call
+    literals: dict = {}
+
+    def scalar(text, where: str) -> Scalar:
+        s = literals.get(text) if isinstance(text, str) else None
+        if s is None:
+            s = literals[text] = _parse_sc(text, order, where)
+        return s
 
     mult = [[{} for _ in range(d)] for _ in range(d)]
     for ent in _list(hdoc.get("mult", []), "hopf.mult"):
         _entry(ent, 4, "hopf.mult", "[i, j, k, scalar]")
         i, j, k = (_index(x, d, "hopf.mult") for x in ent[:3])
-        s = _parse_sc(ent[3], order, "hopf.mult")
+        s = scalar(ent[3], "hopf.mult")
         if not s.is_zero():
             mult[i][j][k] = s
 
@@ -191,7 +201,7 @@ def parse_problem(doc: dict, cutoff: int | None = None) -> Problem:
     for ent in _list(hdoc.get("comult", []), "hopf.comult"):
         _entry(ent, 4, "hopf.comult", "[i, j, k, scalar]")
         i, j, k = (_index(x, d, "hopf.comult") for x in ent[:3])
-        s = _parse_sc(ent[3], order, "hopf.comult")
+        s = scalar(ent[3], "hopf.comult")
         if not s.is_zero():
             comult[i][(j, k)] = s
 
@@ -199,7 +209,7 @@ def parse_problem(doc: dict, cutoff: int | None = None) -> Problem:
     for ent in _list(hdoc.get("antipode", []), "hopf.antipode"):
         _entry(ent, 3, "hopf.antipode", "[i, j, scalar]")
         i, j = (_index(x, d, "hopf.antipode") for x in ent[:2])
-        s = _parse_sc(ent[2], order, "hopf.antipode")
+        s = scalar(ent[2], "hopf.antipode")
         if not s.is_zero():
             antipode[i][j] = s
 
@@ -211,7 +221,7 @@ def parse_problem(doc: dict, cutoff: int | None = None) -> Problem:
         for ent in unit_doc:
             _entry(ent, 2, "hopf.unit", "[index, scalar]")
             u = _index(ent[0], d, "hopf.unit")
-            s = _parse_sc(ent[1], order, "hopf.unit")
+            s = scalar(ent[1], "hopf.unit")
             if not s.is_zero():
                 unit[u] = s
     else:
@@ -220,7 +230,7 @@ def parse_problem(doc: dict, cutoff: int | None = None) -> Problem:
     counit_doc = hdoc.get("counit")
     if not isinstance(counit_doc, list) or len(counit_doc) != d:
         raise ParseError(f"hopf.counit must list {d} scalars")
-    counit = [_parse_sc(t, order, "hopf.counit") for t in counit_doc]
+    counit = [scalar(t, "hopf.counit") for t in counit_doc]
 
     gens = hdoc.get("generators")
     if gens is not None:
@@ -244,7 +254,7 @@ def parse_problem(doc: dict, cutoff: int | None = None) -> Problem:
         for ent in rdoc:
             _entry(ent, 3, "algebra.relations", "[i, j, scalar]")
             i, j = (_index(x, vd, "algebra.relations") for x in ent[:2])
-            s = _parse_sc(ent[2], order, "algebra.relations")
+            s = scalar(ent[2], "algebra.relations")
             if not s.is_zero():
                 rel[(i, j)] = s
         rel_vecs.append(rel)
@@ -254,7 +264,7 @@ def parse_problem(doc: dict, cutoff: int | None = None) -> Problem:
         h = _index(ent[0], d, "algebra.action")
         r, c = (_index(x, vd, "algebra.action") for x in ent[1:3])
         mat = given.setdefault(h, [[zero] * vd for _ in range(vd)])
-        mat[r][c] = _parse_sc(ent[3], order, "algebra.action")
+        mat[r][c] = scalar(ent[3], "algebra.action")
     try:
         action = action_from_generators(H, vd, given)
     except ModAlgError as exc:
@@ -287,9 +297,9 @@ def parse_problem(doc: dict, cutoff: int | None = None) -> Problem:
             if not isinstance(ldoc[a], list) or len(ldoc[a]) != vd * d:
                 raise ParseError(f"kappa.linear row {a} must be a list of {vd * d} scalars")
             cvecs.append({i: s for i, t in enumerate(cdoc[a])
-                          if not (s := _parse_sc(t, order, "kappa.constant")).is_zero()})
+                          if not (s := scalar(t, "kappa.constant")).is_zero()})
             lvecs.append({(i // d, i % d): s for i, t in enumerate(ldoc[a])
-                          if not (s := _parse_sc(t, order, "kappa.linear")).is_zero()})
+                          if not (s := scalar(t, "kappa.linear")).is_zero()})
         kappa = Kappa(order, cvecs, lvecs)
     return Problem(doc.get("name", "problem"), H, B, kappa)
 

@@ -376,6 +376,14 @@ class SparseEchelon:
             self.pivots[c] = row
         return c
 
+    def adopt(self, c: int, row: dict) -> None:
+        """Store a row that is already stripped and whose leading column c
+        has no pivot, as ``insert`` would, without reducing it: the oracle's
+        relabelled copies of stored pivots."""
+        if c in self.pivots:
+            raise LinAlgError(f"column {c} already has a pivot")
+        self.pivots[c] = row
+
     def contains(self, row: dict) -> bool:
         """Whether an integer row lies in the span of the rows inserted so far."""
         return self._reduce(row)[0] is None

@@ -15,12 +15,27 @@ degrees.  Larger buffers can only shrink the computed dimensions.
 
 Spanning order.  The relator rows and their left and right multiples by
 the generators ``algebra_generators(H)`` are the seeds, generation 2.
-Generation j + 1 is the left and right V-multiples of the generation-j
-pivots, for j < N + k; no later generation is closed under H again, and
-this loses nothing.  Let S_j be the span through generation j and L_j the
-generation-j pivots, so S_{j+1} = S_j + V L_j + L_j V, and V S_j and S_j V
-lie in S_{j+1} (V L_i and L_i V lie in S_{i+1} for i < j).  If S_j is a
-two-sided H-module, then so is S_{j+1}; for x in L_j, v in V and h in H:
+Generation j + 1 is the left V-multiples of the generation-j pivots and
+the right V-multiples of those generation-j pivots that were not born of
+a left V-multiple, for j < N + k; no later generation is closed under H
+again, and neither loses anything.  The two lemmas below are about this
+order; the F_p shadow further down only ever skips rows.
+
+Product lemma.  Let S_j be the span through generation j and L_j the
+generation-j pivots.  Every pivot of generation at most N + k - 1 gets
+its left V-multiples, so V S_j lies in S_{j+1}.  A pivot y of generation
+j < N + k born of a left multiple is y = (lam v x - sum_i mu_i p_i) / g
+for a generation-(j - 1) pivot x, the pivots p_i stored before y and
+scalars lam, mu_i, g != 0 (lam = g = 1 and no p_i when y is adopted, see
+below).  So y w = (lam v (x w) - sum_i mu_i p_i w) / g for w in V.  By
+induction on insertion order, x w lies in S_j and each p_i w in S_{j+1},
+and v (x w) lies in V S_j, inside S_{j+1}: y V lies in S_{j+1} without
+forming y w.  Hence S_{j+1} = S_j + V L_j + L_j V, with V S_j and S_j V
+inside S_{j+1}.  This is the one-sided product rule of linear-algebra
+Groebner methods (Faugere, F4, J. Pure Appl. Algebra 139 (1999)).
+
+H-closure lemma.  If S_j is a two-sided H-module, then so is S_{j+1};
+for x in L_j, v in V and h in H:
 
 - (v x) h = v (x h) and h (x v) = (h x) v lie in V S_j and S_j V;
 - (x v) h = x (v h) lies in S_j V, and h (v x) = (h v) x in V S_j,
@@ -29,9 +44,9 @@ two-sided H-module, then so is S_{j+1}; for x in L_j, v in V and h in H:
   the antipode is, and every finite-dimensional Hopf algebra has a
   bijective antipode (Larson-Sweedler, Amer. J. Math. 91 (1969)).
 
-So the spans, the pivot columns and the rows the exact engine sees are
-the ones that an H-closure after every generation gives.  This needs
-T(V) # H to be an associative smash product: H and the action must
+So the spans, the pivot columns and the tables are the ones that an
+H-closure and all right V-multiples after every generation give.  This
+needs T(V) # H to be an associative smash product: H and the action must
 already pass ``validate_hopf`` and ``validate_action``.
 
 Exact rows.  Rows are integer coefficient vectors over Z[zeta_N], reduced
@@ -64,6 +79,15 @@ The shadow decides nothing else:
 - An exact pivot whose lead lies in P (or a table denominator divisible
   by p) would break that, so the shadow moves to the next prime of one
   fixed deterministic list and re-images the stored exact pivots.
+
+Relabelling.  Left multiplication by v maps the column of w (x) h to that
+of v w (x) h and preserves the column order, so v x has its lead at the
+image of x's lead column, with x's lead coefficient, a unit modulo P.
+When that column has no pivot, v x is a new pivot as it stands: the
+relabelled exact row is already stripped, and the relabelled shadow slice
+is already its image with lead 1.  It is stored with
+``SparseEchelon.adopt`` and ``_Shadow.adopt``, with no reduction, exactly
+as ``insert`` and ``add_pivot`` would store it.
 """
 
 from __future__ import annotations
@@ -87,12 +111,13 @@ class OracleError(Exception):
 
 
 # The largest span the oracle starts: d * sum_{m <= D} vd^m columns.  Its
-# cost grows with the column count and the depth D: ha1 (vd = 4) at
-# D = 5/6/7 has 21,840/87,376/349,520 columns and takes 0.7/2.6/11.5 s, but
-# sweedler (vd = 2) at D = 10/11/13 has 8,188/16,380/65,532 columns and
-# takes 2.7/10.6/216 s (Python 3.11, one core).  The bound admits every
-# bundled preset at the CLI defaults (ha1 at D = 5 is the largest) and
-# refuses larger spans before anything is built.
+# cost grows with the column count and the depth D: on the preset kappa,
+# ha1 (vd = 4) at D = 5/6/7 has 21,840/87,376/349,520 columns and takes
+# 0.4/1.8/8.0 s, but sweedler (vd = 2) at D = 10/11/13 has
+# 8,188/16,380/65,532 columns and takes 0.9/2.9/22 s (Python 3.11, one
+# core of a shared two-core host).  The bound admits every bundled preset
+# at the CLI defaults (ha1 at D = 5 is the largest) and refuses larger
+# spans before anything is built.
 MAX_SPAN_COLUMNS = 25_000
 
 
@@ -141,6 +166,10 @@ class _Ambient:
             deg.extend(repeat(m, self.block[m]))
         self.deg = deg
         self.total = len(deg)
+        # lshift[v][m]: the column of v w minus that of w, for w of degree m;
+        # the word v w has rank v * vd^m + rank(w)
+        self.lshift = [[self.base[m + 1] - self.base[m] + v * vdim ** m * hdim
+                        for m in range(D)] for v in range(vdim)]
 
     def col(self, word_rank: int, deg: int, h: int) -> int:
         return self.base[deg] + word_rank * self.hdim + h
@@ -268,14 +297,9 @@ def _left_h(R: _Ring, amb: _Ambient, row, g: int) -> dict:
 
 
 def _left_v(R: _Ring, amb: _Ambient, row, v: int) -> dict:
-    """(v # 1) * row: a relabelling, no arithmetic."""
-    deg, base, d, vd = amb.deg, amb.base, amb.hdim, amb.vdim
-    out = {}
-    for col, val in row:
-        m = deg[col]
-        # the word v w has rank v * vd^m + rank(w), so its column is an offset
-        out[col - base[m] + base[m + 1] + v * vd ** m * d] = val
-    return out
+    """(v # 1) * row: an order-preserving relabelling, no arithmetic."""
+    deg, shift = amb.deg, amb.lshift[v]
+    return {col + shift[deg[col]]: val for col, val in row}
 
 
 def _right_v(R: _Ring, amb: _Ambient, row, v: int) -> dict:
@@ -402,6 +426,18 @@ class _Shadow:
         self.size[c] = len(cols) - self.start[c]
         return True
 
+    def adopt(self, c: int, piv: int, deg, shift) -> None:
+        """Store the image of v x as the pivot at c, for x the pivot at piv:
+        x's slice with every column moved by ``shift`` (v's row of
+        ``_Ambient.lshift``), lead 1 first."""
+        s = self.start[piv]
+        e = s + self.size[piv]
+        cols = self.cols
+        self.start[c] = len(cols)
+        cols.extend([col + shift[deg[col]] for col in cols[s:e]])
+        self.vals.extend(self.vals[s:e])
+        self.size[c] = e - s
+
     def row(self, c: int):
         s = self.start[c]
         e = s + self.size[c]
@@ -468,10 +504,11 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
     """Span the relator ideal through degree N + k and report the filtered
     dimension upper bounds for degrees 0..N against the PBW expectation.
 
-    Only the seeds are closed under H; every later generation is a
-    two-sided H-module already (module docstring).  H and the action must
-    already pass ``validate_hopf`` and ``validate_action``.  A span of more
-    than ``MAX_SPAN_COLUMNS`` columns is refused with ``OracleError``."""
+    Only the seeds are closed under H, and only pivots not born of a left
+    V-multiple get right V-multiples; the span is the same (module
+    docstring).  H and the action must already pass ``validate_hopf`` and
+    ``validate_action``.  A span of more than ``MAX_SPAN_COLUMNS`` columns
+    is refused with ``OracleError``."""
     if N < 2:
         raise OracleError("degree bound must be at least 2")
     D = N + k
@@ -490,33 +527,52 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
     primes = _shadow_primes(H.order)
     shadow = _next_shadow(primes, H, vd, amb.total, straightened, ech.pivots)
 
-    layers = [[] for _ in range(D + 1)]     # pivot columns by generation degree
+    # pivot columns by generation degree: those born of a left V-multiple,
+    # whose right V-multiples lie in the span already (module docstring),
+    # and all others
+    lefts = [[] for _ in range(D + 1)]
+    others = [[] for _ in range(D + 1)]
 
-    def record(piv, gen: int) -> None:
+    def record(piv, layer: list) -> None:
         nonlocal shadow
         if piv is None:
             return
-        layers[gen].append(piv)
+        layer.append(piv)
         if not shadow.add_pivot(piv, ech.pivots[piv]):
             shadow = _next_shadow(primes, H, vd, amb.total, straightened, ech.pivots)
 
-    def consider(op, piv: int, arg: int, gen: int) -> None:
+    def consider(op, piv: int, arg: int, layer: list) -> None:
         # the exact engine only sees rows whose shadow adds a pivot
         if not shadow.reduces_to_zero(op(shadow.ring, amb, shadow.row(piv), arg)):
-            record(ech.insert(op(exact, amb, ech.pivots[piv].items(), arg)), gen)
+            record(ech.insert(op(exact, amb, ech.pivots[piv].items(), arg)), layer)
+
+    def left_multiple(piv: int, v: int, layer: list) -> None:
+        shift = amb.lshift[v]
+        c = piv + shift[amb.deg[piv]]
+        if c in ech.pivots:
+            consider(_left_v, piv, v, layer)
+            return
+        # a free lead: the relabelled exact row is already stripped, and the
+        # relabelled shadow slice is its image with lead 1
+        ech.adopt(c, _left_v(exact, amb, ech.pivots[piv].items(), v))
+        shadow.adopt(c, piv, amb.deg, shift)
+        layer.append(c)
 
     for row in _relator_rows(H, B, kappa, amb, ech):
-        record(ech.insert(row), 2)
+        record(ech.insert(row), others[2])
     # the seeds' H-closure; the list grows while it is read
-    for piv in layers[2]:
+    for piv in others[2]:
         for g in hgens:
-            consider(_right_h, piv, g, 2)
-            consider(_left_h, piv, g, 2)
+            consider(_right_h, piv, g, others[2])
+            consider(_left_h, piv, g, others[2])
     for j in range(2, D):
-        for piv in layers[j]:
+        for piv in others[j]:
             for v in range(vd):
-                consider(_left_v, piv, v, j + 1)
-                consider(_right_v, piv, v, j + 1)
+                left_multiple(piv, v, lefts[j + 1])
+                consider(_right_v, piv, v, others[j + 1])
+        for piv in lefts[j]:
+            for v in range(vd):
+                left_multiple(piv, v, lefts[j + 1])
 
     # pivot counts by degree give dim(span  cap  T_{<=m})
     pivot_deg = [amb.deg[c] for c in ech.pivots]

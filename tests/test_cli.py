@@ -380,11 +380,43 @@ def test_oracle_spans_deeper_than_degree_255(tmp_path):
     assert "Traceback" not in proc.stderr and "CONSISTENT" in proc.stdout
 
 
+def test_parse_interns_each_distinct_literal_once(monkeypatch):
+    # equal literals of one document parse to one Scalar object, so
+    # validate_hopf's product memo hits by identity; the intern table lives
+    # for one parse, so a second parse parses every literal again
+    from collections import Counter
+    import hopfpbw.cli as cli
+    doc = json.loads(render_problem(build_problem("taft-9", with_kappa=True)))
+    h, a, k = doc["hopf"], doc["algebra"], doc["kappa"]
+    literals = ([e[3] for e in h["mult"] + h["comult"] + a["action"]]
+                + [e[2] for e in h["antipode"]] + [e[1] for e in h["unit"]] + h["counit"]
+                + [e[2] for rel in a["relations"] for e in rel]
+                + [t for row in k["constant"] + k["linear"] for t in row])
+    calls = Counter()
+    real = cli.parse_scalar
+
+    def counted(text, order):
+        calls[text] += 1
+        return real(text, order)
+
+    monkeypatch.setattr(cli, "parse_scalar", counted)
+    prob = cli.parse_problem(doc)
+    assert len(literals) > 10 * len(calls)
+    assert calls == Counter(set(literals))
+    H = prob.hopf
+    consts = [c for per_i in H.mult for prod in per_i for c in prod.values()]
+    consts += [c for terms in H.comult for c in terms.values()]
+    assert len({id(c) for c in consts}) == len(set(consts))
+    cli.parse_problem(doc)
+    assert calls == Counter(2 * list(set(literals)))
+
+
 # -- hostile input fuzz -------------------------------------------------------------
 
 FUZZ_PRESETS = ["sweedler", "taft-3", "h8", "cbh-cyclic-3"]
 FUZZ_FIELDS = [("hopf", "mult"), ("hopf", "comult"), ("hopf", "antipode"), ("hopf", "unit"),
-               ("hopf", "counit"), ("algebra", "action")]
+               ("hopf", "counit"), ("algebra", "action"), ("algebra", "relations"),
+               ("kappa", "constant"), ("kappa", "linear")]
 
 
 def _fuzz_values():
@@ -398,7 +430,8 @@ def _fuzz_values():
 
 def test_fuzz_hostile_documents_exit_cleanly():
     # seeded single-entry mutations of emitted preset documents: a slot of an
-    # entry, a whole entry, or a dropped entry.  Whatever the document, the
+    # entry (a scalar of a kappa row, an entry of a relation or one of its
+    # slots), a whole entry, or a dropped entry.  Whatever the document, the
     # CLI returns a documented exit code and raises nothing but SystemExit.
     import contextlib
     import io
@@ -412,7 +445,7 @@ def test_fuzz_hostile_documents_exit_cleanly():
     workdir = tempfile.TemporaryDirectory()
     path = Path(workdir.name) / "fuzz.json"
 
-    @settings(max_examples=120, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(data=st.data())
     def run(data):
         doc = json.loads(json.dumps(docs[data.draw(st.sampled_from(FUZZ_PRESETS))]))
@@ -421,8 +454,12 @@ def test_fuzz_hostile_documents_exit_cleanly():
         pos = data.draw(st.integers(0, len(field) - 1))
         value = data.draw(_fuzz_values())
         kind = data.draw(st.sampled_from(["slot", "entry", "drop"]))
-        if kind == "slot" and isinstance(field[pos], list):
-            field[pos][data.draw(st.integers(0, len(field[pos]) - 1))] = value
+        if kind == "slot" and isinstance(field[pos], list) and field[pos]:
+            field, pos = field[pos], data.draw(st.integers(0, len(field[pos]) - 1))
+            # a relation's [i, j, scalar] entries hold one more level of slots
+            if isinstance(field[pos], list) and field[pos] and data.draw(st.booleans()):
+                field, pos = field[pos], data.draw(st.integers(0, len(field[pos]) - 1))
+            field[pos] = value
         elif kind == "drop":
             del field[pos]
         else:

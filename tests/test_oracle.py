@@ -1,7 +1,7 @@
 import itertools
 import random
 import time
-from collections import Counter, deque
+from collections import ChainMap, Counter, deque
 
 import pytest
 
@@ -260,8 +260,9 @@ def test_oracle_matches_scalar_reference(problem):
 
 # -- a metamorphic check on the oracle's denominator clearing -----------------------
 
-def _rescale(B, t):
-    """B with V rescaled by T = diag(t): rho'(h) = T rho(h) T^-1 and r' = (T (x) T) r.
+def _monomial(B, perm, t):
+    """B under the monomial change T e_i = t_i e_perm(i) of V:
+    rho'(h) = T rho(h) T^-1 and r' = (T (x) T) r.
 
     Returns (B', move) where move carries a kappa on B to the matching kappa
     on B': on each canonical relation r'_a = (T (x) T)(sum_b m_ab r_b) it
@@ -272,12 +273,14 @@ def _rescale(B, t):
     vd, order = B.vdim, B.order
     T = [Scalar.from_int(order, c) for c in t]
     Tinv = [c.inverse() for c in T]
-    action = [[[T[r] * m[r][c] * Tinv[c] for c in range(vd)] for r in range(vd)]
-              for m in B.action]
-    rels = [{(i, j): c * T[i] * T[j] for (i, j), c in B.relation_sparse(a).items()}
+    back = [perm.index(i) for i in range(vd)]
+    # rho'(h)[perm(r)][perm(c)] = t_r rho(h)[r][c] / t_c
+    action = [[[T[back[r]] * m[back[r]][back[c]] * Tinv[back[c]] for c in range(vd)]
+               for r in range(vd)] for m in B.action]
+    rels = [{(perm[i], perm[j]): c * T[i] * T[j] for (i, j), c in B.relation_sparse(a).items()}
             for a in range(B.dim_relations())]
-    B2 = ModuleAlgebra.make(order, B.vlabels, rels, action, B.cutoff)
-    pulled = [rel_coords(B, {(i, j): c * Tinv[i] * Tinv[j]
+    B2 = ModuleAlgebra.make(order, [B.vlabels[i] for i in back], rels, action, B.cutoff)
+    pulled = [rel_coords(B, {(back[i], back[j]): c * Tinv[back[i]] * Tinv[back[j]]
                              for (i, j), c in B2.relation_sparse(a).items()})
               for a in range(B2.dim_relations())]
 
@@ -289,12 +292,17 @@ def _rescale(B, t):
                 for h, c in kappa.c_vec(b).items():
                     add_into(cv, h, m * c)
                 for (v, h), c in kappa.l_vec(b).items():
-                    add_into(lv, (v, h), m * T[v] * c)
+                    add_into(lv, (perm[v], h), m * T[v] * c)
             cvecs.append(cv)
             lvecs.append(lv)
         return Kappa.from_vectors(H, B2, cvecs, lvecs)
 
     return B2, move
+
+
+def _rescale(B, t):
+    """B with V rescaled by T = diag(t) (see ``_monomial``)."""
+    return _monomial(B, list(range(B.vdim)), t)
 
 
 def test_oracle_invariant_under_rescaling_v(problem):
@@ -327,6 +335,41 @@ def test_oracle_invariant_under_rescaling_v(problem):
         assert rep2.verdict == rep.verdict
     for kp in fam.linear_basis:
         assert check_pbw(H, B2, move(H, kp)).passed
+
+
+def test_oracle_invariant_under_monomial_change_of_v(problem):
+    # Permuting and scaling V's basis gives an isomorphic problem, but it
+    # reorders the words and so the columns, the pivots and which left
+    # multiples the oracle adopts by relabelling: the family dimension, the
+    # checker's verdicts and the oracle's tables must not move.
+    from hopfpbw.modalg import validate_action
+    from test_acceptance import _invalid_catalog
+    changes = {"h8": ([1, 0], [2, -1]), "taft-3": ([1, 0], [3, 1]),
+               "ha1": ([2, 0, 3, 1], [1, 2, -1, 3])}
+    verdicts = []
+    for name, (perm, t) in changes.items():
+        prob = problem(name, True)
+        H, B = prob.hopf, prob.algebra
+        B2, move = _monomial(B, perm, t)
+        assert validate_action(H, B2).passed, name
+        fam, fam2 = solve_kappa(H, B), solve_kappa(H, B2)
+        assert fam.family_dim == fam2.family_dim > 0, name
+        member = fam.linear_basis[0]
+        for kp in fam.linear_basis[1:]:
+            member = member.add(kp)
+        _, bads = _invalid_catalog(problem, name)
+        deep = 2 if name == "ha1" else 1
+        for kp, N, k in [(prob.kappa, 3, deep), (member, 3, deep), (bads[0], 3, 1),
+                         (bads[-1], 3, 0)]:
+            kp2 = move(H, kp)
+            assert check_pbw(H, B, kp).passed == check_pbw(H, B2, kp2).passed, name
+            rep, rep2 = filtered_dims(H, B, kp, N, k), filtered_dims(H, B2, kp2, N, k)
+            assert (rep2.computed_dims, rep2.expected_dims, rep2.verdict) == \
+                (rep.computed_dims, rep.expected_dims, rep.verdict), (name, N, k)
+            verdicts.append(rep.verdict)
+        for kp in fam.linear_basis:
+            assert check_pbw(H, B2, move(H, kp)).passed, name
+    assert Counter(verdicts) == {"CONSISTENT": 6, "FALSIFIED": 6}
 
 
 # -- the F_p shadow against the exact reference ---------------------------------------
@@ -460,17 +503,34 @@ def test_h_multiples_run_on_seed_pivots_only(problem, monkeypatch):
         exact_rings.append(real_exact_ring(*args))
         return exact_rings[-1]
 
+    source = []     # the operator and the source pivot of the last exact row
+    born = {}       # pivot column -> (generation, born of a left V-multiple)
+
     def counted(name, op):
         def run(R, amb, row, arg):
             events.append((name, R is not exact_rings[-1]))
+            if R is exact_rings[-1]:
+                source[:] = [name, min(c for c, _ in row)]
             return op(R, amb, row, arg)
         return run
+
+    def note(piv):
+        name, src = source or ("seed", None)
+        v_layer = name in ("_left_v", "_right_v")
+        born[piv] = (born[src][0] + 1 if v_layer else 2, name == "_left_v")
 
     class Counting(oracle.SparseEchelon):
         def insert(self, row):
             piv = super().insert(row)
             events.append(("pivot", piv is not None))
+            if piv is not None:
+                note(piv)
             return piv
+
+        def adopt(self, c, row):
+            super().adopt(c, row)
+            events.append(("adopt", False))
+            note(c)
 
     monkeypatch.setattr(oracle, "_exact_ring", exact_ring)
     for name in ("_right_h", "_left_h", "_left_v", "_right_v"):
@@ -478,6 +538,8 @@ def test_h_multiples_run_on_seed_pivots_only(problem, monkeypatch):
     monkeypatch.setattr(oracle, "SparseEchelon", Counting)
     for prob, N, k in ((problem("ha1", True), 3, 2), (problem("h8", True), 3, 1)):
         events.clear()
+        source.clear()
+        born.clear()
         rep = filtered_dims(prob.hopf, prob.algebra, prob.kappa, N, k)
         assert rep.verdict == "CONSISTENT"
         S = algebra_generators(prob.hopf)
@@ -488,7 +550,61 @@ def test_h_multiples_run_on_seed_pivots_only(problem, monkeypatch):
         assert all(name not in ("_right_h", "_left_h") for name, _ in events[first_v:])
         # the V-layers do add pivots, so the last check is not vacuous
         assert any(name == "pivot" and kept for name, kept in events[first_v:])
-        assert in_shadow["_left_v"] == in_shadow["_right_v"] > 0
+        # every pivot of generations 2..D-1 gets vd left multiples, through
+        # the shadow or relabelled, and only those not born of a left
+        # multiple get right multiples (the product lemma)
+        multiplied = [left for gen, left in born.values() if gen < N + k]
+        adopted = sum(1 for name, _ in events if name == "adopt")
+        vd = prob.algebra.vdim
+        assert adopted > 0 and multiplied.count(True) > 0, prob.name
+        assert in_shadow["_left_v"] + adopted == vd * len(multiplied), prob.name
+        assert in_shadow["_right_v"] == vd * multiplied.count(False) > 0, prob.name
+
+
+# -- left multiples adopted by relabelling ------------------------------------------
+
+def test_adopted_left_multiples_match_insert_and_add_pivot(problem, monkeypatch):
+    # A left V-multiple whose lead column is free is stored as it stands;
+    # `insert` on a copy of the engine and `add_pivot` on a blank shadow
+    # must store the same column, the same row and the same image.
+    from types import SimpleNamespace
+    adopted = {}
+
+    class Checked(oracle.SparseEchelon):
+        def adopt(self, c, row):
+            twin = oracle.SparseEchelon(self.order)
+            twin.pivots = ChainMap({}, self.pivots)     # a copy on write
+            assert twin.insert(dict(row)) == c
+            assert list(twin.pivots[c].items()) == list(row.items())
+            super().adopt(c, row)
+            adopted[c] = row
+
+    shadow_adopt = oracle._Shadow.adopt
+
+    def checked_shadow_adopt(self, c, piv, deg, shift):
+        shadow_adopt(self, c, piv, deg, shift)
+        blank = SimpleNamespace(p=self.p, image=self.image, start={}, size={}, cols=[], vals=[])
+        assert oracle._Shadow.add_pivot(blank, c, adopted[c])
+        assert list(self.row(c)) == list(zip(blank.cols, blank.vals))
+
+    monkeypatch.setattr(oracle, "SparseEchelon", Checked)
+    monkeypatch.setattr(oracle._Shadow, "adopt", checked_shadow_adopt)
+    h8, ha1 = problem("h8", True), problem("ha1", True)
+    one1, one4 = Scalar.one(1), Scalar.one(4)
+    xz = h8.hopf.labels.index("xz")
+    B2, move = _rescale(h8.algebra, [2, 1])
+    bad = Kappa.from_vectors(h8.hopf, h8.algebra, [{0: one1, xz: -one1}], [dict()])
+    cases = [(h8.hopf, h8.algebra, h8.kappa, 3, 1), (h8.hopf, B2, move(h8.hopf, h8.kappa), 3, 1),
+             (h8.hopf, B2, move(h8.hopf, bad), 3, 1), (ha1.hopf, ha1.algebra, ha1.kappa, 3, 2),
+             (ha1.hopf, ha1.algebra, _ha1_kappa(ha1, 5, {9: one4, 13: -one4}), 3, 2),
+             (ha1.hopf, ha1.algebra, _dense_kappa(ha1, 2), 3, 0)]
+    for H, B, kp, N, k in cases:
+        adopted.clear()
+        want = reference_computed_dims(H, B, kp, N, k) if H is h8.hopf else None
+        rep = filtered_dims(H, B, kp, N, k)
+        assert adopted, (B.vlabels, N, k)
+        if want is not None:
+            assert rep.computed_dims == want
 
 
 # -- refusing oversized spans ------------------------------------------------------
