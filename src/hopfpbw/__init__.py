@@ -11,7 +11,7 @@ from .scalar import Scalar, scalar_make, zeta, parse_scalar, format_scalar
 from .exactla import Matrix, Subspace, rref, kernel, intersect, solve, membership
 from .hopf import HopfAlgebra, ValidationReport, validate_hopf, adjoint_on_H, group_algebra, preset_hopf
 from .modalg import ModuleAlgebra, validate_action, act_on_tensor, graded_dim, koszul_component
-from .smash import NormalElement, straighten, smash_mult, adjoint_on_VH
+from .smash import straighten, adjoint_on_VH
 from .deform import Kappa, ConditionReport, KappaFamily, check_invariance, check_overlap, check_pbw, overlap_maps, solve_kappa
 from .oracle import FilteredDimReport, filtered_dims, pbw_probe
 
@@ -20,7 +20,7 @@ __all__ = [
     "Matrix", "Subspace", "rref", "kernel", "intersect", "solve", "membership",
     "HopfAlgebra", "ValidationReport", "validate_hopf", "adjoint_on_H", "group_algebra", "preset_hopf",
     "ModuleAlgebra", "validate_action", "act_on_tensor", "graded_dim", "koszul_component",
-    "NormalElement", "straighten", "smash_mult", "adjoint_on_VH",
+    "straighten", "adjoint_on_VH",
     "Kappa", "ConditionReport", "KappaFamily", "check_invariance", "check_overlap",
     "check_pbw", "overlap_maps", "solve_kappa",
     "FilteredDimReport", "filtered_dims", "pbw_probe",

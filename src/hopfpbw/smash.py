@@ -1,4 +1,4 @@
-"""Normal-form arithmetic in the truncated smash product T(V) # H.
+"""The commutation rules of the smash product T(V) # H.
 
 Normal form puts all V-tensor factors on the left and a single H factor on
 the right, so a filtration-degree-m element lives in V^(x)m (x) H.  The
@@ -10,53 +10,18 @@ with the iterated coproduct taken left-nested.  Elements are sparse dicts
 keyed by (index word, H-basis index); the quadratic relations of B are
 deliberately not imposed here, so this really is arithmetic in T(V) # H.
 
-Truncation is hard: products that would exceed the cutoff raise instead of
-silently dropping terms.
+This module holds the two rules the package needs.  ``straighten`` moves
+the H-legs of the overlap mismatches in conditions (b)-(d) to the right,
+and the oracle builds from it the tables of its four row operators, which
+form every product it takes in T(V) # H.  ``AdjointVH`` and
+``adjoint_on_VH`` are the adjoint action of H on V (x) H that condition
+(a) reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
-from .scalar import Scalar
 from .hopf import HopfAlgebra, add_into, coproduct_iter, h_mul
-from .modalg import ModuleAlgebra, CutoffExceeded, act_on_generator
-
-
-@dataclass
-class NormalElement:
-    """An element of T(V) # H of filtration degree <= cutoff, in normal form."""
-
-    cutoff: int
-    terms: dict = dc_field(default_factory=dict)   # {(word, h): Scalar}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def add(self, other: "NormalElement") -> "NormalElement":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            add_into(out, k, c)
-        return NormalElement(self.cutoff, out)
-
-    def sub(self, other: "NormalElement") -> "NormalElement":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            add_into(out, k, -c)
-        return NormalElement(self.cutoff, out)
-
-    def scale(self, c: Scalar) -> "NormalElement":
-        if c.is_zero():
-            return NormalElement(self.cutoff)
-        return NormalElement(self.cutoff, {k: v * c for k, v in self.terms.items()})
-
-
-def unit_element(H: HopfAlgebra, cutoff: int) -> NormalElement:
-    return NormalElement(cutoff, {((), i): c for i, c in H.unit.items()})
-
-
-def from_h(H: HopfAlgebra, a: dict, cutoff: int) -> NormalElement:
-    return NormalElement(cutoff, {((), i): c for i, c in a.items()})
+from .modalg import ModuleAlgebra, act_on_generator
 
 
 def straighten(H: HopfAlgebra, B: ModuleAlgebra, a: dict, t: dict) -> dict:
@@ -87,39 +52,6 @@ def straighten(H: HopfAlgebra, B: ModuleAlgebra, a: dict, t: dict) -> dict:
         for key, c in state.items():
             add_into(out, key, c)
     return out
-
-
-def smash_mult(H: HopfAlgebra, B: ModuleAlgebra,
-               lhs: NormalElement, rhs: NormalElement) -> NormalElement:
-    """Bilinear associative product in the truncated smash product.
-
-    Raises CutoffExceeded when a term of the product would land in degree
-    above the cutoff.
-    """
-    cutoff = min(lhs.cutoff, rhs.cutoff)
-    out: dict = {}
-    for (w1, h1), c1 in lhs.terms.items():
-        for (w2, h2), c2 in rhs.terms.items():
-            deg = len(w1) + len(w2)
-            if deg > cutoff:
-                raise CutoffExceeded(
-                    f"product degree {deg} exceeds cutoff {cutoff}")
-            c = c1 * c2
-            if not w2:
-                prod = H.mult[h1][h2]
-                for k, ck in prod.items():
-                    add_into(out, (w1 + w2, k), c * ck)
-                continue
-            moved = straighten(H, B, {h1: Scalar.one(H.order)}, _word_tensor(w2, H.order))
-            for (wmid, hmid), cm in moved.items():
-                prod = H.mult[hmid][h2]
-                for k, ck in prod.items():
-                    add_into(out, (w1 + wmid, k), c * cm * ck)
-    return NormalElement(cutoff, out)
-
-
-def _word_tensor(word: tuple, order: int) -> dict:
-    return {word: Scalar.one(order)}
 
 
 class AdjointVH:
@@ -170,12 +102,3 @@ def adjoint_on_VH(H: HopfAlgebra, B: ModuleAlgebra, a: dict, w: dict,
     """
     return (adj or AdjointVH(H, B, a)).image(w)
 
-
-def eps_project(H: HopfAlgebra, vec: dict) -> dict:
-    """Apply the counit to the H-leg of a (word, h)-keyed vector."""
-    out: dict = {}
-    for (word, h), c in vec.items():
-        e = H.counit[h]
-        if not e.is_zero():
-            add_into(out, word, c * e)
-    return out

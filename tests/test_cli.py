@@ -1,11 +1,13 @@
 import json
+import random
 
 import pytest
 
 from hopfpbw.cli import (main, load_spec, render_problem, emit_preset, ParseError, ValidationError,
                          MAX_CYCLOTOMIC_ORDER)
 from hopfpbw.presets import build_problem
-from hopfpbw.scalar import Scalar
+from hopfpbw.hopf import add_into
+from hopfpbw.scalar import Scalar, format_scalar, parse_scalar
 
 PRESETS = ["sweedler", "taft-3", "h8", "ha1", "cbh-cyclic-3"]
 
@@ -358,6 +360,49 @@ def test_zero_unit_entry_is_dropped_at_parse(tmp_path, capsys):
     for cmd in ("validate", "check", "solve", "oracle"):
         outs = []
         for path in (clean, padded):
+            rc = main(["--json", cmd, str(path)])
+            outs.append((rc, capsys.readouterr().out))
+        assert outs[0] == outs[1], cmd
+
+
+def _respan(relations, order, rng):
+    """The relation rows as a different spanning set: a row permutation of a
+    lower triangular recombination with nonzero diagonal (so invertible),
+    plus the redundant sum of all rows."""
+    rows = [{(i, j): parse_scalar(c, order) for i, j, c in rel} for rel in relations]
+
+    def combine(coeffs):
+        out = {}
+        for k, row in zip(coeffs, rows):
+            for key, c in row.items():
+                add_into(out, key, k * c)
+        return [[i, j, format_scalar(c)] for (i, j), c in sorted(out.items())]
+
+    mixed = []
+    for a in range(len(rows)):
+        coeffs = [Scalar.from_int(order, rng.choice((-2, -1, 1, 2)) if b < a else 0)
+                  for b in range(len(rows))]
+        coeffs[a] = Scalar.from_int(order, rng.choice((-3, -2, 2, 3)))
+        mixed.append(combine(coeffs))
+    rng.shuffle(mixed)
+    return mixed + [combine([Scalar.one(order)] * len(rows))]
+
+
+@pytest.mark.parametrize("name", ["h8", "ha1", "taft-3"])
+def test_relations_as_another_spanning_set(tmp_path, capsys, name):
+    # the relations are canonicalized once at load, and the kappa rows refer
+    # to that canonical basis: any spanning set gives the same reports
+    clean = emit(tmp_path, name)
+    doc = json.loads(clean.read_text())
+    order = doc["field"]["cyclotomic_order"]
+    rels = doc["algebra"]["relations"]
+    doc["algebra"]["relations"] = _respan(rels, order, random.Random(name))
+    assert len(doc["algebra"]["relations"]) == len(rels) + 1
+    respanned = tmp_path / "respanned.json"
+    respanned.write_text(json.dumps(doc))
+    for cmd in ("validate", "check", "solve", "oracle", "koszul"):
+        outs = []
+        for path in (clean, respanned):
             rc = main(["--json", cmd, str(path)])
             outs.append((rc, capsys.readouterr().out))
         assert outs[0] == outs[1], cmd

@@ -303,21 +303,26 @@ def test_scaling_preserves_linear_conditions(problem):
 def test_overlap_maps_match_smash_commutator(problem):
     # dual route: the constant overlap mismatch on the first alternating
     # degree-3 element must equal kC(r_tu) v - v kC(r_tu) computed directly
-    # in the smash product
-    from hopfpbw.smash import smash_mult, from_h, NormalElement
+    # in the smash product, with the oracle's row operators
+    from hopfpbw import oracle
+    from hopfpbw.hopf import add_into, algebra_generators
+    from test_smash import scalar_ring
     prob = problem("ha1")
     H, B = prob.hopf, prob.algebra
     one = Scalar.one(4)
     t, u, v, w = 0, 1, 2, 3
     s_tuv = {(t, u, v): one, (t, v, u): -one, (u, t, v): -one,
              (u, v, t): one, (v, t, u): one, (v, u, t): -one}
+    R = scalar_ring(H, B, algebra_generators(H))
+    amb = oracle._Ambient(B.vdim, H.dim, 1)
     for hidx in (0, 2, 9, 13):          # 1, x^2, xz, xyz
         cv = [dict() for _ in range(6)]
         cv[0] = {hidx: one}
         kp = Kappa.from_vectors(H, B, cv, [dict() for _ in range(6)])
         dl, dc = overlap_maps(H, B, kp, s_tuv)
         assert dl == {}
-        f = from_h(H, {hidx: one}, B.cutoff)
-        vel = NormalElement(B.cutoff, {((v,), 0): one})
-        comm = smash_mult(H, B, f, vel).sub(smash_mult(H, B, vel, f))
-        assert {(word[0], h): c for (word, h), c in comm.terms.items()} == dc
+        row = {amb.col(0, 0, hidx): one}.items()
+        comm = oracle._right_v(R, amb, row, v)
+        for col, c in oracle._left_v(R, amb, row, v).items():
+            add_into(comm, col, -c)
+        assert {divmod(col - amb.base[1], H.dim): c for col, c in comm.items()} == dc

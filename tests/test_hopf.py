@@ -3,7 +3,7 @@ import pytest
 from hopfpbw.scalar import Scalar, zeta
 from hopfpbw.hopf import (
     preset_hopf, validate_hopf, adjoint_on_H, group_algebra, algebra_generators,
-    h_mul, coproduct, apply_antipode, apply_antipode_inverse, vec_eq,
+    h_mul, coproduct, vec_eq,
     NotAGroup, UnknownPreset, FieldTooSmall, format_hvec,
 )
 
@@ -16,10 +16,6 @@ def test_presets_validate(name):
     H = preset_hopf(name)
     rep = validate_hopf(H)
     assert rep.passed, rep.failures[:3]
-    assert H.antipode_inverse is not None
-    # S^-1 really inverts S on every basis element
-    for i in range(H.dim):
-        assert vec_eq(apply_antipode_inverse(H, H.antipode[i]), H.basis_vec(i))
 
 
 def test_preset_dims():
@@ -85,6 +81,17 @@ def test_sweedler_antipode_corruption_detected():
     assert "antipode" in failed
     witnesses = [w for (ax, w, *_rest) in rep.failures if ax == "antipode"]
     assert (1,) in witnesses  # witness is x itself
+
+
+def test_antipode_bijective_reads_the_true_rank():
+    # the rank of S, not of [S | I] (always d), nor the count of S-block
+    # columns with any nonzero entry
+    H = preset_hopf("sweedler")
+    H.antipode = [dict(H.antipode[0]) for _ in range(4)]
+    assert ("antipode_bijective", ("S",), "rank 1", "rank 4") in validate_hopf(H).failures
+    H = preset_hopf("sweedler")
+    H.antipode[3] = {}
+    assert ("antipode_bijective", ("S",), "rank 3", "rank 4") in validate_hopf(H).failures
 
 
 def test_adjoint_examples():

@@ -470,7 +470,13 @@ def test_shadow_prime_fallback_is_sound(problem, monkeypatch):
                           problem("taft-5"))
     one1, one4 = Scalar.one(1), Scalar.one(4)
     xz = h8.hopf.labels.index("xz")
+    third, eleventh = Scalar.from_rational(1, 1, 3), Scalar.from_rational(5, 1, 11)
     cases = [
+        # kappa^C(r) = 1/3 and 1/11: clearing the denominator makes the
+        # relator's lead 3 (resp. 11), so the relator pivot, stored before
+        # any V-layer, moves the shadow off 3 (resp. 11) in any loop order
+        (h8, Kappa.from_vectors(h8.hopf, h8.algebra, [{0: third}], [dict()]), 3, 1),
+        (taft5, Kappa.from_vectors(taft5.hopf, taft5.algebra, [{0: eleventh}], [dict()]), 3, 0),
         (h8, h8.kappa, 3, 1),                         # p = 2 divides a table denominator
         (h8, Kappa.from_vectors(h8.hopf, h8.algebra, [{0: one1, xz: -one1}], [dict()]), 3, 1),
         (h8, _dense_kappa(h8, 1, 0.6), 3, 0),         # a pivot lead lies in (3)

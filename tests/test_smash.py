@@ -1,18 +1,43 @@
 import random
+from operator import add, mul, not_
 
+import hopfpbw
+from hopfpbw import oracle
 from hopfpbw.scalar import Scalar
-from hopfpbw.hopf import h_mul
-from hopfpbw.modalg import act_on_tensor, CutoffExceeded
-from hopfpbw.smash import (
-    NormalElement, unit_element, from_h, straighten, smash_mult,
-    adjoint_on_VH, eps_project,
-)
-
-import pytest
+from hopfpbw.hopf import add_into, algebra_generators, h_mul
+from hopfpbw.modalg import act_on_tensor
+from hopfpbw.smash import straighten, adjoint_on_VH
 
 
 def one(order=1):
     return Scalar.one(order)
+
+
+# -- the products of T(V) # H, taken with the oracle's row operators ------------------
+#
+# The oracle forms every product in T(V) # H with its four row operators.
+# Over a Scalar _Ring (no denominators cleared) they are the plain products
+# of the smash product on rows keyed by the oracle's columns.
+
+def scalar_ring(H, B, gens):
+    """The oracle's tables over Scalars, with left H-multiples by ``gens``."""
+    return oracle._Ring((mul, add, not_, mul), lambda s: (1, list(s)), H, B.vdim,
+                        oracle._straightened(H, B, gens))
+
+
+def _op(R, amb, op, arg, row):
+    """op(row, arg) on a row given as a dict."""
+    return op(R, amb, row.items(), arg)
+
+
+def _random_row(rng, H, B, amb, top=1, terms=3):
+    """A random row of degree at most ``top``."""
+    row = {}
+    for _ in range(terms):
+        m = rng.randint(0, top)
+        c = Scalar.from_int(H.order, rng.randint(-3, 3))
+        add_into(row, amb.col(rng.randrange(B.vdim ** m), m, rng.randrange(H.dim)), c)
+    return row
 
 
 def test_straighten_degree_zero(problem):
@@ -35,59 +60,62 @@ def test_straighten_examples(problem):
 
 
 def test_smash_mult_unit_law(problem):
+    # x (1 # 1) = (1 # 1) x = x, on rows of degree at most 2
     prob = problem("h8")
     H, B = prob.hopf, prob.algebra
+    (u, c), = H.unit.items()
+    assert c == one()
+    R = scalar_ring(H, B, [u])
+    amb = oracle._Ambient(B.vdim, H.dim, 2)
     rng = random.Random(3)
-    e = unit_element(H, B.cutoff)
     for _ in range(5):
-        terms = {}
-        for _ in range(4):
-            word = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 3)))
-            terms[(word, rng.randint(0, 7))] = Scalar.from_int(1, rng.randint(-3, 3))
-        x = NormalElement(B.cutoff, {k: c for k, c in terms.items() if not c.is_zero()})
-        assert smash_mult(H, B, e, x).terms == x.terms
-        assert smash_mult(H, B, x, e).terms == x.terms
+        x = _random_row(rng, H, B, amb, top=2, terms=4)
+        assert _op(R, amb, oracle._right_h, u, x) == x
+        assert _op(R, amb, oracle._left_h, u, x) == x
 
 
 def test_smash_mult_two_step_straightening(problem):
+    # g v = -v g, then (g v) g = -v g^2 = -v
     prob = problem("sweedler")
     H, B = prob.hopf, prob.algebra
-    g = from_h(H, {2: one()}, B.cutoff)
-    v = NormalElement(B.cutoff, {((1,), 0): one()})
-    gv = smash_mult(H, B, g, v)
-    assert gv.terms == {((1,), 2): -one()}
-    gvg = smash_mult(H, B, gv, g)
-    assert gvg.terms == {((1,), 0): -one()}
+    R = scalar_ring(H, B, [2])
+    amb = oracle._Ambient(B.vdim, H.dim, 1)
+    gv = _op(R, amb, oracle._left_h, 2, {amb.col(1, 1, 0): one()})
+    assert gv == {amb.col(1, 1, 2): -one()}
+    assert _op(R, amb, oracle._right_h, 2, gv) == {amb.col(1, 1, 0): -one()}
 
 
 def test_smash_mult_associativity(problem):
-    prob = problem("taft-3")
-    H, B = prob.hopf, prob.algebra
-    rng = random.Random(5)
-    order = H.order
-    for _ in range(6):
-        elems = []
-        for _ in range(3):
-            terms = {}
-            for _ in range(2):
-                word = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 1)))
-                c = Scalar.from_int(order, rng.randint(-2, 2))
-                if not c.is_zero():
-                    terms[(word, rng.randint(0, 8))] = c
-            elems.append(NormalElement(B.cutoff, terms))
-        a, b, c = elems
-        left = smash_mult(H, B, smash_mult(H, B, a, b), c)
-        right = smash_mult(H, B, a, smash_mult(H, B, b, c))
-        assert left.terms == right.terms
+    # (v x) g = v (x g), (g x) v = g (x v), (g x) h = g (x h) and
+    # (v x) w = v (x w), for random rows x of degree at most 1
+    for name, seed in (("taft-3", 5), ("h8", 6), ("ha1", 7)):
+        prob = problem(name)
+        H, B = prob.hopf, prob.algebra
+        gens = algebra_generators(H)
+        R = scalar_ring(H, B, gens)
+        amb = oracle._Ambient(B.vdim, H.dim, 3)
+        rng = random.Random(seed)
+        for _ in range(4):
+            x = _random_row(rng, H, B, amb)
+            for _ in range(3):
+                v, w = rng.randrange(B.vdim), rng.randrange(B.vdim)
+                g, h = rng.choice(gens), rng.randrange(H.dim)
+                rh, lh = (oracle._right_h, h), (oracle._left_h, g)
+                lv, rv = (oracle._left_v, v), (oracle._right_v, w)
+                for outer, inner in ((rh, lv), (rv, lh), (rh, lh), (rv, lv)):
+                    assert _op(R, amb, *outer, _op(R, amb, *inner, x)) == \
+                        _op(R, amb, *inner, _op(R, amb, *outer, x)), (name, outer, inner)
 
 
-def test_smash_mult_cutoff_is_hard(problem):
-    prob = problem("sweedler")
-    H, B = prob.hopf, prob.algebra
-    deep = NormalElement(B.cutoff, {((0,) * B.cutoff, 0): one()})
-    v = NormalElement(B.cutoff, {((0,), 0): one()})
-    with pytest.raises(CutoffExceeded):
-        smash_mult(H, B, deep, v)
+def h_times(H, B, a, vec):
+    """a . vec in T(V) # H, for a in H and vec a (word, h)-keyed vector."""
+    o = one(H.order)
+    out = {}
+    for (word, h), c in vec.items():
+        for (w2, h1), c1 in straighten(H, B, a, {word: o}).items():
+            for h2, c2 in H.mult[h1][h].items():
+                add_into(out, (w2, h2), c * c1 * c2)
+    return out
 
 
 def test_straighten_compatible_with_h_multiplication(problem):
@@ -101,10 +129,7 @@ def test_straighten_compatible_with_h_multiplication(problem):
         b = {k: c for k, c in b.items() if not c.is_zero()}
         word = tuple(rng.randint(0, 1) for _ in range(2))
         t = {word: one()}
-        direct = straighten(H, B, h_mul(H, a, b), t)
-        via = smash_mult(H, B, from_h(H, a, B.cutoff),
-                         NormalElement(B.cutoff, straighten(H, B, b, t)))
-        assert direct == via.terms
+        assert straighten(H, B, h_mul(H, a, b), t) == h_times(H, B, a, straighten(H, B, b, t))
 
 
 def test_adjoint_on_VH_examples(problem):
@@ -145,4 +170,13 @@ def test_eps_consistency(problem):
             a = {k: c for k, c in a.items() if not c.is_zero()}
             word = tuple(rng.randint(0, B.vdim - 1) for _ in range(3))
             t = {word: one(H.order)}
-            assert eps_project(H, straighten(H, B, a, t)) == act_on_tensor(H, B, a, t)
+            projected = {}
+            for (w2, h), c in straighten(H, B, a, t).items():
+                add_into(projected, w2, c * H.counit[h])
+            assert projected == act_on_tensor(H, B, a, t)
+
+
+def test_public_names_resolve():
+    assert len(set(hopfpbw.__all__)) == len(hopfpbw.__all__)
+    for name in hopfpbw.__all__:
+        assert getattr(hopfpbw, name) is not None, name
