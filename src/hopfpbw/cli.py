@@ -45,6 +45,16 @@ class ParseError(Exception):
 # built.
 MAX_CYCLOTOMIC_ORDER = 256
 
+# The largest hopf.dim.  The d x d multiplication table is allocated before
+# any entry is read: the taft-3 document padded to d = 512 (6 KB) peaked at
+# 35 MB RSS, to d = 1500 (14 KB) at 173 MB.  The presets need at most 81.
+MAX_HOPF_DIM = 256
+
+# The largest dim V.  Relations and action matrices are dense in V (x) V:
+# taft-3 padded to 32 generators loaded in 1.6 s, to 64 in 11.5 s, to 600 in
+# more than 60 s (Python 3.11, one core).  The presets need at most 4.
+MAX_ALGEBRA_GENERATORS = 32
+
 
 class ValidationError(Exception):
     def __init__(self, message: str, failures: list):
@@ -173,10 +183,14 @@ def parse_problem(doc: dict, cutoff: int | None = None) -> Problem:
     try:
         d = int(hdoc["dim"])
         labels = list(hdoc["labels"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError("hopf.dim or hopf.labels malformed") from exc
+    if d > MAX_HOPF_DIM:
+        raise ParseError(f"hopf.dim {d} exceeds the supported maximum {MAX_HOPF_DIM}")
     if len(labels) != d:
         raise ParseError(f"hopf.labels: expected {d} labels, got {len(labels)}")
+    if not all(isinstance(lab, str) for lab in labels):
+        raise ParseError("hopf.labels must be strings")
     zero = Scalar.zero(order)
     # one Scalar per distinct literal of this document, so that equal
     # constants are one object (validate_hopf's product memo then hits by
@@ -246,6 +260,11 @@ def parse_problem(doc: dict, cutoff: int | None = None) -> Problem:
     vd = len(vlabels)
     if vd == 0:
         raise ParseError("algebra.generators must be nonempty")
+    if vd > MAX_ALGEBRA_GENERATORS:
+        raise ParseError(f"algebra.generators: {vd} generators exceed the supported maximum "
+                         f"{MAX_ALGEBRA_GENERATORS}")
+    if not all(isinstance(lab, str) for lab in vlabels):
+        raise ParseError("algebra.generators must be strings")
     rel_vecs = []
     for rdoc in _list(adoc.get("relations", []), "algebra.relations"):
         if not isinstance(rdoc, list):

@@ -48,7 +48,11 @@ zeta): validating taft-9 takes 1,077 Scalar products instead of 44,523.
 The preset catalog carries the finite-dimensional Hopf algebras used by
 the bundled worked problems: the Sweedler and Taft algebras, the
 8-dimensional Kac-Paljutkin algebra ``h8``, the 16-dimensional semisimple
-algebra ``ha1``, and cyclic group algebras.
+algebra ``ha1``, and cyclic group algebras.  A preset states Delta and S
+on its algebra generators only.  Delta is an algebra map and S an
+anti-algebra map, so ``derive_from_generators`` extends both over the
+basis; it is the package's one multiplicative extension, and it also
+extends an action given on generators (``modalg.action_from_generators``).
 """
 
 from __future__ import annotations
@@ -199,14 +203,42 @@ def tensor_mult(H: HopfAlgebra, A: TVec, B: TVec) -> TVec:
     return out
 
 
-def format_hvec(H: HopfAlgebra, a: HVec) -> str:
-    """Render a sparse H-element with basis labels, deterministically."""
-    if not a:
-        return "0"
+def derive_from_generators(H: HopfAlgebra, given: dict, product, unit_value) -> dict:
+    """Extend a multiplicative map f, given on some basis elements, over H.
+
+    ``product(f(e_i), f(e_j))`` must be f(e_i e_j); pass the reversed product
+    for an anti-multiplicative map such as S.  A unit basis element with
+    coefficient 1 gets ``unit_value``, and each e_k that is exactly e_i e_j
+    with f(e_i), f(e_j) known gets their product, sweeping the known indices
+    in sorted order until nothing changes.  Returns the known values, which
+    may miss basis elements.  Delta, S and the action on V all come from here.
+    """
+    one = H.one_scalar()
+    known = dict(given)
+    if len(known) < H.dim and len(H.unit) == 1:
+        ((ui, uc),) = H.unit.items()
+        if uc == one and ui not in known:
+            known[ui] = unit_value
+    changed = True
+    while changed and len(known) < H.dim:
+        changed = False
+        for i in sorted(known):
+            for j in sorted(known):
+                prod = H.mult[i][j]
+                if len(prod) == 1:
+                    ((k, ck),) = prod.items()
+                    if ck == one and k not in known:
+                        known[k] = product(known[i], known[j])
+                        changed = True
+    return known
+
+
+def format_terms(terms) -> str:
+    """Render (coefficient, label) pairs as one signed sum: coefficients 1
+    and -1 are dropped, a coefficient with a sum or a power of z is put in
+    parentheses, and a leading minus sign joins the term with " - "."""
     parts = []
-    for i in sorted(a):
-        c = a[i]
-        lab = H.labels[i]
+    for c, lab in terms:
         cs = str(c)
         if cs == "1":
             term = lab
@@ -217,10 +249,15 @@ def format_hvec(H: HopfAlgebra, a: HVec) -> str:
         else:
             term = f"{cs}*{lab}"
         parts.append(term)
-    out = parts[0]
+    out = parts[0] if parts else "0"
     for t in parts[1:]:
         out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
     return out
+
+
+def format_hvec(H: HopfAlgebra, a: HVec) -> str:
+    """Render a sparse H-element with basis labels, deterministically."""
+    return format_terms((a[i], H.labels[i]) for i in sorted(a))
 
 
 def adjoint_on_H(H: HopfAlgebra, a: HVec, ell: HVec) -> HVec:
@@ -461,6 +498,18 @@ def _monomial_label(parts: list[tuple[str, int]]) -> str:
     return out or "1"
 
 
+def _with_coalgebra(H: HopfAlgebra, cop: dict, s: dict) -> HopfAlgebra:
+    """Fill in Delta and S of H from their values on the generators: Delta
+    is an algebra map into H (x) H and S an anti-algebra map."""
+    one = H.one_scalar()
+    ((u, _),) = H.unit.items()
+    comult = derive_from_generators(H, cop, lambda a, b: tensor_mult(H, a, b), {(u, u): one})
+    antipode = derive_from_generators(H, s, lambda a, b: h_mul(H, b, a), {u: one})
+    H.comult = [comult[i] for i in range(H.dim)]
+    H.antipode = [antipode[i] for i in range(H.dim)]
+    return H
+
+
 def _taft(n: int, order: int) -> HopfAlgebra:
     """Taft algebra of dimension n^2: g^n = 1, x^n = 0, x g = zeta g x."""
     if n < 2:
@@ -488,36 +537,13 @@ def _taft(n: int, order: int) -> HopfAlgebra:
                         # x^{j1} g^{i2} = zeta^{j1 i2} g^{i2} x^{j1}
                         row.append({idx((i1 + i2) % n, j1 + j2): zpow[(j1 * i2) % n]})
             mult.append(row)
+    G, X = idx(1, 0), idx(0, 1)
     H = HopfAlgebra(order, d, labels, mult, [], {idx(0, 0): one},
                     [one if j == 0 else Scalar.zero(order) for i in range(n) for j in range(n)],
-                    [], generators=[idx(1, 0), idx(0, 1)])
-
-    cop_g = {(idx(1, 0), idx(1, 0)): one}
-    cop_x = {(idx(1, 0), idx(0, 1)): one, (idx(0, 1), idx(0, 0)): one}
-    comult = []
-    for i in range(n):
-        for j in range(n):
-            t = {(idx(0, 0), idx(0, 0)): one}
-            for _ in range(i):
-                t = tensor_mult(H, t, cop_g)
-            for _ in range(j):
-                t = tensor_mult(H, t, cop_x)
-            comult.append(t)
-    H.comult = comult
-
-    s_g = {idx(n - 1, 0): one}               # S(g) = g^{n-1}
-    s_x = {idx(n - 1, 1): -one}              # S(x) = -g^{n-1} x
-    antipode = []
-    for i in range(n):
-        for j in range(n):
-            v = {idx(0, 0): one}
-            for _ in range(j):                # S anti-multiplicative: S(x)^j S(g)^i
-                v = h_mul(H, v, s_x)
-            for _ in range(i):
-                v = h_mul(H, v, s_g)
-            antipode.append(v)
-    H.antipode = antipode
-    return H
+                    [], generators=[G, X])
+    # S(g) = g^{n-1}, S(x) = -g^{n-1} x
+    return _with_coalgebra(H, {G: {(G, G): one}, X: {(G, X): one, (X, idx(0, 0)): one}},
+                           {G: {idx(n - 1, 0): one}, X: {idx(n - 1, 1): -one}})
 
 
 def _h8(order: int = 1) -> HopfAlgebra:
@@ -559,43 +585,14 @@ def _h8(order: int = 1) -> HopfAlgebra:
                                     add_into(out, idx(a, (b + 1) % 2, 0), half)
                                     add_into(out, idx((a + 1) % 2, (b + 1) % 2, 0), -half)
                             mult[idx(i1, j1, k1)][idx(i2, j2, k2)] = out
-    counit = [one] * 8
-    H = HopfAlgebra(order, 8, labels, mult, [], {idx(0, 0, 0): one}, counit, [],
-                    generators=[idx(1, 0, 0), idx(0, 1, 0), idx(0, 0, 1)])
-
     X, Y, Z = idx(1, 0, 0), idx(0, 1, 0), idx(0, 0, 1)
     YZ, XZ = idx(0, 1, 1), idx(1, 0, 1)
+    H = HopfAlgebra(order, 8, labels, mult, [], {idx(0, 0, 0): one}, [one] * 8, [],
+                    generators=[X, Y, Z])
     cop = {X: {(X, X): one}, Y: {(Y, Y): one},
            Z: {(Z, Z): half, (Z, XZ): half, (YZ, Z): half, (YZ, XZ): -half}}
-    comult = [None] * 8
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                t = {(0, 0): one}
-                for _ in range(i):
-                    t = tensor_mult(H, t, cop[X])
-                for _ in range(j):
-                    t = tensor_mult(H, t, cop[Y])
-                for _ in range(k):
-                    t = tensor_mult(H, t, cop[Z])
-                comult[idx(i, j, k)] = t
-    H.comult = comult
-
-    # S fixes the generators; anti-multiplicativity gives S(x^i y^j z^k) = z^k y^j x^i
-    antipode = [None] * 8
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                v = {idx(0, 0, 0): one}
-                for _ in range(k):
-                    v = h_mul(H, v, {Z: one})
-                for _ in range(j):
-                    v = h_mul(H, v, {Y: one})
-                for _ in range(i):
-                    v = h_mul(H, v, {X: one})
-                antipode[idx(i, j, k)] = v
-    H.antipode = antipode
-    return H
+    # S fixes the generators
+    return _with_coalgebra(H, cop, {X: {X: one}, Y: {Y: one}, Z: {Z: one}})
 
 
 def _ha1(order: int = 4) -> HopfAlgebra:
@@ -630,50 +627,15 @@ def _ha1(order: int = 4) -> HopfAlgebra:
                                 # z x^i = x^i y^i z, z y = y z, z^2 = 1
                                 out = {idx((i1 + i2) % 4, (j1 + i2 + j2) % 2, (1 + k2) % 2): one}
                             mult[idx(i1, j1, k1)][idx(i2, j2, k2)] = out
-    counit = [one] * 16
-    H = HopfAlgebra(order, 16, labels, mult, [], {idx(0, 0, 0): one}, counit, [],
-                    generators=[idx(1, 0, 0), idx(0, 1, 0), idx(0, 0, 1)])
-
     X, Y, Z = idx(1, 0, 0), idx(0, 1, 0), idx(0, 0, 1)
     X2Z, YZ = idx(2, 0, 1), idx(0, 1, 1)
+    H = HopfAlgebra(order, 16, labels, mult, [], {idx(0, 0, 0): one}, [one] * 16, [],
+                    generators=[X, Y, Z])
     cop = {X: {(X, X): one}, Y: {(Y, Y): one},
            Z: {(Z, Z): half, (Z, X2Z): half, (YZ, Z): half, (YZ, X2Z): -half}}
-    comult = [None] * 16
-    for i in range(4):
-        for j in range(2):
-            for k in range(2):
-                t = {(0, 0): one}
-                for _ in range(i):
-                    t = tensor_mult(H, t, cop[X])
-                for _ in range(j):
-                    t = tensor_mult(H, t, cop[Y])
-                for _ in range(k):
-                    t = tensor_mult(H, t, cop[Z])
-                comult[idx(i, j, k)] = t
-    H.comult = comult
-
     # S(x) = x^3, S(y) = y, S(z) = (1 + x^2 + y - x^2 y) z / 2
-    s_x = {idx(3, 0, 0): one}
-    s_y = {idx(0, 1, 0): one}
-    s_z: HVec = {}
-    add_into(s_z, idx(0, 0, 1), half)
-    add_into(s_z, idx(2, 0, 1), half)
-    add_into(s_z, idx(0, 1, 1), half)
-    add_into(s_z, idx(2, 1, 1), -half)
-    antipode = [None] * 16
-    for i in range(4):
-        for j in range(2):
-            for k in range(2):
-                v = {idx(0, 0, 0): one}
-                for _ in range(k):
-                    v = h_mul(H, v, s_z)
-                for _ in range(j):
-                    v = h_mul(H, v, s_y)
-                for _ in range(i):
-                    v = h_mul(H, v, s_x)
-                antipode[idx(i, j, k)] = v
-    H.antipode = antipode
-    return H
+    s_z = {Z: half, X2Z: half, YZ: half, idx(2, 1, 1): -half}
+    return _with_coalgebra(H, cop, {X: {idx(3, 0, 0): one}, Y: {Y: one}, Z: s_z})
 
 
 def _cyclic(n: int, order: int | None = None) -> HopfAlgebra:

@@ -1,7 +1,9 @@
 """Quadratic module algebras B = T(V)/(I) with a Hopf action.
 
-The action is given on generators by one vdim x vdim matrix per H-basis
-element; degree-m tensors are acted on through the iterated coproduct.
+The action is one vdim x vdim matrix per H-basis element, usually given
+on the algebra generators of H only and extended by
+``hopf.derive_from_generators``, which also derives every preset's Delta
+and S; degree-m tensors are acted on through the iterated coproduct.
 Relation input may be any spanning set of I inside V (x) V; it is
 canonicalized to a reduced-echelon basis once, so downstream reports and
 deformation-map coordinates always refer to the same basis.
@@ -17,7 +19,7 @@ from itertools import product
 from .scalar import Scalar
 from .exactla import Subspace, SparseEchelon, intersect
 from .hopf import (HopfAlgebra, ValidationReport, add_into, algebra_generators, coproduct_iter,
-                   product_memo)
+                   derive_from_generators, format_terms, product_memo)
 
 
 class ModAlgError(Exception):
@@ -71,25 +73,7 @@ class ModuleAlgebra:
         return "".join(self.vlabels[i] for i in word) if word else "1"
 
     def format_tensor(self, t: dict) -> str:
-        if not t:
-            return "0"
-        parts = []
-        for word in sorted(t):
-            c = t[word]
-            cs = str(c)
-            lab = self.format_word(word)
-            if cs == "1":
-                parts.append(lab)
-            elif cs == "-1":
-                parts.append(f"-{lab}")
-            elif "+" in cs or ("*" in cs and "z" in cs):
-                parts.append(f"({cs})*{lab}")
-            else:
-                parts.append(f"{cs}*{lab}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return format_terms((t[word], self.format_word(word)) for word in sorted(t))
 
 
 def act_on_generator(B: ModuleAlgebra, h: int, v: int) -> dict:
@@ -142,35 +126,19 @@ def action_from_generators(H: HopfAlgebra, vdim: int, given: dict) -> list:
     """Extend action matrices given on some basis elements to the whole basis.
 
     ``given`` maps basis indices to vdim x vdim matrices (rows = output),
-    typically on algebra generators only.  A unit basis element with
-    coefficient 1 acts as the identity, and a basis element e_k = e_i e_j
-    with e_i, e_j covered gets the product matrix, until nothing changes.
+    typically on algebra generators only; ``hopf.derive_from_generators``
+    extends them, with the identity on the unit and matrix products.
     Raises ModAlgError naming the basis elements left uncovered;
     validate_action then re-checks the whole assignment exhaustively.
     """
-    zero = Scalar.zero(H.order)
-    one = Scalar.one(H.order)
-    known = dict(given)
-    if len(known) < H.dim and len(H.unit) == 1:
-        ((ui, uc),) = H.unit.items()
-        if uc == one and ui not in known:
-            known[ui] = [[one if r == c else zero for c in range(vdim)] for r in range(vdim)]
+    zero, one = Scalar.zero(H.order), Scalar.one(H.order)
 
     def matmul(A, B):
         return [[sum((A[r][t] * B[t][c] for t in range(vdim)), zero)
                  for c in range(vdim)] for r in range(vdim)]
 
-    changed = True
-    while changed and len(known) < H.dim:
-        changed = False
-        for i in sorted(known):
-            for j in sorted(known):
-                prod = H.mult[i][j]
-                if len(prod) == 1:
-                    ((k, ck),) = prod.items()
-                    if ck == one and k not in known:
-                        known[k] = matmul(known[i], known[j])
-                        changed = True
+    ident = [[one if r == c else zero for c in range(vdim)] for r in range(vdim)]
+    known = derive_from_generators(H, given, matmul, ident)
     missing = [h for h in range(H.dim) if h not in known]
     if missing:
         raise ModAlgError("no matrix given or derivable for basis elements "

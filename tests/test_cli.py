@@ -1,13 +1,14 @@
+import hashlib
 import json
 import random
 
 import pytest
 
 from hopfpbw.cli import (main, load_spec, render_problem, emit_preset, ParseError, ValidationError,
-                         MAX_CYCLOTOMIC_ORDER)
+                         MAX_ALGEBRA_GENERATORS, MAX_CYCLOTOMIC_ORDER, MAX_HOPF_DIM)
 from hopfpbw.presets import build_problem
 from hopfpbw.hopf import add_into
-from hopfpbw.scalar import Scalar, format_scalar, parse_scalar
+from hopfpbw.scalar import Scalar, format_scalar, parse_scalar, zeta
 
 PRESETS = ["sweedler", "taft-3", "h8", "ha1", "cbh-cyclic-3"]
 
@@ -218,6 +219,25 @@ def test_action_derivation_and_missing_matrix_error(tmp_path, capsys):
     assert "derivable" in capsys.readouterr().err
 
 
+def test_inconsistent_action_derivation_is_pinned(tmp_path, capsys):
+    # rho(g) = diag(1, zeta^-1) breaks the module axiom (criterion 4), so the
+    # matrices derived for the other basis elements, and with them the lhs
+    # and rhs of every action_multiplicative failure, depend on which
+    # products the derivation forms.  The digest was recorded before the
+    # coproducts, antipodes and actions were derived by one routine.
+    def flip(doc):
+        for ent in doc["algebra"]["action"]:
+            if ent[:3] == [3, 1, 1]:
+                ent[3] = format_scalar(zeta(3, 1).inverse())
+
+    path = _taft3_doc(tmp_path, flip)
+    assert main(["validate", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert "action_multiplicative" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "e0a62f75e6961ecabfca98e1d5f997f8e7a0c880efd2cdab184c49c7a82a4fad", out
+
+
 def test_check_without_kappa_is_parse_error(tmp_path, capsys):
     path = emit(tmp_path, "sweedler", with_kappa=False)
     assert main(["check", str(path)]) == 1
@@ -338,6 +358,14 @@ HOSTILE = [
     ("generators-int", lambda doc: doc["algebra"].update(generators=3), "algebra.generators"),
     ("relations-int", lambda doc: doc["algebra"].update(relations=5), "algebra.relations"),
     ("mult-int", lambda doc: doc["hopf"].update(mult=5), "hopf.mult"),
+    ("labels-null", lambda doc: doc["hopf"]["labels"].__setitem__(0, None), "hopf.labels"),
+    ("generators-null", lambda doc: doc["algebra"]["generators"].__setitem__(0, None),
+     "algebra.generators"),
+    # sizes refused before any table is allocated
+    ("dim-over-bound", lambda doc: doc["hopf"].update(
+        dim=MAX_HOPF_DIM + 1, labels=[f"e{i}" for i in range(MAX_HOPF_DIM + 1)]), "hopf.dim"),
+    ("generators-over-bound", lambda doc: doc["algebra"].update(
+        generators=[f"v{i}" for i in range(MAX_ALGEBRA_GENERATORS + 1)]), "algebra.generators"),
 ]
 
 
@@ -460,8 +488,8 @@ def test_parse_interns_each_distinct_literal_once(monkeypatch):
 
 FUZZ_PRESETS = ["sweedler", "taft-3", "h8", "cbh-cyclic-3"]
 FUZZ_FIELDS = [("hopf", "mult"), ("hopf", "comult"), ("hopf", "antipode"), ("hopf", "unit"),
-               ("hopf", "counit"), ("algebra", "action"), ("algebra", "relations"),
-               ("kappa", "constant"), ("kappa", "linear")]
+               ("hopf", "counit"), ("hopf", "labels"), ("hopf", "dim"), ("algebra", "action"),
+               ("algebra", "relations"), ("kappa", "constant"), ("kappa", "linear")]
 
 
 def _fuzz_values():
@@ -476,8 +504,11 @@ def _fuzz_values():
 def test_fuzz_hostile_documents_exit_cleanly():
     # seeded single-entry mutations of emitted preset documents: a slot of an
     # entry (a scalar of a kappa row, an entry of a relation or one of its
-    # slots), a whole entry, or a dropped entry.  Whatever the document, the
-    # CLI returns a documented exit code and raises nothing but SystemExit.
+    # slots), a whole entry, or a dropped entry.  hopf.dim is replaced
+    # whole, by a hostile value or by a size whose labels and counit follow
+    # it, so that the parser reads on into the tables.  Whatever the
+    # document, the CLI returns a documented exit code and raises nothing
+    # but SystemExit.
     import contextlib
     import io
     import tempfile
@@ -496,10 +527,18 @@ def test_fuzz_hostile_documents_exit_cleanly():
         doc = json.loads(json.dumps(docs[data.draw(st.sampled_from(FUZZ_PRESETS))]))
         block, key = data.draw(st.sampled_from(FUZZ_FIELDS))
         field = doc[block][key]
-        pos = data.draw(st.integers(0, len(field) - 1))
+        pos = data.draw(st.integers(0, len(field) - 1)) if key != "dim" else 0
         value = data.draw(_fuzz_values())
         kind = data.draw(st.sampled_from(["slot", "entry", "drop"]))
-        if kind == "slot" and isinstance(field[pos], list) and field[pos]:
+        if key == "dim":
+            hdoc = doc["hopf"]
+            if kind == "entry":
+                hdoc["dim"] = value
+            else:
+                n = data.draw(st.integers(0, 2 * field))
+                hdoc.update(dim=n, labels=[f"e{i}" for i in range(n)],
+                            counit=(hdoc["counit"] + ["0"] * n)[:n])
+        elif kind == "slot" and isinstance(field[pos], list) and field[pos]:
             field, pos = field[pos], data.draw(st.integers(0, len(field[pos]) - 1))
             # a relation's [i, j, scalar] entries hold one more level of slots
             if isinstance(field[pos], list) and field[pos] and data.draw(st.booleans()):
