@@ -36,9 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .scalar import Scalar
-from .exactla import Subspace, membership, NotMember, sparse_kernel, _rref_rows
+from .exactla import Subspace, NotMember, sparse_kernel
 from .hopf import HopfAlgebra, add_into, adjoint_on_H, algebra_generators, format_hvec
-from .modalg import ModuleAlgebra, act_on_tensor, koszul_component
+from .modalg import ModuleAlgebra, act_on_tensor, koszul_component, reduce_mod_relations
 from .smash import AdjointVH, straighten, adjoint_on_VH
 
 
@@ -170,26 +170,14 @@ class KappaFamily:
 
 # -- coordinate plumbing -------------------------------------------------------
 
-def _dense_vv(B: ModuleAlgebra, t: dict) -> list[Scalar]:
-    zero = Scalar.zero(B.order)
-    v = [zero] * (B.vdim * B.vdim)
-    for (i, j), c in t.items():
-        v[i * B.vdim + j] = v[i * B.vdim + j] + c
-    return v
-
-
 def rel_coords(B: ModuleAlgebra, t: dict) -> list[Scalar]:
-    """Coordinates of a degree-2 tensor in the canonical relation basis."""
-    return membership(_dense_vv(B, t), B.relations)
-
-
-def _sparse_tensor3(B: ModuleAlgebra, dense) -> dict:
-    vd = B.vdim
-    out = {}
-    for idx, c in enumerate(dense):
-        if not c.is_zero():
-            out[(idx // (vd * vd), (idx // vd) % vd, idx % vd)] = c
-    return out
+    """Coordinates of a degree-2 tensor in the canonical relation basis;
+    raises NotMember when it lies outside I."""
+    coords, rem = reduce_mod_relations(B, t)
+    if rem:
+        raise NotMember("vector is not in the subspace")
+    zero = Scalar.zero(B.order)
+    return [coords.get(a, zero) for a in range(B.dim_relations())]
 
 
 def expand_left(B: ModuleAlgebra, s: dict) -> list[dict]:
@@ -215,14 +203,28 @@ def _expand(B: ModuleAlgebra, s: dict, left: bool) -> list[dict]:
             slices.setdefault(w1, {})[(w2, w3)] = c
     out: list[dict] = [{} for _ in range(B.dim_relations())]
     for w in sorted(slices):
-        try:
-            coords = rel_coords(B, slices[w])
-        except NotMember as exc:
-            raise NotInD3(f"tensor does not lie in the required side: {exc}") from exc
-        for a, c in enumerate(coords):
-            if not c.is_zero():
-                out[a][w] = c
+        coords, rem = reduce_mod_relations(B, slices[w])
+        if rem:
+            raise NotInD3("tensor does not lie in the required side: vector is not in the subspace")
+        for a, c in coords.items():
+            out[a][w] = c
     return out
+
+
+def _overlap_expansions(B: ModuleAlgebra) -> tuple[list, list]:
+    """Both expansions (expand_left, expand_right) of each canonical basis
+    element of the degree-3 overlap space, and the report notes."""
+    vd = B.vdim
+    D3 = koszul_component(B, 3)
+    notes = []
+    if D3.dim and vd < 3:
+        notes.append("overlap space is nonzero although dim V < 3; "
+                     "overlap conditions are applied regardless")
+    expansions = []
+    for row in D3.rows:
+        s = {(c // (vd * vd), (c // vd) % vd, c % vd): x for c, x in row.items()}
+        expansions.append((expand_left(B, s), expand_right(B, s)))
+    return expansions, notes
 
 
 # -- the overlap maps ----------------------------------------------------------
@@ -263,20 +265,17 @@ def _overlap_from_expansions(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
     return deltaL, deltaC
 
 
-def _deltaL_rel_coords(B: ModuleAlgebra, d: int, deltaL: dict) -> dict | None:
+def _deltaL_rel_coords(B: ModuleAlgebra, deltaL: dict) -> dict | None:
     """Express deltaL in I (x) H: {(a, h): Scalar}, or None if outside."""
     by_h: dict = {}
     for (v1, v2, h), c in deltaL.items():
         by_h.setdefault(h, {})[(v1, v2)] = c
     out: dict = {}
     for h, t in by_h.items():
-        try:
-            coords = rel_coords(B, t)
-        except NotMember:
+        coords, rem = reduce_mod_relations(B, t)
+        if rem:
             return None
-        for a, c in enumerate(coords):
-            if not c.is_zero():
-                out[(a, h)] = c
+        out.update(((a, h), c) for a, c in coords.items())
     return out
 
 
@@ -356,23 +355,15 @@ def check_overlap(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa) -> ConditionRe
     Vacuous when the overlap space is zero.  When (b) fails, deltaL cannot
     be fed to kappa again, so (c) and (d) are reported as blocked.
     """
-    D3 = koszul_component(B, 3)
-    notes = []
-    if D3.dim == 0:
+    expansions, notes = _overlap_expansions(B)
+    if not expansions:
         return ConditionReport({k: ConditionStatus("vacuous") for k in ("b", "c", "d")})
-    if B.vdim < 3:
-        notes.append("overlap space is nonzero although dim V < 3; "
-                     "overlap conditions are applied regardless")
-    d = H.dim
     stb = ConditionStatus("pass")
     stc = ConditionStatus("pass")
     std = ConditionStatus("pass")
-    for t_idx in range(D3.dim):
-        s = _sparse_tensor3(B, list(D3.basis[t_idx]))
-        ys = expand_left(B, s)
-        zs = expand_right(B, s)
+    for t_idx, (ys, zs) in enumerate(expansions):
         deltaL, deltaC = _overlap_from_expansions(H, B, kappa, ys, zs)
-        coords = _deltaL_rel_coords(B, d, deltaL)
+        coords = _deltaL_rel_coords(B, deltaL)
         if coords is None:
             stb.status = "fail"
             stb.witnesses.append({"overlap_index": t_idx,
@@ -443,7 +434,6 @@ def solve_kappa(H: HopfAlgebra, B: ModuleAlgebra, force_linear_zero: bool = Fals
     nC = p * d
     nL = 0 if force_linear_zero else p * vd * d
     n = nC + nL
-    zero = Scalar.zero(H.order)
 
     def uC(a, h):
         return a * d + h
@@ -474,25 +464,11 @@ def solve_kappa(H: HopfAlgebra, B: ModuleAlgebra, force_linear_zero: bool = Fals
             rows.extend(byout[key] for key in cols if byout.get(key))
 
     # condition (b): the straightened linear mismatch lies in I (x) H
-    D3 = koszul_component(B, 3)
-    notes = []
-    if D3.dim and B.vdim < 3:
-        notes.append("overlap space is nonzero although dim V < 3; "
-                     "overlap conditions are applied regardless")
-    expansions = []
-    for t_idx in range(D3.dim):
-        s = _sparse_tensor3(B, list(D3.basis[t_idx]))
-        expansions.append((expand_left(B, s), expand_right(B, s)))
-    if nL and D3.dim:
+    expansions, notes = _overlap_expansions(B)
+    if nL and expansions:
         # remainder-mod-I operator on V (x) V, one sparse column per coordinate
-        rem_cols = []
-        vv = vd * vd
-        for w in range(vv):
-            e = [zero] * vv
-            e[w] = Scalar.one(H.order)
-            _, rem = B.relations.reduce(e)
-            rem_cols.append({i: c for i, c in enumerate(rem) if not c.is_zero()})
         one = Scalar.one(H.order)
+        rem_cols = [reduce_mod_relations(B, {divmod(w, vd): one})[1] for w in range(vd * vd)]
         for ys, zs in expansions:
             # unit contributions of each kappa^L unknown to deltaL
             contrib: dict = {}   # (outw, h2) -> {unknown: Scalar}
@@ -517,19 +493,23 @@ def solve_kappa(H: HopfAlgebra, B: ModuleAlgebra, force_linear_zero: bool = Fals
                         add_into(dst, unknown, rc * c)
             rows.extend(r for r in byrow.values() if r)
 
-    kernel_vecs = sparse_kernel(rows, n, H.order)
-    kernel_vecs, _ = _rref_rows([list(v) for v in kernel_vecs], n)
+    kernel_vecs = Subspace.from_sparse(n, sparse_kernel(rows, n, H.order), H.order).rows
 
-    def vec_to_kappa(vec) -> Kappa:
-        cvecs = [_nonzero({h: vec[uC(a, h)] for h in range(d)}) for a in range(p)]
-        lvecs = [_nonzero({(v, h): vec[uL(a, v, h)] for v in range(vd) for h in range(d)})
-                 if nL else {} for a in range(p)]
-        return Kappa(H.order, cvecs, lvecs)
+    def vec_to_kappa(vec: dict) -> Kappa:
+        kp = Kappa.zero(H, B)
+        for col, c in vec.items():
+            if col < nC:
+                a, h = divmod(col, d)
+                kp.constant[a][h] = c
+            else:
+                a, vh = divmod(col - nC, vd * d)
+                kp.linear[a][divmod(vh, d)] = c
+        return kp
 
     ab_basis = [vec_to_kappa(v) for v in kernel_vecs]
     k = len(ab_basis)
 
-    if D3.dim == 0 or k == 0:
+    if not expansions or k == 0:
         return KappaFamily(list(ab_basis), [], k, ab_basis, notes)
 
     # stage 2: expand (c) and (d) on the stage-1 space
@@ -538,7 +518,7 @@ def solve_kappa(H: HopfAlgebra, B: ModuleAlgebra, force_linear_zero: bool = Fals
         data = []
         for ys, zs in expansions:
             dl, dc = _overlap_from_expansions(H, B, kp, ys, zs)
-            coords = _deltaL_rel_coords(B, d, dl)
+            coords = _deltaL_rel_coords(B, dl)
             assert coords is not None, "stage-1 member violates condition (b)"
             data.append((coords, dc))
         per_member.append(data)
@@ -547,7 +527,7 @@ def solve_kappa(H: HopfAlgebra, B: ModuleAlgebra, force_linear_zero: bool = Fals
     quad_d: dict = {}
     for i in range(k):
         for j in range(k):
-            for t_idx in range(D3.dim):
+            for t_idx in range(len(expansions)):
                 coords_j = per_member[j][t_idx][0]
                 vimg = _apply_kl_ext(H, B, ab_basis[i], coords_j)
                 himg = _apply_kc_ext(H, ab_basis[i], {kk: -c for kk, c in coords_j.items()})
@@ -563,26 +543,20 @@ def solve_kappa(H: HopfAlgebra, B: ModuleAlgebra, force_linear_zero: bool = Fals
 
     lin_rows: dict = {}
     for i in range(k):
-        for t_idx in range(D3.dim):
+        for t_idx in range(len(expansions)):
             for kk, c in per_member[i][t_idx][1].items():
                 lin_rows.setdefault((t_idx, kk), {})[i] = c
 
     if not quad_c and not quad_d:
         t_rows = [dict(r) for r in lin_rows.values() if r]
-        t_kernel = sparse_kernel(t_rows, k, H.order)
         final_vecs = []
-        for tv in t_kernel:
-            dense = [zero] * n
-            for i, c in enumerate(tv):
-                if c.is_zero():
-                    continue
-                src = kernel_vecs[i]
-                for idx, s in enumerate(src):
-                    if not s.is_zero():
-                        dense[idx] = dense[idx] + c * s
-            final_vecs.append(dense)
-        nz, _ = _rref_rows([list(v) for v in final_vecs], n)
-        final = [vec_to_kappa(v) for v in nz]
+        for tv in sparse_kernel(t_rows, k, H.order):
+            vec: dict = {}
+            for i, c in tv.items():
+                for col, s in kernel_vecs[i].items():
+                    add_into(vec, col, c * s)
+            final_vecs.append(vec)
+        final = [vec_to_kappa(v) for v in Subspace.from_sparse(n, final_vecs, H.order).rows]
         return KappaFamily(final, [], len(final), ab_basis, notes)
 
     residual = []

@@ -9,8 +9,13 @@ directly.
 
 The pivot of a row is its first nonzero column, so every result (RREF,
 kernel bases, subspace bases) is the unique canonical one and golden-test
-stable.  Subspaces are stored in reduced row echelon form, which makes
-subspace equality structural equality.
+stable.  A ``Subspace`` holds the sparse RREF rows that the engine returns,
+{col: Scalar} in pivot order, which makes subspace equality structural
+equality; ``from_sparse``, ``intersect``, ``sparse_kernel`` and
+``Subspace.reduce_sparse`` stay sparse throughout.  ``Matrix``, ``rref``,
+``kernel``, ``solve``, ``membership`` and the dense ``Subspace.from_vectors``,
+``reduce`` and ``contains`` convert at their own boundary; the package does
+not call them.
 """
 
 from __future__ import annotations
@@ -119,67 +124,69 @@ def _rref_sparse(rows: list[dict], order: int) -> dict:
     return ech.rref_rows()
 
 
-def _dense_rows(red: dict, ncols: int, order: int) -> tuple[list[list[Scalar]], list[int]]:
-    zero = Scalar.zero(order)
-    pivots = sorted(red)
-    out = []
-    for p in pivots:
-        v = [zero] * ncols
-        for c, s in red[p].items():
-            v[c] = s
-        out.append(v)
-    return out, pivots
+def _order(rows) -> int | None:
+    """The field order of the first entry of some sparse rows, None if all are empty."""
+    return next((c.order for r in rows for c in r.values()), None)
+
+
+def _sparse(v: list[Scalar]) -> dict:
+    return {j: c for j, c in enumerate(v) if c}
+
+
+def _dense(row: dict, ncols: int, zero: Scalar) -> list[Scalar]:
+    v = [zero] * ncols
+    for c, s in row.items():
+        v[c] = s
+    return v
 
 
 def _rref_rows(rows: list[list[Scalar]], ncols: int) -> tuple[list[list[Scalar]], list[int]]:
     """RREF of dense rows; returns (nonzero rows, pivot columns)."""
-    order = next((c.order for r in rows for c in r), None)
-    if order is None:
-        return [], []
-    red = _rref_sparse([{j: c for j, c in enumerate(r) if c} for r in rows], order)
-    return _dense_rows(red, ncols, order)
+    s = Subspace.from_vectors(ncols, rows)
+    zero = Scalar.zero(_order(s.rows) or 1)
+    return [_dense(r, ncols, zero) for r in s.rows], list(s.pivots)
 
 
 def rref(m: Matrix) -> tuple[int, Matrix, list[int]]:
     """Unique reduced row echelon form; returns (rank, reduced, pivot columns)."""
-    rows = m.row_list()
-    nz, pivots = _rref_rows(rows, m.cols)
-    rank = len(nz)
-    zero = Scalar.zero(nz[0][0].order) if nz else None
-    padded = list(nz)
-    if m.rows > rank:
-        if zero is None:
-            # all-zero matrix: reuse an existing entry's field if any
-            zero = m.entries[0] - m.entries[0] if m.entries else Scalar.zero(1)
-        padded += [[zero] * m.cols for _ in range(m.rows - rank)]
-    return rank, Matrix.from_rows(padded, cols=m.cols), pivots
+    nz, pivots = _rref_rows(m.row_list(), m.cols)
+    zero = Scalar.zero(m.entries[0].order if m.entries else 1)
+    padded = nz + [[zero] * m.cols for _ in range(m.rows - len(nz))]
+    return len(nz), Matrix.from_rows(padded, cols=m.cols), pivots
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace stored by its canonical RREF basis (rows)."""
+    """A subspace stored by its canonical RREF: ``rows[k]`` is the sparse
+    row {col: Scalar} with leading coefficient 1 at column ``pivots[k]``,
+    zero at every other pivot column, keys ascending; pivots ascending."""
 
     ambient_dim: int
-    basis: tuple[tuple[Scalar, ...], ...]
+    rows: tuple[dict, ...]
     pivots: tuple[int, ...]
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: list[list[Scalar]]) -> "Subspace":
+        """The span of dense vectors."""
         for v in vectors:
             if len(v) != ambient_dim:
                 raise AmbientMismatch("vector length differs from ambient dimension")
-        nz, pivots = _rref_rows(vectors, ambient_dim)
-        return Subspace(ambient_dim, tuple(tuple(r) for r in nz), tuple(pivots))
+        rows = [_sparse(v) for v in vectors]
+        order = _order(rows)
+        if order is None:
+            return Subspace.zero(ambient_dim)
+        return Subspace.from_sparse(ambient_dim, rows, order)
 
     @staticmethod
     def from_sparse(ambient_dim: int, rows: list[dict], order: int) -> "Subspace":
         """The span of sparse rows {col: Scalar}."""
-        return Subspace._from_rref(ambient_dim, _rref_sparse(rows, order), order)
+        return Subspace._from_rref(ambient_dim, _rref_sparse(rows, order))
 
     @staticmethod
-    def _from_rref(ambient_dim: int, red: dict, order: int) -> "Subspace":
-        basis, pivots = _dense_rows(red, ambient_dim, order)
-        return Subspace(ambient_dim, tuple(tuple(r) for r in basis), tuple(pivots))
+    def _from_rref(ambient_dim: int, red: dict) -> "Subspace":
+        pivots = sorted(red)
+        return Subspace(ambient_dim, tuple({c: red[p][c] for c in sorted(red[p])} for p in pivots),
+                        tuple(pivots))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -187,20 +194,32 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    def reduce_sparse(self, row: dict) -> tuple[dict, dict]:
+        """Express a sparse row against the basis: returns its coordinates
+        {k: Scalar} (nonzero ones only) and the sparse remainder.  The
+        coordinate on rows[k] is the entry at pivots[k]: exact, because every
+        other basis row is zero there."""
+        coords = {k: c for k, p in enumerate(self.pivots) if (c := row.get(p))}
+        rem = {col: c for col, c in row.items() if c}
+        for k, c in coords.items():
+            for col, b in self.rows[k].items():
+                cur = rem.get(col)
+                nv = -(c * b) if cur is None else cur - c * b
+                if nv:
+                    rem[col] = nv
+                else:
+                    del rem[col]
+        return coords, rem
 
     def reduce(self, v: list[Scalar]) -> tuple[list[Scalar], list[Scalar]]:
-        """Express v against the basis: returns (coords, remainder)."""
+        """Express a dense vector against the basis: returns (coords, remainder)."""
         if len(v) != self.ambient_dim:
             raise AmbientMismatch("vector length differs from ambient dimension")
-        rem = list(v)
-        coords = []
-        for brow, p in zip(self.basis, self.pivots):
-            c = rem[p]
-            coords.append(c)
-            if not c.is_zero():
-                rem = [a - c * b for a, b in zip(rem, brow)]
-        return coords, rem
+        coords, rem = self.reduce_sparse(_sparse(v))
+        zero = _zero_like(v[0]) if v else None
+        return [coords.get(k, zero) for k in range(self.dim)], _dense(rem, len(v), zero)
 
     def contains(self, v: list[Scalar]) -> bool:
         _, rem = self.reduce(v)
@@ -217,22 +236,9 @@ def membership(v: list[Scalar], s: Subspace) -> list[Scalar]:
 
 def kernel(m: Matrix) -> Subspace:
     """Canonical basis of the right null space of m."""
-    rank, red, pivots = rref(m)
-    n = m.cols
-    if n == 0:
-        return Subspace.zero(0)
     order = m.entries[0].order if m.entries else 1
-    one, zero = Scalar.one(order), Scalar.zero(order)
-    pivset = set(pivots)
-    free = [c for c in range(n) if c not in pivset]
-    vecs = []
-    for f in free:
-        v = [zero] * n
-        v[f] = one
-        for r, p in enumerate(pivots):
-            v[p] = -red.at(r, f)
-        vecs.append(v)
-    return Subspace.from_vectors(n, vecs)
+    rows = [_sparse(m.row(i)) for i in range(m.rows)]
+    return Subspace.from_sparse(m.cols, sparse_kernel(rows, m.cols, order), order)
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -242,23 +248,20 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     n = a.ambient_dim
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(n)
-    order = a.basis[0][0].order
-    rows = []
-    for v in a.basis:
-        row = {j: c for j, c in enumerate(v) if c}
-        rows.append({**row, **{n + j: c for j, c in row.items()}})
-    for v in b.basis:
-        rows.append({j: c for j, c in enumerate(v) if c})
+    rows = [{**r, **{n + j: c for j, c in r.items()}} for r in a.rows] + list(b.rows)
     # rows with a zero left block span the intersection, already in RREF
-    red = _rref_sparse(rows, order)
-    inter = {p - n: {c - n: s for c, s in row.items()} for p, row in red.items() if p >= n}
-    return Subspace._from_rref(n, inter, order)
+    red = _rref_sparse(rows, _order(a.rows))
+    return Subspace._from_rref(n, {p - n: {c - n: s for c, s in row.items()}
+                                   for p, row in red.items() if p >= n})
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatch("subspaces live in different ambient spaces")
-    return Subspace.from_vectors(a.ambient_dim, [list(v) for v in a.basis] + [list(v) for v in b.basis])
+    rows = list(a.rows + b.rows)
+    if not rows:
+        return Subspace.zero(a.ambient_dim)
+    return Subspace.from_sparse(a.ambient_dim, rows, _order(rows))
 
 
 def solve(m: Matrix, rhs: list[Scalar]) -> tuple[list[Scalar], Subspace]:
@@ -415,19 +418,12 @@ class SparseEchelon:
         return red
 
 
-def sparse_kernel(rows: list[dict], ncols: int, order: int) -> list[list[Scalar]]:
-    """Canonical kernel basis (dense vectors) of a sparse homogeneous system."""
+def sparse_kernel(rows: list[dict], ncols: int, order: int) -> list[dict]:
+    """Kernel basis of a sparse homogeneous system, one sparse row per free
+    column f of its RREF: 1 at f, minus the RREF entries of column f at the
+    pivots, keys ascending."""
     red = _rref_sparse(rows, order)
-    one, zero = Scalar.one(order), Scalar.zero(order)
-    out = []
-    for f in range(ncols):
-        if f in red:
-            continue
-        v = [zero] * ncols
-        v[f] = one
-        for p, row in red.items():
-            c = row.get(f)
-            if c is not None:
-                v[p] = -c
-        out.append(v)
-    return out
+    one = Scalar.one(order)
+    pivots = sorted(red)
+    return [{**{p: -red[p][f] for p in pivots if f in red[p]}, f: one}
+            for f in range(ncols) if f not in red]

@@ -13,8 +13,7 @@ Tensors in V^(x)m are sparse dicts keyed by index words (tuples).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, field
 
 from .scalar import Scalar
 from .exactla import Subspace, SparseEchelon, intersect
@@ -38,33 +37,28 @@ class ModuleAlgebra:
     order: int
     vdim: int
     vlabels: list[str]
-    relations: Subspace            # canonical basis of I inside V (x) V
+    relations: Subspace            # canonical basis of I inside V (x) V, column i * vdim + j
     action: list                   # action[h] = vdim x vdim rows (list of list of Scalar)
     cutoff: int = DEFAULT_CUTOFF
+    _words: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._words = [{divmod(c, self.vdim): s for c, s in row.items()}
+                       for row in self.relations.rows]
 
     @staticmethod
     def make(order: int, vlabels: list[str], relation_vectors: list[dict],
              action: list, cutoff: int = DEFAULT_CUTOFF) -> "ModuleAlgebra":
         """Build from sparse relation vectors {(i, j): Scalar} and action matrices."""
         vdim = len(vlabels)
-        zero = Scalar.zero(order)
-        dense = []
-        for r in relation_vectors:
-            v = [zero] * (vdim * vdim)
-            for (i, j), c in r.items():
-                v[i * vdim + j] = v[i * vdim + j] + c
-            dense.append(v)
-        rel = Subspace.from_vectors(vdim * vdim, dense)
+        rows = [{i * vdim + j: c for (i, j), c in r.items()} for r in relation_vectors]
+        rel = Subspace.from_sparse(vdim * vdim, rows, order)
         return ModuleAlgebra(order, vdim, list(vlabels), rel, action, cutoff)
 
     def relation_sparse(self, a: int) -> dict:
-        """Canonical relation r_a as a sparse degree-2 tensor {(i, j): Scalar}."""
-        v = self.relations.basis[a]
-        out = {}
-        for idx, c in enumerate(v):
-            if not c.is_zero():
-                out[(idx // self.vdim, idx % self.vdim)] = c
-        return out
+        """Canonical relation r_a as a sparse degree-2 tensor {(i, j): Scalar};
+        the stored dict, read-only."""
+        return self._words[a]
 
     def dim_relations(self) -> int:
         return self.relations.dim
@@ -74,6 +68,14 @@ class ModuleAlgebra:
 
     def format_tensor(self, t: dict) -> str:
         return format_terms((t[word], self.format_word(word)) for word in sorted(t))
+
+
+def reduce_mod_relations(B: ModuleAlgebra, t: dict) -> tuple[dict, dict]:
+    """Reduce a degree-2 tensor {(i, j): Scalar} modulo I: its nonzero
+    coordinates {a: Scalar} on the canonical relations r_a, read off at their
+    pivots, and the sparse remainder {i * vdim + j: Scalar}, empty iff t is in I."""
+    vd = B.vdim
+    return B.relations.reduce_sparse({i * vd + j: c for (i, j), c in t.items()})
 
 
 def act_on_generator(B: ModuleAlgebra, h: int, v: int) -> dict:
@@ -134,8 +136,9 @@ def action_from_generators(H: HopfAlgebra, vdim: int, given: dict) -> list:
     zero, one = Scalar.zero(H.order), Scalar.one(H.order)
 
     def matmul(A, B):
-        return [[sum((A[r][t] * B[t][c] for t in range(vdim)), zero)
-                 for c in range(vdim)] for r in range(vdim)]
+        # the matrices are mostly zero: skip every product with a zero factor
+        return [[sum((a * B[t][c] for t, a in enumerate(row) if a and B[t][c]), zero)
+                 for c in range(vdim)] for row in A]
 
     ident = [[one if r == c else zero for c in range(vdim)] for r in range(vdim)]
     known = derive_from_generators(H, given, matmul, ident)
@@ -203,10 +206,7 @@ def validate_action(H: HopfAlgebra, B: ModuleAlgebra) -> ValidationReport:
     for i in range(d):
         for a in range(B.dim_relations()):
             img = act_on_tensor(H, B, H.basis_vec(i), B.relation_sparse(a))
-            dense = [zero] * (vd * vd)
-            for (p, q), c in img.items():
-                dense[p * vd + q] = dense[p * vd + q] + c
-            if not B.relations.contains(dense):
+            if reduce_mod_relations(B, img)[1]:
                 fails.append(("relations_stable", (i, a),
                               B.format_tensor(img), "element of the relation space"))
 
@@ -214,25 +214,11 @@ def validate_action(H: HopfAlgebra, B: ModuleAlgebra) -> ValidationReport:
 
 
 def _layer_rows(B: ModuleAlgebra, n: int, j: int) -> list[dict]:
-    """Sparse spanning rows of V^j (x) I (x) V^(n-2-j) inside V^(x)n."""
-    vd = B.vdim
-    rows = []
-    rels = [B.relation_sparse(a) for a in range(B.dim_relations())]
-    for pre in product(range(vd), repeat=j):
-        for rel in rels:
-            for post in product(range(vd), repeat=n - 2 - j):
-                row = {}
-                for (p, q), c in rel.items():
-                    row[_word_rank(pre + (p, q) + post, vd)] = c
-                rows.append(row)
-    return rows
-
-
-def _word_rank(word: tuple, vdim: int) -> int:
-    r = 0
-    for w in word:
-        r = r * vdim + w
-    return r
+    """Sparse spanning rows of V^j (x) I (x) V^(n-2-j) inside V^(x)n, whose
+    columns are the words read as numbers in base vdim."""
+    vv, tail = B.vdim ** 2, B.vdim ** (n - 2 - j)
+    return [{(pre * vv + w) * tail + post: c for w, c in rel.items()}
+            for pre in range(B.vdim ** j) for rel in B.relations.rows for post in range(tail)]
 
 
 def graded_dim(B: ModuleAlgebra, n: int) -> int:

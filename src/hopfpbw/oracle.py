@@ -484,13 +484,12 @@ def _next_shadow(primes, H: HopfAlgebra, vdim: int, total: int, straightened,
 def _relator_rows(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa, amb: _Ambient,
                   ech: SparseEchelon) -> list[dict]:
     """Relators r_a - kappa^L(r_a) - kappa^C(r_a) as integer rows."""
-    vd = B.vdim
     rows = []
     for a in range(B.dim_relations()):
         row: dict = {}
-        for (i, j), c in B.relation_sparse(a).items():
+        for w, c in B.relations.rows[a].items():
             for u, cu in H.unit.items():
-                add_into(row, amb.col(i * vd + j, 2, u), c * cu)
+                add_into(row, amb.col(w, 2, u), c * cu)
         for (v, h), c in kappa.l_vec(a).items():
             add_into(row, amb.col(v, 1, h), -c)
         for h, c in kappa.c_vec(a).items():

@@ -436,8 +436,8 @@ def test_criterion9_linear_algebra_properties():
         assert (rank, piv) == (rank2, piv2) and red == red2
         k = kernel(m)
         assert k.dim == c - rank
-        for v in k.basis:
-            assert all(x.is_zero() for x in m.mul_vec(list(v)))
+        for v in k.rows:
+            assert all(x.is_zero() for x in m.mul_vec([v.get(j, Scalar.zero(order)) for j in range(c)]))
         if i % 5 == 0:
             namb = rng.randint(2, 8)
             va = [[Scalar.from_int(order, rng.randint(-2, 2)) for _ in range(namb)]

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from hopfpbw.cli import (main, load_spec, render_problem, emit_preset, ParseError, ValidationError,
-                         MAX_ALGEBRA_GENERATORS, MAX_CYCLOTOMIC_ORDER, MAX_HOPF_DIM)
+from hopfpbw.cli import (main, load_spec, parse_problem, render_problem, emit_preset, ParseError,
+                         ValidationError, MAX_ALGEBRA_GENERATORS, MAX_CYCLOTOMIC_ORDER, MAX_HOPF_DIM)
 from hopfpbw.presets import build_problem
 from hopfpbw.hopf import add_into
 from hopfpbw.scalar import Scalar, format_scalar, parse_scalar, zeta
@@ -361,6 +361,18 @@ HOSTILE = [
     ("labels-null", lambda doc: doc["hopf"]["labels"].__setitem__(0, None), "hopf.labels"),
     ("generators-null", lambda doc: doc["algebra"]["generators"].__setitem__(0, None),
      "algebra.generators"),
+    # integer fields must be JSON integers: int(...) once read all of these,
+    # and "cutoff": Infinity ended in an OverflowError traceback
+    ("order-string", lambda doc: doc["field"].update(cyclotomic_order="3"), "field.cyclotomic_order"),
+    ("order-float", lambda doc: doc["field"].update(cyclotomic_order=3.0), "field.cyclotomic_order"),
+    ("order-bool", lambda doc: doc["field"].update(cyclotomic_order=True), "field.cyclotomic_order"),
+    ("dim-string", lambda doc: doc["hopf"].update(dim="9"), "hopf.dim"),
+    ("dim-float", lambda doc: doc["hopf"].update(dim=9.7), "hopf.dim"),
+    ("dim-bool", lambda doc: doc["hopf"].update(dim=True), "hopf.dim"),
+    ("cutoff-numeric-string", lambda doc: doc.update(cutoff="6"), "cutoff"),
+    ("cutoff-float", lambda doc: doc.update(cutoff=6.5), "cutoff"),
+    ("cutoff-bool", lambda doc: doc.update(cutoff=True), "cutoff"),
+    ("cutoff-infinity", lambda doc: doc.update(cutoff=float("inf")), "cutoff"),
     # sizes refused before any table is allocated
     ("dim-over-bound", lambda doc: doc["hopf"].update(
         dim=MAX_HOPF_DIM + 1, labels=[f"e{i}" for i in range(MAX_HOPF_DIM + 1)]), "hopf.dim"),
@@ -562,3 +574,23 @@ def test_fuzz_hostile_documents_exit_cleanly():
         run()
     finally:
         workdir.cleanup()
+
+
+def test_padded_generators_parse_without_dense_products(monkeypatch):
+    # taft-3 with dim V padded to the bound keeps its 3 nonzero action
+    # entries; the derived matrices once cost 32^3 Scalar products each
+    # (196,608 in all), zeros included
+    doc = json.loads(emit_preset("taft-3", None))
+    doc["algebra"]["generators"] += [f"p{i}" for i in range(MAX_ALGEBRA_GENERATORS - 2)]
+    calls = []
+    raw = Scalar.__mul__
+
+    def counted(a, b):
+        calls.append(None)
+        return raw(a, b)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    prob = parse_problem(doc)
+    assert prob.algebra.vdim == MAX_ALGEBRA_GENERATORS
+    # 6 derived matrices, each a product of two with at most 3 nonzero entries
+    assert len(calls) <= 6 * 9

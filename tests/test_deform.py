@@ -45,9 +45,8 @@ def test_overlap_zero_kappa(problem):
     prob = problem("ha1")
     D3 = koszul_component(prob.algebra, 3)
     s = {}
-    for idx, c in enumerate(D3.basis[0]):
-        if not c.is_zero():
-            s[(idx // 16, (idx // 4) % 4, idx % 4)] = c
+    for idx, c in D3.rows[0].items():
+        s[(idx // 16, (idx // 4) % 4, idx % 4)] = c
     dl, dc = overlap_maps(prob.hopf, prob.algebra, Kappa.zero(prob.hopf, prob.algebra), s)
     assert dl == {} and dc == {}
 

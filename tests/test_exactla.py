@@ -19,6 +19,11 @@ def mat(rows, order=1):
     return Matrix.from_rows([[S(x, order) if isinstance(x, int) else x for x in r] for r in rows])
 
 
+def dense(row, n, order=1):
+    """A sparse basis row of a Subspace as a dense vector of length n."""
+    return [row.get(j, Scalar.zero(order)) for j in range(n)]
+
+
 def test_rref_identity():
     m = Matrix.identity(3, 1)
     rank, red, piv = rref(m)
@@ -57,7 +62,7 @@ def test_kernel_examples():
     assert kernel(Matrix.identity(4, 1)).dim == 0
     k = kernel(mat([[1, -1]]))
     assert k.dim == 1
-    assert list(k.basis[0]) == [S(1), S(1)]
+    assert k.rows[0] == {0: S(1), 1: S(1)}
 
 
 def test_kernel_residual_random():
@@ -66,8 +71,8 @@ def test_kernel_residual_random():
         r, c = rng.randint(1, 5), rng.randint(1, 7)
         m = mat([[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)])
         k = kernel(m)
-        for v in k.basis:
-            assert all(x.is_zero() for x in m.mul_vec(list(v)))
+        for v in k.rows:
+            assert all(x.is_zero() for x in m.mul_vec(dense(v, c)))
         assert k.dim == c - rref(m)[0]
 
 
@@ -83,7 +88,7 @@ def test_intersect_examples():
     c = Subspace.from_vectors(4, [v12, e(2)])
     d = Subspace.from_vectors(4, [v12, e(3)])
     got = intersect(c, d)
-    assert got.dim == 1 and list(got.basis[0]) == v12
+    assert got.dim == 1 and dense(got.rows[0], 4) == v12
 
 
 def test_intersect_ambient_mismatch():
@@ -116,7 +121,7 @@ def test_solve_examples():
     x, hom = solve(m, rhs)
     assert m.mul_vec(x) == rhs
     assert hom.dim == 1
-    shifted = [a + b for a, b in zip(x, hom.basis[0])]
+    shifted = [a + b for a, b in zip(x, dense(hom.rows[0], 3))]
     assert m.mul_vec(shifted) == rhs
 
 
@@ -137,7 +142,7 @@ def test_sparse_kernel_matches_dense():
         m = mat(dense)
         sparse_rows = [{j: S(x) for j, x in enumerate(row) if x} for row in dense]
         kd = kernel(m)
-        ks = Subspace.from_vectors(c, sparse_kernel(sparse_rows, c, 1))
+        ks = Subspace.from_sparse(c, sparse_kernel(sparse_rows, c, 1), 1)
         assert kd == ks
 
 
@@ -153,8 +158,8 @@ def test_kernel_property_hypothesis(r, c, data):
     assert rank == rref(m.transpose())[0]
     k = kernel(m)
     assert k.dim == c - rank
-    for v in k.basis:
-        assert all(x.is_zero() for x in m.mul_vec(list(v)))
+    for v in k.rows:
+        assert all(x.is_zero() for x in m.mul_vec(dense(v, c)))
 
 
 # -- the engine against an independent reference ------------------------------
@@ -227,7 +232,21 @@ def test_engine_matches_reference_random():
                 f = rand_scalar(rng, order, density=1.0)
                 rows.append([f * x + y for x, y in zip(rows[0], rows[-1])])
             assert _rref_rows(rows, c) == reference_rref(rows, c)
-            assert sparse_kernel(dense_to_sparse(rows), c, order) == reference_kernel(rows, c, order)
+            assert sparse_kernel(dense_to_sparse(rows), c, order) == \
+                dense_to_sparse(reference_kernel(rows, c, order))
+
+
+def test_from_sparse_matches_from_vectors_and_reference():
+    rng = random.Random(31)
+    for order in FIELDS:
+        for _ in range(12):
+            r, c = rng.randint(1, 6), rng.randint(1, 7)
+            rows = [[rand_scalar(rng, order) for _ in range(c)] for _ in range(r)]
+            s = Subspace.from_sparse(c, dense_to_sparse(rows), order)
+            assert s == Subspace.from_vectors(c, rows)
+            red, pivots = reference_rref(rows, c)
+            assert list(s.rows) == dense_to_sparse(red) and list(s.pivots) == pivots
+            assert all(list(row) == sorted(row) for row in s.rows)
 
 
 def test_graded_dim_matches_reference_rank():
@@ -267,4 +286,5 @@ def test_engine_matches_reference_hypothesis(order, r, c, data):
              for _ in range(c)] for _ in range(r)]
     nz, pivots = _rref_rows(rows, c)
     assert (nz, pivots) == reference_rref(rows, c)
-    assert sparse_kernel(dense_to_sparse(rows), c, order) == reference_kernel(rows, c, order)
+    assert sparse_kernel(dense_to_sparse(rows), c, order) == \
+        dense_to_sparse(reference_kernel(rows, c, order))

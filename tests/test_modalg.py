@@ -158,11 +158,10 @@ def test_overlap_space_stable_under_action(problem):
     H, B = prob.hopf, prob.algebra
     D3 = koszul_component(B, 3)
     for i in range(H.dim):
-        for row in D3.basis:
+        for row in D3.rows:
             t = {}
-            for idx, c in enumerate(row):
-                if not c.is_zero():
-                    t[(idx // 16, (idx // 4) % 4, idx % 4)] = c
+            for idx, c in row.items():
+                t[(idx // 16, (idx // 4) % 4, idx % 4)] = c
             img = act_on_tensor(H, B, H.basis_vec(i), t)
             dense = [Scalar.zero(4)] * 64
             for (a, b, c), s in img.items():
@@ -188,12 +187,10 @@ def test_overlap_components_binomial_pattern(problem):
     D4 = koszul_component(B, 4)
     assert D4.dim == 1
     # degree-4 component is stable under the whole Hopf algebra too
-    row = D4.basis[0]
     tens = {}
-    for idx, c in enumerate(row):
-        if not c.is_zero():
-            word = (idx // 64, (idx // 16) % 4, (idx // 4) % 4, idx % 4)
-            tens[word] = c
+    for idx, c in D4.rows[0].items():
+        word = (idx // 64, (idx // 16) % 4, (idx // 4) % 4, idx % 4)
+        tens[word] = c
     for i in range(H.dim):
         img = act_on_tensor(H, B, H.basis_vec(i), tens)
         dense = [Scalar.zero(4)] * 256
