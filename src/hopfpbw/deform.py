@@ -37,7 +37,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .scalar import Scalar
 from .exactla import Subspace, NotMember, sparse_kernel
-from .hopf import HopfAlgebra, add_into, adjoint_on_H, algebra_generators, format_hvec
+from .hopf import HopfAlgebra, _fmt_tensor, add_into, adjoint_on_H, algebra_generators, format_hvec
 from .modalg import ModuleAlgebra, act_on_tensor, koszul_component, reduce_mod_relations
 from .smash import AdjointVH, straighten, adjoint_on_VH
 
@@ -300,15 +300,6 @@ def _apply_kc_ext(H: HopfAlgebra, kappa: Kappa, coords: dict) -> dict:
 
 # -- condition checks ----------------------------------------------------------
 
-def _fmt_vh(H: HopfAlgebra, B: ModuleAlgebra, w: dict) -> str:
-    if not w:
-        return "0"
-    parts = []
-    for (v, h) in sorted(w):
-        parts.append(f"({w[(v, h)]})*{B.vlabels[v]}(x){H.labels[h]}")
-    return " + ".join(parts)
-
-
 def check_invariance(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa) -> ConditionReport:
     """Condition (a): h . kappa(r) = kappa(h . r) for all basis h and
     canonical relations r, in H + (V (x) H)."""
@@ -342,8 +333,8 @@ def check_invariance(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa) -> Conditio
                 st.status = "fail"
                 st.witnesses.append({
                     "h": H.labels[i], "relation": a,
-                    "lhs": f"{format_hvec(H, lhs_c)} ; {_fmt_vh(H, B, lhs_l)}",
-                    "rhs": f"{format_hvec(H, rhs_c)} ; {_fmt_vh(H, B, rhs_l)}",
+                    "lhs": f"{format_hvec(H, lhs_c)} ; {_fmt_tensor(lhs_l, B.vlabels, H.labels)}",
+                    "rhs": f"{format_hvec(H, rhs_c)} ; {_fmt_tensor(rhs_l, B.vlabels, H.labels)}",
                 })
     rep = ConditionReport({"a": st})
     return rep
@@ -374,7 +365,8 @@ def check_overlap(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa) -> ConditionRe
             add_into(lhs_c, k, c)
         if lhs_c:
             stc.status = "fail"
-            stc.witnesses.append({"overlap_index": t_idx, "value": _fmt_vh(H, B, lhs_c)})
+            stc.witnesses.append({"overlap_index": t_idx,
+                                  "value": _fmt_tensor(lhs_c, B.vlabels, H.labels)})
         neg = {k: -c for k, c in coords.items()}
         lhs_d = _apply_kc_ext(H, kappa, neg)
         if lhs_d:

@@ -57,6 +57,7 @@ extends an action given on generators (``modalg.action_from_generators``).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field
 
 from collections import deque
@@ -162,14 +163,6 @@ def h_mul(H: HopfAlgebra, a: HVec, b: HVec) -> HVec:
     return out
 
 
-def coproduct(H: HopfAlgebra, a: HVec) -> TVec:
-    out: TVec = {}
-    for i, c in a.items():
-        for jk, ck in H.comult[i].items():
-            add_into(out, jk, c * ck)
-    return out
-
-
 def coproduct_iter(H: HopfAlgebra, a: HVec, legs: int) -> dict:
     """Left-nested iterated coproduct: keys are index tuples of length `legs`."""
     cur = {(i,): c for i, c in a.items()}
@@ -182,24 +175,18 @@ def coproduct_iter(H: HopfAlgebra, a: HVec, legs: int) -> dict:
     return cur
 
 
-def counit_of(H: HopfAlgebra, a: HVec) -> Scalar:
-    s = H.zero_scalar()
-    for i, c in a.items():
-        s = s + c * H.counit[i]
-    return s
-
-
-def tensor_mult(H: HopfAlgebra, A: TVec, B: TVec) -> TVec:
-    """Product in H (x) H of two sparse tensors."""
+def tensor_mult(H: HopfAlgebra, A: TVec, B: TVec, mul=operator.mul) -> TVec:
+    """Product in H (x) H of two sparse tensors; ``mul`` multiplies two
+    constants (``validate_hopf`` passes its ``product_memo``)."""
     out: TVec = {}
     for (a1, a2), ca in A.items():
         for (b1, b2), cb in B.items():
-            c = ca * cb
-            left = H.mult[a1][b1]
+            c = mul(ca, cb)
             right = H.mult[a2][b2]
-            for i, ci in left.items():
-                for j, cj in right.items():
-                    add_into(out, (i, j), c * ci * cj)
+            for p, cp in H.mult[a1][b1].items():
+                cl = mul(c, cp)
+                for q, cq in right.items():
+                    add_into(out, (p, q), mul(cl, cq))
     return out
 
 
@@ -263,7 +250,7 @@ def format_hvec(H: HopfAlgebra, a: HVec) -> str:
 def adjoint_on_H(H: HopfAlgebra, a: HVec, ell: HVec) -> HVec:
     """Left adjoint action of a on ell: sum a1 * ell * S(a2)."""
     out: HVec = {}
-    for (j, k), c in coproduct(H, a).items():
+    for (j, k), c in coproduct_iter(H, a, 2).items():
         term = h_mul(H, h_mul(H, H.basis_vec(j), ell), H.antipode[k])
         for idx, ci in term.items():
             add_into(out, idx, c * ci)
@@ -281,13 +268,12 @@ class ValidationReport:
         return sorted({f[0] for f in self.failures})
 
 
-def _fmt_tensor(H: HopfAlgebra, t: TVec) -> str:
+def _fmt_tensor(t: dict, left: list[str], right: list[str]) -> str:
+    """Render a sparse tensor {(i, j): Scalar} as the sum of
+    (c)*left[i](x)right[j], keys in order."""
     if not t:
         return "0"
-    parts = []
-    for (i, j) in sorted(t):
-        parts.append(f"({t[(i, j)]})*{H.labels[i]}(x){H.labels[j]}")
-    return " + ".join(parts)
+    return " + ".join(f"({t[(i, j)]})*{left[i]}(x){right[j]}" for (i, j) in sorted(t))
 
 
 def validate_hopf(H: HopfAlgebra) -> ValidationReport:
@@ -376,31 +362,22 @@ def validate_hopf(H: HopfAlgebra) -> ValidationReport:
     def eps(a: HVec) -> Scalar:
         return sum((mul(c, counit[m]) for m, c in a.items()), H.zero_scalar())
 
-    def cop_of_product(A: TVec, B: TVec) -> TVec:
-        """Delta(x) Delta(y) for Delta(x) = A, Delta(y) = B, in H (x) H."""
-        out: TVec = {}
-        for (a1, a2), ca in A.items():
-            for (b1, b2), cb in B.items():
-                for p, cp in mult[a1][b1].items():
-                    c = mul(mul(ca, cb), cp)
-                    for q, cq in mult[a2][b2].items():
-                        add_into(out, (p, q), mul(c, cq))
-        return out
-
     unit_tensor = comb((ci, {(i, j): cj for j, cj in H.unit.items()})
                        for i, ci in H.unit.items())
     cop_unit = comb((c, comult[u]) for u, c in H.unit.items())
     if cop_unit != unit_tensor:
-        emit("bialgebra", ("unit",), _fmt_tensor(H, cop_unit), _fmt_tensor(H, unit_tensor))
+        emit("bialgebra", ("unit",), _fmt_tensor(cop_unit, H.labels, H.labels),
+             _fmt_tensor(unit_tensor, H.labels, H.labels))
     eps_unit = eps(H.unit)
     if eps_unit != one:
         emit("bialgebra", ("unit",), str(eps_unit), "1")
     for i in S:
         for j in range(d):
             lhs = comb((c, comult[m]) for m, c in mult[i][j].items())
-            rhs = cop_of_product(comult[i], comult[j])
+            rhs = tensor_mult(H, comult[i], comult[j], mul)
             if lhs != rhs:
-                emit("bialgebra", (i, j), _fmt_tensor(H, lhs), _fmt_tensor(H, rhs))
+                emit("bialgebra", (i, j), _fmt_tensor(lhs, H.labels, H.labels),
+                     _fmt_tensor(rhs, H.labels, H.labels))
             el = eps(mult[i][j])
             er = mul(counit[i], counit[j])
             if el != er:

@@ -3,7 +3,8 @@
 The action is one vdim x vdim matrix per H-basis element, usually given
 on the algebra generators of H only and extended by
 ``hopf.derive_from_generators``, which also derives every preset's Delta
-and S; degree-m tensors are acted on through the iterated coproduct.
+and S.  The action on degree-m tensors is read off ``smash.straighten``
+by the counit law, so the smash product has one commutation rule.
 Relation input may be any spanning set of I inside V (x) V; it is
 canonicalized to a reduced-echelon basis once, so downstream reports and
 deformation-map coordinates always refer to the same basis.
@@ -17,8 +18,9 @@ from dataclasses import dataclass, field
 
 from .scalar import Scalar
 from .exactla import Subspace, SparseEchelon, intersect
-from .hopf import (HopfAlgebra, ValidationReport, add_into, algebra_generators, coproduct_iter,
+from .hopf import (HopfAlgebra, ValidationReport, add_into, algebra_generators,
                    derive_from_generators, format_terms, product_memo)
+from .smash import act_on_generator, straighten
 
 
 class ModAlgError(Exception):
@@ -78,50 +80,27 @@ def reduce_mod_relations(B: ModuleAlgebra, t: dict) -> tuple[dict, dict]:
     return B.relations.reduce_sparse({i * vd + j: c for (i, j), c in t.items()})
 
 
-def act_on_generator(B: ModuleAlgebra, h: int, v: int) -> dict:
-    """e_h . v_c as a sparse vector over V."""
-    col = {}
-    for r in range(B.vdim):
-        c = B.action[h][r][v]
-        if not c.is_zero():
-            col[r] = c
-    return col
-
-
 def act_on_tensor(H: HopfAlgebra, B: ModuleAlgebra, a: dict, t: dict) -> dict:
-    """Action of an H-element on a degree-m tensor via the iterated coproduct.
+    """Action of an H-element on a degree-m tensor, read off ``straighten``.
 
-    For m = 0 the action is by the counit.
+    By the counit law a . (w v) = sum (a1 . w)(a2 . v), where
+    sum (a1 . w) # a2 is the straightened (1 # a)(w # 1): the H-leg left
+    over acts on the last letter v.  Words that end in the same letter are
+    straightened together; a degree-0 word is acted on by the counit.
     """
-    if not t:
-        return {}
-    m = len(next(iter(t)))
-    if m == 0:
-        from .hopf import counit_of
-        eps = counit_of(H, a)
-        return {(): eps} if not eps.is_zero() else {}
-    legs = coproduct_iter(H, a, m)
     out: dict = {}
-    for key, c in legs.items():
-        for word, cw in t.items():
-            parts = [act_on_generator(B, key[pos], word[pos]) for pos in range(m)]
-            _expand_product(out, parts, c * cw)
+    heads: dict = {}
+    for word, cw in t.items():
+        if word:
+            heads.setdefault(word[-1], {})[word[:-1]] = cw
+        else:
+            eps = sum((c * H.counit[i] for i, c in a.items()), H.zero_scalar())
+            add_into(out, (), eps * cw)
+    for v, head in heads.items():
+        for (prefix, h), c in straighten(H, B, a, head).items():
+            for vout, cv in act_on_generator(B, h, v).items():
+                add_into(out, prefix + (vout,), c * cv)
     return out
-
-
-def _expand_product(out: dict, parts: list[dict], coeff: Scalar) -> None:
-    words = [()]
-    coeffs = [coeff]
-    for p in parts:
-        nwords = []
-        ncoeffs = []
-        for w, c in zip(words, coeffs):
-            for idx, ci in p.items():
-                nwords.append(w + (idx,))
-                ncoeffs.append(c * ci)
-        words, coeffs = nwords, ncoeffs
-    for w, c in zip(words, coeffs):
-        add_into(out, w, c)
 
 
 def action_from_generators(H: HopfAlgebra, vdim: int, given: dict) -> list:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .scalar import Scalar, zeta
 from .hopf import HopfAlgebra, UnknownPreset, preset_hopf, parse_preset_name, nth_root_of_unity
-from .modalg import ModuleAlgebra, DEFAULT_CUTOFF, action_from_generators
+from .modalg import ModuleAlgebra, action_from_generators
 from .deform import Kappa
 
 PRESET_NAMES = ("sweedler", "taft-n", "h8", "ha1", "cbh-cyclic-n")
@@ -147,24 +147,20 @@ def _cbh_cyclic_problem(n: int, with_kappa: bool) -> Problem:
     return Problem(f"cbh-cyclic-{n}", H, B, kappa)
 
 
-def build_problem(name: str, with_kappa: bool = False,
-                  cutoff: int = DEFAULT_CUTOFF) -> Problem:
+def build_problem(name: str, with_kappa: bool = False) -> Problem:
     base, n = parse_preset_name(name)
     if base == "sweedler":
-        prob = _sweedler_problem(with_kappa)
-    elif base == "taft":
+        return _sweedler_problem(with_kappa)
+    if base == "taft":
         if n is None:
             raise UnknownPreset("taft preset needs an index, e.g. taft-3")
-        prob = _taft_problem(n, with_kappa)
-    elif base == "h8":
-        prob = _h8_problem(with_kappa)
-    elif base == "ha1":
-        prob = _ha1_problem(with_kappa)
-    elif base in ("cbh-cyclic", "cbh", "cyclic"):
+        return _taft_problem(n, with_kappa)
+    if base == "h8":
+        return _h8_problem(with_kappa)
+    if base == "ha1":
+        return _ha1_problem(with_kappa)
+    if base in ("cbh-cyclic", "cbh", "cyclic"):
         if n is None:
             raise UnknownPreset("cbh-cyclic preset needs an index, e.g. cbh-cyclic-3")
-        prob = _cbh_cyclic_problem(n, with_kappa)
-    else:
-        raise UnknownPreset(f"unknown preset {name!r}")
-    prob.algebra.cutoff = cutoff
-    return prob
+        return _cbh_cyclic_problem(n, with_kappa)
+    raise UnknownPreset(f"unknown preset {name!r}")

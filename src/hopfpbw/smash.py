@@ -6,34 +6,51 @@ straightening map implements the commutation rule
 
     (1 # h)(v1 ... vm # 1) = sum (h1 . v1) ... (hm . vm) # h_{m+1}
 
-with the iterated coproduct taken left-nested.  Elements are sparse dicts
-keyed by (index word, H-basis index); the quadratic relations of B are
-deliberately not imposed here, so this really is arithmetic in T(V) # H.
+with the coproduct applied to the H-leg that is left over, one letter at
+a time (by coassociativity, any nesting of the iterated coproduct gives
+the same).  Elements are sparse dicts keyed by (index word, H-basis
+index); the quadratic relations of B are deliberately not imposed here,
+so this really is arithmetic in T(V) # H.
 
 This module holds the two rules the package needs.  ``straighten`` moves
 the H-legs of the overlap mismatches in conditions (b)-(d) to the right,
-and the oracle builds from it the tables of its four row operators, which
-form every product it takes in T(V) # H.  ``AdjointVH`` and
-``adjoint_on_VH`` are the adjoint action of H on V (x) H that condition
-(a) reads.
+the oracle builds from it the tables of its four row operators, which
+form every product it takes in T(V) # H, and ``modalg.act_on_tensor``
+reads the action of H on T(V) off it by the counit law.  ``AdjointVH``
+and ``adjoint_on_VH`` are the adjoint action of H on V (x) H that
+condition (a) reads.  ``act_on_generator`` is the one-letter action
+e_h . v that both rules are built from.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .hopf import HopfAlgebra, add_into, coproduct_iter, h_mul
-from .modalg import ModuleAlgebra, act_on_generator
+
+if TYPE_CHECKING:
+    from .modalg import ModuleAlgebra
+
+
+def act_on_generator(B: ModuleAlgebra, h: int, v: int) -> dict:
+    """e_h . v_c as a sparse vector over V."""
+    col = {}
+    for r in range(B.vdim):
+        c = B.action[h][r][v]
+        if not c.is_zero():
+            col[r] = c
+    return col
 
 
 def straighten(H: HopfAlgebra, B: ModuleAlgebra, a: dict, t: dict) -> dict:
     """Normal form of (1 # a)(t # 1): a sparse vector over (word, h) keys.
 
-    t is a sparse tensor in V^(x)m; for m = 0 the result is a itself.
+    t is a sparse tensor in V^(x)m; for m = 0 the result is c a, where c
+    is the coefficient of the empty word.
     """
     if not a or not t:
         return {}
     m = len(next(iter(t)))
-    if m == 0:
-        return {((), i): c for i, c in a.items()}
     out: dict = {}
     for word, cw in t.items():
         # state: {(new_word_prefix, remaining_H_index): coeff}

@@ -3,7 +3,7 @@ import pytest
 from hopfpbw.scalar import Scalar, zeta
 from hopfpbw.hopf import (
     preset_hopf, validate_hopf, adjoint_on_H, group_algebra, algebra_generators,
-    h_mul, coproduct, vec_eq,
+    h_mul, vec_eq,
     NotAGroup, UnknownPreset, FieldTooSmall, format_hvec,
 )
 

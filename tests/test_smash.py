@@ -4,9 +4,11 @@ from operator import add, mul, not_
 import hopfpbw
 from hopfpbw import oracle
 from hopfpbw.scalar import Scalar
-from hopfpbw.hopf import add_into, algebra_generators, h_mul
+from hopfpbw.hopf import add_into, algebra_generators, coproduct_iter, h_mul
 from hopfpbw.modalg import act_on_tensor
 from hopfpbw.smash import straighten, adjoint_on_VH
+
+from test_acceptance import PRESET_LIST
 
 
 def one(order=1):
@@ -45,6 +47,9 @@ def test_straighten_degree_zero(problem):
     H, B = prob.hopf, prob.algebra
     a = {1: one(), 2: -one()}
     assert straighten(H, B, a, {(): one()}) == {((), 1): one(), ((), 2): -one()}
+    # the coefficient of the empty word scales a
+    five = Scalar.from_int(1, 5)
+    assert straighten(H, B, a, {(): five}) == {((), 1): five, ((), 2): -five}
 
 
 def test_straighten_examples(problem):
@@ -158,22 +163,72 @@ def test_adjoint_on_VH_module_axiom(problem):
                 assert lhs == rhs
 
 
+# -- the action of H on T(V), expanded through the iterated coproduct -------------------
+
+def _expand_product(out, parts, coeff):
+    words = [()]
+    coeffs = [coeff]
+    for p in parts:
+        nwords = []
+        ncoeffs = []
+        for w, c in zip(words, coeffs):
+            for idx, ci in p.items():
+                nwords.append(w + (idx,))
+                ncoeffs.append(c * ci)
+        words, coeffs = nwords, ncoeffs
+    for w, c in zip(words, coeffs):
+        add_into(out, w, c)
+
+
+def reference_act_on_tensor(H, B, a, t):
+    """a . t = sum (a1 . w1) ... (am . wm) over the left-nested m-leg
+    coproduct of a, read from the action matrices; the counit in degree 0."""
+    if not t:
+        return {}
+    m = len(next(iter(t)))
+    out = {}
+    if m == 0:
+        eps = H.zero_scalar()
+        for i, c in a.items():
+            eps = eps + c * H.counit[i]
+        add_into(out, (), eps * t[()])
+        return out
+    legs = coproduct_iter(H, a, m)
+    for key, c in legs.items():
+        for word, cw in t.items():
+            parts = [{r: B.action[key[pos]][r][word[pos]] for r in range(B.vdim)
+                      if not B.action[key[pos]][r][word[pos]].is_zero()} for pos in range(m)]
+            _expand_product(out, parts, c * cw)
+    return out
+
+
+def _random_h(rng, H, terms=2):
+    a = {}
+    for _ in range(terms):
+        add_into(a, rng.randrange(H.dim), Scalar.from_int(H.order, rng.randint(-2, 2)))
+    return a
+
+
 def test_eps_consistency(problem):
-    # applying the counit to the H-leg of a straightening recovers the action
-    for name in ("sweedler", "h8", "ha1"):
+    # applying the counit to the H-leg of a straightening recovers the action,
+    # and the action agrees with its expansion through the iterated coproduct
+    for name in PRESET_LIST:
         prob = problem(name)
         H, B = prob.hopf, prob.algebra
         rng = random.Random(21)
-        for _ in range(4):
-            a = {rng.randint(0, H.dim - 1): Scalar.from_int(H.order, rng.randint(-2, 2))
-                 for _ in range(2)}
-            a = {k: c for k, c in a.items() if not c.is_zero()}
-            word = tuple(rng.randint(0, B.vdim - 1) for _ in range(3))
-            t = {word: one(H.order)}
-            projected = {}
-            for (w2, h), c in straighten(H, B, a, t).items():
-                add_into(projected, w2, c * H.counit[h])
-            assert projected == act_on_tensor(H, B, a, t)
+        for m in range(4):
+            for _ in range(4):
+                a = _random_h(rng, H)
+                t = {}
+                for _ in range(3):
+                    word = tuple(rng.randrange(B.vdim) for _ in range(m))
+                    add_into(t, word, Scalar.from_int(H.order, rng.choice([-2, 1, 3])))
+                projected = {}
+                for (w2, h), c in straighten(H, B, a, t).items():
+                    add_into(projected, w2, c * H.counit[h])
+                got = act_on_tensor(H, B, a, t)
+                assert projected == got, (name, a, t)
+                assert got == reference_act_on_tensor(H, B, a, t), (name, a, t)
 
 
 def test_public_names_resolve():
