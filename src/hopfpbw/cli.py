@@ -16,7 +16,9 @@ Commands and exit codes:
   preset <name>              0; writes a problem file
 
 The global --json flag switches every report to a stable machine-readable
-schema; --cutoff overrides the truncation degree (default 6).
+schema; --cutoff (default 6) bounds the degrees of koszul --max and of the
+oracle span, and check and solve do not read it (the criterion works in
+degree 3).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import json
 import sys
 
 from .scalar import Scalar, parse_scalar, format_scalar, ScalarError
-from .hopf import (HopfAlgebra, validate_hopf, format_hvec, UnknownPreset, HopfError)
+from .hopf import HopfAlgebra, validate_hopf, format_hvec, HopfError, MAX_CYCLOTOMIC_ORDER, MAX_HOPF_DIM
 from .modalg import (ModuleAlgebra, ModAlgError, action_from_generators, validate_action, graded_dim,
                      koszul_component, DEFAULT_CUTOFF, CutoffExceeded)
 from .deform import Kappa, check_pbw, solve_kappa, kappa_block_dims
@@ -37,18 +39,6 @@ from .presets import Problem, build_problem, PRESET_NAMES
 class ParseError(Exception):
     pass
 
-
-# The largest cyclotomic order a problem file may declare.  A Scalar product
-# costs about phi(N)^2, and phi(N) = N - 1 for a prime N: with N = 251 the
-# taft-3 document validates in about 2 s, with N = 997 it ran for more than
-# 60 s (Python 3.11, one core), so the order is refused before any field is
-# built.
-MAX_CYCLOTOMIC_ORDER = 256
-
-# The largest hopf.dim.  The d x d multiplication table is allocated before
-# any entry is read: the taft-3 document padded to d = 512 (6 KB) peaked at
-# 35 MB RSS, to d = 1500 (14 KB) at 173 MB.  The presets need at most 81.
-MAX_HOPF_DIM = 256
 
 # The largest dim V.  Action matrices are dense vdim x vdim lists of
 # Scalars, and their products skip zero factors: taft-3 padded to 32
@@ -522,6 +512,7 @@ def cmd_oracle(prob_path: str, as_json: bool, cutoff: int | None,
 def cmd_koszul(prob_path: str, as_json: bool, cutoff: int | None, max_deg: int) -> int:
     prob = load_spec(prob_path, cutoff)
     B = prob.algebra
+    # graded_dim refuses a degree above the cutoff, before any overlap space
     gd = {n: graded_dim(B, n) for n in range(0, max_deg + 1)}
     od = {i: koszul_component(B, i).dim for i in range(2, max_deg + 1)}
     if as_json:
@@ -599,7 +590,7 @@ def main(argv: list[str] | None = None) -> int:
         for line in _fail_lines(exc.failures):
             print(line, file=sys.stderr)
         return 2
-    except (UnknownPreset, HopfError, CutoffExceeded, OracleError) as exc:
+    except (HopfError, CutoffExceeded, OracleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

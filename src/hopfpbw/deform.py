@@ -93,9 +93,6 @@ class Kappa:
         """kappa^L(r_a) as {(v, h): Scalar}; the stored dict, read-only."""
         return self.linear[a]
 
-    def is_zero(self) -> bool:
-        return not any(self.constant) and not any(self.linear)
-
     def scale(self, c: Scalar) -> "Kappa":
         return Kappa(self.order, [_nonzero({k: e * c for k, e in row.items()}) for row in self.constant],
                      [_nonzero({k: e * c for k, e in row.items()}) for row in self.linear])

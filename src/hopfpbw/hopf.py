@@ -45,14 +45,8 @@ canonical and multiplication is a pure function, and it pays because the
 tables hold a handful of distinct constants (for taft-n, the powers of
 zeta): validating taft-9 takes 1,077 Scalar products instead of 44,523.
 
-The preset catalog carries the finite-dimensional Hopf algebras used by
-the bundled worked problems: the Sweedler and Taft algebras, the
-8-dimensional Kac-Paljutkin algebra ``h8``, the 16-dimensional semisimple
-algebra ``ha1``, and cyclic group algebras.  A preset states Delta and S
-on its algebra generators only.  Delta is an algebra map and S an
-anti-algebra map, so ``derive_from_generators`` extends both over the
-basis; it is the package's one multiplicative extension, and it also
-extends an action given on generators (``modalg.action_from_generators``).
+``MAX_CYCLOTOMIC_ORDER`` and ``MAX_HOPF_DIM`` bound the problems the loader
+accepts, and so the indices of the bundled Hopf algebras (``presets``).
 """
 
 from __future__ import annotations
@@ -68,12 +62,21 @@ from .exactla import SparseEchelon
 HVec = dict  # {int: Scalar}
 TVec = dict  # {(int, int): Scalar}
 
+# The largest cyclotomic order a problem file may declare.  A Scalar product
+# costs about phi(N)^2, and phi(N) = N - 1 for a prime N: with N = 251 the
+# taft-3 document validates in about 2 s, with N = 997 it ran for more than
+# 60 s (Python 3.11, one core), so the loader refuses the order before any
+# field is built, and the preset catalogue refuses cyclic-n above it.
+MAX_CYCLOTOMIC_ORDER = 256
+
+# The largest Hopf dimension.  The loader allocates the d x d multiplication
+# table before it reads any entry: the taft-3 document padded to d = 512
+# (6 KB) peaked at 35 MB RSS, to d = 1500 (14 KB) at 173 MB.  The worked
+# problems need at most 81; the preset catalogue refuses taft-n above 16.
+MAX_HOPF_DIM = 256
+
 
 class HopfError(Exception):
-    pass
-
-
-class UnknownPreset(HopfError):
     pass
 
 
@@ -453,7 +456,7 @@ def group_algebra(mult_table: list[list[int]], inverse_table: list[int] | None =
     return HopfAlgebra(order, d, list(labels), mult, comult, {ident: one}, counit, antipode)
 
 
-# -- presets -------------------------------------------------------------------
+# -- roots of unity ------------------------------------------------------------
 
 def nth_root_of_unity(order: int, n: int) -> Scalar:
     """zeta_n as an element of Q(zeta_order); FieldTooSmall if absent."""
@@ -464,204 +467,6 @@ def nth_root_of_unity(order: int, n: int) -> Scalar:
     if order % n == 0:
         return zeta(order, order // n)
     raise FieldTooSmall(f"Q(zeta_{order}) has no primitive {n}-th root of unity")
-
-
-def _monomial_label(parts: list[tuple[str, int]]) -> str:
-    out = ""
-    for sym, e in parts:
-        if e == 0:
-            continue
-        out += sym if e == 1 else f"{sym}^{e}"
-    return out or "1"
-
-
-def _with_coalgebra(H: HopfAlgebra, cop: dict, s: dict) -> HopfAlgebra:
-    """Fill in Delta and S of H from their values on the generators: Delta
-    is an algebra map into H (x) H and S an anti-algebra map."""
-    one = H.one_scalar()
-    ((u, _),) = H.unit.items()
-    comult = derive_from_generators(H, cop, lambda a, b: tensor_mult(H, a, b), {(u, u): one})
-    antipode = derive_from_generators(H, s, lambda a, b: h_mul(H, b, a), {u: one})
-    H.comult = [comult[i] for i in range(H.dim)]
-    H.antipode = [antipode[i] for i in range(H.dim)]
-    return H
-
-
-def _taft(n: int, order: int) -> HopfAlgebra:
-    """Taft algebra of dimension n^2: g^n = 1, x^n = 0, x g = zeta g x."""
-    if n < 2:
-        raise UnknownPreset("taft needs n >= 2")
-    zz = nth_root_of_unity(order, n)
-    d = n * n
-    one = Scalar.one(order)
-
-    def idx(i, j):  # g^i x^j
-        return i * n + j
-
-    labels = [_monomial_label([("g", i), ("x", j)]) for i in range(n) for j in range(n)]
-    zpow = [one]
-    for _ in range(n):
-        zpow.append(zpow[-1] * zz)
-    mult = []
-    for i1 in range(n):
-        for j1 in range(n):
-            row = []
-            for i2 in range(n):
-                for j2 in range(n):
-                    if j1 + j2 >= n:
-                        row.append({})
-                    else:
-                        # x^{j1} g^{i2} = zeta^{j1 i2} g^{i2} x^{j1}
-                        row.append({idx((i1 + i2) % n, j1 + j2): zpow[(j1 * i2) % n]})
-            mult.append(row)
-    G, X = idx(1, 0), idx(0, 1)
-    H = HopfAlgebra(order, d, labels, mult, [], {idx(0, 0): one},
-                    [one if j == 0 else Scalar.zero(order) for i in range(n) for j in range(n)],
-                    [], generators=[G, X])
-    # S(g) = g^{n-1}, S(x) = -g^{n-1} x
-    return _with_coalgebra(H, {G: {(G, G): one}, X: {(G, X): one, (X, idx(0, 0)): one}},
-                           {G: {idx(n - 1, 0): one}, X: {idx(n - 1, 1): -one}})
-
-
-def _h8(order: int = 1) -> HopfAlgebra:
-    """The 8-dimensional noncommutative noncocommutative semisimple algebra.
-
-    Generators x, y, z with x^2 = y^2 = 1, xy = yx, zx = yz, zy = xz and
-    z^2 = (1 + x + y - xy)/2.
-    """
-    one = Scalar.one(order)
-    half = Scalar.from_rational(order, 1, 2)
-
-    def idx(i, j, k):  # x^i y^j z^k
-        return i + 2 * j + 4 * k
-
-    labels = []
-    for k in range(2):
-        for j in range(2):
-            for i in range(2):
-                labels.append(_monomial_label([("x", i), ("y", j), ("z", k)]))
-
-    mult = [[None] * 8 for _ in range(8)]
-    for i1 in range(2):
-        for j1 in range(2):
-            for k1 in range(2):
-                for i2 in range(2):
-                    for j2 in range(2):
-                        for k2 in range(2):
-                            if k1 == 0:
-                                out = {idx((i1 + i2) % 2, (j1 + j2) % 2, k2): one}
-                            else:
-                                a, b = (i1 + j2) % 2, (j1 + i2) % 2
-                                if k2 == 0:
-                                    out = {idx(a, b, 1): one}
-                                else:
-                                    # z^2 = (1 + x + y - xy)/2
-                                    out = {}
-                                    add_into(out, idx(a, b, 0), half)
-                                    add_into(out, idx((a + 1) % 2, b, 0), half)
-                                    add_into(out, idx(a, (b + 1) % 2, 0), half)
-                                    add_into(out, idx((a + 1) % 2, (b + 1) % 2, 0), -half)
-                            mult[idx(i1, j1, k1)][idx(i2, j2, k2)] = out
-    X, Y, Z = idx(1, 0, 0), idx(0, 1, 0), idx(0, 0, 1)
-    YZ, XZ = idx(0, 1, 1), idx(1, 0, 1)
-    H = HopfAlgebra(order, 8, labels, mult, [], {idx(0, 0, 0): one}, [one] * 8, [],
-                    generators=[X, Y, Z])
-    cop = {X: {(X, X): one}, Y: {(Y, Y): one},
-           Z: {(Z, Z): half, (Z, XZ): half, (YZ, Z): half, (YZ, XZ): -half}}
-    # S fixes the generators
-    return _with_coalgebra(H, cop, {X: {X: one}, Y: {Y: one}, Z: {Z: one}})
-
-
-def _ha1(order: int = 4) -> HopfAlgebra:
-    """A 16-dimensional semisimple Hopf algebra over Q(i).
-
-    Generators x, y, z with x^4 = y^2 = z^2 = 1, yx = xy, zx = xyz,
-    zy = yz; the coproduct twists z by (1 (x) 1 + 1 (x) x^2 + y (x) 1
-    - y (x) x^2)/2.
-    """
-    one = Scalar.one(order)
-    half = Scalar.from_rational(order, 1, 2)
-
-    def idx(i, j, k):  # x^i y^j z^k, i < 4
-        return i + 4 * j + 8 * k
-
-    labels = []
-    for k in range(2):
-        for j in range(2):
-            for i in range(4):
-                labels.append(_monomial_label([("x", i), ("y", j), ("z", k)]))
-
-    mult = [[None] * 16 for _ in range(16)]
-    for i1 in range(4):
-        for j1 in range(2):
-            for k1 in range(2):
-                for i2 in range(4):
-                    for j2 in range(2):
-                        for k2 in range(2):
-                            if k1 == 0:
-                                out = {idx((i1 + i2) % 4, (j1 + j2) % 2, k2): one}
-                            else:
-                                # z x^i = x^i y^i z, z y = y z, z^2 = 1
-                                out = {idx((i1 + i2) % 4, (j1 + i2 + j2) % 2, (1 + k2) % 2): one}
-                            mult[idx(i1, j1, k1)][idx(i2, j2, k2)] = out
-    X, Y, Z = idx(1, 0, 0), idx(0, 1, 0), idx(0, 0, 1)
-    X2Z, YZ = idx(2, 0, 1), idx(0, 1, 1)
-    H = HopfAlgebra(order, 16, labels, mult, [], {idx(0, 0, 0): one}, [one] * 16, [],
-                    generators=[X, Y, Z])
-    cop = {X: {(X, X): one}, Y: {(Y, Y): one},
-           Z: {(Z, Z): half, (Z, X2Z): half, (YZ, Z): half, (YZ, X2Z): -half}}
-    # S(x) = x^3, S(y) = y, S(z) = (1 + x^2 + y - x^2 y) z / 2
-    s_z = {Z: half, X2Z: half, YZ: half, idx(2, 1, 1): -half}
-    return _with_coalgebra(H, cop, {X: {idx(3, 0, 0): one}, Y: {Y: one}, Z: s_z})
-
-
-def _cyclic(n: int, order: int | None = None) -> HopfAlgebra:
-    order = n if order is None else order
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    inv = [(-i) % n for i in range(n)]
-    labels = ["1"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
-    H = group_algebra(table, inv, order=order, labels=labels)
-    H.generators = [1 % n]
-    return H
-
-
-def parse_preset_name(name: str) -> tuple[str, int | None]:
-    base = name.lower().replace("(", "-").replace(")", "")
-    if base.endswith("-"):
-        base = base[:-1]
-    if "-" in base:
-        head, _, tail = base.rpartition("-")
-        if tail.isdigit():
-            return head, int(tail)
-    return base, None
-
-
-def preset_hopf(name: str, order: int | None = None) -> HopfAlgebra:
-    """Preset Hopf algebras: sweedler, taft-n, h8, ha1, cyclic-n.
-
-    An explicit field order must contain the roots of unity the preset
-    needs (FieldTooSmall otherwise).
-    """
-    base, n = parse_preset_name(name)
-    if base == "sweedler":
-        return _taft(2, order if order is not None else 1)
-    if base == "taft":
-        if n is None:
-            raise UnknownPreset("taft preset needs an index, e.g. taft-3")
-        return _taft(n, order if order is not None else n)
-    if base == "h8":
-        return _h8(order if order is not None else 1)
-    if base == "ha1":
-        if order is not None and order % 4 != 0:
-            raise FieldTooSmall("ha1 needs a primitive fourth root of unity")
-        return _ha1(order if order is not None else 4)
-    if base in ("cyclic", "cbh-cyclic", "cbh"):
-        if n is None:
-            raise UnknownPreset("cyclic preset needs an index, e.g. cyclic-3")
-        if order is not None and order % n != 0 and not (n <= 2 and order >= 1):
-            raise FieldTooSmall(f"cyclic-{n} action needs zeta_{n}")
-        return _cyclic(n, order)
-    raise UnknownPreset(f"unknown preset {name!r}")
 
 
 # -- algebra generators ----------------------------------------------------------

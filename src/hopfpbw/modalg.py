@@ -81,7 +81,7 @@ def reduce_mod_relations(B: ModuleAlgebra, t: dict) -> tuple[dict, dict]:
 
 
 def act_on_tensor(H: HopfAlgebra, B: ModuleAlgebra, a: dict, t: dict) -> dict:
-    """Action of an H-element on a degree-m tensor, read off ``straighten``.
+    """Action of an H-element on a tensor in T(V), read off ``straighten``.
 
     By the counit law a . (w v) = sum (a1 . w)(a2 . v), where
     sum (a1 . w) # a2 is the straightened (1 # a)(w # 1): the H-leg left
@@ -225,8 +225,6 @@ def koszul_component(B: ModuleAlgebra, i: int) -> Subspace:
     """
     if i < 2:
         raise ModAlgError("overlap components start at degree 2")
-    if i > B.cutoff:
-        raise CutoffExceeded(f"degree {i} exceeds cutoff {B.cutoff}")
     if i == 2:
         return B.relations
     result: Subspace | None = None

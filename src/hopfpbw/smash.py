@@ -45,19 +45,17 @@ def act_on_generator(B: ModuleAlgebra, h: int, v: int) -> dict:
 def straighten(H: HopfAlgebra, B: ModuleAlgebra, a: dict, t: dict) -> dict:
     """Normal form of (1 # a)(t # 1): a sparse vector over (word, h) keys.
 
-    t is a sparse tensor in V^(x)m; for m = 0 the result is c a, where c
-    is the coefficient of the empty word.
+    t is a sparse vector over words of V, each read to its own length, so
+    one t may mix degrees; the empty word with coefficient c gives c a.
     """
     if not a or not t:
         return {}
-    m = len(next(iter(t)))
     out: dict = {}
     for word, cw in t.items():
         # state: {(new_word_prefix, remaining_H_index): coeff}
         state = {((), i): cw * c for i, c in a.items()}
-        for pos in range(m):
+        for vin in word:
             nxt: dict = {}
-            vin = word[pos]
             for (prefix, hidx), c in state.items():
                 for (h1, h2), cd in H.comult[hidx].items():
                     img = act_on_generator(B, h1, vin)

@@ -18,13 +18,12 @@ import pytest
 
 from hopfpbw.scalar import Scalar, zeta
 from hopfpbw.exactla import Matrix, Subspace, rref, kernel, intersect, subspace_sum
-from hopfpbw.hopf import (preset_hopf, validate_hopf, format_hvec, h_mul, vec_eq,
-                         nth_root_of_unity)
+from hopfpbw.hopf import validate_hopf, format_hvec, h_mul, vec_eq, nth_root_of_unity
 from hopfpbw.modalg import (ModuleAlgebra, validate_action, koszul_component,
                             action_from_generators as _action_from_generators)
 from hopfpbw.deform import Kappa, check_pbw, solve_kappa, kappa_block_dims
 from hopfpbw.oracle import filtered_dims, pbw_probe
-from hopfpbw.presets import build_problem, _commutator
+from hopfpbw.presets import build_problem, preset_hopf, _commutator
 from hopfpbw.cli import main, emit_preset
 
 PRESET_LIST = ["sweedler", "taft-3", "h8", "ha1", "cbh-cyclic-3"]

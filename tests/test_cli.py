@@ -164,12 +164,52 @@ def test_cutoff_flag(tmp_path, capsys):
     assert "exceeds cutoff" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_check_and_solve_do_not_read_the_cutoff(tmp_path, capsys, command):
+    # the criterion works in degree 3 whatever the cutoff: --cutoff 1 once
+    # exited 1 with "degree 3 exceeds cutoff 1"
+    path = emit(tmp_path, "h8")
+    code = main(["--json", command, str(path)])
+    want = capsys.readouterr().out
+    for cutoff in ("1", "2"):
+        assert main(["--json", "--cutoff", cutoff, command, str(path)]) == code
+        assert capsys.readouterr().out == want
+
+
+def test_koszul_max_is_bounded_by_the_cutoff(tmp_path, capsys):
+    path = emit(tmp_path, "h8")
+    assert main(["--cutoff", "3", "koszul", str(path), "--max", "4"]) == 1
+    assert "exceeds cutoff" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["taft-17", "cbh-cyclic-257", "taft-300"])
+def test_oversized_preset_refused_up_front(name):
+    # the loader refuses hopf.dim 289 and cyclotomic_order 257: taft-17 and
+    # cbh-cyclic-257 once exited 0 with a document that validate refused,
+    # and taft-300 built a multiplication table of dimension 90,000
+    import subprocess
+    import sys
+    import time
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "hopfpbw.cli", "preset", name],
+                          capture_output=True, text=True, timeout=60)
+    assert time.monotonic() - t0 < 10
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name", ["taft-16", "cbh-cyclic-256"])
+def test_largest_presets_validate(tmp_path, capsys, name):
+    path = emit(tmp_path, name, with_kappa=False)
+    assert main(["validate", str(path)]) == 0
+    assert "OK" in capsys.readouterr().out
+
+
 def test_solve_residual_system_through_cli(tmp_path, capsys):
     # trivial Hopf algebra acting on k[u,v,w]: the solver must surface the
     # quadratic (Jacobi-type) residual instead of a family dimension
-    from hopfpbw.hopf import preset_hopf
+    from hopfpbw.presets import Problem, preset_hopf
     from hopfpbw.modalg import ModuleAlgebra
-    from hopfpbw.presets import Problem
     from hopfpbw.scalar import Scalar
     from hopfpbw.cli import render_problem
     H = preset_hopf("cyclic-1")

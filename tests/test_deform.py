@@ -221,7 +221,7 @@ def test_overlap_vacuous_iff_no_overlap_space(problem):
 # quadratic residual, so the solver must return the symbolic system.
 
 def _poly3_problem():
-    from hopfpbw.hopf import preset_hopf
+    from hopfpbw.presets import preset_hopf
     from hopfpbw.modalg import ModuleAlgebra
     H = preset_hopf("cyclic-1")
     o, z = Scalar.one(1), Scalar.zero(1)
@@ -273,7 +273,7 @@ def test_blocked_conditions_and_small_v_flag():
     # I = span{u (x) u} in two variables: the overlap space is nonzero even
     # though dim V = 2; a linear part sending it off the relation line
     # violates (b), which blocks (c) and (d)
-    from hopfpbw.hopf import preset_hopf
+    from hopfpbw.presets import preset_hopf
     from hopfpbw.modalg import ModuleAlgebra
     H = preset_hopf("cyclic-1")
     o, z = Scalar.one(1), Scalar.zero(1)

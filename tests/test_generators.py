@@ -25,9 +25,9 @@ from hopfpbw.deform import solve_kappa
 from hopfpbw.exactla import Matrix, rref
 from hopfpbw.hopf import (NotGenerating, ValidationReport, _fmt_tensor, _generator_set,
                           _left_closure, add_into, algebra_generators, coproduct_iter,
-                          format_hvec, h_mul, preset_hopf, tensor_mult, validate_hopf, vec_eq)
+                          format_hvec, h_mul, tensor_mult, validate_hopf, vec_eq)
 from hopfpbw.modalg import validate_action
-from hopfpbw.presets import build_problem
+from hopfpbw.presets import build_problem, preset_hopf
 from hopfpbw.scalar import Scalar, format_scalar, parse_scalar
 
 from test_acceptance import PRESET_LIST, _mutate, _mutation_sites

@@ -2,10 +2,11 @@ import pytest
 
 from hopfpbw.scalar import Scalar, zeta
 from hopfpbw.hopf import (
-    preset_hopf, validate_hopf, adjoint_on_H, group_algebra, algebra_generators,
-    h_mul, vec_eq,
-    NotAGroup, UnknownPreset, FieldTooSmall, format_hvec,
+    validate_hopf, adjoint_on_H, group_algebra, algebra_generators,
+    h_mul, vec_eq, NotAGroup, format_hvec,
 )
+from hopfpbw.cli import render_problem
+from hopfpbw.presets import PRESET_NAMES, UnknownPreset, build_problem, preset_hopf
 
 PRESETS = ["sweedler", "taft-3", "taft-4", "taft-5", "h8", "ha1",
            "cyclic-2", "cyclic-3", "cyclic-4"]
@@ -30,8 +31,6 @@ def test_preset_dims():
 def test_unknown_preset_and_field():
     with pytest.raises(UnknownPreset):
         preset_hopf("nope")
-    with pytest.raises(FieldTooSmall):
-        preset_hopf("taft-3", order=4)
     with pytest.raises(UnknownPreset):
         preset_hopf("taft")
 
@@ -162,3 +161,26 @@ def test_preset_name_forms():
     assert preset_hopf("taft(3)").dim == 9
     assert preset_hopf("cyclic(4)").dim == 4
     assert preset_hopf("TAFT-3").dim == 9
+
+
+@pytest.mark.parametrize("alias, canonical", [
+    ("taft(3)", "taft-3"), ("TAFT-3", "taft-3"), ("cyclic-3", "cbh-cyclic-3"),
+    ("cbh-3", "cbh-cyclic-3"), ("cbh-cyclic-3", "cbh-cyclic-3")])
+def test_preset_aliases_build_the_canonical_problem(alias, canonical):
+    for with_kappa in (False, True):
+        assert (render_problem(build_problem(alias, with_kappa))
+                == render_problem(build_problem(canonical, with_kappa)))
+    assert preset_hopf(alias) == build_problem(alias).hopf
+
+
+@pytest.mark.parametrize("name", ["nope", "taft", "cyclic", "cbh-cyclic", "taft-1", "taft-17",
+                                  "cyclic-0", "cbh-cyclic-257", "sweedler-2", "h8-1"])
+def test_preset_catalogue_refuses(name):
+    with pytest.raises(UnknownPreset):
+        preset_hopf(name)
+    with pytest.raises(UnknownPreset):
+        build_problem(name)
+
+
+def test_preset_names_read_off_the_catalogue():
+    assert PRESET_NAMES == ("sweedler", "taft-n", "h8", "ha1", "cbh-cyclic-n")

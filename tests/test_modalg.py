@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from hopfpbw.scalar import Scalar, zeta
-from hopfpbw.hopf import preset_hopf, group_algebra
+from hopfpbw.hopf import group_algebra
 from hopfpbw.modalg import (
     ModuleAlgebra, validate_action, act_on_tensor, graded_dim, koszul_component,
     CutoffExceeded,

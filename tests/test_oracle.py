@@ -124,7 +124,7 @@ def test_fractional_kappa_consistent(problem):
 
 def test_free_algebra_no_relations(problem):
     # with an empty relation space the quotient is the whole smash product
-    from hopfpbw.hopf import preset_hopf
+    from hopfpbw.presets import preset_hopf
     from hopfpbw.modalg import ModuleAlgebra
     H = preset_hopf("cyclic-2")
     o, z = Scalar.one(2), Scalar.zero(2)

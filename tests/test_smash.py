@@ -64,6 +64,22 @@ def test_straighten_examples(problem):
     assert straighten(H, B, {1: one()}, v) == {((0,), 0): one(), ((1,), 1): -one()}
 
 
+def test_straighten_reads_each_word_to_its_own_length(problem):
+    # a tensor that mixes degrees: every word is read to its end
+    prob = problem("sweedler")
+    H, B = prob.hopf, prob.algebra
+    assert straighten(H, B, H.unit, {(0,): one(), (0, 1): one()}) == {
+        ((0,), 0): one(), ((0, 1), 0): one()}
+
+
+def test_act_on_tensor_mixed_degrees(problem):
+    # (1,) and (0, 1) end in the same letter and are straightened together
+    prob = problem("sweedler")
+    H, B = prob.hopf, prob.algebra
+    t = {(1,): one(), (0, 1): one()}
+    assert act_on_tensor(H, B, H.unit, t) == t
+
+
 def test_smash_mult_unit_law(problem):
     # x (1 # 1) = (1 # 1) x = x, on rows of degree at most 2
     prob = problem("h8")
