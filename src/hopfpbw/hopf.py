@@ -428,10 +428,29 @@ def group_algebra(mult_table: list[list[int]], inverse_table: list[int] | None =
             break
     if ident is None:
         raise NotAGroup("no two-sided identity element")
-    for i in range(d):
-        for j in range(d):
+    # Light's test: the elements j with (i j) k = i (j k) for all i, k are
+    # closed under the product, so only the j of a generating set need the
+    # d^2 checks.  An element joins the set when right multiplications by
+    # the set so far do not reach it from the identity.
+    gens: list[int] = []
+    reached = {ident}
+    for g in range(d):
+        if g in reached:
+            continue
+        gens.append(g)
+        stack = list(reached)
+        while stack:
+            x = stack.pop()
+            for s in gens:
+                y = mult_table[x][s]
+                if y not in reached:
+                    reached.add(y)
+                    stack.append(y)
+    for j in gens:
+        for i in range(d):
+            ij = mult_table[mult_table[i][j]]
             for k in range(d):
-                if mult_table[mult_table[i][j]][k] != mult_table[i][mult_table[j][k]]:
+                if ij[k] != mult_table[i][mult_table[j][k]]:
                     raise NotAGroup(f"associativity fails at ({i}, {j}, {k})")
     if inverse_table is None:
         inverse_table = []

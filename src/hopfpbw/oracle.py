@@ -15,9 +15,14 @@ degrees.  Larger buffers can only shrink the computed dimensions.
 
 Spanning order.  The relator rows and their left and right multiples by
 the generators ``algebra_generators(H)`` are the seeds, generation 2.
-Generation j + 1 is the left V-multiples of the generation-j pivots and
-the right V-multiples of those generation-j pivots that were not born of
-a left V-multiple, for j < N + k; no later generation is closed under H
+Generation j + 1, for j < N + k, is formed in two passes: first the left
+V-multiples of every generation-j pivot, then the right V-multiples of
+those generation-j pivots that were not born of a left V-multiple.  A
+left multiple whose lead column is free is adopted without reduction
+(relabelling, below); taken first, the left multiples claim their lead
+columns before any right multiple does, so more of them are adopted,
+fewer pivots are born of right multiples, and fewer rows reach the
+shadow and the exact engine.  No later generation is closed under H
 again, and neither loses anything.  The two lemmas below are about this
 order; the F_p shadow further down only ever skips rows.
 
@@ -27,12 +32,17 @@ its left V-multiples, so V S_j lies in S_{j+1}.  A pivot y of generation
 j < N + k born of a left multiple is y = (lam v x - sum_i mu_i p_i) / g
 for a generation-(j - 1) pivot x, the pivots p_i stored before y and
 scalars lam, mu_i, g != 0 (lam = g = 1 and no p_i when y is adopted, see
-below).  So y w = (lam v (x w) - sum_i mu_i p_i w) / g for w in V.  By
-induction on insertion order, x w lies in S_j and each p_i w in S_{j+1},
-and v (x w) lies in V S_j, inside S_{j+1}: y V lies in S_{j+1} without
-forming y w.  Hence S_{j+1} = S_j + V L_j + L_j V, with V S_j and S_j V
-inside S_{j+1}.  This is the one-sided product rule of linear-algebra
-Groebner methods (Faugere, F4, J. Pure Appl. Algebra 139 (1999)).
+below).  Stored pivots never change, and each p_i is of a generation
+below j or is a left multiple of generation j stored before y, since
+generation j - 1 takes its right multiples last.  So
+y w = (lam v (x w) - sum_i mu_i p_i w) / g for w in V.  By induction on
+insertion order, not on the loop order, x w lies in S_j and each p_i w
+in S_{j+1}, and v (x w) lies in V S_j, inside S_{j+1}: y V lies in
+S_{j+1} without forming y w.  Hence S_{j+1} = S_j + V L_j + L_j V, with
+V S_j and S_j V inside S_{j+1}, in whatever order the multiples are
+taken; the span fixes the pivot columns and so the tables.  This is the
+one-sided product rule of linear-algebra Groebner methods (Faugere, F4,
+J. Pure Appl. Algebra 139 (1999)).
 
 H-closure lemma.  If S_j is a two-sided H-module, then so is S_{j+1};
 for x in L_j, v in V and h in H:
@@ -113,11 +123,11 @@ class OracleError(Exception):
 # The largest span the oracle starts: d * sum_{m <= D} vd^m columns.  Its
 # cost grows with the column count and the depth D: on the preset kappa,
 # ha1 (vd = 4) at D = 5/6/7 has 21,840/87,376/349,520 columns and takes
-# 0.4/1.8/8.0 s, but sweedler (vd = 2) at D = 10/11/13 has
-# 8,188/16,380/65,532 columns and takes 0.9/2.9/22 s (Python 3.11, one
-# core of a shared two-core host).  The bound admits every bundled preset
-# at the CLI defaults (ha1 at D = 5 is the largest) and refuses larger
-# spans before anything is built.
+# 0.3/1.0/2.9 s, and sweedler (vd = 2) at D = 10/11/13 has
+# 8,188/16,380/65,532 columns and takes 0.2/0.5/2.8 s (Python 3.11, one
+# core of a shared two-core host, one run each).  The bound admits every
+# bundled preset at the CLI defaults (ha1 at D = 5 is the largest) and
+# refuses larger spans before anything is built.
 MAX_SPAN_COLUMNS = 25_000
 
 
@@ -503,7 +513,8 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
     """Span the relator ideal through degree N + k and report the filtered
     dimension upper bounds for degrees 0..N against the PBW expectation.
 
-    Only the seeds are closed under H, and only pivots not born of a left
+    Only the seeds are closed under H, each generation takes all its left
+    V-multiples before its right ones, and only pivots not born of a left
     V-multiple get right V-multiples; the span is the same (module
     docstring).  H and the action must already pass ``validate_hopf`` and
     ``validate_action``.  A span of more than ``MAX_SPAN_COLUMNS`` columns
@@ -564,14 +575,15 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
         for g in hgens:
             consider(_right_h, piv, g, others[2])
             consider(_left_h, piv, g, others[2])
+    # every left multiple of a generation before its right multiples, so
+    # adopted left multiples claim their lead columns first
     for j in range(2, D):
+        for piv in others[j] + lefts[j]:
+            for v in range(vd):
+                left_multiple(piv, v, lefts[j + 1])
         for piv in others[j]:
             for v in range(vd):
-                left_multiple(piv, v, lefts[j + 1])
                 consider(_right_v, piv, v, others[j + 1])
-        for piv in lefts[j]:
-            for v in range(vd):
-                left_multiple(piv, v, lefts[j + 1])
 
     # pivot counts by degree give dim(span  cap  T_{<=m})
     pivot_deg = [amb.deg[c] for c in ech.pivots]

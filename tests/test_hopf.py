@@ -1,3 +1,7 @@
+import itertools
+import random
+import re
+
 import pytest
 
 from hopfpbw.scalar import Scalar, zeta
@@ -9,7 +13,7 @@ from hopfpbw.cli import render_problem
 from hopfpbw.presets import PRESET_NAMES, UnknownPreset, build_problem, preset_hopf
 
 PRESETS = ["sweedler", "taft-3", "taft-4", "taft-5", "h8", "ha1",
-           "cyclic-2", "cyclic-3", "cyclic-4"]
+           "cyclic-1", "cyclic-2", "cyclic-3", "cyclic-4", "cyclic-5", "cyclic-16"]
 
 
 @pytest.mark.parametrize("name", PRESETS)
@@ -140,6 +144,68 @@ def test_group_algebra():
     bad[1][1] = 1
     with pytest.raises(NotAGroup):
         group_algebra(bad)
+
+
+def _associativity_witness(table, message):
+    i, j, k = map(int, re.search(r"\((\d+), (\d+), (\d+)\)", message).groups())
+    return table[table[i][j]][k] != table[i][table[j][k]]
+
+
+@pytest.mark.parametrize("loop", [
+    # every element is its own inverse: a loop of order 5, which no group is
+    [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+    # (i 1) k = i (1 k) for all i, k, so the first generator, 1, shows no
+    # failure; only the second, 2, does
+    [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 0, 1], [3, 2, 5, 4, 1, 0],
+     [4, 5, 0, 1, 3, 2], [5, 4, 1, 0, 2, 3]],
+])
+def test_group_algebra_refuses_a_loop(loop):
+    # Latin squares with identity 0 that are not associative
+    with pytest.raises(NotAGroup, match="associativity") as err:
+        group_algebra(loop)
+    assert _associativity_witness(loop, str(err.value))
+
+
+def test_group_algebra_associativity_matches_the_triple_loop():
+    # Light's test checks only a generating set; on tables with an identity
+    # it must refuse exactly the non-associative ones, with a true witness.
+    # The tables are relabelled Z_4, Z_2 x Z_2, Z_6 and S_3, half of them
+    # with one cell changed, and random tables of order 4 with identity 0.
+    perms = list(itertools.permutations(range(3)))
+    groups = [[[(i + j) % 4 for j in range(4)] for i in range(4)],
+              [[i ^ j for j in range(4)] for i in range(4)],
+              [[(i + j) % 6 for j in range(6)] for i in range(6)],
+              [[perms.index(tuple(p[x] for x in q)) for q in perms] for p in perms]]
+    rng = random.Random(0)
+    refused = kept = 0
+    for _ in range(600):
+        group = rng.choice(groups + [None])
+        if group is None:
+            d = 4
+            table = [[rng.randrange(d) if i and j else i + j for j in range(d)] for i in range(d)]
+        else:
+            d = len(group)
+            lab = rng.sample(range(d), d)
+            table = [[0] * d for _ in range(d)]
+            for a in range(d):
+                for b in range(d):
+                    table[lab[a]][lab[b]] = lab[group[a][b]]
+            if rng.random() < 0.5:
+                table[rng.randrange(d)][rng.randrange(d)] = rng.randrange(d)
+        triples = itertools.product(range(d), repeat=3)
+        associative = all(table[table[i][j]][k] == table[i][table[j][k]] for i, j, k in triples)
+        try:
+            group_algebra(table)
+        except NotAGroup as e:
+            if "identity" in str(e):        # refused before associativity
+                continue
+            if "associativity" in str(e):
+                assert not associative and _associativity_witness(table, str(e))
+                refused += 1
+                continue
+        assert associative
+        kept += 1
+    assert refused > 50 and kept > 50
 
 
 def test_algebra_generators():

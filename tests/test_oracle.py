@@ -511,12 +511,17 @@ def test_h_multiples_run_on_seed_pivots_only(problem, monkeypatch):
 
     source = []     # the operator and the source pivot of the last exact row
     born = {}       # pivot column -> (generation, born of a left V-multiple)
+    v_layers = []   # (V-operator or "adopt", generation of the source pivot)
 
     def counted(name, op):
         def run(R, amb, row, arg):
             events.append((name, R is not exact_rings[-1]))
+            row = list(row)
+            src = min(c for c, _ in row)
             if R is exact_rings[-1]:
-                source[:] = [name, min(c for c, _ in row)]
+                source[:] = [name, src]
+            if name in ("_left_v", "_right_v"):
+                v_layers.append((name, born[src][0]))
             return op(R, amb, row, arg)
         return run
 
@@ -536,6 +541,7 @@ def test_h_multiples_run_on_seed_pivots_only(problem, monkeypatch):
         def adopt(self, c, row):
             super().adopt(c, row)
             events.append(("adopt", False))
+            v_layers.append(("adopt", born[source[1]][0]))
             note(c)
 
     monkeypatch.setattr(oracle, "_exact_ring", exact_ring)
@@ -546,6 +552,7 @@ def test_h_multiples_run_on_seed_pivots_only(problem, monkeypatch):
         events.clear()
         source.clear()
         born.clear()
+        v_layers.clear()
         rep = filtered_dims(prob.hopf, prob.algebra, prob.kappa, N, k)
         assert rep.verdict == "CONSISTENT"
         S = algebra_generators(prob.hopf)
@@ -565,6 +572,14 @@ def test_h_multiples_run_on_seed_pivots_only(problem, monkeypatch):
         assert adopted > 0 and multiplied.count(True) > 0, prob.name
         assert in_shadow["_left_v"] + adopted == vd * len(multiplied), prob.name
         assert in_shadow["_right_v"] == vd * multiplied.count(False) > 0, prob.name
+        # each generation takes every left multiple, through the shadow or
+        # adopted, before its first right multiple, so adopted left
+        # multiples claim their lead columns first
+        for j in range(2, N + k):
+            names = [name for name, gen in v_layers if gen == j]
+            first_right = names.index("_right_v")
+            assert "adopt" in names[:first_right], (prob.name, j)
+            assert all(name == "_right_v" for name in names[first_right:]), (prob.name, j)
 
 
 # -- left multiples adopted by relabelling ------------------------------------------
