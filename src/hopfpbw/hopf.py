@@ -30,9 +30,9 @@ with Delta(a y) = Delta(a) Delta(y) and eps(a y) = eps(a) eps(y) for all
 y is all of H once it holds for S, Delta(1) = 1 (x) 1 and eps(1) = 1; that
 the action is multiplicative once it is on S and rho(1) = id
 (``modalg.validate_action``); and that kappa is H-invariant once it is
-invariant under S (``deform.solve_kappa``).  So associativity loops over
-i in S (j, k over all of H), and the bialgebra and action checks over
-i in S (j over all of H).
+invariant under S (``deform.solve_kappa``, ``deform.check_invariance``).
+So associativity loops over i in S (j, k over all of H), and the
+bialgebra and action checks over i in S (j over all of H).
 
 The axiom loops read the tables directly: each side of an axiom is one
 sparse sum of table rows scaled by table constants, for instance
@@ -63,9 +63,11 @@ HVec = dict  # {int: Scalar}
 TVec = dict  # {(int, int): Scalar}
 
 # The largest cyclotomic order a problem file may declare.  A Scalar product
-# costs about phi(N)^2, and phi(N) = N - 1 for a prime N: with N = 251 the
-# taft-3 document validates in about 2 s, with N = 997 it ran for more than
-# 60 s (Python 3.11, one core), so the loader refuses the order before any
+# costs up to phi(N)^2, and phi(N) = N - 1 for a prime N.  The taft-3
+# document with its order set to N = 251 loads and fails its axioms in
+# 0.01 s (0.15 s at N = 997), but a problem that uses the field is slower:
+# the cbh-cyclic-251 document validates in about 2.3 s through the CLI
+# (Python 3.11, one core).  So the loader refuses the order before any
 # field is built, and the preset catalogue refuses cyclic-n above it.
 MAX_CYCLOTOMIC_ORDER = 256
 

@@ -1,4 +1,4 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_N).
+"""Exact arithmetic in cyclotomic fields Q(zeta_N): the one coefficient kernel.
 
 Every quantity in this package is a ``Scalar``: an element of Q(zeta_N)
 stored as a polynomial in zeta_N of degree < phi(N), reduced modulo the
@@ -8,15 +8,44 @@ gcd(den, content) = 1.  Reduction modulo the cyclotomic polynomial (not
 zeta^N - 1) makes the representation canonical and the arithmetic a
 field: two scalars are equal iff their stored data are identical.
 
+The kernel.  ``CycloField.mul_vec`` multiplies two integer coefficient
+vectors; ``Scalar.__mul__``, ``Scalar.inverse``, ``exactla.SparseEchelon``
+and the oracle's exact ring all call it.  Each field picks its product
+once, from phi(N):
+
+- phi(N) <= 8 (``STRAIGHT_LINE_MAX_PHI``): straight-line code, generated
+  from the field's integer reduction rows and compiled when the field is
+  built.  The fold of degrees phi..2 phi - 2 is sparse because
+  zeta^N = 1, so each high coefficient enters only the outputs its row
+  touches.
+- phi(N) > 8: a convolution loop that skips zero coordinates.
+
+The generated form costs phi^2 products whatever the operands, the loop
+only one per pair of nonzero coordinates.  Measured with Python 3.11 on
+one core, the generated form was 6-9x faster than the loop at phi = 2,
+1.5-7x at phi = 6 and 1.1-7x at phi = 8 (monomial to dense operands); at
+phi = 16 it took 1.5x as long on monomials, and at phi = 250 (N = 251)
+0.9 ms against 28 us, after a 0.26 s compile.  The tables of the
+bundled problems hold powers of zeta, which are monomials, so the large
+fields keep the loop.
+
+The Scalar contract.  A ``Scalar`` is the tuple (order, den, num), so it
+is immutable (no attribute can be assigned), hash(s) == hash((s.order,
+s.den, s.num)), and two Scalars are equal exactly when the triples are.
+Arithmetic between different orders raises ``FieldMismatch``; ordering
+comparisons and ``int * Scalar`` raise TypeError.  ``Scalar._make``
+normalizes a (den, num) pair: it takes no gcd when den = 1, and the gcd
+stops at the first 1.
+
 No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import itemgetter
 
 
 class ScalarError(Exception):
@@ -70,7 +99,8 @@ def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
 
 
 class CycloField:
-    """Shared per-order data: phi(N) and power-reduction rows for zeta^k."""
+    """Shared per-order data: phi(N), power-reduction rows for zeta^k, and
+    the product ``mul_vec`` chosen for this phi(N)."""
 
     def __init__(self, order: int):
         if order < 1:
@@ -110,12 +140,17 @@ class CycloField:
         self.powers = tuple(pows)
         # the Galois automorphisms zeta -> zeta^k other than the identity
         self.conjugators = tuple(k for k in range(2, order) if gcd(k, order) == 1)
+        # mul_vec(a, b): the product of two integer coefficient vectors
+        # modulo the cyclotomic polynomial
+        if self.phi <= STRAIGHT_LINE_MAX_PHI:
+            self.mul_vec = _straight_line_mul(self.phi, self.redrows)
+        else:
+            self.mul_vec = self._mul_loop
 
-    def mul_vec(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        """Multiply two integer coefficient vectors modulo the cyclotomic polynomial."""
+    def _mul_loop(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        """Schoolbook convolution over the nonzero coordinates, then the
+        fold of degrees phi..2 phi - 2 through ``redrows``."""
         phi = self.phi
-        if phi == 1:
-            return (a[0] * b[0],)
         conv = [0] * (2 * phi - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -150,51 +185,106 @@ class CycloField:
         return out
 
 
+# The largest phi(N) whose product is generated as straight-line code; above
+# it the zero-skipping loop is faster on the sparse operands that dominate
+# (see the module docstring for the measured crossover).
+STRAIGHT_LINE_MAX_PHI = 8
+
+
+def _straight_line_mul(phi: int, redrows: tuple[tuple[int, ...], ...]):
+    """Compile the product of two length-phi coefficient vectors as one
+    expression per output coordinate.
+
+    out[i] is the convolution sum c_i plus r[k][i] * c_(phi+k) for every
+    nonzero entry of ``redrows``; each high coefficient c_(phi+k) is bound
+    once as a local.  Only the field's integer table enters the source.
+    """
+    def conv(k: int) -> str:
+        lo, hi = max(0, k - phi + 1), min(k, phi - 1)
+        return " + ".join(f"a{i}*b{k - i}" for i in range(lo, hi + 1))
+
+    lines = ["def mul_vec(a, b):",
+             "    " + "".join(f"a{i}, " for i in range(phi)) + "= a",
+             "    " + "".join(f"b{i}, " for i in range(phi)) + "= b"]
+    lines += [f"    c{phi + k} = {conv(phi + k)}" for k in range(phi - 1)]
+    outs = []
+    for i in range(phi):
+        expr = conv(i)
+        for k in range(phi - 1):
+            r = redrows[k][i]
+            if r == 1:
+                expr += f" + c{phi + k}"
+            elif r == -1:
+                expr += f" - c{phi + k}"
+            elif r:
+                expr += f" + ({r})*c{phi + k}"
+        outs.append(expr)
+    lines.append("    return (" + "".join(f"{e}, " for e in outs) + ")")
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["mul_vec"]
+
+
 @lru_cache(maxsize=None)
 def field(order: int) -> CycloField:
     return CycloField(order)
 
 
-def _content(vec: tuple[int, ...]) -> int:
-    g = 0
-    for c in vec:
-        g = gcd(g, c)
-        if g == 1:
-            return 1
-    return g
+_new = tuple.__new__
 
 
-@dataclass(frozen=True, slots=True)
-class Scalar:
-    """An element of Q(zeta_N), canonical and immutable."""
+def _unsupported(self, other):
+    """Ordering, and int * Scalar (tuple repetition otherwise): TypeError."""
+    return NotImplemented
 
-    order: int
-    den: int
-    num: tuple[int, ...]
+
+class Scalar(tuple):
+    """An element of Q(zeta_N), canonical and immutable: the triple
+    (order, den, num) as a tuple.
+
+    Equality and hashing are the triple's, so hash(s) == hash((s.order,
+    s.den, s.num)).  Scalars are not ordered, not sequences under ``*`` and
+    accept no attribute assignment.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, order: int, den: int, num: tuple[int, ...]) -> "Scalar":
+        return _new(cls, (order, den, num))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    order = property(itemgetter(0), doc="the cyclotomic order N")
+    den = property(itemgetter(1), doc="the positive common denominator")
+    num = property(itemgetter(2), doc="the phi(N) integer numerators, low power first")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unsupported
 
     @staticmethod
     def _make(order: int, den: int, num: list[int] | tuple[int, ...]) -> "Scalar":
-        if den == 0:
-            raise DivideByZero("zero denominator")
-        if den < 0:
-            den = -den
-            num = [-c for c in num]
-        g = gcd(den, _content(tuple(num)))
-        if g > 1:
-            den //= g
-            num = [c // g for c in num]
+        if den != 1:
+            if den == 0:
+                raise DivideByZero("zero denominator")
+            if den < 0:
+                den = -den
+                num = [-c for c in num]
+            # math.gcd only checks the remaining arguments once it reaches 1
+            g = gcd(den, *num)
+            if g > 1:
+                den //= g
+                num = [c // g for c in num]
         if not any(num):
-            return Scalar(order, 1, (0,) * len(num))
-        return Scalar(order, den, tuple(num))
+            return _new(Scalar, (order, 1, (0,) * len(num)))
+        return _new(Scalar, (order, den, tuple(num)))
 
     @staticmethod
     def zero(order: int) -> "Scalar":
-        return Scalar(order, 1, (0,) * field(order).phi)
+        return _new(Scalar, (order, 1, (0,) * field(order).phi))
 
     @staticmethod
     def one(order: int) -> "Scalar":
-        phi = field(order).phi
-        return Scalar(order, 1, (1,) + (0,) * (phi - 1))
+        return _new(Scalar, (order, 1, field(order).powers[0]))
 
     @staticmethod
     def from_rational(order: int, p: int, q: int = 1) -> "Scalar":
@@ -206,52 +296,56 @@ class Scalar:
         return Scalar.from_rational(order, n, 1)
 
     def is_zero(self) -> bool:
-        return not any(self.num)
+        return not any(self[2])
 
     def __bool__(self) -> bool:
-        return any(self.num)
+        return any(self[2])
 
     def _check(self, other: "Scalar") -> None:
-        if self.order != other.order:
-            raise FieldMismatch(f"orders {self.order} and {other.order} differ")
+        if self[0] != other[0]:
+            raise FieldMismatch(f"orders {self[0]} and {other[0]} differ")
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        da, db = self.den, other.den
+        order = self[0]
+        if order != other[0]:
+            self._check(other)
+        da, db = self[1], other[1]
         if da == db:
-            return Scalar._make(self.order, da, [a + b for a, b in zip(self.num, other.num)])
-        return Scalar._make(
-            self.order, da * db, [a * db + b * da for a, b in zip(self.num, other.num)]
-        )
+            return Scalar._make(order, da, [a + b for a, b in zip(self[2], other[2])])
+        return Scalar._make(order, da * db, [a * db + b * da for a, b in zip(self[2], other[2])])
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        da, db = self.den, other.den
+        order = self[0]
+        if order != other[0]:
+            self._check(other)
+        da, db = self[1], other[1]
         if da == db:
-            return Scalar._make(self.order, da, [a - b for a, b in zip(self.num, other.num)])
-        return Scalar._make(
-            self.order, da * db, [a * db - b * da for a, b in zip(self.num, other.num)]
-        )
+            return Scalar._make(order, da, [a - b for a, b in zip(self[2], other[2])])
+        return Scalar._make(order, da * db, [a * db - b * da for a, b in zip(self[2], other[2])])
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self.order, self.den, tuple(-c for c in self.num))
+        return _new(Scalar, (self[0], self[1], tuple(-c for c in self[2])))
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        f = field(self.order)
-        return Scalar._make(self.order, self.den * other.den, f.mul_vec(self.num, other.num))
+        order = self[0]
+        if order != other[0]:
+            self._check(other)
+        return Scalar._make(order, self[1] * other[1], field(order).mul_vec(self[2], other[2]))
+
+    __rmul__ = _unsupported
 
     def inverse(self) -> "Scalar":
         """x^-1 = prod_{k != 1} sigma_k(x) / N(x), through the norm map."""
         if self.is_zero():
             raise DivideByZero("inverse of zero")
-        f = field(self.order)
+        order, den, num = self
+        f = field(order)
         if f.phi == 1:
-            return Scalar._make(self.order, self.num[0], [self.den])
-        cof = f.norm_cofactor(self.num)
-        norm = f.mul_vec(self.num, cof)
+            return Scalar._make(order, num[0], [den])
+        cof = f.norm_cofactor(num)
+        norm = f.mul_vec(num, cof)
         assert not any(norm[1:]), "norm map left Q"
-        return Scalar._make(self.order, norm[0], [self.den * c for c in cof])
+        return Scalar._make(order, norm[0], [den * c for c in cof])
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         self._check(other)

@@ -5,8 +5,10 @@ The exhaustive loops the reduced checks replaced live on here as
 references (``reference_*``).  The reduced and the exhaustive validators
 must give the same verdict on every preset, on the criterion-7 mutation
 corpus, and on mutations of product-table rows outside S; the solver must
-give the same family for the greedy S as for the declared hint; and the
-solver must build its condition-(a) rows from S alone.
+give the same family for the greedy S as for the declared hint; the
+solver must build its condition-(a) rows from S alone; and the checker's
+condition (a) must give the decision and witnesses of the loop over every
+basis element.
 
 ``reference_validate_hopf`` is the validator as it was before its loops
 combined the tables directly; the rewritten one must return the same
@@ -21,14 +23,15 @@ import pytest
 
 from hopfpbw import deform
 from hopfpbw.cli import parse_problem, problem_to_json
-from hopfpbw.deform import solve_kappa
+from hopfpbw.deform import Kappa, check_invariance, rel_coords, solve_kappa
 from hopfpbw.exactla import Matrix, rref
 from hopfpbw.hopf import (NotGenerating, ValidationReport, _fmt_tensor, _generator_set,
-                          _left_closure, add_into, algebra_generators, coproduct_iter,
+                          _left_closure, add_into, adjoint_on_H, algebra_generators, coproduct_iter,
                           format_hvec, h_mul, tensor_mult, validate_hopf, vec_eq)
-from hopfpbw.modalg import validate_action
+from hopfpbw.modalg import act_on_tensor, validate_action
 from hopfpbw.presets import build_problem, preset_hopf
 from hopfpbw.scalar import Scalar, format_scalar, parse_scalar
+from hopfpbw.smash import AdjointVH, adjoint_on_VH
 
 from test_acceptance import PRESET_LIST, _mutate, _mutation_sites
 
@@ -101,6 +104,41 @@ def reference_action_passed(H, B) -> bool:
     rep = validate_action(H, B)
     others = [f for f in rep.failures if f[0] != "action_multiplicative"]
     return not (others or reference_action_multiplicative_failures(H, B))
+
+
+def reference_check_invariance(H, B, kappa) -> tuple[str, list]:
+    """Condition (a) on every basis element h and relation r, in order: the
+    checker's loop before it started from the generators."""
+    status, witnesses = "pass", []
+    for i in range(H.dim):
+        ei = H.basis_vec(i)
+        adj = AdjointVH(H, B, ei)
+        for a in range(B.dim_relations()):
+            lhs_c = adjoint_on_H(H, ei, kappa.c_vec(a))
+            lhs_l = adjoint_on_VH(H, B, ei, kappa.l_vec(a), adj)
+            coords = rel_coords(B, act_on_tensor(H, B, ei, B.relation_sparse(a)))
+            rhs_c: dict = {}
+            rhs_l: dict = {}
+            for q, c in enumerate(coords):
+                if c.is_zero():
+                    continue
+                for idx, cc in kappa.c_vec(q).items():
+                    add_into(rhs_c, idx, c * cc)
+                for key, cc in kappa.l_vec(q).items():
+                    add_into(rhs_l, key, c * cc)
+            diff_c, diff_l = dict(lhs_c), dict(lhs_l)
+            for k, c in rhs_c.items():
+                add_into(diff_c, k, -c)
+            for k, c in rhs_l.items():
+                add_into(diff_l, k, -c)
+            if diff_c or diff_l:
+                status = "fail"
+                witnesses.append({
+                    "h": H.labels[i], "relation": a,
+                    "lhs": f"{format_hvec(H, lhs_c)} ; {_fmt_tensor(lhs_l, B.vlabels, H.labels)}",
+                    "rhs": f"{format_hvec(H, rhs_c)} ; {_fmt_tensor(rhs_l, B.vlabels, H.labels)}",
+                })
+    return status, witnesses
 
 
 # validate_hopf as it was before its loops read the tables directly, kept
@@ -482,6 +520,61 @@ def test_greedy_terminates_on_a_bad_unit(unit):
         assert "generators" in rep.axioms_failed()
         with pytest.raises(NotGenerating):
             algebra_generators(H)
+
+
+INVARIANCE_PRESETS = ["sweedler", "taft-2", "taft-3", "taft-4", "taft-5", "h8", "ha1",
+                      "cbh-cyclic-1", "cbh-cyclic-2", "cbh-cyclic-3", "cbh-cyclic-4"]
+SMALL_INTS = (1, -1, 2, -2, 3, -3)
+
+
+def _invariance_kappas(prob, rng):
+    """The preset's own kappa, a seeded family member, that member plus one
+    random cell, and for ha1 seeded draws of four constant cells."""
+    H, B = prob.hopf, prob.algebra
+    p = B.dim_relations()
+    fam = solve_kappa(H, B)
+    member = Kappa.zero(H, B)
+    for basis in fam.linear_basis:
+        member = member.add(basis.scale(Scalar.from_int(H.order, rng.choice(SMALL_INTS))))
+    out = [member] + ([prob.kappa] if prob.kappa is not None else [])
+    for _ in range(3):
+        a = rng.randrange(p)
+        if rng.random() < 0.5:
+            cell = ([{rng.randrange(H.dim): Scalar.from_int(H.order, rng.choice(SMALL_INTS))}
+                     if q == a else {} for q in range(p)], [{} for _ in range(p)])
+        else:
+            key = (rng.randrange(B.vdim), rng.randrange(H.dim))
+            cell = ([{} for _ in range(p)],
+                    [{key: Scalar.from_int(H.order, rng.choice(SMALL_INTS))} if q == a else {}
+                     for q in range(p)])
+        out.append(member.add(Kappa.from_vectors(H, B, *cell)))
+    if prob.name == "ha1":
+        cells = [(a, h) for a in range(p) for h in range(H.dim)]
+        for _ in range(6):
+            cv = [dict() for _ in range(p)]
+            for a, h in rng.sample(cells, 4):
+                cv[a][h] = Scalar.from_int(H.order, rng.choice(SMALL_INTS))
+            out.append(Kappa.from_vectors(H, B, cv, [dict() for _ in range(p)]))
+    return out
+
+
+@pytest.mark.parametrize("name", INVARIANCE_PRESETS)
+def test_check_invariance_matches_the_full_basis_loop(name):
+    prob = build_problem(name, with_kappa=True)
+    H, B = prob.hopf, prob.algebra
+    rng = random.Random(f"invariance-{name}")
+    kappas = _invariance_kappas(prob, rng)
+    decisions = set()
+    for kp in kappas:
+        st = check_invariance(H, B, kp).conditions["a"]
+        want_status, want_witnesses = reference_check_invariance(H, B, kp)
+        assert (st.status, st.witnesses) == (want_status, want_witnesses), name
+        decisions.add(st.status)
+    # every preset has an invariant member; a random cell breaks (a) except
+    # for cbh-cyclic-1, whose H is the ground field acting trivially
+    assert "pass" in decisions
+    if name != "cbh-cyclic-1":
+        assert "fail" in decisions, name
 
 
 # -- the exact-count guard --------------------------------------------------------------

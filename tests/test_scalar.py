@@ -1,3 +1,6 @@
+import copy
+import pickle
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -5,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfpbw.scalar import (
-    Scalar, scalar_make, zeta, field,
+    Scalar, scalar_make, zeta, field, STRAIGHT_LINE_MAX_PHI,
     parse_scalar, format_scalar, InvalidField, DivideByZero, FieldMismatch,
 )
 
@@ -153,3 +156,101 @@ def test_inverse_examples():
     assert (Scalar.one(3) + zeta(3)).inverse() == -zeta(3)
     half = Scalar.from_rational(9, 1, 2)
     assert (half * zeta(9, 4)).inverse() == Scalar.from_int(9, 2) * zeta(9, 5)
+
+
+def reference_mul_vec(f, a, b):
+    """The zero-skipping convolution and fold, as CycloField.mul_vec was
+    before the product was chosen per field."""
+    phi = f.phi
+    if phi == 1:
+        return (a[0] * b[0],)
+    conv = [0] * (2 * phi - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    conv[i + j] += ai * bj
+    out = conv[:phi]
+    for k in range(phi, 2 * phi - 1):
+        c = conv[k]
+        if c:
+            row = f.redrows[k - phi]
+            for i, r in enumerate(row):
+                if r:
+                    out[i] += c * r
+    return tuple(out)
+
+
+KERNEL_ORDERS = list(range(1, 65)) + [128, 243, 251, 256]
+
+
+def _kernel_operands(phi, rng):
+    zero = (0,) * phi
+    monomials = [tuple(int(i == k) * c for i in range(phi))
+                 for k, c in ((0, 1), (phi - 1, -1), (rng.randrange(phi), 3))]
+    dense = [tuple(rng.randint(-9, 9) for _ in range(phi)) for _ in range(2)]
+    wide = [tuple(rng.choice((-1, 1)) * rng.getrandbits(200) for _ in range(phi))]
+    return [zero] + monomials + dense + wide
+
+
+@pytest.mark.parametrize("order", KERNEL_ORDERS)
+def test_mul_vec_matches_the_reference_loop(order):
+    f = field(order)
+    rng = random.Random(order)
+    ops = _kernel_operands(f.phi, rng)
+    for a in ops:
+        for b in ops:
+            assert f.mul_vec(a, b) == reference_mul_vec(f, a, b), (order, a, b)
+
+
+def test_product_is_chosen_from_phi():
+    # both sides of the selection are covered by KERNEL_ORDERS
+    sides = {field(n).mul_vec.__name__ == "_mul_loop" for n in KERNEL_ORDERS}
+    assert sides == {True, False}
+    for n in KERNEL_ORDERS:
+        f = field(n)
+        assert (f.phi <= STRAIGHT_LINE_MAX_PHI) == (f.mul_vec.__name__ != "_mul_loop"), n
+
+
+def test_scalar_contract():
+    s = scalar_make(12, [(1, (1, 2)), (3, 5)])
+    t = zeta(12, 5)
+    with pytest.raises(AttributeError):
+        s.den = 3
+    with pytest.raises(AttributeError):
+        s.extra = 1
+    same = Scalar._make(12, 2 * s.den, [2 * c for c in s.num])
+    samples = [s, t, same, Scalar.zero(12), Scalar.one(12), Scalar.one(7), Scalar.one(1), -s]
+    for x in samples:
+        assert hash(x) == hash((x.order, x.den, x.num))
+        for y in samples:
+            assert (x == y) == ((x.order, x.den, x.num) == (y.order, y.den, y.num))
+    assert same == s and s != t and Scalar.one(3) != Scalar.one(4)
+    with pytest.raises(FieldMismatch):
+        Scalar.one(3) * Scalar.one(4)
+    with pytest.raises(FieldMismatch):
+        Scalar.one(3) + Scalar.one(4)
+    with pytest.raises(FieldMismatch):
+        Scalar.one(3) - Scalar.one(4)
+    with pytest.raises(FieldMismatch):
+        Scalar.one(3) / Scalar.one(4)
+    with pytest.raises(TypeError):
+        2 * s
+    with pytest.raises(TypeError):
+        s < t
+    with pytest.raises(TypeError):
+        s >= t
+    assert copy.copy(s) == s and pickle.loads(pickle.dumps(s)) == s
+
+
+def test_make_normalizes():
+    # den = 1 is kept as is; otherwise the common content is divided out
+    assert Scalar._make(5, 1, [4, 0, 6, 0]).num == (4, 0, 6, 0)
+    x = Scalar._make(5, -6, [4, 0, 6, 0])
+    assert (x.den, x.num) == (3, (-2, 0, -3, 0))
+    y = Scalar._make(5, 6, [3, 1, 0, 0])
+    assert (y.den, y.num) == (6, (3, 1, 0, 0))
+    z = Scalar._make(5, 7, [0, 0, 0, 0])
+    assert z == Scalar.zero(5) and z.den == 1
+    with pytest.raises(DivideByZero):
+        Scalar._make(5, 0, [1, 0, 0, 0])
