@@ -18,17 +18,21 @@ All comparisons happen in the right-normal form of the smash product:
 H-legs are straightened to the right, so "lies in I" concretely means
 "lies in I (x) H after straightening".
 
-Conditions (a) and (b) are linear in the entries of kappa; the solver
-computes their joint kernel exactly, then expands (c) and (d) on that
-space.  The quadratic coefficient tensors vanish in every bundled problem
-(the linear part of the solution space is zero, or the overlap space is),
-so the residual constraints are linear and the solver reports the final
-family; otherwise it returns the residual polynomial system symbolically.
+Conditions (a) and (b), and the overlap mismatches deltaL and deltaC that
+(b)-(d) compare, are linear in the entries of kappa.  They are written
+once, as one sparse matrix with a column per coordinate of kappa
+(``_Columns``).  The checker sums kappa's entries times their columns, so
+it touches kappa's support only; the solver reads the columns as rows and
+computes the joint kernel of (a) and (b) exactly, then expands (c) and (d)
+on that space.  The quadratic coefficient tensors vanish in every bundled
+problem (the linear part of the solution space is zero, or the overlap
+space is), so the residual constraints are linear and the solver reports
+the final family; otherwise it returns the residual polynomial system
+symbolically.
 
 Deformation maps are sparse throughout: ``Kappa`` keeps one dict per
 relation for each part, {h: Scalar} for kappa^C and {(v, h): Scalar} for
-kappa^L, and the overlap expansions and all four conditions read those
-dicts directly.
+kappa^L.
 """
 
 from __future__ import annotations
@@ -177,35 +181,40 @@ def rel_coords(B: ModuleAlgebra, t: dict) -> list[Scalar]:
     return [coords.get(a, zero) for a in range(B.dim_relations())]
 
 
+def _mod_I(B: ModuleAlgebra, t: dict, leg: int) -> tuple[list, dict]:
+    """Reduce a 3-leg tensor modulo I slice by slice: the leg at ``leg``
+    names the slice, the other two form its degree-2 tensor.  Returns the
+    coordinates, one sparse {slice: Scalar} per canonical relation, and the
+    remainder {(slice, column): Scalar}, empty iff every slice lies in I."""
+    slices: dict = {}
+    for key, c in t.items():
+        slices.setdefault(key[leg], {})[key[:leg] + key[leg + 1:]] = c
+    coords: list[dict] = [{} for _ in range(B.dim_relations())]
+    rem: dict = {}
+    for w in sorted(slices):
+        cw, rw = reduce_mod_relations(B, slices[w])
+        for a, c in cw.items():
+            coords[a][w] = c
+        rem.update(((w, col), c) for col, c in rw.items())
+    return coords, rem
+
+
 def expand_left(B: ModuleAlgebra, s: dict) -> list[dict]:
     """Write s in I (x) V as sum_a r_a (x) y_a; returns the y_a as sparse
-    V-vectors.  Unique because the relation basis is independent."""
-    return _expand(B, s, left=True)
+    V-vectors.  Unique because the relation basis is independent, and
+    I (x) V is the direct sum of the slices I (x) w over the last letter w."""
+    ys, rem = _mod_I(B, s, 2)
+    if rem:
+        raise NotInD3("tensor does not lie in I (x) V")
+    return ys
 
 
 def expand_right(B: ModuleAlgebra, s: dict) -> list[dict]:
     """Write s in V (x) I as sum_a z_a (x) r_a; returns the z_a."""
-    return _expand(B, s, left=False)
-
-
-def _expand(B: ModuleAlgebra, s: dict, left: bool) -> list[dict]:
-    """I (x) V is the direct sum of the slices I (x) w, so y_a[w] is the
-    coordinate of r_a in the slice of s at last letter w (at first letter
-    w for V (x) I)."""
-    slices: dict = {}
-    for (w1, w2, w3), c in s.items():
-        if left:
-            slices.setdefault(w3, {})[(w1, w2)] = c
-        else:
-            slices.setdefault(w1, {})[(w2, w3)] = c
-    out: list[dict] = [{} for _ in range(B.dim_relations())]
-    for w in sorted(slices):
-        coords, rem = reduce_mod_relations(B, slices[w])
-        if rem:
-            raise NotInD3("tensor does not lie in the required side: vector is not in the subspace")
-        for a, c in coords.items():
-            out[a][w] = c
-    return out
+    zs, rem = _mod_I(B, s, 0)
+    if rem:
+        raise NotInD3("tensor does not lie in V (x) I")
+    return zs
 
 
 def _overlap_expansions(B: ModuleAlgebra) -> tuple[list, list]:
@@ -224,6 +233,101 @@ def _overlap_expansions(B: ModuleAlgebra) -> tuple[list, list]:
     return expansions, notes
 
 
+# -- conditions (a) and (b): one matrix ----------------------------------------
+
+class _Columns:
+    """Condition (a) and the overlap mismatches as one sparse matrix with a
+    column per coordinate of kappa, built on demand for one call.
+
+    A coordinate u = (a, k) is the coefficient of k in kappa(r_a), with
+    k = h for kappa^C and k = (v, h) for kappa^L.  Both conditions are
+    linear in kappa: ``_at`` sums kappa's entries times their columns, and
+    ``solve_kappa`` takes the kernel of the columns read as rows.
+
+    - ``invariance(i, u)`` is u's share of (a) under e_i: under (b, 0, k')
+      of the adjoint half e_i . kappa(r_b), under (b, 1, k') of the
+      relabelled half kappa(e_i . r_b).
+    - ``overlap(u)`` is u's share of the mismatches at the overlap elements
+      s_t = sum_a r_a (x) y_a = sum_a z_a (x) r_a of ``expansions``: under
+      (t, (v1, v2, h)) of deltaL, under (t, (v, h)) of deltaC.  Condition
+      (b) asks that each deltaL lie in I (x) H.
+
+    The adjoint image of each unit under e_i, the coordinates of each
+    e_i . r_b and each straighten(e_h, y_a) are computed once.
+    """
+
+    def __init__(self, H: HopfAlgebra, B: ModuleAlgebra, expansions=()):
+        self.H, self.B, self.expansions = H, B, expansions
+        self.one = Scalar.one(H.order)
+        self._images: dict = {}     # (i, k) -> the adjoint image of unit k under e_i
+        self._adj: dict = {}        # i -> AdjointVH of e_i
+        self._relabel: dict = {}    # i -> {a: {b: coefficient of r_a in e_i . r_b}}
+        self._straight: dict = {}   # (t, a, h) -> straighten(e_h, y_a)
+
+    def _image(self, i: int, k) -> dict:
+        img = self._images.get((i, k))
+        if img is None:
+            H, ei, unit = self.H, self.H.basis_vec(i), {k: self.one}
+            if type(k) is int:
+                img = adjoint_on_H(H, ei, unit)
+            else:
+                if i not in self._adj:
+                    self._adj[i] = AdjointVH(H, self.B, ei)
+                img = adjoint_on_VH(H, self.B, ei, unit, self._adj[i])
+            self._images[(i, k)] = img
+        return img
+
+    def invariance(self, i: int, u: tuple) -> dict:
+        H, B = self.H, self.B
+        rel = self._relabel.get(i)
+        if rel is None:
+            rel = self._relabel[i] = {}
+            for b in range(B.dim_relations()):
+                img = act_on_tensor(H, B, H.basis_vec(i), B.relation_sparse(b))
+                for q, c in enumerate(rel_coords(B, img)):
+                    if c:
+                        rel.setdefault(q, {})[b] = c
+        a, k = u
+        col = {(a, 0, key): c for key, c in self._image(i, k).items()}
+        col.update(((b, 1, k), c) for b, c in rel.get(a, {}).items())
+        return col
+
+    def overlap(self, u: tuple) -> dict:
+        a, k = u
+        v_leg, h = ((), k) if type(k) is int else ((k[0],), k[1])
+        col: dict = {}
+        for t, (ys, zs) in enumerate(self.expansions):
+            if ys[a]:
+                img = self._straight.get((t, a, h))
+                if img is None:
+                    img = self._straight[(t, a, h)] = straighten(
+                        self.H, self.B, {h: self.one}, {(w,): c for w, c in ys[a].items()})
+                for (word, h2), c in img.items():
+                    add_into(col, (t, v_leg + (word[0], h2)), c)
+            for zv, cz in zs[a].items():
+                add_into(col, (t, (zv,) + v_leg + (h,)), -cz)
+        return col
+
+
+def _at(kappa: Kappa, column) -> dict:
+    """The sum of kappa's entries times their columns ``column(u)``."""
+    out: dict = {}
+    for part in (kappa.constant, kappa.linear):
+        for a, row in enumerate(part):
+            for k, c in row.items():
+                for key, x in column((a, k)).items():
+                    add_into(out, key, c * x)
+    return out
+
+
+def _mismatches(cols: _Columns, kappa: Kappa) -> list[tuple[dict, dict]]:
+    """(deltaL, deltaC) of kappa at each overlap element of ``cols``."""
+    out = [({}, {}) for _ in cols.expansions]
+    for (t, key), c in _at(kappa, cols.overlap).items():
+        out[t][len(key) == 2][key] = c      # deltaC's keys (v, h) have two legs
+    return out
+
+
 # -- the overlap maps ----------------------------------------------------------
 
 def overlap_maps(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa, s: dict) -> tuple[dict, dict]:
@@ -234,98 +338,46 @@ def overlap_maps(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa, s: dict) -> tup
     NotInD3 when s is outside (I (x) V) cap (V (x) I), that is, when one
     of its two expansions does not exist.
     """
-    return _overlap_from_expansions(H, B, kappa, expand_left(B, s), expand_right(B, s))
+    return _mismatches(_Columns(H, B, [(expand_left(B, s), expand_right(B, s))]), kappa)[0]
 
 
-def _overlap_from_expansions(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
-                             ys: list[dict], zs: list[dict]) -> tuple[dict, dict]:
-    deltaL: dict = {}
-    deltaC: dict = {}
-    for a in range(B.dim_relations()):
-        y, z = ys[a], zs[a]
-        kc = kappa.c_vec(a)
-        kl = kappa.l_vec(a)
-        if y:
-            t = {(vi,): c for vi, c in y.items()}
-            if kc:
-                for (word, h2), c in straighten(H, B, kc, t).items():
-                    add_into(deltaC, (word[0], h2), c)
-            for (v, h), cl in kl.items():
-                for (word, h2), c in straighten(H, B, {h: Scalar.one(H.order)}, t).items():
-                    add_into(deltaL, (v, word[0], h2), cl * c)
-        if z:
-            for zv, cz in z.items():
-                for i, c in kc.items():
-                    add_into(deltaC, (zv, i), -(cz * c))
-                for (v, h), cl in kl.items():
-                    add_into(deltaL, (zv, v, h), -(cz * cl))
-    return deltaL, deltaC
-
-
-def _deltaL_rel_coords(B: ModuleAlgebra, deltaL: dict) -> dict | None:
-    """Express deltaL in I (x) H: {(a, h): Scalar}, or None if outside."""
-    by_h: dict = {}
-    for (v1, v2, h), c in deltaL.items():
-        by_h.setdefault(h, {})[(v1, v2)] = c
-    out: dict = {}
-    for h, t in by_h.items():
-        coords, rem = reduce_mod_relations(B, t)
-        if rem:
-            return None
-        out.update(((a, h), c) for a, c in coords.items())
-    return out
-
-
-def _apply_kl_ext(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa, coords: dict) -> dict:
+def _apply_kl_ext(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa, coords: list) -> dict:
     """kappa^L extended to I (x) H: apply on the relation leg, multiply H legs."""
     out: dict = {}
-    for (a, h), c in coords.items():
-        for (v, h1), cl in kappa.l_vec(a).items():
-            for h2, cm in H.mult[h1][h].items():
-                add_into(out, (v, h2), c * cl * cm)
+    for a, row in enumerate(coords):
+        for h, c in row.items():
+            for (v, h1), cl in kappa.l_vec(a).items():
+                for h2, cm in H.mult[h1][h].items():
+                    add_into(out, (v, h2), c * cl * cm)
     return out
 
 
-def _apply_kc_ext(H: HopfAlgebra, kappa: Kappa, coords: dict) -> dict:
+def _apply_kc_ext(H: HopfAlgebra, kappa: Kappa, coords: list) -> dict:
+    """-kappa^C extended to I (x) H: the left side of (d) on deltaL's coordinates."""
     out: dict = {}
-    for (a, h), c in coords.items():
-        for h1, cc in kappa.c_vec(a).items():
-            for h2, cm in H.mult[h1][h].items():
-                add_into(out, h2, c * cc * cm)
+    for a, row in enumerate(coords):
+        for h, c in row.items():
+            for h1, cc in kappa.c_vec(a).items():
+                for h2, cm in H.mult[h1][h].items():
+                    add_into(out, h2, -c * cc * cm)
     return out
 
 
 # -- condition checks ----------------------------------------------------------
 
-def _invariance_witnesses(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa, i: int) -> list:
+def _invariance_witnesses(cols: _Columns, kappa: Kappa, i: int) -> list:
     """The witnesses of condition (a) for the basis element e_i, one per
     relation r with e_i . kappa(r) != kappa(e_i . r)."""
-    ei = H.basis_vec(i)
-    adj = AdjointVH(H, B, ei)
+    H, B = cols.H, cols.B
+    sides: dict = {}     # (b, half) -> (part in H, part in V (x) H)
+    for (b, half, k), c in _at(kappa, lambda u: cols.invariance(i, u)).items():
+        sides.setdefault((b, half), ({}, {}))[type(k) is tuple][k] = c
     out = []
-    for a in range(B.dim_relations()):
-        lhs_c = adjoint_on_H(H, ei, kappa.c_vec(a))
-        lhs_l = adjoint_on_VH(H, B, ei, kappa.l_vec(a), adj)
-        img = act_on_tensor(H, B, ei, B.relation_sparse(a))
-        coords = rel_coords(B, img)
-        rhs_c: dict = {}
-        rhs_l: dict = {}
-        for q, c in enumerate(coords):
-            if c.is_zero():
-                continue
-            for idx, cc in kappa.c_vec(q).items():
-                add_into(rhs_c, idx, c * cc)
-            for key, cc in kappa.l_vec(q).items():
-                add_into(rhs_l, key, c * cc)
-        diff_c = dict(lhs_c)
-        for k, c in rhs_c.items():
-            add_into(diff_c, k, -c)
-        diff_l = dict(lhs_l)
-        for k, c in rhs_l.items():
-            add_into(diff_l, k, -c)
-        if diff_c or diff_l:
+    for b in range(B.dim_relations()):
+        (lhs_c, lhs_l), (rhs_c, rhs_l) = (sides.get((b, half), ({}, {})) for half in (0, 1))
+        if lhs_c != rhs_c or lhs_l != rhs_l:
             out.append({
-                "h": H.labels[i], "relation": a,
+                "h": H.labels[i], "relation": b,
                 "lhs": f"{format_hvec(H, lhs_c)} ; {_fmt_tensor(lhs_l, B.vlabels, H.labels)}",
                 "rhs": f"{format_hvec(H, rhs_c)} ; {_fmt_tensor(rhs_l, B.vlabels, H.labels)}",
             })
@@ -343,12 +395,13 @@ def check_invariance(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa) -> Conditio
     Only when a generator fails is every basis element tried, in order, so
     the witnesses name every failing (h, r) as the exhaustive loop would.
     """
-    found = {i: _invariance_witnesses(H, B, kappa, i) for i in algebra_generators(H)}
+    cols = _Columns(H, B)
+    found = {i: _invariance_witnesses(cols, kappa, i) for i in algebra_generators(H)}
     st = ConditionStatus("pass")
     if any(found.values()):
         st.status = "fail"
         for i in range(H.dim):
-            wit = found[i] if i in found else _invariance_witnesses(H, B, kappa, i)
+            wit = found[i] if i in found else _invariance_witnesses(cols, kappa, i)
             st.witnesses.extend(wit)
     return ConditionReport({"a": st})
 
@@ -362,13 +415,10 @@ def check_overlap(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa) -> ConditionRe
     expansions, notes = _overlap_expansions(B)
     if not expansions:
         return ConditionReport({k: ConditionStatus("vacuous") for k in ("b", "c", "d")})
-    stb = ConditionStatus("pass")
-    stc = ConditionStatus("pass")
-    std = ConditionStatus("pass")
-    for t_idx, (ys, zs) in enumerate(expansions):
-        deltaL, deltaC = _overlap_from_expansions(H, B, kappa, ys, zs)
-        coords = _deltaL_rel_coords(B, deltaL)
-        if coords is None:
+    stb, stc, std = (ConditionStatus("pass") for _ in "bcd")
+    for t_idx, (deltaL, deltaC) in enumerate(_mismatches(_Columns(H, B, expansions), kappa)):
+        coords, rem = _mod_I(B, deltaL, 2)
+        if rem:
             stb.status = "fail"
             stb.witnesses.append({"overlap_index": t_idx,
                                   "value": "image of kL (x) id - id (x) kL not inside I"})
@@ -380,8 +430,7 @@ def check_overlap(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa) -> ConditionRe
             stc.status = "fail"
             stc.witnesses.append({"overlap_index": t_idx,
                                   "value": _fmt_tensor(lhs_c, B.vlabels, H.labels)})
-        neg = {k: -c for k, c in coords.items()}
-        lhs_d = _apply_kc_ext(H, kappa, neg)
+        lhs_d = _apply_kc_ext(H, kappa, coords)
         if lhs_d:
             std.status = "fail"
             std.witnesses.append({"overlap_index": t_idx, "value": format_hvec(H, lhs_d)})
@@ -401,20 +450,6 @@ def check_pbw(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa) -> ConditionReport
 
 
 # -- the solver ----------------------------------------------------------------
-
-def _adjoint_columns(H: HopfAlgebra, B: ModuleAlgebra, i: int, linear: bool) -> dict:
-    """Sparse columns of the adjoint action of the generator e_i: the image
-    of h under key h, and, when ``linear``, of v (x) h under key (v, h)."""
-    ei = H.basis_vec(i)
-    one = Scalar.one(H.order)
-    cols = {h: adjoint_on_H(H, ei, {h: one}) for h in range(H.dim)}
-    if linear:
-        adj = AdjointVH(H, B, ei)
-        for v in range(B.vdim):
-            for h in range(H.dim):
-                cols[(v, h)] = adjoint_on_VH(H, B, ei, {(v, h): one}, adj)
-    return cols
-
 
 def solve_kappa(H: HopfAlgebra, B: ModuleAlgebra, force_linear_zero: bool = False) -> KappaFamily:
     """Solve for the full family of deformation maps passing all conditions.
@@ -436,79 +471,38 @@ def solve_kappa(H: HopfAlgebra, B: ModuleAlgebra, force_linear_zero: bool = Fals
     imposing it for every basis element (see ``hopf``).
     """
     d, vd, p = H.dim, B.vdim, B.dim_relations()
-    nC = p * d
-    nL = 0 if force_linear_zero else p * vd * d
-    n = nC + nL
-
-    def uC(a, h):
-        return a * d + h
-
-    def uL(a, v, h):
-        return nC + a * vd * d + v * d + h
-
-    def u(a, key):
-        return uC(a, key) if type(key) is int else uL(a, *key)
-
-    rows: list[dict] = []
-
-    # condition (a): for every generator e_i and relation r_a, the adjoint
-    # action on kappa(r_a) equals kappa(e_i . r_a); one row per output key
-    # h of H and (v, h) of V (x) H
-    for i in algebra_generators(H):
-        cols = _adjoint_columns(H, B, i, linear=bool(nL))
-        for a in range(p):
-            coords = rel_coords(B, act_on_tensor(H, B, H.basis_vec(i), B.relation_sparse(a)))
-            byout: dict = {}
-            for key, col in cols.items():
-                for out, c in col.items():
-                    add_into(byout.setdefault(out, {}), u(a, key), c)
-            for q, cq in enumerate(coords):
-                if not cq.is_zero():
-                    for key in cols:
-                        add_into(byout.setdefault(key, {}), u(q, key), -cq)
-            rows.extend(byout[key] for key in cols if byout.get(key))
-
-    # condition (b): the straightened linear mismatch lies in I (x) H
+    unknowns = [(a, h) for a in range(p) for h in range(d)]
+    if not force_linear_zero:
+        unknowns += [(a, (v, h)) for a in range(p) for v in range(vd) for h in range(d)]
+    n = len(unknowns)
     expansions, notes = _overlap_expansions(B)
-    if nL and expansions:
-        # remainder-mod-I operator on V (x) V, one sparse column per coordinate
-        one = Scalar.one(H.order)
-        rem_cols = [reduce_mod_relations(B, {divmod(w, vd): one})[1] for w in range(vd * vd)]
-        for ys, zs in expansions:
-            # unit contributions of each kappa^L unknown to deltaL
-            contrib: dict = {}   # (outw, h2) -> {unknown: Scalar}
-            for a in range(p):
-                if ys[a]:
-                    t = {(vi,): c for vi, c in ys[a].items()}
-                    for h in range(d):
-                        for (word, h2), c in straighten(H, B, {h: one}, t).items():
-                            for v in range(vd):
-                                add_into(contrib.setdefault((v * vd + word[0], h2), {}),
-                                         uL(a, v, h), c)
-                for zv, cz in zs[a].items():
-                    for v in range(vd):
-                        for h in range(d):
-                            add_into(contrib.setdefault((zv * vd + v, h), {}), uL(a, v, h), -cz)
-            # rows: remainder of every (h2-slice) must vanish coordinatewise
-            byrow: dict = {}
-            for (w, h2), cell in contrib.items():
-                for outw, rc in rem_cols[w].items():
-                    dst = byrow.setdefault((outw, h2), {})
-                    for unknown, c in cell.items():
-                        add_into(dst, unknown, rc * c)
-            rows.extend(r for r in byrow.values() if r)
+    cols = _Columns(H, B, expansions)
 
-    kernel_vecs = Subspace.from_sparse(n, sparse_kernel(rows, n, H.order), H.order).rows
+    # stage 1: every column read as a row entry.  (a) is the adjoint half
+    # minus the relabelled half; (b) is the remainder of deltaL modulo
+    # I (x) H, which kappa^C does not enter
+    words = {(v1, v2, (v1, v2)): cols.one for v1 in range(vd) for v2 in range(vd)}
+    rem_map: dict = {}      # word of V (x) V -> [(word, coefficient of its remainder mod I)]
+    for (w, out), c in _mod_I(B, words, 2)[1].items():
+        rem_map.setdefault(w, []).append((out, c))
+    rows: dict = {}
+    gens = algebra_generators(H)
+    for j, u in enumerate(unknowns):
+        for i in gens:
+            for (b, half, k), c in cols.invariance(i, u).items():
+                add_into(rows.setdefault(("a", i, b, k), {}), j, -c if half else c)
+        if type(u[1]) is tuple:
+            for (t, (v1, v2, h)), c in cols.overlap(u).items():
+                for w, r in rem_map.get((v1, v2), ()):
+                    add_into(rows.setdefault(("b", t, h, w), {}), j, c * r)
+    kernel_vecs = Subspace.from_sparse(n, sparse_kernel([r for r in rows.values() if r], n, H.order),
+                                       H.order).rows
 
     def vec_to_kappa(vec: dict) -> Kappa:
         kp = Kappa.zero(H, B)
         for col, c in vec.items():
-            if col < nC:
-                a, h = divmod(col, d)
-                kp.constant[a][h] = c
-            else:
-                a, vh = divmod(col - nC, vd * d)
-                kp.linear[a][divmod(vh, d)] = c
+            a, k = unknowns[col]
+            (kp.constant if type(k) is int else kp.linear)[a][k] = c
         return kp
 
     ab_basis = [vec_to_kappa(v) for v in kernel_vecs]
@@ -520,12 +514,8 @@ def solve_kappa(H: HopfAlgebra, B: ModuleAlgebra, force_linear_zero: bool = Fals
     # stage 2: expand (c) and (d) on the stage-1 space
     per_member = []
     for kp in ab_basis:
-        data = []
-        for ys, zs in expansions:
-            dl, dc = _overlap_from_expansions(H, B, kp, ys, zs)
-            coords = _deltaL_rel_coords(B, dl)
-            assert coords is not None, "stage-1 member violates condition (b)"
-            data.append((coords, dc))
+        data = [(*_mod_I(B, dl, 2), dc) for dl, dc in _mismatches(cols, kp)]
+        assert not any(rem for _coords, rem, _dc in data), "stage-1 member violates condition (b)"
         per_member.append(data)
 
     quad_c: dict = {}
@@ -535,21 +525,19 @@ def solve_kappa(H: HopfAlgebra, B: ModuleAlgebra, force_linear_zero: bool = Fals
             for t_idx in range(len(expansions)):
                 coords_j = per_member[j][t_idx][0]
                 vimg = _apply_kl_ext(H, B, ab_basis[i], coords_j)
-                himg = _apply_kc_ext(H, ab_basis[i], {kk: -c for kk, c in coords_j.items()})
+                himg = _apply_kc_ext(H, ab_basis[i], coords_j)
                 key = (min(i, j), max(i, j))
                 for kk, c in vimg.items():
-                    cell = quad_c.setdefault((t_idx, kk), {})
-                    add_into(cell, key, c)
+                    add_into(quad_c.setdefault((t_idx, kk), {}), key, c)
                 for kk, c in himg.items():
-                    cell = quad_d.setdefault((t_idx, kk), {})
-                    add_into(cell, key, c)
+                    add_into(quad_d.setdefault((t_idx, kk), {}), key, c)
     quad_c = {kk: cell for kk, cell in quad_c.items() if cell}
     quad_d = {kk: cell for kk, cell in quad_d.items() if cell}
 
     lin_rows: dict = {}
     for i in range(k):
         for t_idx in range(len(expansions)):
-            for kk, c in per_member[i][t_idx][1].items():
+            for kk, c in per_member[i][t_idx][2].items():
                 lin_rows.setdefault((t_idx, kk), {})[i] = c
 
     if not quad_c and not quad_d:

@@ -253,12 +253,19 @@ def format_hvec(H: HopfAlgebra, a: HVec) -> str:
 
 
 def adjoint_on_H(H: HopfAlgebra, a: HVec, ell: HVec) -> HVec:
-    """Left adjoint action of a on ell: sum a1 * ell * S(a2)."""
+    """Left adjoint action of a on ell: sum a1 * ell * S(a2), read off the
+    tables with no intermediate vector (``deform`` takes many unit images)."""
     out: HVec = {}
-    for (j, k), c in coproduct_iter(H, a, 2).items():
-        term = h_mul(H, h_mul(H, H.basis_vec(j), ell), H.antipode[k])
-        for idx, ci in term.items():
-            add_into(out, idx, c * ci)
+    mult, antipode = H.mult, H.antipode
+    for i, ca in a.items():
+        for l, cl in ell.items():
+            c = ca * cl
+            for (j, k), cd in H.comult[i].items():
+                for m, cm in mult[j][l].items():
+                    f = c * cd * cm
+                    for s, cs in antipode[k].items():
+                        for idx, ci in mult[m][s].items():
+                            add_into(out, idx, f * cs * ci)
     return out
 
 

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd
 from operator import itemgetter
 
@@ -395,20 +396,18 @@ def scalar_make(order: int, terms) -> Scalar:
 # `z` denotes zeta_N for the ambient order.
 
 def format_scalar(s: Scalar) -> str:
+    _order, den, num = s
     parts = []
-    for p, c in enumerate(s.num):
-        if c == 0:
-            continue
-        coeff = str(c) if s.den == 1 else f"{c}/{s.den}"
+    # the nonzero numerators only: a table scalar of a large field is mostly 0
+    for p in compress(range(len(num)), num):
+        coeff = str(num[p]) if den == 1 else f"{num[p]}/{den}"
         if p == 0:
             parts.append(coeff)
         elif p == 1:
             parts.append(f"{coeff}*z")
         else:
             parts.append(f"{coeff}*z^{p}")
-    if not parts:
-        return "0"
-    return " + ".join(parts)
+    return " + ".join(parts) if parts else "0"
 
 
 class ScalarParseError(ScalarError):

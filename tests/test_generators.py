@@ -106,26 +106,35 @@ def reference_action_passed(H, B) -> bool:
     return not (others or reference_action_multiplicative_failures(H, B))
 
 
+def reference_invariance_sides(H, B, kappa, i, a, adj) -> tuple:
+    """(lhs_c, lhs_l, rhs_c, rhs_l) of condition (a) for e_i and r_a: the
+    adjoint half e_i . kappa(r_a) and the relabelled half kappa(e_i . r_a),
+    each split into its part in H and its part in V (x) H.  ``adj`` is the
+    ``AdjointVH`` of e_i."""
+    ei = H.basis_vec(i)
+    lhs_c = adjoint_on_H(H, ei, kappa.c_vec(a))
+    lhs_l = adjoint_on_VH(H, B, ei, kappa.l_vec(a), adj)
+    coords = rel_coords(B, act_on_tensor(H, B, ei, B.relation_sparse(a)))
+    rhs_c: dict = {}
+    rhs_l: dict = {}
+    for q, c in enumerate(coords):
+        if c.is_zero():
+            continue
+        for idx, cc in kappa.c_vec(q).items():
+            add_into(rhs_c, idx, c * cc)
+        for key, cc in kappa.l_vec(q).items():
+            add_into(rhs_l, key, c * cc)
+    return lhs_c, lhs_l, rhs_c, rhs_l
+
+
 def reference_check_invariance(H, B, kappa) -> tuple[str, list]:
     """Condition (a) on every basis element h and relation r, in order: the
     checker's loop before it started from the generators."""
     status, witnesses = "pass", []
     for i in range(H.dim):
-        ei = H.basis_vec(i)
-        adj = AdjointVH(H, B, ei)
+        adj = AdjointVH(H, B, H.basis_vec(i))
         for a in range(B.dim_relations()):
-            lhs_c = adjoint_on_H(H, ei, kappa.c_vec(a))
-            lhs_l = adjoint_on_VH(H, B, ei, kappa.l_vec(a), adj)
-            coords = rel_coords(B, act_on_tensor(H, B, ei, B.relation_sparse(a)))
-            rhs_c: dict = {}
-            rhs_l: dict = {}
-            for q, c in enumerate(coords):
-                if c.is_zero():
-                    continue
-                for idx, cc in kappa.c_vec(q).items():
-                    add_into(rhs_c, idx, c * cc)
-                for key, cc in kappa.l_vec(q).items():
-                    add_into(rhs_l, key, c * cc)
+            lhs_c, lhs_l, rhs_c, rhs_l = reference_invariance_sides(H, B, kappa, i, a, adj)
             diff_c, diff_l = dict(lhs_c), dict(lhs_l)
             for k, c in rhs_c.items():
                 add_into(diff_c, k, -c)

@@ -7,7 +7,7 @@ import pytest
 from hopfpbw.scalar import Scalar, zeta
 from hopfpbw.hopf import (
     validate_hopf, adjoint_on_H, group_algebra, algebra_generators,
-    h_mul, vec_eq, NotAGroup, format_hvec,
+    add_into, coproduct_iter, h_mul, vec_eq, NotAGroup, format_hvec,
 )
 from hopfpbw.cli import render_problem
 from hopfpbw.presets import PRESET_NAMES, UnknownPreset, build_problem, preset_hopf
@@ -124,6 +124,35 @@ def test_adjoint_module_axiom():
     for a in range(8):
         assert vec_eq(adjoint_on_H(H, H.basis_vec(a), H.unit),
                       {k: v * H.counit[a] for k, v in H.unit.items()})
+
+
+def reference_adjoint_on_H(H, a, ell):
+    """adjoint_on_H as it was before it read the tables directly: the
+    iterated coproduct of a, then two products per leg."""
+    out = {}
+    for (j, k), c in coproduct_iter(H, a, 2).items():
+        term = h_mul(H, h_mul(H, H.basis_vec(j), ell), H.antipode[k])
+        for idx, ci in term.items():
+            add_into(out, idx, c * ci)
+    return out
+
+
+@pytest.mark.parametrize("name", ["sweedler", "taft-3", "h8", "ha1"])
+def test_adjoint_matches_the_reference(name):
+    H = preset_hopf(name)
+    rng = random.Random(f"adjoint-{name}")
+    for i in range(H.dim):
+        for l in range(H.dim):
+            assert adjoint_on_H(H, H.basis_vec(i), H.basis_vec(l)) == \
+                reference_adjoint_on_H(H, H.basis_vec(i), H.basis_vec(l))
+
+    def draw():
+        return {h: Scalar.from_int(H.order, rng.choice([-2, -1, 1, 3]))
+                for h in rng.sample(range(H.dim), 3)}
+
+    for _ in range(20):
+        a, ell = draw(), draw()
+        assert adjoint_on_H(H, a, ell) == reference_adjoint_on_H(H, a, ell)
 
 
 def test_group_algebra():

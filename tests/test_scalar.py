@@ -212,6 +212,35 @@ def test_product_is_chosen_from_phi():
         assert (f.phi <= STRAIGHT_LINE_MAX_PHI) == (f.mul_vec.__name__ != "_mul_loop"), n
 
 
+def reference_format_scalar(s: Scalar) -> str:
+    """format_scalar as it was before it skipped the zero numerators."""
+    parts = []
+    for p, c in enumerate(s.num):
+        if c == 0:
+            continue
+        coeff = str(c) if s.den == 1 else f"{c}/{s.den}"
+        if p == 0:
+            parts.append(coeff)
+        elif p == 1:
+            parts.append(f"{coeff}*z")
+        else:
+            parts.append(f"{coeff}*z^{p}")
+    if not parts:
+        return "0"
+    return " + ".join(parts)
+
+
+@pytest.mark.parametrize("order", list(range(1, 65)) + [251, 256])
+def test_format_scalar_matches_the_reference_loop(order):
+    phi = field(order).phi
+    rng = random.Random(f"format-{order}")
+    for num in _kernel_operands(phi, rng):
+        for den in (1, 2, 6, 35):
+            s = Scalar._make(order, den, num)
+            assert format_scalar(s) == reference_format_scalar(s), (order, num, den)
+            assert parse_scalar(format_scalar(s), order) == s
+
+
 def test_scalar_contract():
     s = scalar_make(12, [(1, (1, 2)), (3, 5)])
     t = zeta(12, 5)
