@@ -30,7 +30,7 @@ import sys
 from .scalar import Scalar, parse_scalar, format_scalar, ScalarError
 from .hopf import HopfAlgebra, validate_hopf, format_hvec, HopfError, MAX_CYCLOTOMIC_ORDER, MAX_HOPF_DIM
 from .modalg import (ModuleAlgebra, ModAlgError, action_from_generators, validate_action, graded_dim,
-                     koszul_component, DEFAULT_CUTOFF, CutoffExceeded)
+                     koszul_component, DEFAULT_CUTOFF)
 from .deform import Kappa, check_pbw, solve_kappa, kappa_block_dims
 from .oracle import filtered_dims, pbw_probe, CONSISTENT_CAVEAT, OracleError
 from .presets import Problem, build_problem, PRESET_NAMES
@@ -510,6 +510,8 @@ def cmd_oracle(prob_path: str, as_json: bool, cutoff: int | None,
 
 
 def cmd_koszul(prob_path: str, as_json: bool, cutoff: int | None, max_deg: int) -> int:
+    if max_deg < 0:
+        raise ModAlgError("the degree bound --max must be at least 0")
     prob = load_spec(prob_path, cutoff)
     B = prob.algebra
     # graded_dim refuses a degree above the cutoff, before any overlap space
@@ -590,7 +592,7 @@ def main(argv: list[str] | None = None) -> int:
         for line in _fail_lines(exc.failures):
             print(line, file=sys.stderr)
         return 2
-    except (HopfError, CutoffExceeded, OracleError) as exc:
+    except (HopfError, ModAlgError, OracleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

@@ -302,12 +302,17 @@ class SparseEchelon:
     rows are stored unreduced against each other; insertion order does not
     affect the row space, and ``rref_rows`` returns its unique reduced row
     echelon form.
+
+    A pivot may be stored as a token in place of its row (``adopt``); every
+    read of it goes through ``row``, which makes the row with the caller's
+    ``derive(pivots, c)``.
     """
 
     def __init__(self, order: int):
         f = field(order)
         self.order = order
-        self.pivots: dict = {}      # col -> row with its leading entry at col
+        self.pivots: dict = {}      # col -> row with its leading entry at col, or a token
+        self.derive = None          # derive(pivots, col) -> the row of a token
         self._unit = 1 if f.phi == 1 else (1,) + (0,) * (f.phi - 1)
         self.phi = f.phi
         if f.phi == 1:
@@ -325,6 +330,11 @@ class SparseEchelon:
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+    def row(self, c: int) -> dict:
+        """The pivot row at column c, made by ``derive`` if it is stored as a token."""
+        piv = self.pivots[c]
+        return piv if piv.__class__ is dict else self.derive(self.pivots, c)
 
     def coeff(self, s: Scalar, den: int):
         """Integer coordinates of den * s, for den a multiple of s.den."""
@@ -355,6 +365,8 @@ class SparseEchelon:
             piv = self.pivots.get(c)
             if piv is None:
                 return c, self._strip(row)
+            if piv.__class__ is not dict:
+                piv = self.derive(self.pivots, c)
             pc = piv[c]
             rc = row.pop(c)
             out = row if pc == self._unit else {col: mul(pc, v) for col, v in row.items()}
@@ -379,10 +391,11 @@ class SparseEchelon:
             self.pivots[c] = row
         return c
 
-    def adopt(self, c: int, row: dict) -> None:
+    def adopt(self, c: int, row) -> None:
         """Store a row that is already stripped and whose leading column c
-        has no pivot, as ``insert`` would, without reducing it: the oracle's
-        relabelled copies of stored pivots."""
+        has no pivot, as ``insert`` would, without reducing it; or store a
+        token (not a dict) from which ``derive`` makes that row on each read.
+        The oracle adopts relabelled pivots as the letter that relabels them."""
         if c in self.pivots:
             raise LinAlgError(f"column {c} already has a pivot")
         self.pivots[c] = row
@@ -399,7 +412,7 @@ class SparseEchelon:
         red: dict = {}
         for c in sorted(self.pivots, reverse=True):
             row = {col: Scalar._make(order, 1, (v,) if phi == 1 else v)
-                   for col, v in self.pivots[c].items()}
+                   for col, v in self.row(c).items()}
             if row[c] != one:
                 inv = row[c].inverse()
                 row = {col: s * inv for col, s in row.items()}

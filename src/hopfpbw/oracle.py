@@ -68,6 +68,15 @@ table each clear one common denominator, and a left H-multiple clears one
 per row.  The column order is by descending degree, so pivot counts per
 degree block give the intersection dimensions directly.
 
+Each ring (``_Ring``: the exact one and the shadow's, below) converts
+the tables of H into its coefficients.  The table e_h . v, which every
+right V-multiple reads whole, is converted up front; a product e_h e_g
+and a straightening straighten(e_g, word) are converted on their first
+read, and straighten(e_g, word) is taken once per (g, word) for both
+rings.  The exact products keep one denominator for the whole table, the
+lcm of the denominators of H.mult, so that lazily converted entries are
+the ones the whole table would give.
+
 The F_p shadow.  Most candidate rows op(pivot) lie in the span already,
 and reducing them exactly is the bulk of the work.  So every candidate is
 first built and reduced modulo a prime ideal P = (p, zeta - w), with p a
@@ -86,24 +95,43 @@ The shadow decides nothing else:
   shadow keeps adds an exact pivot.  The tables are then the ones an
   exact-only span gives, unless a row that is nonzero over Z[zeta_N]
   vanishes modulo P.
-- An exact pivot whose lead lies in P (or a table denominator divisible
-  by p) would break that, so the shadow moves to the next prime of one
-  fixed deterministic list and re-images the stored exact pivots.
+- An exact pivot whose lead lies in P would break that, so the shadow
+  moves to the next prime of one fixed deterministic list and re-images
+  the stored exact pivots.
+- A table denominator divisible by p would break it too, and the shadow
+  converts most table entries lazily, in the middle of the span.  So a
+  prime is vetted before its shadow is built: it must divide no
+  denominator of H.mult, H.comult or the action matrices.  Every table
+  entry is a sum of products of these (``straighten`` reads only the
+  coproduct and the action), and the denominator of a sum or product of
+  elements of Q(zeta_N) divides the product of their denominators (the
+  reduction modulo the cyclotomic polynomial, which is monic, brings in
+  none), so p then divides no table denominator either.
 
 Relabelling.  Left multiplication by v maps the column of w (x) h to that
 of v w (x) h and preserves the column order, so v x has its lead at the
 image of x's lead column, with x's lead coefficient, a unit modulo P.
 When that column has no pivot, v x is a new pivot as it stands: the
 relabelled exact row is already stripped, and the relabelled shadow slice
-is already its image with lead 1.  It is stored with
-``SparseEchelon.adopt`` and ``_Shadow.adopt``, with no reduction, exactly
-as ``insert`` and ``add_pivot`` would store it.
+is already its image with lead 1.  It is stored with no reduction.  The
+shadow keeps the relabelled slice (``_Shadow.adopt``), since later shadow
+reductions read it.  The exact engine keeps only the letter v
+(``SparseEchelon.adopt``): the source pivot's column follows from v and
+the new column, so every exact read of the pivot (a reduction that meets
+its column, an exact candidate built from it, or re-imaging after a
+prime move) derives the row, ``_derive``, by walking back through the
+letters to the nearest stored row and relabelling that row down.  The
+derived row is exactly the row that ``insert`` would store.  On ha1 at
+(N, k) = (3, 2), 17,344 left multiples are adopted and exact reads derive
+4,078 rows, each dropped after use, so the engine holds only the rows
+that ``insert`` stored.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from itertools import repeat
 from math import lcm
 from operator import add, mul, not_
@@ -190,19 +218,28 @@ class _Ambient:
 
 # -- coefficient domains ---------------------------------------------------------
 
-def _straightened(H: HopfAlgebra, B: ModuleAlgebra, gens: list) -> dict:
-    """straighten(e_g, word) as [(word rank, h, Scalar)], once per (g, word):
-    for every basis element and letter (the right V-multiples), and for
-    every generator and word of length at most 2 (the left H-multiples act
-    on seed rows only, and those never leave degree 2)."""
+class _Lazy(dict):
+    """A table whose entry at a key is made by ``make(key)`` on its first read."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        val = self[key] = self.make(key)
+        return val
+
+
+def _straightened(H: HopfAlgebra, B: ModuleAlgebra) -> _Lazy:
+    """straighten(e_g, word) as [(word rank, h, Scalar)], keyed (g, word
+    rank, m) for a word of length m; each key is taken once, on its first
+    read, and serves both rings."""
     vd = B.vdim
     one = Scalar.one(H.order)
-    keys = [(h, v, 1) for h in range(H.dim) for v in range(vd)]
-    keys += [(g, wr, m) for g in gens for m in range(3) for wr in range(vd ** m)]
-    out: dict = {}
-    for key in keys:
-        if key in out:
-            continue
+
+    def make(key):
         g, wr, m = key
         word = []
         for _ in range(m):
@@ -215,41 +252,70 @@ def _straightened(H: HopfAlgebra, B: ModuleAlgebra, gens: list) -> dict:
             for wi in w2:
                 wr2 = wr2 * vd + wi
             terms.append((wr2, h2, c))
-        out[key] = terms
-    return out
+        return terms
+
+    return _Lazy(make)
 
 
 class _Ring:
     """One coefficient domain of the oracle's rows: the ring operations
     ``mul``, ``add``, ``is_zero`` and ``scale`` (by an int), and the
     smash-product tables converted into it.  ``convert`` maps a list of
-    Scalars to (den, coefficients of den * s) for one common den."""
+    Scalars to (den, coefficients of den * s) for one common den.
 
-    def __init__(self, ops: tuple, convert, H: HopfAlgebra, vdim: int, straightened: dict):
+    ``straight`` is converted up front, since ``_right_v`` reads all of it;
+    ``hmul`` and ``moved`` convert an entry on its first read.  No table
+    holds a reference to the ring, so a ring dies with its last user."""
+
+    def __init__(self, ops: tuple, convert, H: HopfAlgebra, vdim: int, straightened: _Lazy):
         self.mul, self.add, self.is_zero, self.scale = ops
-        # hmul[h][g] = [(k, c)] for e_h e_g, one denominator for the table
-        _, cs = convert([c for per_g in H.mult for prod in per_g for c in prod.values()])
-        it = iter(cs)
-        self.hmul = [[[(k, next(it)) for k in prod] for prod in per_g] for per_g in H.mult]
+        scale = self.scale
         # straight[h][v] = [(v_out, h_out, c)] for e_h . v, one denominator for the table
         moved = [[straightened[h, v, 1] for v in range(vdim)] for h in range(H.dim)]
         _, cs = convert([c for per_v in moved for terms in per_v for *_, c in terms])
         it = iter(cs)
         self.straight = [[[(v2, h2, next(it)) for v2, h2, _ in terms] for terms in per_v]
                          for per_v in moved]
+        # hmul[h][g] = [(k, c)] for e_h e_g, one denominator for the table: the
+        # one convert gives the whole table, read off one scalar 1/q per
+        # denominator q of H.mult
+        dens = {s.den for per_g in H.mult for prod in per_g for s in prod.values()}
+        den, _ = convert([Scalar.from_rational(H.order, 1, q) for q in dens])
+
+        def product(per_g, g):
+            prod = per_g[g]
+            dp, cs = convert(list(prod.values()))
+            f = den // dp
+            return [(k, c if f == 1 else scale(c, f)) for k, c in zip(prod, cs)]
+
+        self.hmul = [_Lazy(partial(product, per_g)) for per_g in H.mult]
+
         # moved[g, word rank, m] = (den, [(word rank, h, c)]) for straighten(e_g, word)
-        self.moved = {}
-        for key, terms in straightened.items():
-            den, cs = convert([c for *_, c in terms])
-            self.moved[key] = (den, [(w, h, c) for (w, h, _), c in zip(terms, cs)])
+        def moved_entry(key):
+            terms = straightened[key]
+            dm, cs = convert([c for *_, c in terms])
+            return dm, [(w, h, c) for (w, h, _), c in zip(terms, cs)]
+
+        self.moved = _Lazy(moved_entry)
 
 
-def _exact_ring(ech: SparseEchelon, H: HopfAlgebra, vdim: int, straightened) -> _Ring:
+def _exact_ring(ech: SparseEchelon, H: HopfAlgebra, vdim: int, straightened: _Lazy) -> _Ring:
     def convert(scalars):
         den = lcm(*(s.den for s in scalars))
         return den, [ech.coeff(s, den) for s in scalars]
 
     return _Ring((ech.mul, ech.add, ech.is_zero, ech.scale), convert, H, vdim, straightened)
+
+
+def _table_den(H: HopfAlgebra, B: ModuleAlgebra) -> int:
+    """The lcm of the denominators of H.mult, H.comult and the action
+    matrices.  Every entry of a ring's tables is a sum of products of these
+    (``straighten`` reads only the coproduct and the action), so a prime
+    that divides none of them divides no denominator that a table converts."""
+    dens = [s.den for per_g in H.mult for prod in per_g for s in prod.values()]
+    dens += [s.den for cop in H.comult for s in cop.values()]
+    dens += [s.den for mat in B.action for r in mat for s in r]
+    return lcm(*dens)
 
 
 # -- the four row operators, one body over any domain ------------------------------
@@ -379,23 +445,25 @@ def _root_of_unity(order: int, p: int) -> int:
                 if all(pow(w, order // q, p) != 1 for q in qs))
 
 
-class _BadPrime(Exception):
-    """The shadow prime is not 1 mod N, or divides a table denominator."""
+def _images(p: int, pows: list, scalars) -> tuple:
+    """(1, the images mod P of some Scalars): the shadow ring's ``convert``.
+    It holds p and the powers of w only, so the ring holds no shadow."""
+    return 1, [sum(map(mul, s.num, pows)) * pow(s.den, -1, p) % p for s in scalars]
 
 
 class _Shadow:
     """Images modulo P = (p, zeta - w) of the exact pivot rows, each
     normalized to lead 1 and packed: the pivot at column c is the slice
-    start[c] : start[c] + size[c] of ``cols``/``vals``, lead first."""
+    start[c] : start[c] + size[c] of ``cols``/``vals``, lead first.  The
+    prime must be 1 mod N and divide no table denominator (``_next_shadow``)."""
 
     def __init__(self, p: int, H: HopfAlgebra, vdim: int, total: int, straightened):
-        if (p - 1) % H.order:
-            raise _BadPrime(p)
         self.p = p
         w = _root_of_unity(H.order, p)
         phi = field(H.order).phi
         self.pows = [pow(w, j, p) for j in range(phi)]
-        self.ring = _Ring((mul, add, not_, mul), self._convert, H, vdim, straightened)
+        self.ring = _Ring((mul, add, not_, mul), partial(_images, p, self.pows), H, vdim,
+                          straightened)
         self.start = array("q", bytes(8 * total))
         self.size = array("q", bytes(8 * total))
         self.cols = array("q")
@@ -406,15 +474,6 @@ class _Shadow:
         if isinstance(v, int):
             return v % self.p
         return sum(map(mul, v, self.pows)) % self.p
-
-    def _convert(self, scalars) -> tuple:
-        p = self.p
-        out = []
-        for s in scalars:
-            if s.den % p == 0:
-                raise _BadPrime(p)
-            out.append(self.image(s.num) * pow(s.den, -1, p) % p)
-        return 1, out
 
     def add_pivot(self, c: int, row: dict) -> bool:
         """Store the image of an exact pivot row; False if its lead lies in P."""
@@ -475,18 +534,40 @@ class _Shadow:
         return True
 
 
-def _next_shadow(primes, H: HopfAlgebra, vdim: int, total: int, straightened,
-                 pivots: dict) -> _Shadow:
-    """A shadow on the next prime of the list under which every table
-    denominator and every stored exact pivot lead is a unit."""
+def _next_shadow(primes, den: int, H: HopfAlgebra, vdim: int, total: int, straightened,
+                 ech: SparseEchelon) -> _Shadow:
+    """A shadow on the next prime of the list that is 1 mod N, divides no
+    table denominator (``den``, from ``_table_den``) and leaves every stored
+    exact pivot lead a unit.  Pivots stored as tokens are derived to be
+    imaged."""
     for p in primes:
-        try:
-            sh = _Shadow(p, H, vdim, total, straightened)
-        except _BadPrime:
+        if (p - 1) % H.order or den % p == 0:
             continue
-        if all(sh.add_pivot(c, row) for c, row in pivots.items()):
+        sh = _Shadow(p, H, vdim, total, straightened)
+        if all(sh.add_pivot(c, ech.row(c)) for c in ech.pivots):
             return sh
     raise OracleError("no usable shadow prime")
+
+
+def _derive(amb: _Ambient, pivots: dict, c: int) -> dict:
+    """The exact row of the pivot adopted at c as the letter v of v x: walk
+    back through the letters to the nearest stored row, then relabel that
+    row down by all the letters at once, their column shifts composed per
+    degree.  The engine calls this on every exact read of an adopted pivot."""
+    deg, lshift = amb.deg, amb.lshift
+    letters = []
+    row = pivots[c]
+    while row.__class__ is not dict:
+        letters.append(row)
+        c -= lshift[row][deg[c] - 1]
+        row = pivots[c]
+    # total[m]: how far a column of degree m moves under v_1 ... v_n
+    total = [0] * (deg[c] + 1)
+    for i, v in enumerate(reversed(letters)):
+        shift = lshift[v]
+        for m in range(len(total)):
+            total[m] += shift[m + i]
+    return {col + total[deg[col]]: val for col, val in row.items()}
 
 
 # -- the spanning oracle ---------------------------------------------------------
@@ -517,10 +598,12 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
     V-multiples before its right ones, and only pivots not born of a left
     V-multiple get right V-multiples; the span is the same (module
     docstring).  H and the action must already pass ``validate_hopf`` and
-    ``validate_action``.  A span of more than ``MAX_SPAN_COLUMNS`` columns
-    is refused with ``OracleError``."""
+    ``validate_action``.  A negative buffer, and a span of more than
+    ``MAX_SPAN_COLUMNS`` columns, are refused with ``OracleError``."""
     if N < 2:
         raise OracleError("degree bound must be at least 2")
+    if k < 0:
+        raise OracleError("buffer must be at least 0")
     D = N + k
     if D > B.cutoff:
         raise CutoffExceeded(f"spanning degree {D} exceeds cutoff {B.cutoff}")
@@ -531,11 +614,13 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
                           f"above the limit {MAX_SPAN_COLUMNS}")
     amb = _Ambient(vd, d, D)
     ech = SparseEchelon(H.order)
+    ech.derive = partial(_derive, amb)
     hgens = algebra_generators(H)
-    straightened = _straightened(H, B, hgens)
+    straightened = _straightened(H, B)
     exact = _exact_ring(ech, H, vd, straightened)
     primes = _shadow_primes(H.order)
-    shadow = _next_shadow(primes, H, vd, amb.total, straightened, ech.pivots)
+    den = _table_den(H, B)
+    shadow = _next_shadow(primes, den, H, vd, amb.total, straightened, ech)
 
     # pivot columns by generation degree: those born of a left V-multiple,
     # whose right V-multiples lie in the span already (module docstring),
@@ -549,12 +634,12 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
             return
         layer.append(piv)
         if not shadow.add_pivot(piv, ech.pivots[piv]):
-            shadow = _next_shadow(primes, H, vd, amb.total, straightened, ech.pivots)
+            shadow = _next_shadow(primes, den, H, vd, amb.total, straightened, ech)
 
     def consider(op, piv: int, arg: int, layer: list) -> None:
         # the exact engine only sees rows whose shadow adds a pivot
         if not shadow.reduces_to_zero(op(shadow.ring, amb, shadow.row(piv), arg)):
-            record(ech.insert(op(exact, amb, ech.pivots[piv].items(), arg)), layer)
+            record(ech.insert(op(exact, amb, ech.row(piv).items(), arg)), layer)
 
     def left_multiple(piv: int, v: int, layer: list) -> None:
         shift = amb.lshift[v]
@@ -562,9 +647,10 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
         if c in ech.pivots:
             consider(_left_v, piv, v, layer)
             return
-        # a free lead: the relabelled exact row is already stripped, and the
-        # relabelled shadow slice is its image with lead 1
-        ech.adopt(c, _left_v(exact, amb, ech.pivots[piv].items(), v))
+        # a free lead: the relabelled exact row is already stripped, so the
+        # engine keeps the letter and derives the row on each exact read;
+        # the relabelled shadow slice is its image with lead 1
+        ech.adopt(c, v)
         shadow.adopt(c, piv, amb.deg, shift)
         layer.append(c)
 
@@ -602,7 +688,10 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
 def pbw_probe(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
               N: int = 3, k_max: int = 2) -> ProbeReport:
     """Run filtered_dims for buffers 0..k_max; FALSIFIED on the first strict
-    deficiency proves the quotient is not PBW, CONSISTENT is evidence only."""
+    deficiency proves the quotient is not PBW, CONSISTENT is evidence only.
+    A negative k_max is refused with ``OracleError``."""
+    if k_max < 0:
+        raise OracleError("maximum buffer must be at least 0")
     reports = []
     for k in range(k_max + 1):
         rep = filtered_dims(H, B, kappa, N, k)

@@ -182,6 +182,23 @@ def test_koszul_max_is_bounded_by_the_cutoff(tmp_path, capsys):
     assert "exceeds cutoff" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [["oracle", "--buffer", "-1"],
+                                  ["oracle", "--probe", "--max-buffer", "-1"],
+                                  ["koszul", "--max", "-1"]])
+def test_negative_bounds_refused_without_a_traceback(tmp_path, args):
+    # --buffer -1 once died with an IndexError in the span's column layout,
+    # --probe --max-buffer -1 with an IndexError on an empty report list,
+    # and koszul --max -1 printed empty tables and exited 0
+    import subprocess
+    import sys
+    path = emit(tmp_path, "h8")
+    proc = subprocess.run([sys.executable, "-m", "hopfpbw.cli", args[0], str(path), *args[1:]],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "at least 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("name", ["taft-17", "cbh-cyclic-257", "taft-300"])
 def test_oversized_preset_refused_up_front(name):
     # the loader refuses hopf.dim 289 and cyclotomic_order 257: taft-17 and

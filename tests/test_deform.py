@@ -314,7 +314,7 @@ def test_overlap_maps_match_smash_commutator(problem):
     # degree-3 element must equal kC(r_tu) v - v kC(r_tu) computed directly
     # in the smash product, with the oracle's row operators
     from hopfpbw import oracle
-    from hopfpbw.hopf import add_into, algebra_generators
+    from hopfpbw.hopf import add_into
     from test_smash import scalar_ring
     prob = problem("ha1")
     H, B = prob.hopf, prob.algebra
@@ -322,7 +322,7 @@ def test_overlap_maps_match_smash_commutator(problem):
     t, u, v, w = 0, 1, 2, 3
     s_tuv = {(t, u, v): one, (t, v, u): -one, (u, t, v): -one,
              (u, v, t): one, (v, t, u): one, (v, u, t): -one}
-    R = scalar_ring(H, B, algebra_generators(H))
+    R = scalar_ring(H, B)
     amb = oracle._Ambient(B.vdim, H.dim, 1)
     for hidx in (0, 2, 9, 13):          # 1, x^2, xz, xyz
         cv = [dict() for _ in range(6)]

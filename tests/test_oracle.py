@@ -82,6 +82,10 @@ def test_degree_and_cutoff_guards(problem):
         filtered_dims(prob.hopf, prob.algebra, kp, 1, 0)
     with pytest.raises(CutoffExceeded):
         filtered_dims(prob.hopf, prob.algebra, kp, 6, 1)
+    with pytest.raises(OracleError, match="buffer must be at least 0"):
+        filtered_dims(prob.hopf, prob.algebra, kp, 3, -1)
+    with pytest.raises(OracleError, match="maximum buffer must be at least 0"):
+        pbw_probe(prob.hopf, prob.algebra, kp, 3, -1)
 
 
 def test_ha1_member_consistent_buffer2(problem):
@@ -538,16 +542,21 @@ def test_h_multiples_run_on_seed_pivots_only(problem, monkeypatch):
                 note(piv)
             return piv
 
-        def adopt(self, c, row):
-            super().adopt(c, row)
-            events.append(("adopt", False))
-            v_layers.append(("adopt", born[source[1]][0]))
-            note(c)
+    # an adoption builds no exact row, so it is counted where the shadow
+    # relabels the source pivot's slice
+    shadow_adopt = oracle._Shadow.adopt
+
+    def adopt(self, c, piv, deg, shift):
+        shadow_adopt(self, c, piv, deg, shift)
+        events.append(("adopt", False))
+        v_layers.append(("adopt", born[piv][0]))
+        born[c] = (born[piv][0] + 1, True)
 
     monkeypatch.setattr(oracle, "_exact_ring", exact_ring)
     for name in ("_right_h", "_left_h", "_left_v", "_right_v"):
         monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
     monkeypatch.setattr(oracle, "SparseEchelon", Counting)
+    monkeypatch.setattr(oracle._Shadow, "adopt", adopt)
     for prob, N, k in ((problem("ha1", True), 3, 2), (problem("h8", True), 3, 1)):
         events.clear()
         source.clear()
@@ -556,7 +565,7 @@ def test_h_multiples_run_on_seed_pivots_only(problem, monkeypatch):
         rep = filtered_dims(prob.hopf, prob.algebra, prob.kappa, N, k)
         assert rep.verdict == "CONSISTENT"
         S = algebra_generators(prob.hopf)
-        first_v = next(i for i, (name, _) in enumerate(events) if name == "_left_v")
+        first_v = next(i for i, (name, _) in enumerate(events) if name in ("_left_v", "adopt"))
         seeds = sum(1 for name, kept in events[:first_v] if name == "pivot" and kept)
         in_shadow = Counter(name for name, shadow in events if name != "pivot" and shadow)
         assert in_shadow["_right_h"] == in_shadow["_left_h"] == len(S) * seeds, prob.name
@@ -585,25 +594,34 @@ def test_h_multiples_run_on_seed_pivots_only(problem, monkeypatch):
 # -- left multiples adopted by relabelling ------------------------------------------
 
 def test_adopted_left_multiples_match_insert_and_add_pivot(problem, monkeypatch):
-    # A left V-multiple whose lead column is free is stored as it stands;
-    # `insert` on a copy of the engine and `add_pivot` on a blank shadow
-    # must store the same column, the same row and the same image.
+    # A left V-multiple whose lead column is free is stored as its letter,
+    # and its exact row is derived on every read: the derived row must be
+    # what `insert` on a copy of the engine stores at the same column, and
+    # the relabelled shadow slice what `add_pivot` on a blank shadow stores.
+    # A left multiple of an adopted pivot is adopted in turn, so the
+    # derivation walks chains of letters back to a stored row.
     from types import SimpleNamespace
     adopted = {}
+    chain = {}      # adopted column -> number of letters back to a stored row
 
     class Checked(oracle.SparseEchelon):
         def adopt(self, c, row):
+            assert not isinstance(row, dict)
+            derived = self.derive(ChainMap({c: row}, self.pivots), c)
             twin = oracle.SparseEchelon(self.order)
             twin.pivots = ChainMap({}, self.pivots)     # a copy on write
-            assert twin.insert(dict(row)) == c
-            assert list(twin.pivots[c].items()) == list(row.items())
+            twin.derive = self.derive
+            assert twin.insert(dict(derived)) == c
+            assert list(twin.pivots[c].items()) == list(derived.items())
             super().adopt(c, row)
-            adopted[c] = row
+            assert list(self.row(c).items()) == list(derived.items())
+            adopted[c] = derived
 
     shadow_adopt = oracle._Shadow.adopt
 
     def checked_shadow_adopt(self, c, piv, deg, shift):
         shadow_adopt(self, c, piv, deg, shift)
+        chain[c] = chain.get(piv, 0) + 1
         blank = SimpleNamespace(p=self.p, image=self.image, start={}, size={}, cols=[], vals=[])
         assert oracle._Shadow.add_pivot(blank, c, adopted[c])
         assert list(self.row(c)) == list(zip(blank.cols, blank.vals))
@@ -619,13 +637,119 @@ def test_adopted_left_multiples_match_insert_and_add_pivot(problem, monkeypatch)
              (h8.hopf, B2, move(h8.hopf, bad), 3, 1), (ha1.hopf, ha1.algebra, ha1.kappa, 3, 2),
              (ha1.hopf, ha1.algebra, _ha1_kappa(ha1, 5, {9: one4, 13: -one4}), 3, 2),
              (ha1.hopf, ha1.algebra, _dense_kappa(ha1, 2), 3, 0)]
+    longest = []
     for H, B, kp, N, k in cases:
         adopted.clear()
+        chain.clear()
         want = reference_computed_dims(H, B, kp, N, k) if H is h8.hopf else None
         rep = filtered_dims(H, B, kp, N, k)
         assert adopted, (B.vlabels, N, k)
+        assert chain.keys() == adopted.keys()
+        longest.append(max(chain.values()))
         if want is not None:
             assert rep.computed_dims == want
+    # h8 at (3, 1) derives rows through chains of two letters, ha1 at (3, 2)
+    # through chains of three
+    assert longest == [2, 2, 2, 3, 3, 1]
+
+
+def test_engine_holds_only_inserted_rows_and_nothing_outlives_a_span(problem, monkeypatch):
+    # An adopted pivot is stored as its letter, so the engine keeps a row
+    # dict for exactly the columns that `insert` returned.  No reference
+    # cycle holds the span's state: with the collector off, the engine and
+    # every shadow die by reference counting when `filtered_dims` returns.
+    import gc
+    import weakref
+    engines, shadows, inserted = [], [], []
+
+    class Recording(oracle.SparseEchelon):
+        def __init__(self, order):
+            super().__init__(order)
+            engines.append(weakref.ref(self))
+
+        def insert(self, row):
+            piv = super().insert(row)
+            if piv is not None:
+                inserted.append(piv)
+            return piv
+
+    class Shadow(oracle._Shadow):
+        def __init__(self, *args):
+            super().__init__(*args)
+            shadows.append(weakref.ref(self))
+
+    monkeypatch.setattr(oracle, "SparseEchelon", Recording)
+    monkeypatch.setattr(oracle, "_Shadow", Shadow)
+    real_graded_dim = oracle.graded_dim
+    held = []
+
+    def graded_dim(B, j):
+        # called right after the span, while the engine is alive
+        if not held:
+            held.append(dict(engines[-1]().pivots))
+        return real_graded_dim(B, j)
+
+    monkeypatch.setattr(oracle, "graded_dim", graded_dim)
+    for prob, N, k in ((problem("ha1", True), 3, 2), (problem("taft-5", True), 3, 1)):
+        engines.clear()
+        shadows.clear()
+        inserted.clear()
+        held.clear()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            rep = filtered_dims(prob.hopf, prob.algebra, prob.kappa, N, k)
+            assert len(engines) == 1 and shadows
+            assert all(ref() is None for ref in engines + shadows), prob.name
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert rep.verdict == "CONSISTENT"
+        pivots, = held
+        rows = {c for c, entry in pivots.items() if isinstance(entry, dict)}
+        assert rows == set(inserted) and len(inserted) == len(rows), prob.name
+        assert all(isinstance(entry, int) for c, entry in pivots.items() if c not in rows)
+        assert len(rows) < len(pivots), prob.name
+
+
+def test_prime_move_after_adoptions_re_images_derived_chains(problem, monkeypatch):
+    # Fail `add_pivot` once, at the first pivot recorded after a chain of
+    # three letters was adopted (generation 3 or later: every seed is
+    # recorded before the first adoption).  The next shadow re-images every
+    # stored pivot, deriving the rows of adopted chains, and the tables must
+    # equal the unforced run.
+    prob = problem("ha1", True)
+    H, B = prob.hopf, prob.algebra
+    want = filtered_dims(H, B, prob.kappa, 3, 2)
+    chain = {}          # adopted column -> letters back to a stored row
+    state = {"failed": None, "reimaged": {}}
+    add_pivot, shadow_adopt = oracle._Shadow.add_pivot, oracle._Shadow.adopt
+
+    def adopt(self, c, piv, deg, shift):
+        shadow_adopt(self, c, piv, deg, shift)
+        chain[c] = chain.get(piv, 0) + 1
+
+    def forced(self, c, row):
+        if state["failed"] is None and 3 in chain.values():
+            state["failed"] = (self.p, c)
+            return False
+        if state["failed"] is not None and self.p != state["failed"][0]:
+            state["reimaged"][c] = list(self.row(c)) if add_pivot(self, c, row) else None
+            return state["reimaged"][c] is not None
+        return add_pivot(self, c, row)
+
+    monkeypatch.setattr(oracle._Shadow, "adopt", adopt)
+    monkeypatch.setattr(oracle._Shadow, "add_pivot", forced)
+    rep = filtered_dims(H, B, prob.kappa, 3, 2)
+    assert state["failed"] is not None
+    p, c = state["failed"]
+    assert c not in chain
+    reimaged = state["reimaged"]
+    # every pivot stored at the move, the failed one included, is re-imaged
+    assert c in reimaged and None not in reimaged.values()
+    moved_chains = Counter(chain[col] for col in reimaged if col in chain)
+    assert moved_chains[1] and moved_chains[2] and moved_chains[3], moved_chains
+    assert (rep.computed_dims, rep.verdict) == (want.computed_dims, want.verdict)
 
 
 # -- refusing oversized spans ------------------------------------------------------

@@ -21,10 +21,10 @@ def one(order=1):
 # Over a Scalar _Ring (no denominators cleared) they are the plain products
 # of the smash product on rows keyed by the oracle's columns.
 
-def scalar_ring(H, B, gens):
-    """The oracle's tables over Scalars, with left H-multiples by ``gens``."""
+def scalar_ring(H, B):
+    """The oracle's tables over Scalars."""
     return oracle._Ring((mul, add, not_, mul), lambda s: (1, list(s)), H, B.vdim,
-                        oracle._straightened(H, B, gens))
+                        oracle._straightened(H, B))
 
 
 def _op(R, amb, op, arg, row):
@@ -86,7 +86,7 @@ def test_smash_mult_unit_law(problem):
     H, B = prob.hopf, prob.algebra
     (u, c), = H.unit.items()
     assert c == one()
-    R = scalar_ring(H, B, [u])
+    R = scalar_ring(H, B)
     amb = oracle._Ambient(B.vdim, H.dim, 2)
     rng = random.Random(3)
     for _ in range(5):
@@ -99,7 +99,7 @@ def test_smash_mult_two_step_straightening(problem):
     # g v = -v g, then (g v) g = -v g^2 = -v
     prob = problem("sweedler")
     H, B = prob.hopf, prob.algebra
-    R = scalar_ring(H, B, [2])
+    R = scalar_ring(H, B)
     amb = oracle._Ambient(B.vdim, H.dim, 1)
     gv = _op(R, amb, oracle._left_h, 2, {amb.col(1, 1, 0): one()})
     assert gv == {amb.col(1, 1, 2): -one()}
@@ -113,7 +113,7 @@ def test_smash_mult_associativity(problem):
         prob = problem(name)
         H, B = prob.hopf, prob.algebra
         gens = algebra_generators(H)
-        R = scalar_ring(H, B, gens)
+        R = scalar_ring(H, B)
         amb = oracle._Ambient(B.vdim, H.dim, 3)
         rng = random.Random(seed)
         for _ in range(4):
