@@ -180,7 +180,7 @@ def parse_problem(doc: dict, cutoff: int | None = None) -> Problem:
         raise ParseError("hopf block missing")
     try:
         d = _integer(hdoc["dim"], "hopf.dim")
-        labels = list(hdoc["labels"])
+        labels = list(_list(hdoc["labels"], "hopf.labels"))
     except (KeyError, TypeError) as exc:
         raise ParseError("hopf.dim or hopf.labels malformed") from exc
     if d > MAX_HOPF_DIM:

@@ -43,7 +43,7 @@ from .scalar import Scalar
 from .exactla import Subspace, NotMember, sparse_kernel
 from .hopf import HopfAlgebra, _fmt_tensor, add_into, adjoint_on_H, algebra_generators, format_hvec
 from .modalg import ModuleAlgebra, act_on_tensor, koszul_component, reduce_mod_relations
-from .smash import AdjointVH, straighten, adjoint_on_VH
+from .smash import straighten, adjoint_on_VH
 
 
 class DeformError(Exception):
@@ -260,7 +260,6 @@ class _Columns:
         self.H, self.B, self.expansions = H, B, expansions
         self.one = Scalar.one(H.order)
         self._images: dict = {}     # (i, k) -> the adjoint image of unit k under e_i
-        self._adj: dict = {}        # i -> AdjointVH of e_i
         self._relabel: dict = {}    # i -> {a: {b: coefficient of r_a in e_i . r_b}}
         self._straight: dict = {}   # (t, a, h) -> straighten(e_h, y_a)
 
@@ -271,9 +270,8 @@ class _Columns:
             if type(k) is int:
                 img = adjoint_on_H(H, ei, unit)
             else:
-                if i not in self._adj:
-                    self._adj[i] = AdjointVH(H, self.B, ei)
-                img = adjoint_on_VH(H, self.B, ei, unit, self._adj[i])
+                # the legs' images on H come from the same cache
+                img = adjoint_on_VH(H, self.B, ei, unit, self._image)
             self._images[(i, k)] = img
         return img
 

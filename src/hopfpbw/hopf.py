@@ -168,18 +168,6 @@ def h_mul(H: HopfAlgebra, a: HVec, b: HVec) -> HVec:
     return out
 
 
-def coproduct_iter(H: HopfAlgebra, a: HVec, legs: int) -> dict:
-    """Left-nested iterated coproduct: keys are index tuples of length `legs`."""
-    cur = {(i,): c for i, c in a.items()}
-    for _ in range(legs - 1):
-        nxt: dict = {}
-        for key, c in cur.items():
-            for (j, k), ck in H.comult[key[0]].items():
-                add_into(nxt, (j, k) + key[1:], c * ck)
-        cur = nxt
-    return cur
-
-
 def tensor_mult(H: HopfAlgebra, A: TVec, B: TVec, mul=operator.mul) -> TVec:
     """Product in H (x) H of two sparse tensors; ``mul`` multiplies two
     constants (``validate_hopf`` passes its ``product_memo``)."""

@@ -16,17 +16,19 @@ This module holds the two rules the package needs.  ``straighten`` moves
 the H-legs of the overlap mismatches in conditions (b)-(d) to the right,
 the oracle builds from it the tables of its four row operators, which
 form every product it takes in T(V) # H, and ``modalg.act_on_tensor``
-reads the action of H on T(V) off it by the counit law.  ``AdjointVH``
-and ``adjoint_on_VH`` are the adjoint action of H on V (x) H that
-condition (a) reads.  ``act_on_generator`` is the one-letter action
-e_h . v that both rules are built from.
+reads the action of H on T(V) off it by the counit law.
+``adjoint_on_VH`` is the adjoint action of H on V (x) H that condition (a)
+reads: by coassociativity it is the one-letter action on the first leg of
+one coproduct and ``hopf.adjoint_on_H`` on the second.
+``act_on_generator`` is the one-letter action e_h . v that both rules are
+built from.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .hopf import HopfAlgebra, add_into, coproduct_iter, h_mul
+from .hopf import HopfAlgebra, add_into, adjoint_on_H
 
 if TYPE_CHECKING:
     from .modalg import ModuleAlgebra
@@ -69,51 +71,29 @@ def straighten(H: HopfAlgebra, B: ModuleAlgebra, a: dict, t: dict) -> dict:
     return out
 
 
-class AdjointVH:
-    """The left adjoint action of one fixed a on V (x) H.
+def adjoint_on_VH(H: HopfAlgebra, B: ModuleAlgebra, a: dict, w: dict, ad=None) -> dict:
+    """Left adjoint action on V (x) H: a . (v (x) l) = sum (a1 . v) (x) ad(a2)(l).
 
-    The 3-leg coproduct of a is taken once, and the products a2 e_l S(a3)
-    once per H-basis index l, so every image under the same a reuses them.
+    By coassociativity this is the adjoint action on H after one coproduct.
+    w is a sparse dict {(vidx, hidx): Scalar}.  ``ad(k, l)`` returns
+    ad(e_k)(e_l); it defaults to ``hopf.adjoint_on_H``, and a caller that
+    takes many images passes a cached one.
     """
-
-    def __init__(self, H: HopfAlgebra, B: ModuleAlgebra, a: dict):
-        self.H, self.B = H, B
-        legs = coproduct_iter(H, a, 3)
-        # a leg whose e_k1 acts on V as zero contributes nothing
-        acting = {k1: any(any(row) for row in B.action[k1]) for k1, _k2, _k3 in legs}
-        self.legs = [(key, c) for key, c in legs.items() if acting[key[0]]]
-        self._mids: dict = {}
-
-    def _mid(self, l: int) -> list:
-        """[(k1, the sum of c a2 e_l S(a3) over the legs c (k1, a2, a3))]."""
-        out = self._mids.get(l)
-        if out is None:
-            H = self.H
-            by_k1: dict = {}
-            for (k1, k2, k3), c in self.legs:
-                acc = by_k1.setdefault(k1, {})
-                for hout, ch in h_mul(H, H.mult[k2][l], H.antipode[k3]).items():
-                    add_into(acc, hout, c * ch)
-            out = self._mids[l] = [(k1, acc) for k1, acc in by_k1.items() if acc]
-        return out
-
-    def image(self, w: dict) -> dict:
-        out: dict = {}
+    if ad is None:
+        def ad(k, l):
+            return adjoint_on_H(H, H.basis_vec(k), H.basis_vec(l))
+    out: dict = {}
+    for i, ca in a.items():
         for (v, l), cw in w.items():
-            for k1, mid in self._mid(l):
-                for vout, cv in act_on_generator(self.B, k1, v).items():
-                    f = cw * cv
-                    for hout, ch in mid.items():
-                        add_into(out, (vout, hout), f * ch)
-        return out
-
-
-def adjoint_on_VH(H: HopfAlgebra, B: ModuleAlgebra, a: dict, w: dict,
-                  adj: AdjointVH | None = None) -> dict:
-    """Left adjoint action on V (x) H: a . (v (x) l) = sum (a1.v) (x) a2 l S(a3).
-
-    w is a sparse dict {(vidx, hidx): Scalar}.  ``adj``, an ``AdjointVH``
-    of the same a, shares the legs and their products across calls.
-    """
-    return (adj or AdjointVH(H, B, a)).image(w)
-
+            c = ca * cw
+            for (j, k), cd in H.comult[i].items():
+                img = act_on_generator(B, j, v)
+                if not img:
+                    continue
+                f = c * cd
+                adl = ad(k, l)
+                for vout, cv in img.items():
+                    g = f * cv
+                    for hout, ch in adl.items():
+                        add_into(out, (vout, hout), g * ch)
+    return out

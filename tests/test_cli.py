@@ -416,6 +416,10 @@ HOSTILE = [
     ("relations-int", lambda doc: doc["algebra"].update(relations=5), "algebra.relations"),
     ("mult-int", lambda doc: doc["hopf"].update(mult=5), "hopf.mult"),
     ("labels-null", lambda doc: doc["hopf"]["labels"].__setitem__(0, None), "hopf.labels"),
+    # list(...) once read an object's keys, or a string's characters, as labels
+    ("labels-object", lambda doc: doc["hopf"].update(
+        labels={lab: 0 for lab in doc["hopf"]["labels"]}), "hopf.labels"),
+    ("labels-string", lambda doc: doc["hopf"].update(labels="abcdefghi"), "hopf.labels"),
     ("generators-null", lambda doc: doc["algebra"]["generators"].__setitem__(0, None),
      "algebra.generators"),
     # integer fields must be JSON integers: int(...) once read all of these,

@@ -6,7 +6,7 @@ from hopfpbw.scalar import Scalar, zeta
 from hopfpbw.exactla import Subspace
 from hopfpbw.hopf import _fmt_tensor, add_into, algebra_generators, format_hvec
 from hopfpbw.modalg import koszul_component, reduce_mod_relations
-from hopfpbw.smash import AdjointVH, straighten
+from hopfpbw.smash import straighten
 from hopfpbw.deform import (
     Kappa, check_invariance, check_overlap, check_pbw, overlap_maps,
     solve_kappa, kappa_block_dims, expand_left, NotInD3,
@@ -14,6 +14,7 @@ from hopfpbw.deform import (
 
 from test_exactla import reference_kernel, reference_rref
 from test_generators import reference_invariance_sides
+from test_smash import ReferenceAdjointVH
 
 
 def one(order=1):
@@ -534,7 +535,7 @@ def _reference_ab_columns(H, B, gens):
     units = [(a, h) for a in range(p) for h in range(d)]
     units += [(a, (v, h)) for a in range(p) for v in range(vd) for h in range(d)]
     expansions, _notes = reference_overlap_expansions(B)
-    adjs = {i: AdjointVH(H, B, H.basis_vec(i)) for i in gens}
+    adjs = {i: ReferenceAdjointVH(H, B, H.basis_vec(i)) for i in gens}
     columns = []
     for a, k in units:
         cv, lv = [dict() for _ in range(p)], [dict() for _ in range(p)]

@@ -16,8 +16,12 @@ failure list, tuple for tuple and in order, on every preset and corpus,
 and must multiply each pair of constants once per call.
 """
 
+import importlib
+import importlib.util
 import json
 import random
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,14 +30,15 @@ from hopfpbw.cli import parse_problem, problem_to_json
 from hopfpbw.deform import Kappa, check_invariance, rel_coords, solve_kappa
 from hopfpbw.exactla import Matrix, rref
 from hopfpbw.hopf import (NotGenerating, ValidationReport, _fmt_tensor, _generator_set,
-                          _left_closure, add_into, adjoint_on_H, algebra_generators, coproduct_iter,
+                          _left_closure, add_into, adjoint_on_H, algebra_generators,
                           format_hvec, h_mul, tensor_mult, validate_hopf, vec_eq)
 from hopfpbw.modalg import act_on_tensor, validate_action
 from hopfpbw.presets import build_problem, preset_hopf
 from hopfpbw.scalar import Scalar, format_scalar, parse_scalar
-from hopfpbw.smash import AdjointVH, adjoint_on_VH
 
 from test_acceptance import PRESET_LIST, _mutate, _mutation_sites
+from test_hopf import coproduct_iter
+from test_smash import ReferenceAdjointVH, reference_adjoint_on_VH
 
 HOPF_PRESETS = ["sweedler", "taft-3", "taft-4", "taft-5", "h8", "ha1",
                 "cyclic-1", "cyclic-2", "cyclic-3", "cyclic-4"]
@@ -110,10 +115,10 @@ def reference_invariance_sides(H, B, kappa, i, a, adj) -> tuple:
     """(lhs_c, lhs_l, rhs_c, rhs_l) of condition (a) for e_i and r_a: the
     adjoint half e_i . kappa(r_a) and the relabelled half kappa(e_i . r_a),
     each split into its part in H and its part in V (x) H.  ``adj`` is the
-    ``AdjointVH`` of e_i."""
+    ``ReferenceAdjointVH`` of e_i."""
     ei = H.basis_vec(i)
     lhs_c = adjoint_on_H(H, ei, kappa.c_vec(a))
-    lhs_l = adjoint_on_VH(H, B, ei, kappa.l_vec(a), adj)
+    lhs_l = reference_adjoint_on_VH(H, B, ei, kappa.l_vec(a), adj)
     coords = rel_coords(B, act_on_tensor(H, B, ei, B.relation_sparse(a)))
     rhs_c: dict = {}
     rhs_l: dict = {}
@@ -132,7 +137,7 @@ def reference_check_invariance(H, B, kappa) -> tuple[str, list]:
     checker's loop before it started from the generators."""
     status, witnesses = "pass", []
     for i in range(H.dim):
-        adj = AdjointVH(H, B, H.basis_vec(i))
+        adj = ReferenceAdjointVH(H, B, H.basis_vec(i))
         for a in range(B.dim_relations()):
             lhs_c, lhs_l, rhs_c, rhs_l = reference_invariance_sides(H, B, kappa, i, a, adj)
             diff_c, diff_l = dict(lhs_c), dict(lhs_l)
@@ -608,9 +613,12 @@ def test_solver_assembles_condition_a_on_generators_only(monkeypatch):
     assert fam.family_dim == 10
     S = algebra_generators(H)
     assert len(S) == 2
-    # |S| * vdim * d images on V (x) H and |S| * d on H, not d * vdim * d
+    # |S| * vdim * d images on V (x) H, not d * vdim * d.  The images on H
+    # are ad(e_k)(e_l) for k in S and for the second legs k of the
+    # coproducts of S, which the images on V (x) H read from the same cache
+    K = set(S) | {k for s in S for _j, k in H.comult[s]}
     assert calls["vh"] == len(S) * B.vdim * H.dim == 100
-    assert calls["h"] == len(S) * H.dim == 50
+    assert calls["h"] == len(K) * H.dim == 75
 
 
 def test_solver_computes_no_linear_columns_under_fix_linear_zero(monkeypatch):
@@ -653,3 +661,28 @@ def test_hopf_validation_multiplies_each_constant_pair_once(monkeypatch):
     # 44,523 when each side went through h_mul/tensor_mult; what is left is
     # one product per distinct constant pair and the closure of S
     assert first <= 1077
+
+
+# -- the benchmark's hooks --------------------------------------------------------------
+
+def test_benchmark_hooks_bind_and_restore():
+    # perfbench/tracing.py wraps the layer functions (the counters above
+    # among them) by module attribute name: a hooked name that is renamed or
+    # deleted fails here, and not only in the traced benchmark run
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = ("cli", "deform", "exactla", "hopf", "modalg", "oracle", "smash")
+    hp = SimpleNamespace(**{m: importlib.import_module(f"hopfpbw.{m}") for m in names})
+    before = {m: dict(vars(getattr(hp, m))) for m in names}
+    tracer = tracing.Tracer()
+    try:
+        tracing.install_layer_spans(tracer, hp)
+        assert hp.smash.adjoint_on_VH is not before["smash"]["adjoint_on_VH"]
+        assert deform.adjoint_on_VH is not before["deform"]["adjoint_on_VH"]
+    finally:
+        tracer.restore()
+    for m in names:
+        after = vars(getattr(hp, m))
+        assert all(after[attr] is val for attr, val in before[m].items()), m

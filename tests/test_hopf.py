@@ -7,7 +7,7 @@ import pytest
 from hopfpbw.scalar import Scalar, zeta
 from hopfpbw.hopf import (
     validate_hopf, adjoint_on_H, group_algebra, algebra_generators,
-    add_into, coproduct_iter, h_mul, vec_eq, NotAGroup, format_hvec,
+    add_into, h_mul, vec_eq, NotAGroup, format_hvec,
 )
 from hopfpbw.cli import render_problem
 from hopfpbw.presets import PRESET_NAMES, UnknownPreset, build_problem, preset_hopf
@@ -124,6 +124,20 @@ def test_adjoint_module_axiom():
     for a in range(8):
         assert vec_eq(adjoint_on_H(H, H.basis_vec(a), H.unit),
                       {k: v * H.counit[a] for k, v in H.unit.items()})
+
+
+def coproduct_iter(H, a, legs: int) -> dict:
+    """Left-nested iterated coproduct: keys are index tuples of length `legs`.
+    The package takes one coproduct at a time; the references here and in
+    test_smash and test_generators expand the whole of it."""
+    cur = {(i,): c for i, c in a.items()}
+    for _ in range(legs - 1):
+        nxt: dict = {}
+        for key, c in cur.items():
+            for (j, k), ck in H.comult[key[0]].items():
+                add_into(nxt, (j, k) + key[1:], c * ck)
+        cur = nxt
+    return cur
 
 
 def reference_adjoint_on_H(H, a, ell):

@@ -1,14 +1,17 @@
 import random
 from operator import add, mul, not_
 
+import pytest
+
 import hopfpbw
 from hopfpbw import oracle
 from hopfpbw.scalar import Scalar
-from hopfpbw.hopf import add_into, algebra_generators, coproduct_iter, h_mul
+from hopfpbw.hopf import add_into, adjoint_on_H, algebra_generators, h_mul
 from hopfpbw.modalg import act_on_tensor
-from hopfpbw.smash import straighten, adjoint_on_VH
+from hopfpbw.smash import act_on_generator, straighten, adjoint_on_VH
 
 from test_acceptance import PRESET_LIST
+from test_hopf import coproduct_iter
 
 
 def one(order=1):
@@ -177,6 +180,91 @@ def test_adjoint_on_VH_module_axiom(problem):
                 rhs = adjoint_on_VH(H, B, H.basis_vec(a),
                                     adjoint_on_VH(H, B, H.basis_vec(b), w))
                 assert lhs == rhs
+
+
+class ReferenceAdjointVH:
+    """The left adjoint action of one fixed a on V (x) H.
+
+    The 3-leg coproduct of a is taken once, and the products a2 e_l S(a3)
+    once per H-basis index l, so every image under the same a reuses them.
+    """
+
+    def __init__(self, H, B, a: dict):
+        self.H, self.B = H, B
+        legs = coproduct_iter(H, a, 3)
+        # a leg whose e_k1 acts on V as zero contributes nothing
+        acting = {k1: any(any(row) for row in B.action[k1]) for k1, _k2, _k3 in legs}
+        self.legs = [(key, c) for key, c in legs.items() if acting[key[0]]]
+        self._mids: dict = {}
+
+    def _mid(self, l: int) -> list:
+        """[(k1, the sum of c a2 e_l S(a3) over the legs c (k1, a2, a3))]."""
+        out = self._mids.get(l)
+        if out is None:
+            H = self.H
+            by_k1: dict = {}
+            for (k1, k2, k3), c in self.legs:
+                acc = by_k1.setdefault(k1, {})
+                for hout, ch in h_mul(H, H.mult[k2][l], H.antipode[k3]).items():
+                    add_into(acc, hout, c * ch)
+            out = self._mids[l] = [(k1, acc) for k1, acc in by_k1.items() if acc]
+        return out
+
+    def image(self, w: dict) -> dict:
+        out: dict = {}
+        for (v, l), cw in w.items():
+            for k1, mid in self._mid(l):
+                for vout, cv in act_on_generator(self.B, k1, v).items():
+                    f = cw * cv
+                    for hout, ch in mid.items():
+                        add_into(out, (vout, hout), f * ch)
+        return out
+
+
+def reference_adjoint_on_VH(H, B, a: dict, w: dict, adj=None) -> dict:
+    """adjoint_on_VH as it was before it read the action on H off
+    ``adjoint_on_H``: a . (v (x) l) = sum (a1.v) (x) a2 l S(a3), through its
+    own 3-leg coproduct.  ``adj``, a ``ReferenceAdjointVH`` of the same a,
+    shares the legs and their products across calls."""
+    return (adj or ReferenceAdjointVH(H, B, a)).image(w)
+
+
+def _cached_adjoint_on_H(H):
+    images: dict = {}
+
+    def ad(k, l):
+        if (k, l) not in images:
+            images[(k, l)] = adjoint_on_H(H, H.basis_vec(k), H.basis_vec(l))
+        return images[(k, l)]
+
+    return ad
+
+
+@pytest.mark.parametrize("name", ["sweedler", "taft-3", "taft-4", "taft-5", "taft-7", "h8",
+                                  "ha1", "cbh-cyclic-3"])
+def test_adjoint_on_VH_matches_the_reference(problem, name):
+    prob = problem(name)
+    H, B = prob.hopf, prob.algebra
+    o = Scalar.one(H.order)
+    ad = _cached_adjoint_on_H(H)
+    for i in range(H.dim):
+        ei, adj = H.basis_vec(i), ReferenceAdjointVH(H, B, H.basis_vec(i))
+        for v in range(B.vdim):
+            for l in range(H.dim):
+                w = {(v, l): o}
+                want = reference_adjoint_on_VH(H, B, ei, w, adj)
+                assert adjoint_on_VH(H, B, ei, w, ad) == want
+                assert adjoint_on_VH(H, B, ei, w) == want
+    rng = random.Random(f"adjoint-vh-{name}")
+    for _ in range(10):
+        a = _random_h(rng, H, 3)
+        w = {}
+        for _ in range(3):
+            add_into(w, (rng.randrange(B.vdim), rng.randrange(H.dim)),
+                     Scalar.from_int(H.order, rng.choice([-2, -1, 1, 3])))
+        want = reference_adjoint_on_VH(H, B, a, w)
+        assert adjoint_on_VH(H, B, a, w) == want
+        assert adjoint_on_VH(H, B, a, w, ad) == want
 
 
 # -- the action of H on T(V), expanded through the iterated coproduct -------------------
