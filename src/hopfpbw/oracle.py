@@ -19,7 +19,8 @@ Generation j + 1, for j < N + k, is formed in two passes: first the left
 V-multiples of every generation-j pivot, then the right V-multiples of
 those generation-j pivots that were not born of a left V-multiple.  A
 left multiple whose lead column is free is adopted without reduction
-(relabelling, below); taken first, the left multiples claim their lead
+(relabelling, below), or in the last generation not stored at all
+(virtual pivots, below); taken first, the left multiples claim their lead
 columns before any right multiple does, so more of them are adopted,
 fewer pivots are born of right multiples, and fewer rows reach the
 shadow and the exact engine.  No later generation is closed under H
@@ -121,10 +122,29 @@ the new column, so every exact read of the pivot (a reduction that meets
 its column, an exact candidate built from it, or re-imaging after a
 prime move) derives the row, ``_derive``, by walking back through the
 letters to the nearest stored row and relabelling that row down.  The
-derived row is exactly the row that ``insert`` would store.  On ha1 at
-(N, k) = (3, 2), 17,344 left multiples are adopted and exact reads derive
-4,078 rows, each dropped after use, so the engine holds only the rows
-that ``insert`` stored.
+derived row is exactly the row that ``insert`` would store.
+
+Virtual pivots.  Nothing multiplies a pivot of the last generation
+D = N + k, so a free left multiple of that generation is not stored at all.
+Its column names it.  Let c be a column of degree m with no stored pivot,
+v the first letter of c's word and c' = c - lshift[v][m - 1] the column of
+the rest of it.  When c' holds a generation-(D - 1) pivot x, the pivot at
+c is v x (``_Ambient.virtual``): the exact engine's ``derive`` relabels x's
+row, deriving it first if x is stored as a letter, and the shadow relabels
+x's slice.  Left multiplication is injective on words, so the last left
+phase meets each virtual pivot once, and counts it by degree for the
+tables there.  The lookup is in place before the last left phase reduces
+anything, so no reduction stops at a virtual column and no pivot is ever
+stored at one; a left multiple whose column is taken is still reduced,
+through the virtual pivots.  A new shadow after a prime move reads the
+same lookup, and a virtual pivot has nothing to re-image.  The span is the
+one above, S_D = S_{D-1} + V L_{D-1} + L_{D-1} V, and the pivot columns of
+a span are unique, so the pivot columns and the tables are unchanged.
+Generations before the last keep their letters and slices: they are the
+sources of the next generation's multiples.  On ha1 at (N, k) = (3, 2),
+3,200 left multiples are adopted and 14,144 are virtual, and exact reads
+derive 4,078 rows, through chains of at most three letters, each dropped
+after use, so the engine holds only the rows that ``insert`` stored.
 """
 
 from __future__ import annotations
@@ -208,12 +228,26 @@ class _Ambient:
         # the word v w has rank v * vd^m + rank(w)
         self.lshift = [[self.base[m + 1] - self.base[m] + v * vdim ** m * hdim
                         for m in range(D)] for v in range(vdim)]
+        # last[c] = 1 for the pivots of generation D - 1, from the start of
+        # the last left phase on: the sources of the virtual pivots
+        self.last = bytearray(self.total)
 
     def col(self, word_rank: int, deg: int, h: int) -> int:
         return self.base[deg] + word_rank * self.hdim + h
 
     def dim_upto(self, m: int) -> int:
         return sum(self.block[j] for j in range(m + 1))
+
+    def virtual(self, c: int) -> tuple[int, int] | None:
+        """(v, c') when c holds the virtual pivot v x, for x the pivot of
+        generation D - 1 at c', provided no pivot is stored at c; else None.
+        c is the column of v w (x) h and c' that of w (x) h."""
+        m = self.deg[c]
+        if not m:
+            return None
+        v, r = divmod(c - self.base[m], self.block[m - 1])
+        src = self.base[m - 1] + r
+        return (v, src) if self.last[src] else None
 
 
 # -- coefficient domains ---------------------------------------------------------
@@ -454,18 +488,20 @@ def _images(p: int, pows: list, scalars) -> tuple:
 class _Shadow:
     """Images modulo P = (p, zeta - w) of the exact pivot rows, each
     normalized to lead 1 and packed: the pivot at column c is the slice
-    start[c] : start[c] + size[c] of ``cols``/``vals``, lead first.  The
+    start[c] : start[c] + size[c] of ``cols``/``vals``, lead first; a
+    virtual pivot has no slice and is read off its source's (``amb``).  The
     prime must be 1 mod N and divide no table denominator (``_next_shadow``)."""
 
-    def __init__(self, p: int, H: HopfAlgebra, vdim: int, total: int, straightened):
+    def __init__(self, p: int, H: HopfAlgebra, amb: _Ambient, straightened):
         self.p = p
+        self.amb = amb
         w = _root_of_unity(H.order, p)
         phi = field(H.order).phi
         self.pows = [pow(w, j, p) for j in range(phi)]
-        self.ring = _Ring((mul, add, not_, mul), partial(_images, p, self.pows), H, vdim,
+        self.ring = _Ring((mul, add, not_, mul), partial(_images, p, self.pows), H, amb.vdim,
                           straightened)
-        self.start = array("q", bytes(8 * total))
-        self.size = array("q", bytes(8 * total))
+        self.start = array("q", bytes(8 * amb.total))
+        self.size = array("q", bytes(8 * amb.total))
         self.cols = array("q")
         self.vals = array("q")
 
@@ -514,9 +550,11 @@ class _Shadow:
 
     def reduces_to_zero(self, row: dict) -> bool:
         """Whether a row (coefficients mod p, not yet reduced) lies in the
-        span of the stored images.  Entries that cancel mod p stay in the
-        row as zeros and are dropped when they come to lead."""
+        span of the stored images and the virtual pivots.  Entries that
+        cancel mod p stay in the row as zeros and are dropped when they come
+        to lead."""
         p, start, size, cols, vals = self.p, self.start, self.size, self.cols, self.vals
+        virtual = self.amb.virtual
         red = {c: x % p for c, x in row.items()}
         get = red.get
         while red:
@@ -525,38 +563,58 @@ class _Shadow:
             if not f:
                 continue
             n = size[c]
-            if not n:
+            if n:
+                s = start[c] + 1
+                e = s + n - 1
+                for col, x in zip(cols[s:e], vals[s:e]):
+                    red[col] = (get(col, 0) - f * x) % p
+                continue
+            src = virtual(c)
+            if src is None:
                 return False
+            # the image of v x is x's slice relabelled by v
+            v, c = src
+            deg, shift = self.amb.deg, self.amb.lshift[v]
             s = start[c] + 1
-            e = s + n - 1
+            e = s + size[c] - 1
             for col, x in zip(cols[s:e], vals[s:e]):
+                col += shift[deg[col]]
                 red[col] = (get(col, 0) - f * x) % p
         return True
 
 
-def _next_shadow(primes, den: int, H: HopfAlgebra, vdim: int, total: int, straightened,
+def _next_shadow(primes, den: int, H: HopfAlgebra, amb: _Ambient, straightened,
                  ech: SparseEchelon) -> _Shadow:
     """A shadow on the next prime of the list that is 1 mod N, divides no
     table denominator (``den``, from ``_table_den``) and leaves every stored
     exact pivot lead a unit.  Pivots stored as tokens are derived to be
-    imaged."""
+    imaged; a virtual pivot is read off its source's image."""
     for p in primes:
         if (p - 1) % H.order or den % p == 0:
             continue
-        sh = _Shadow(p, H, vdim, total, straightened)
+        sh = _Shadow(p, H, amb, straightened)
         if all(sh.add_pivot(c, ech.row(c)) for c in ech.pivots):
             return sh
     raise OracleError("no usable shadow prime")
 
 
-def _derive(amb: _Ambient, pivots: dict, c: int) -> dict:
-    """The exact row of the pivot adopted at c as the letter v of v x: walk
-    back through the letters to the nearest stored row, then relabel that
-    row down by all the letters at once, their column shifts composed per
-    degree.  The engine calls this on every exact read of an adopted pivot."""
+def _derive(amb: _Ambient, pivots: dict, c: int) -> dict | None:
+    """The exact row of the pivot adopted at c as the letter v of v x, or of
+    the virtual pivot v x at c (``_Ambient.virtual``); None when c has no
+    pivot.  Walk back through the letters to the nearest stored row, then
+    relabel that row down by all the letters at once, their column shifts
+    composed per degree.  The engine calls this on every exact read of an
+    adopted pivot and at every column where ``pivots`` holds nothing."""
     deg, lshift = amb.deg, amb.lshift
     letters = []
-    row = pivots[c]
+    row = pivots.get(c)
+    if row is None:
+        src = amb.virtual(c)
+        if src is None:
+            return None
+        v, c = src
+        letters.append(v)
+        row = pivots[c]
     while row.__class__ is not dict:
         letters.append(row)
         c -= lshift[row][deg[c] - 1]
@@ -595,9 +653,9 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
     dimension upper bounds for degrees 0..N against the PBW expectation.
 
     Only the seeds are closed under H, each generation takes all its left
-    V-multiples before its right ones, and only pivots not born of a left
-    V-multiple get right V-multiples; the span is the same (module
-    docstring).  H and the action must already pass ``validate_hopf`` and
+    V-multiples before its right ones, only pivots not born of a left
+    V-multiple get right V-multiples, and the last generation's free left
+    multiples stay virtual; the span is the same (module docstring).  H and the action must already pass ``validate_hopf`` and
     ``validate_action``.  A negative buffer, and a span of more than
     ``MAX_SPAN_COLUMNS`` columns, are refused with ``OracleError``."""
     if N < 2:
@@ -620,13 +678,16 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
     exact = _exact_ring(ech, H, vd, straightened)
     primes = _shadow_primes(H.order)
     den = _table_den(H, B)
-    shadow = _next_shadow(primes, den, H, vd, amb.total, straightened, ech)
+    shadow = _next_shadow(primes, den, H, amb, straightened, ech)
 
     # pivot columns by generation degree: those born of a left V-multiple,
     # whose right V-multiples lie in the span already (module docstring),
     # and all others
     lefts = [[] for _ in range(D + 1)]
     others = [[] for _ in range(D + 1)]
+    # pivots by the degree of their column: the virtual ones as the last
+    # left phase meets them, the stored ones once the span is done
+    by_deg = [0] * (D + 1)
 
     def record(piv, layer: list) -> None:
         nonlocal shadow
@@ -634,7 +695,7 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
             return
         layer.append(piv)
         if not shadow.add_pivot(piv, ech.pivots[piv]):
-            shadow = _next_shadow(primes, den, H, vd, amb.total, straightened, ech)
+            shadow = _next_shadow(primes, den, H, amb, straightened, ech)
 
     def consider(op, piv: int, arg: int, layer: list) -> None:
         # the exact engine only sees rows whose shadow adds a pivot
@@ -646,13 +707,16 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
         c = piv + shift[amb.deg[piv]]
         if c in ech.pivots:
             consider(_left_v, piv, v, layer)
-            return
-        # a free lead: the relabelled exact row is already stripped, so the
-        # engine keeps the letter and derives the row on each exact read;
-        # the relabelled shadow slice is its image with lead 1
-        ech.adopt(c, v)
-        shadow.adopt(c, piv, amb.deg, shift)
-        layer.append(c)
+        elif amb.last[piv]:
+            # nothing multiplies a generation-D pivot: it stays virtual
+            by_deg[amb.deg[c]] += 1
+        else:
+            # a free lead: the relabelled exact row is already stripped, so
+            # the engine keeps the letter and derives the row on each exact
+            # read; the relabelled shadow slice is its image with lead 1
+            ech.adopt(c, v)
+            shadow.adopt(c, piv, amb.deg, shift)
+            layer.append(c)
 
     for row in _relator_rows(H, B, kappa, amb, ech):
         record(ech.insert(row), others[2])
@@ -664,21 +728,27 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
     # every left multiple of a generation before its right multiples, so
     # adopted left multiples claim their lead columns first
     for j in range(2, D):
-        for piv in others[j] + lefts[j]:
+        sources = others[j] + lefts[j]
+        if j == D - 1:
+            # before any last left multiple is reduced, so that no reduction
+            # stops at a virtual column
+            for piv in sources:
+                amb.last[piv] = 1
+        for piv in sources:
             for v in range(vd):
                 left_multiple(piv, v, lefts[j + 1])
         for piv in others[j]:
             for v in range(vd):
                 consider(_right_v, piv, v, others[j + 1])
 
-    # pivot counts by degree give dim(span  cap  T_{<=m})
-    pivot_deg = [amb.deg[c] for c in ech.pivots]
+    # pivot counts by degree, virtual and stored, give dim(span  cap  T_{<=m})
+    for c in ech.pivots:
+        by_deg[amb.deg[c]] += 1
     graded = [graded_dim(B, j) for j in range(N + 1)]
     computed = []
     expected = []
     for m in range(N + 1):
-        inter = sum(1 for pd in pivot_deg if pd <= m)
-        computed.append(amb.dim_upto(m) - inter)
+        computed.append(amb.dim_upto(m) - sum(by_deg[:m + 1]))
         expected.append(sum(graded[:m + 1]) * d)
     falsified_at = next((m for m in range(N + 1) if computed[m] < expected[m]), None)
     verdict = "FALSIFIED" if falsified_at is not None else "CONSISTENT"

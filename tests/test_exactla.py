@@ -276,6 +276,26 @@ def test_graded_dim_matches_reference_rank():
                 assert graded_dim(B, n) == ncols - rank
 
 
+def test_engine_makes_wide_cyclotomic_leads_rational():
+    # A stored pivot whose lead is not rational and wider than
+    # MAX_CYCLOTOMIC_LEAD_BITS is multiplied by the lead's other conjugates;
+    # the row space, and with it the RREF, must not move.
+    from hopfpbw.exactla import MAX_CYCLOTOMIC_LEAD_BITS, SparseEchelon
+    rng = random.Random(37)
+    wide = 2 ** (MAX_CYCLOTOMIC_LEAD_BITS + 3)
+    for order in (3, 9):
+        phi = field(order).phi
+        for _ in range(6):
+            c = rng.randint(2, 5)
+            rows = [[Scalar._make(order, 1, [rng.randint(-wide, wide) for _ in range(phi)])
+                     for _ in range(c)] for _ in range(rng.randint(1, 4))]
+            ech = SparseEchelon(order)
+            for row in dense_to_sparse(rows):
+                ech.insert(ech.from_scalars(row))
+            assert ech.pivots and all(not any(row[p][1:]) for p, row in ech.pivots.items())
+            assert _rref_rows(rows, c) == reference_rref(rows, c)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(FIELDS), st.integers(1, 4), st.integers(1, 5), st.data())
 def test_engine_matches_reference_hypothesis(order, r, c, data):

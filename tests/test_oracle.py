@@ -452,6 +452,21 @@ def test_dense_kappa_guard(problem):
         assert rep.computed_dims == [0, 0, 160, 480]
 
 
+def test_dense_kappa_over_q_zeta7_keeps_coefficients_small(problem):
+    # Over Q(zeta_7) every reduction multiplied rows by a cyclotomic pivot
+    # lead, and stripping integer content could not undo it: on taft-7 at
+    # (3, 0) the entries doubled in width with each pivot, 307,091 bits at
+    # the 50th after 10 s.  The tables agree with the Scalar reference,
+    # which takes 12 s at (3, 0) and 246 s at (3, 1).
+    prob = problem("taft-7")
+    kp = _dense_kappa(prob, 1)
+    for k, want in ((0, [0, 0, 147, 343]), (1, [0, 0, 0, 196])):
+        t0 = time.monotonic()
+        rep = filtered_dims(prob.hopf, prob.algebra, kp, 3, k)
+        assert time.monotonic() - t0 < 20, k
+        assert rep.verdict == "FALSIFIED" and rep.computed_dims == want, k
+
+
 def test_shadow_prime_fallback_is_sound(problem, monkeypatch):
     # Small primes put table denominators and pivot leads into the prime
     # ideal, so the shadow moves down the list and re-images the pivots,
@@ -506,6 +521,7 @@ def test_h_multiples_run_on_seed_pivots_only(problem, monkeypatch):
     # (oracle module docstring), so the shadow builds |S| right and |S| left
     # H-multiples of each seed pivot and none of a V-layer pivot.
     events = []
+    engines, shadows = [], []
     exact_rings = []
     real_exact_ring = oracle._exact_ring
 
@@ -535,12 +551,21 @@ def test_h_multiples_run_on_seed_pivots_only(problem, monkeypatch):
         born[piv] = (born[src][0] + 1 if v_layer else 2, name == "_left_v")
 
     class Counting(oracle.SparseEchelon):
+        def __init__(self, order):
+            super().__init__(order)
+            engines.append(self)
+
         def insert(self, row):
             piv = super().insert(row)
             events.append(("pivot", piv is not None))
             if piv is not None:
                 note(piv)
             return piv
+
+    class Shadow(oracle._Shadow):
+        def __init__(self, *args):
+            super().__init__(*args)
+            shadows.append(self)
 
     # an adoption builds no exact row, so it is counted where the shadow
     # relabels the source pivot's slice
@@ -557,8 +582,11 @@ def test_h_multiples_run_on_seed_pivots_only(problem, monkeypatch):
         monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
     monkeypatch.setattr(oracle, "SparseEchelon", Counting)
     monkeypatch.setattr(oracle._Shadow, "adopt", adopt)
+    monkeypatch.setattr(oracle, "_Shadow", Shadow)
     for prob, N, k in ((problem("ha1", True), 3, 2), (problem("h8", True), 3, 1)):
         events.clear()
+        engines.clear()
+        shadows.clear()
         source.clear()
         born.clear()
         v_layers.clear()
@@ -573,21 +601,33 @@ def test_h_multiples_run_on_seed_pivots_only(problem, monkeypatch):
         # the V-layers do add pivots, so the last check is not vacuous
         assert any(name == "pivot" and kept for name, kept in events[first_v:])
         # every pivot of generations 2..D-1 gets vd left multiples, through
-        # the shadow or relabelled, and only those not born of a left
+        # the shadow, relabelled or, in generation D - 1, left virtual at a
+        # column that never holds a pivot; only those not born of a left
         # multiple get right multiples (the product lemma)
-        multiplied = [left for gen, left in born.values() if gen < N + k]
+        D = N + k
+        multiplied = [left for gen, left in born.values() if gen < D]
         adopted = sum(1 for name, _ in events if name == "adopt")
         vd = prob.algebra.vdim
-        assert adopted > 0 and multiplied.count(True) > 0, prob.name
-        assert in_shadow["_left_v"] + adopted == vd * len(multiplied), prob.name
+        amb = oracle._Ambient(vd, prob.hopf.dim, D)
+        pivots, = (ech.pivots for ech in engines)
+        virtual = [c + amb.lshift[v][amb.deg[c]] for c, (gen, _) in born.items() if gen == D - 1
+                   for v in range(vd)]
+        virtual = [c for c in virtual if c not in pivots]
+        assert adopted > 0 and virtual and multiplied.count(True) > 0, prob.name
+        assert in_shadow["_left_v"] + adopted + len(virtual) == vd * len(multiplied), prob.name
         assert in_shadow["_right_v"] == vd * multiplied.count(False) > 0, prob.name
+        # no left multiple of the last generation is stored, in the engine
+        # or in any shadow
+        assert all(gen < D - 1 for name, gen in v_layers if name == "adopt"), prob.name
+        assert not any(sh.size[c] for sh in shadows for c in virtual), prob.name
         # each generation takes every left multiple, through the shadow or
         # adopted, before its first right multiple, so adopted left
         # multiples claim their lead columns first
-        for j in range(2, N + k):
+        for j in range(2, D):
             names = [name for name, gen in v_layers if gen == j]
             first_right = names.index("_right_v")
-            assert "adopt" in names[:first_right], (prob.name, j)
+            if j < D - 1:
+                assert "adopt" in names[:first_right], (prob.name, j)
             assert all(name == "_right_v" for name in names[first_right:]), (prob.name, j)
 
 
@@ -599,16 +639,48 @@ def test_adopted_left_multiples_match_insert_and_add_pivot(problem, monkeypatch)
     # what `insert` on a copy of the engine stores at the same column, and
     # the relabelled shadow slice what `add_pivot` on a blank shadow stores.
     # A left multiple of an adopted pivot is adopted in turn, so the
-    # derivation walks chains of letters back to a stored row.
+    # derivation walks chains of letters back to a stored row.  A free left
+    # multiple of the last generation is stored nowhere: the same must hold
+    # for the row that the engine derives at its column once the span is
+    # done, and for the shadow's image, its source's slice relabelled.
     from types import SimpleNamespace
     adopted = {}
     chain = {}      # adopted column -> number of letters back to a stored row
+    virtual = []    # the virtual columns of each span
+    spans = []      # (engine, shadow) of the running span
+    Plain = oracle.SparseEchelon
+
+    def blank_image(sh, c, row):
+        blank = SimpleNamespace(p=sh.p, image=sh.image, start={}, size={}, cols=[], vals=[])
+        assert oracle._Shadow.add_pivot(blank, c, row)
+        return list(zip(blank.cols, blank.vals))
+
+    def check_virtual():
+        ech, sh = spans[-1]
+        amb = sh.amb
+        cols = [c for c in range(amb.total) if c not in ech.pivots and amb.virtual(c)]
+        for c in cols:
+            row = ech.derive(ech.pivots, c)
+            twin = Plain(ech.order)
+            twin.pivots = ChainMap({}, ech.pivots)      # a copy on write
+            twin.derive = lambda pivots, col: None if col == c else ech.derive(pivots, col)
+            assert twin.insert(dict(row)) == c
+            assert list(twin.pivots[c].items()) == list(row.items())
+            v, src = amb.virtual(c)
+            relabelled = [(col + amb.lshift[v][amb.deg[col]], x) for col, x in sh.row(src)]
+            assert relabelled == blank_image(sh, c, row)
+            assert sh.size[c] == 0
+        virtual.append(len(cols))
 
     class Checked(oracle.SparseEchelon):
+        def __init__(self, order):
+            super().__init__(order)
+            spans.append([self, None])
+
         def adopt(self, c, row):
             assert not isinstance(row, dict)
             derived = self.derive(ChainMap({c: row}, self.pivots), c)
-            twin = oracle.SparseEchelon(self.order)
+            twin = Plain(self.order)
             twin.pivots = ChainMap({}, self.pivots)     # a copy on write
             twin.derive = self.derive
             assert twin.insert(dict(derived)) == c
@@ -622,12 +694,25 @@ def test_adopted_left_multiples_match_insert_and_add_pivot(problem, monkeypatch)
     def checked_shadow_adopt(self, c, piv, deg, shift):
         shadow_adopt(self, c, piv, deg, shift)
         chain[c] = chain.get(piv, 0) + 1
-        blank = SimpleNamespace(p=self.p, image=self.image, start={}, size={}, cols=[], vals=[])
-        assert oracle._Shadow.add_pivot(blank, c, adopted[c])
-        assert list(self.row(c)) == list(zip(blank.cols, blank.vals))
+        assert list(self.row(c)) == blank_image(self, c, adopted[c])
+
+    class Shadow(oracle._Shadow):
+        def __init__(self, *args):
+            super().__init__(*args)
+            spans[-1][1] = self
+
+    real_graded_dim = oracle.graded_dim
+
+    def graded_dim(B, j):
+        # called right after the span, while the engine is alive
+        if j == 0:
+            check_virtual()
+        return real_graded_dim(B, j)
 
     monkeypatch.setattr(oracle, "SparseEchelon", Checked)
     monkeypatch.setattr(oracle._Shadow, "adopt", checked_shadow_adopt)
+    monkeypatch.setattr(oracle, "_Shadow", Shadow)
+    monkeypatch.setattr(oracle, "graded_dim", graded_dim)
     h8, ha1 = problem("h8", True), problem("ha1", True)
     one1, one4 = Scalar.one(1), Scalar.one(4)
     xz = h8.hopf.labels.index("xz")
@@ -636,21 +721,22 @@ def test_adopted_left_multiples_match_insert_and_add_pivot(problem, monkeypatch)
     cases = [(h8.hopf, h8.algebra, h8.kappa, 3, 1), (h8.hopf, B2, move(h8.hopf, h8.kappa), 3, 1),
              (h8.hopf, B2, move(h8.hopf, bad), 3, 1), (ha1.hopf, ha1.algebra, ha1.kappa, 3, 2),
              (ha1.hopf, ha1.algebra, _ha1_kappa(ha1, 5, {9: one4, 13: -one4}), 3, 2),
-             (ha1.hopf, ha1.algebra, _dense_kappa(ha1, 2), 3, 0)]
+             (ha1.hopf, ha1.algebra, _dense_kappa(ha1, 2), 3, 1), (h8.hopf, h8.algebra, h8.kappa, 3, 3)]
     longest = []
     for H, B, kp, N, k in cases:
         adopted.clear()
         chain.clear()
+        spans.clear()
         want = reference_computed_dims(H, B, kp, N, k) if H is h8.hopf else None
         rep = filtered_dims(H, B, kp, N, k)
-        assert adopted, (B.vlabels, N, k)
+        assert adopted and virtual[-1], (B.vlabels, N, k)
         assert chain.keys() == adopted.keys()
         longest.append(max(chain.values()))
         if want is not None:
             assert rep.computed_dims == want
-    # h8 at (3, 1) derives rows through chains of two letters, ha1 at (3, 2)
-    # through chains of three
-    assert longest == [2, 2, 2, 3, 3, 1]
+    # only generations 3..D - 1 are adopted: h8 at (3, 1) stores chains of
+    # one letter, ha1 at (3, 2) chains of two and h8 at (3, 3) of three
+    assert longest == [1, 1, 1, 2, 2, 1, 3]
 
 
 def test_engine_holds_only_inserted_rows_and_nothing_outlives_a_span(problem, monkeypatch):
@@ -717,10 +803,11 @@ def test_prime_move_after_adoptions_re_images_derived_chains(problem, monkeypatc
     # three letters was adopted (generation 3 or later: every seed is
     # recorded before the first adoption).  The next shadow re-images every
     # stored pivot, deriving the rows of adopted chains, and the tables must
-    # equal the unforced run.
-    prob = problem("ha1", True)
+    # equal the unforced run.  Only generations 3..D - 1 are adopted, so a
+    # stored chain of three letters needs D = 6: h8 at (3, 3).
+    prob = problem("h8", True)
     H, B = prob.hopf, prob.algebra
-    want = filtered_dims(H, B, prob.kappa, 3, 2)
+    want = filtered_dims(H, B, prob.kappa, 3, 3)
     chain = {}          # adopted column -> letters back to a stored row
     state = {"failed": None, "reimaged": {}}
     add_pivot, shadow_adopt = oracle._Shadow.add_pivot, oracle._Shadow.adopt
@@ -740,7 +827,7 @@ def test_prime_move_after_adoptions_re_images_derived_chains(problem, monkeypatc
 
     monkeypatch.setattr(oracle._Shadow, "adopt", adopt)
     monkeypatch.setattr(oracle._Shadow, "add_pivot", forced)
-    rep = filtered_dims(H, B, prob.kappa, 3, 2)
+    rep = filtered_dims(H, B, prob.kappa, 3, 3)
     assert state["failed"] is not None
     p, c = state["failed"]
     assert c not in chain
@@ -750,6 +837,41 @@ def test_prime_move_after_adoptions_re_images_derived_chains(problem, monkeypatc
     moved_chains = Counter(chain[col] for col in reimaged if col in chain)
     assert moved_chains[1] and moved_chains[2] and moved_chains[3], moved_chains
     assert (rep.computed_dims, rep.verdict) == (want.computed_dims, want.verdict)
+
+
+def test_last_generation_virtual_pivots_keep_the_tables(problem, monkeypatch):
+    # FALSIFIED spans whose last generation holds pivots of degree <= N, so
+    # the virtual pivots enter the tables.  A reduction that stopped at a
+    # virtual column would store a second pivot there and count it twice.
+    # Each span runs twice: as it is, and with one prime move forced at the
+    # first pivot recorded once the virtual pivots exist, so that a new
+    # shadow must read them too.
+    h8, taft5, ha1 = problem("h8"), problem("taft-5"), problem("ha1")
+    cases = [(h8, _dense_kappa(h8, 2, 0.6), 3, 2, None),
+             (taft5, _dense_kappa(taft5, 2), 3, 1, None),
+             (ha1, _dense_kappa(ha1, 1), 3, 1, [0, 0, 0, 320]),
+             (ha1, _dense_kappa(ha1, 4, 0.1), 3, 2, [0, 0, 0, 0])]
+    add_pivot = oracle._Shadow.add_pivot
+    moves = []
+
+    def forced(self, c, row):
+        if moves == [None] and any(self.amb.last):
+            moves[0] = self.p
+            return False
+        return add_pivot(self, c, row)
+
+    for prob, kp, N, k, want in cases:
+        H, B = prob.hopf, prob.algebra
+        if want is None:
+            want = reference_computed_dims(H, B, kp, N, k)
+        rep = filtered_dims(H, B, kp, N, k)
+        assert rep.computed_dims == want and rep.falsified, prob.name
+        assert all(c >= 0 for c in want), prob.name
+        with monkeypatch.context() as m:
+            m.setattr(oracle._Shadow, "add_pivot", forced)
+            moves[:] = [None]
+            rep = filtered_dims(H, B, kp, N, k)
+        assert moves[0] is not None and rep.computed_dims == want, prob.name
 
 
 # -- refusing oversized spans ------------------------------------------------------
