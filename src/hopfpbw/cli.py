@@ -18,7 +18,8 @@ Commands and exit codes:
 The global --json flag switches every report to a stable machine-readable
 schema; --cutoff (default 6) bounds the degrees of koszul --max and of the
 oracle span, and check and solve do not read it (the criterion works in
-degree 3).
+degree 3).  koszul also refuses a degree with more words than
+``modalg.MAX_KOSZUL_WORDS``.
 """
 
 from __future__ import annotations
@@ -514,8 +515,10 @@ def cmd_koszul(prob_path: str, as_json: bool, cutoff: int | None, max_deg: int) 
         raise ModAlgError("the degree bound --max must be at least 0")
     prob = load_spec(prob_path, cutoff)
     B = prob.algebra
-    # graded_dim refuses a degree above the cutoff, before any overlap space
-    gd = {n: graded_dim(B, n) for n in range(0, max_deg + 1)}
+    # graded_dim refuses a degree above the cutoff or with too many words
+    # before it builds a row; the largest degree goes first, so a refused
+    # --max is refused before any table is built
+    gd = {n: graded_dim(B, n) for n in range(max_deg, -1, -1)}
     od = {i: koszul_component(B, i).dim for i in range(2, max_deg + 1)}
     if as_json:
         print(json.dumps({"command": "koszul",

@@ -28,7 +28,10 @@ on that space.  The quadratic coefficient tensors vanish in every bundled
 problem (the linear part of the solution space is zero, or the overlap
 space is), so the residual constraints are linear and the solver reports
 the final family; otherwise it returns the residual polynomial system
-symbolically.
+symbolically.  The tables that depend on H or B alone are read off the
+objects, which derive each once: the generating set of H that (a) is
+imposed on, and B's ``overlap_expansions``, the degree-3 overlap space
+with both expansions of each basis element.
 
 Deformation maps are sparse throughout: ``Kappa`` keeps one dict per
 relation for each part, {h: Scalar} for kappa^C and {(v, h): Scalar} for
@@ -42,7 +45,7 @@ from dataclasses import dataclass, field as dc_field
 from .scalar import Scalar
 from .exactla import Subspace, NotMember, sparse_kernel
 from .hopf import HopfAlgebra, _fmt_tensor, add_into, adjoint_on_H, algebra_generators, format_hvec
-from .modalg import ModuleAlgebra, act_on_tensor, koszul_component, reduce_mod_relations
+from .modalg import ModuleAlgebra, act_on_tensor, reduce_mod_relations, reduce_slices
 from .smash import straighten, adjoint_on_VH
 
 
@@ -181,29 +184,11 @@ def rel_coords(B: ModuleAlgebra, t: dict) -> list[Scalar]:
     return [coords.get(a, zero) for a in range(B.dim_relations())]
 
 
-def _mod_I(B: ModuleAlgebra, t: dict, leg: int) -> tuple[list, dict]:
-    """Reduce a 3-leg tensor modulo I slice by slice: the leg at ``leg``
-    names the slice, the other two form its degree-2 tensor.  Returns the
-    coordinates, one sparse {slice: Scalar} per canonical relation, and the
-    remainder {(slice, column): Scalar}, empty iff every slice lies in I."""
-    slices: dict = {}
-    for key, c in t.items():
-        slices.setdefault(key[leg], {})[key[:leg] + key[leg + 1:]] = c
-    coords: list[dict] = [{} for _ in range(B.dim_relations())]
-    rem: dict = {}
-    for w in sorted(slices):
-        cw, rw = reduce_mod_relations(B, slices[w])
-        for a, c in cw.items():
-            coords[a][w] = c
-        rem.update(((w, col), c) for col, c in rw.items())
-    return coords, rem
-
-
 def expand_left(B: ModuleAlgebra, s: dict) -> list[dict]:
     """Write s in I (x) V as sum_a r_a (x) y_a; returns the y_a as sparse
     V-vectors.  Unique because the relation basis is independent, and
     I (x) V is the direct sum of the slices I (x) w over the last letter w."""
-    ys, rem = _mod_I(B, s, 2)
+    ys, rem = reduce_slices(B, s, 2)
     if rem:
         raise NotInD3("tensor does not lie in I (x) V")
     return ys
@@ -211,25 +196,19 @@ def expand_left(B: ModuleAlgebra, s: dict) -> list[dict]:
 
 def expand_right(B: ModuleAlgebra, s: dict) -> list[dict]:
     """Write s in V (x) I as sum_a z_a (x) r_a; returns the z_a."""
-    zs, rem = _mod_I(B, s, 0)
+    zs, rem = reduce_slices(B, s, 0)
     if rem:
         raise NotInD3("tensor does not lie in V (x) I")
     return zs
 
 
 def _overlap_expansions(B: ModuleAlgebra) -> tuple[list, list]:
-    """Both expansions (expand_left, expand_right) of each canonical basis
-    element of the degree-3 overlap space, and the report notes."""
-    vd = B.vdim
-    D3 = koszul_component(B, 3)
+    """B's ``overlap_expansions`` and the report notes."""
+    expansions = B.overlap_expansions
     notes = []
-    if D3.dim and vd < 3:
+    if expansions and B.vdim < 3:
         notes.append("overlap space is nonzero although dim V < 3; "
                      "overlap conditions are applied regardless")
-    expansions = []
-    for row in D3.rows:
-        s = {(c // (vd * vd), (c // vd) % vd, c % vd): x for c, x in row.items()}
-        expansions.append((expand_left(B, s), expand_right(B, s)))
     return expansions, notes
 
 
@@ -415,7 +394,7 @@ def check_overlap(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa) -> ConditionRe
         return ConditionReport({k: ConditionStatus("vacuous") for k in ("b", "c", "d")})
     stb, stc, std = (ConditionStatus("pass") for _ in "bcd")
     for t_idx, (deltaL, deltaC) in enumerate(_mismatches(_Columns(H, B, expansions), kappa)):
-        coords, rem = _mod_I(B, deltaL, 2)
+        coords, rem = reduce_slices(B, deltaL, 2)
         if rem:
             stb.status = "fail"
             stb.witnesses.append({"overlap_index": t_idx,
@@ -481,7 +460,7 @@ def solve_kappa(H: HopfAlgebra, B: ModuleAlgebra, force_linear_zero: bool = Fals
     # I (x) H, which kappa^C does not enter
     words = {(v1, v2, (v1, v2)): cols.one for v1 in range(vd) for v2 in range(vd)}
     rem_map: dict = {}      # word of V (x) V -> [(word, coefficient of its remainder mod I)]
-    for (w, out), c in _mod_I(B, words, 2)[1].items():
+    for (w, out), c in reduce_slices(B, words, 2)[1].items():
         rem_map.setdefault(w, []).append((out, c))
     rows: dict = {}
     gens = algebra_generators(H)
@@ -512,7 +491,7 @@ def solve_kappa(H: HopfAlgebra, B: ModuleAlgebra, force_linear_zero: bool = Fals
     # stage 2: expand (c) and (d) on the stage-1 space
     per_member = []
     for kp in ab_basis:
-        data = [(*_mod_I(B, dl, 2), dc) for dl, dc in _mismatches(cols, kp)]
+        data = [(*reduce_slices(B, dl, 2), dc) for dl, dc in _mismatches(cols, kp)]
         assert not any(rem for _coords, rem, _dc in data), "stage-1 member violates condition (b)"
         per_member.append(data)
 

@@ -34,6 +34,13 @@ invariant under S (``deform.solve_kappa``, ``deform.check_invariance``).
 So associativity loops over i in S (j, k over all of H), and the
 bialgebra and action checks over i in S (j over all of H).
 
+S is derived once per object: the first read runs the closure and keeps
+S, or the reason it fails, on H, and every later read, from
+``validate_hopf``, ``validate_action``, the solver, the checker and the
+oracle's seeds, takes the kept set.  Rebinding ``generators``, ``unit`` or
+``mult`` derives it again; a table changed in place is not seen, so a
+changed table means a new object (``dataclasses.replace``).
+
 The axiom loops read the tables directly: each side of an axiom is one
 sparse sum of table rows scaled by table constants, for instance
 (e_i e_j) e_k = sum_m mult[i][j][m] mult[m][k] against e_i (e_j e_k) =
@@ -52,9 +59,9 @@ accepts, and so the indices of the bundled Hopf algebras (``presets``).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field as dc_field
-
 from collections import deque
+from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .scalar import Scalar, zeta
 from .exactla import SparseEchelon
@@ -145,6 +152,25 @@ class HopfAlgebra:
     counit: list                     # counit[i] -> Scalar
     antipode: list                   # antipode[i] -> HVec
     generators: list[int] | None = None   # optional algebra-generator hint, verified
+
+    def __setattr__(self, name, value):
+        # the generating set reads these three, so rebinding one drops it
+        if name in ("generators", "unit", "mult"):
+            self.__dict__.pop("_generated", None)
+        object.__setattr__(self, name, value)
+
+    @cached_property
+    def _generated(self) -> tuple[list[int], str | None]:
+        """``_generator_set``'s answer, derived on the first read."""
+        d = self.dim
+        if self.generators is not None:
+            ok = [g for g in self.generators if type(g) is int and 0 <= g < d]
+            if len(ok) < len(self.generators):
+                return ok, f"generator indices must lie in 0..{d - 1}"
+        S, rank = _left_closure(self, self.generators)
+        if rank < d:
+            return S, f"left closure of the unit has dimension {rank} of {d}"
+        return S, None
 
     def basis_vec(self, i: int) -> HVec:
         return {i: Scalar.one(self.order)}
@@ -522,16 +548,9 @@ def _left_closure(H: HopfAlgebra, gens: list[int] | None) -> tuple[list[int], in
 
 def _generator_set(H: HopfAlgebra) -> tuple[list[int], str | None]:
     """The set S of ``algebra_generators`` and why it fails to left-generate
-    H, or None when it does."""
-    d = H.dim
-    if H.generators is not None:
-        ok = [g for g in H.generators if type(g) is int and 0 <= g < d]
-        if len(ok) < len(H.generators):
-            return ok, f"generator indices must lie in 0..{d - 1}"
-    S, rank = _left_closure(H, H.generators)
-    if rank < d:
-        return S, f"left closure of the unit has dimension {rank} of {d}"
-    return S, None
+    H, or None when it does; kept on H after the first read."""
+    S, problem = H._generated
+    return list(S), problem
 
 
 def algebra_generators(H: HopfAlgebra) -> list[int]:

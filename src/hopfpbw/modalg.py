@@ -3,11 +3,18 @@
 The action is one vdim x vdim matrix per H-basis element, usually given
 on the algebra generators of H only and extended by
 ``hopf.derive_from_generators``, which also derives every preset's Delta
-and S.  The action on degree-m tensors is read off ``smash.straighten``
-by the counit law, so the smash product has one commutation rule.
+and S.  The action on degree-m tensors is the counit applied to the H-leg
+of ``smash.straighten``, so the smash product has one commutation rule.
 Relation input may be any spanning set of I inside V (x) V; it is
 canonicalized to a reduced-echelon basis once, so downstream reports and
 deformation-map coordinates always refer to the same basis.
+
+A ``ModuleAlgebra`` derives each table that depends on B alone once and
+keeps it: the canonical relations as degree-2 tensors and the nonzero
+columns e_h . v of the action when it is built, the degree-3 overlap space
+with both expansions of each basis element on the first read of
+``overlap_expansions``.  No table is derived again, so a changed relation
+or action matrix means a new object (``dataclasses.replace``).
 
 Tensors in V^(x)m are sparse dicts keyed by index words (tuples).
 """
@@ -15,12 +22,13 @@ Tensors in V^(x)m are sparse dicts keyed by index words (tuples).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .scalar import Scalar
 from .exactla import Subspace, SparseEchelon, intersect
 from .hopf import (HopfAlgebra, ValidationReport, add_into, algebra_generators,
                    derive_from_generators, format_terms, product_memo)
-from .smash import act_on_generator, straighten
+from .smash import straighten
 
 
 class ModAlgError(Exception):
@@ -33,6 +41,15 @@ class CutoffExceeded(ModAlgError):
 
 DEFAULT_CUTOFF = 6
 
+# The most words vd^n that graded_dim and koszul_component span a degree n
+# with.  Their cost grows with the word count: ha1 (vd = 4) through n =
+# 6/7/8/9 took 0.4/3.1/9.6/43.7 s and 41 MB at n = 7, 418 MB at n = 9, for
+# every table up to n (Python 3.11, one core of a shared host).  The bound
+# admits ha1 through n = 7 and vd = 2 through n = 14, so every preset at the
+# CLI defaults and every span the oracle accepts on them, and refuses a
+# larger degree before any row is built.
+MAX_KOSZUL_WORDS = 4 ** 7
+
 
 @dataclass
 class ModuleAlgebra:
@@ -43,10 +60,14 @@ class ModuleAlgebra:
     action: list                   # action[h] = vdim x vdim rows (list of list of Scalar)
     cutoff: int = DEFAULT_CUTOFF
     _words: list = field(init=False, repr=False, compare=False)
+    _columns: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._words = [{divmod(c, self.vdim): s for c, s in row.items()}
-                       for row in self.relations.rows]
+        vd = self.vdim
+        self._words = [{divmod(c, vd): s for c, s in row.items()} for row in self.relations.rows]
+        # _columns[h][v] = e_h . v as a sparse vector over V, for straighten
+        self._columns = [[{r: row[v] for r, row in enumerate(mat) if row[v]} for v in range(vd)]
+                         for mat in self.action]
 
     @staticmethod
     def make(order: int, vlabels: list[str], relation_vectors: list[dict],
@@ -65,6 +86,19 @@ class ModuleAlgebra:
     def dim_relations(self) -> int:
         return self.relations.dim
 
+    @cached_property
+    def overlap_expansions(self) -> list[tuple[list, list]]:
+        """Both expansions of each canonical basis element s of the degree-3
+        overlap space: (ys, zs) with s = sum_a r_a (x) y_a = sum_a z_a (x) r_a,
+        each y_a and z_a a sparse V-vector; derived on the first read, and
+        the stored list, read-only."""
+        vd = self.vdim
+        out = []
+        for row in koszul_component(self, 3).rows:
+            s = {(c // (vd * vd), (c // vd) % vd, c % vd): x for c, x in row.items()}
+            out.append((reduce_slices(self, s, 2)[0], reduce_slices(self, s, 0)[0]))
+        return out
+
     def format_word(self, word: tuple) -> str:
         return "".join(self.vlabels[i] for i in word) if word else "1"
 
@@ -80,26 +114,30 @@ def reduce_mod_relations(B: ModuleAlgebra, t: dict) -> tuple[dict, dict]:
     return B.relations.reduce_sparse({i * vd + j: c for (i, j), c in t.items()})
 
 
-def act_on_tensor(H: HopfAlgebra, B: ModuleAlgebra, a: dict, t: dict) -> dict:
-    """Action of an H-element on a tensor in T(V), read off ``straighten``.
+def reduce_slices(B: ModuleAlgebra, t: dict, leg: int) -> tuple[list, dict]:
+    """Reduce a 3-leg tensor modulo I slice by slice: the leg at ``leg``
+    names the slice, the other two form its degree-2 tensor.  Returns the
+    coordinates, one sparse {slice: Scalar} per canonical relation, and the
+    remainder {(slice, column): Scalar}, empty iff every slice lies in I."""
+    slices: dict = {}
+    for key, c in t.items():
+        slices.setdefault(key[leg], {})[key[:leg] + key[leg + 1:]] = c
+    coords: list[dict] = [{} for _ in range(B.dim_relations())]
+    rem: dict = {}
+    for w in sorted(slices):
+        cw, rw = reduce_mod_relations(B, slices[w])
+        for a, c in cw.items():
+            coords[a][w] = c
+        rem.update(((w, col), c) for col, c in rw.items())
+    return coords, rem
 
-    By the counit law a . (w v) = sum (a1 . w)(a2 . v), where
-    sum (a1 . w) # a2 is the straightened (1 # a)(w # 1): the H-leg left
-    over acts on the last letter v.  Words that end in the same letter are
-    straightened together; a degree-0 word is acted on by the counit.
-    """
+
+def act_on_tensor(H: HopfAlgebra, B: ModuleAlgebra, a: dict, t: dict) -> dict:
+    """Action of an H-element on a tensor in T(V): the counit applied to the
+    H-leg of ``straighten``, since a . w = sum (a1 . w) eps(a2)."""
     out: dict = {}
-    heads: dict = {}
-    for word, cw in t.items():
-        if word:
-            heads.setdefault(word[-1], {})[word[:-1]] = cw
-        else:
-            eps = sum((c * H.counit[i] for i, c in a.items()), H.zero_scalar())
-            add_into(out, (), eps * cw)
-    for v, head in heads.items():
-        for (prefix, h), c in straighten(H, B, a, head).items():
-            for vout, cv in act_on_generator(B, h, v).items():
-                add_into(out, prefix + (vout,), c * cv)
+    for (word, h), c in straighten(H, B, a, t).items():
+        add_into(out, word, c * H.counit[h])
     return out
 
 
@@ -194,7 +232,10 @@ def validate_action(H: HopfAlgebra, B: ModuleAlgebra) -> ValidationReport:
 
 def _layer_rows(B: ModuleAlgebra, n: int, j: int) -> list[dict]:
     """Sparse spanning rows of V^j (x) I (x) V^(n-2-j) inside V^(x)n, whose
-    columns are the words read as numbers in base vdim."""
+    columns are the words read as numbers in base vdim.  A degree with more
+    than ``MAX_KOSZUL_WORDS`` words is refused with ``ModAlgError``."""
+    if B.vdim ** n > MAX_KOSZUL_WORDS:
+        raise ModAlgError(f"degree {n} has {B.vdim ** n} words, above the limit {MAX_KOSZUL_WORDS}")
     vv, tail = B.vdim ** 2, B.vdim ** (n - 2 - j)
     return [{(pre * vv + w) * tail + post: c for w, c in rel.items()}
             for pre in range(B.vdim ** j) for rel in B.relations.rows for post in range(tail)]

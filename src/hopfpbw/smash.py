@@ -12,16 +12,16 @@ the same).  Elements are sparse dicts keyed by (index word, H-basis
 index); the quadratic relations of B are deliberately not imposed here,
 so this really is arithmetic in T(V) # H.
 
-This module holds the two rules the package needs.  ``straighten`` moves
-the H-legs of the overlap mismatches in conditions (b)-(d) to the right,
-the oracle builds from it the tables of its four row operators, which
-form every product it takes in T(V) # H, and ``modalg.act_on_tensor``
-reads the action of H on T(V) off it by the counit law.
-``adjoint_on_VH`` is the adjoint action of H on V (x) H that condition (a)
-reads: by coassociativity it is the one-letter action on the first leg of
-one coproduct and ``hopf.adjoint_on_H`` on the second.
-``act_on_generator`` is the one-letter action e_h . v that both rules are
-built from.
+This is the only code that applies the coproduct to the action.
+``straighten`` moves the H-legs of the overlap mismatches in conditions
+(b)-(d) to the right, and the oracle builds from it the tables of its
+four row operators, which form every product it takes in T(V) # H.  The
+two actions the package reads are the H-leg of one straightening with one
+more map applied: the counit for the action of H on T(V)
+(``modalg.act_on_tensor``), and the adjoint action on H for the action on
+V (x) H that condition (a) reads (``adjoint_on_VH``).  The one-letter
+action e_h . v comes from the nonzero columns that ``ModuleAlgebra``
+derives once from its action matrices.
 """
 
 from __future__ import annotations
@@ -34,16 +34,6 @@ if TYPE_CHECKING:
     from .modalg import ModuleAlgebra
 
 
-def act_on_generator(B: ModuleAlgebra, h: int, v: int) -> dict:
-    """e_h . v_c as a sparse vector over V."""
-    col = {}
-    for r in range(B.vdim):
-        c = B.action[h][r][v]
-        if not c.is_zero():
-            col[r] = c
-    return col
-
-
 def straighten(H: HopfAlgebra, B: ModuleAlgebra, a: dict, t: dict) -> dict:
     """Normal form of (1 # a)(t # 1): a sparse vector over (word, h) keys.
 
@@ -52,6 +42,7 @@ def straighten(H: HopfAlgebra, B: ModuleAlgebra, a: dict, t: dict) -> dict:
     """
     if not a or not t:
         return {}
+    columns = B._columns
     out: dict = {}
     for word, cw in t.items():
         # state: {(new_word_prefix, remaining_H_index): coeff}
@@ -60,10 +51,7 @@ def straighten(H: HopfAlgebra, B: ModuleAlgebra, a: dict, t: dict) -> dict:
             nxt: dict = {}
             for (prefix, hidx), c in state.items():
                 for (h1, h2), cd in H.comult[hidx].items():
-                    img = act_on_generator(B, h1, vin)
-                    if not img:
-                        continue
-                    for vout, cv in img.items():
+                    for vout, cv in columns[h1][vin].items():
                         add_into(nxt, (prefix + (vout,), h2), c * cd * cv)
             state = nxt
         for key, c in state.items():
@@ -72,9 +60,9 @@ def straighten(H: HopfAlgebra, B: ModuleAlgebra, a: dict, t: dict) -> dict:
 
 
 def adjoint_on_VH(H: HopfAlgebra, B: ModuleAlgebra, a: dict, w: dict, ad=None) -> dict:
-    """Left adjoint action on V (x) H: a . (v (x) l) = sum (a1 . v) (x) ad(a2)(l).
+    """Left adjoint action on V (x) H: a . (v (x) l) = sum (a1 . v) (x) ad(a2)(l),
+    with ad(a2) applied to the H-leg of the straightened (1 # a)(v # 1).
 
-    By coassociativity this is the adjoint action on H after one coproduct.
     w is a sparse dict {(vidx, hidx): Scalar}.  ``ad(k, l)`` returns
     ad(e_k)(e_l); it defaults to ``hopf.adjoint_on_H``, and a caller that
     takes many images passes a cached one.
@@ -83,17 +71,8 @@ def adjoint_on_VH(H: HopfAlgebra, B: ModuleAlgebra, a: dict, w: dict, ad=None) -
         def ad(k, l):
             return adjoint_on_H(H, H.basis_vec(k), H.basis_vec(l))
     out: dict = {}
-    for i, ca in a.items():
-        for (v, l), cw in w.items():
-            c = ca * cw
-            for (j, k), cd in H.comult[i].items():
-                img = act_on_generator(B, j, v)
-                if not img:
-                    continue
-                f = c * cd
-                adl = ad(k, l)
-                for vout, cv in img.items():
-                    g = f * cv
-                    for hout, ch in adl.items():
-                        add_into(out, (vout, hout), g * ch)
+    for (v, l), cw in w.items():
+        for ((vout,), k), c in straighten(H, B, a, {(v,): cw}).items():
+            for hout, ch in ad(k, l).items():
+                add_into(out, (vout, hout), c * ch)
     return out

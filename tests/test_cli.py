@@ -176,6 +176,21 @@ def test_check_and_solve_do_not_read_the_cutoff(tmp_path, capsys, command):
         assert capsys.readouterr().out == want
 
 
+def test_koszul_refuses_too_many_words_up_front(tmp_path):
+    # ha1 at --max 12 spans 4^12 words: it had not finished after 20 s; the
+    # largest degree is refused before any table is built
+    import subprocess
+    import sys
+    import time
+    path = emit(tmp_path, "ha1")
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "hopfpbw.cli", "--cutoff", "12", "koszul",
+                           str(path), "--max", "12"], capture_output=True, text=True, timeout=60)
+    assert time.monotonic() - t0 < 1
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 def test_koszul_max_is_bounded_by_the_cutoff(tmp_path, capsys):
     path = emit(tmp_path, "h8")
     assert main(["--cutoff", "3", "koszul", str(path), "--max", "4"]) == 1

@@ -5,7 +5,9 @@ import pytest
 from hopfpbw.scalar import Scalar, zeta
 from hopfpbw.exactla import Subspace
 from hopfpbw.hopf import _fmt_tensor, add_into, algebra_generators, format_hvec
+from hopfpbw import modalg
 from hopfpbw.modalg import koszul_component, reduce_mod_relations
+from hopfpbw.presets import build_problem
 from hopfpbw.smash import straighten
 from hopfpbw.deform import (
     Kappa, check_invariance, check_overlap, check_pbw, overlap_maps,
@@ -609,3 +611,27 @@ def test_solver_kernel_matches_the_reference_matrix(problem, name):
            for kp in solve_kappa(H, B).ab_basis]
     assert len(got) == len(want)
     assert reference_rref(got, n)[0] == reference_rref(want, n)[0]
+
+
+def test_overlap_space_is_derived_once_per_algebra(monkeypatch):
+    # the solver and every check read B's overlap expansions; the parent
+    # built the degree-3 overlap space on each of these four calls
+    prob = build_problem("ha1", with_kappa=True)
+    H, B = prob.hopf, prob.algebra
+    degrees = []
+    real = modalg.koszul_component
+
+    def counted(B, i):
+        degrees.append(i)
+        return real(B, i)
+
+    monkeypatch.setattr(modalg, "koszul_component", counted)
+    assert solve_kappa(H, B).family_dim == 2
+    one = Scalar.one(H.order)
+    cv = [dict() for _ in range(B.dim_relations())]
+    cv[5] = {9: one, 13: -one}              # passes (a), fails only (c)
+    overlap_only = Kappa.from_vectors(H, B, cv, [dict() for _ in cv])
+    assert check_pbw(H, B, prob.kappa).passed
+    assert check_pbw(H, B, overlap_only).status("c") == "fail"
+    assert check_pbw(H, B, Kappa.zero(H, B)).passed
+    assert degrees == [3]

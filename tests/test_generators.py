@@ -16,6 +16,7 @@ failure list, tuple for tuple and in order, on every preset and corpus,
 and must multiply each pair of constants once per call.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -25,14 +26,15 @@ from types import SimpleNamespace
 
 import pytest
 
-from hopfpbw import deform
-from hopfpbw.cli import parse_problem, problem_to_json
-from hopfpbw.deform import Kappa, check_invariance, rel_coords, solve_kappa
+from hopfpbw import deform, hopf
+from hopfpbw.cli import parse_problem, problem_from_json, problem_to_json
+from hopfpbw.deform import Kappa, check_invariance, check_pbw, rel_coords, solve_kappa
 from hopfpbw.exactla import Matrix, rref
 from hopfpbw.hopf import (NotGenerating, ValidationReport, _fmt_tensor, _generator_set,
                           _left_closure, add_into, adjoint_on_H, algebra_generators,
                           format_hvec, h_mul, tensor_mult, validate_hopf, vec_eq)
 from hopfpbw.modalg import act_on_tensor, validate_action
+from hopfpbw.oracle import filtered_dims
 from hopfpbw.presets import build_problem, preset_hopf
 from hopfpbw.scalar import Scalar, format_scalar, parse_scalar
 
@@ -373,15 +375,14 @@ def test_reduced_action_matches_exhaustive_on_derived_matrices(name):
     for trial in range(10):
         h = rng.choice([i for i in range(H.dim) if i not in S])
         r, c = rng.randrange(B.vdim), rng.randrange(B.vdim)
-        saved = B.action[h]
-        B.action[h] = [list(row) for row in saved]
-        B.action[h][r][c] = B.action[h][r][c] + Scalar.one(H.order)
-        try:
-            reduced = validate_action(H, B).passed
-            assert reduced == reference_action_passed(H, B), (name, h, r, c)
-            assert not reduced, (name, h, r, c)
-        finally:
-            B.action[h] = saved
+        action = list(B.action)
+        action[h] = [list(row) for row in action[h]]
+        action[h][r][c] = action[h][r][c] + Scalar.one(H.order)
+        # a changed action is a new object: B keeps the columns it derived
+        mB = dataclasses.replace(B, action=action)
+        reduced = validate_action(H, mB).passed
+        assert reduced == reference_action_passed(H, mB), (name, h, r, c)
+        assert not reduced, (name, h, r, c)
 
 
 # -- the rewritten validator == the reference, failure by failure -------------------------
@@ -591,6 +592,54 @@ def test_check_invariance_matches_the_full_basis_loop(name):
         assert "fail" in decisions, name
 
 
+# -- S is derived once per object ----------------------------------------------------------
+
+def _count_closures(monkeypatch) -> list:
+    runs = [0]
+    real = hopf._left_closure
+
+    def counted(H, gens):
+        runs[0] += 1
+        return real(H, gens)
+
+    monkeypatch.setattr(hopf, "_left_closure", counted)
+    return runs
+
+
+def test_generating_set_is_derived_once_per_loaded_problem(monkeypatch):
+    # validate_hopf, validate_action, the solver, the checker and the
+    # oracle's seeds all read S; the parent ran the closure 5 times here
+    doc = problem_to_json(build_problem("ha1", with_kappa=True))
+    runs = _count_closures(monkeypatch)
+    prob = problem_from_json(doc)
+    H, B = prob.hopf, prob.algebra
+    assert solve_kappa(H, B).family_dim == 2
+    assert check_pbw(H, B, prob.kappa).passed
+    assert filtered_dims(H, B, prob.kappa, 3, 1).verdict == "CONSISTENT"
+    assert runs[0] == 1
+
+
+def test_rebinding_a_table_derives_the_generating_set_again(monkeypatch):
+    H = preset_hopf("taft-3")
+    runs = _count_closures(monkeypatch)
+    hint = algebra_generators(H)
+    assert algebra_generators(H) == hint and runs[0] == 1
+    H.generators = None
+    assert sorted(algebra_generators(H)) == sorted(hint) and runs[0] == 2
+    H.generators = [3]
+    with pytest.raises(NotGenerating):
+        algebra_generators(H)
+    H.generators = hint
+    assert algebra_generators(H) == hint and runs[0] == 4
+    H.unit = {1: Scalar.one(3)}
+    assert "generators" in validate_hopf(H).axioms_failed() and runs[0] == 5
+    H.unit = {0: Scalar.one(3)}
+    H.mult = list(H.mult)
+    assert validate_hopf(H).passed and runs[0] == 6
+    # a copy built from the same tables derives its own
+    assert algebra_generators(dataclasses.replace(H)) == hint and runs[0] == 7
+
+
 # -- the exact-count guard --------------------------------------------------------------
 
 def test_solver_assembles_condition_a_on_generators_only(monkeypatch):
@@ -655,8 +704,9 @@ def test_hopf_validation_multiplies_each_constant_pair_once(monkeypatch):
     monkeypatch.setattr(Scalar, "__mul__", counted)
     assert validate_hopf(H).passed
     first, calls[0] = calls[0], 0
-    # the product memo dies with the call, so a second call pays the same
-    assert validate_hopf(H).passed
+    # the product memo dies with the call, so a second call pays the same;
+    # H keeps its verified generating set, so the second call takes a fresh H
+    assert validate_hopf(dataclasses.replace(H)).passed
     assert calls[0] == first
     # 44,523 when each side went through h_mul/tensor_mult; what is left is
     # one product per distinct constant pair and the closure of S

@@ -1,3 +1,4 @@
+import dataclasses
 from math import comb
 
 import pytest
@@ -6,8 +7,9 @@ from hopfpbw.scalar import Scalar, zeta
 from hopfpbw.hopf import group_algebra
 from hopfpbw.modalg import (
     ModuleAlgebra, validate_action, act_on_tensor, graded_dim, koszul_component,
-    CutoffExceeded,
+    CutoffExceeded, MAX_KOSZUL_WORDS, ModAlgError,
 )
+from hopfpbw.presets import PRESET_NAMES
 from hopfpbw.presets import build_problem
 
 
@@ -114,6 +116,26 @@ def test_graded_dim_cutoff():
     _H, B = symmetric_algebra(2)
     with pytest.raises(CutoffExceeded):
         graded_dim(B, B.cutoff + 1)
+
+
+def test_koszul_degree_with_too_many_words_is_refused(problem):
+    # ha1 (vd = 4) at n = 8 has 65,536 words: 9.6 s and 117 MB for the tables
+    # through degree 8 when nothing refused it
+    B = dataclasses.replace(problem("ha1").algebra, cutoff=12)
+    assert 4 ** 7 <= MAX_KOSZUL_WORDS < 4 ** 8
+    for n in (8, 12):
+        with pytest.raises(ModAlgError, match="words, above the limit"):
+            graded_dim(B, n)
+        with pytest.raises(ModAlgError, match="words, above the limit"):
+            koszul_component(B, n)
+
+
+def test_koszul_word_limit_admits_the_presets_at_the_cli_defaults():
+    # koszul --max 4 reads degrees up to 4; the oracle's defaults read 3
+    for name in PRESET_NAMES:
+        name = name.replace("-n", "-4")
+        B = build_problem(name).algebra
+        assert B.vdim ** 4 <= MAX_KOSZUL_WORDS, name
 
 
 def test_koszul_component_examples(problem):

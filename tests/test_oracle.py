@@ -225,6 +225,152 @@ def reference_computed_dims(H, B, kappa, N, k):
             for m in range(N + 1)]
 
 
+# -- the oracle against a modular reference over Q(zeta_N) ----------------------------------
+#
+# reference_computed_dims reduces in full Scalar arithmetic and took 246 s on
+# taft-7 with a dense kappa^C at (3, 1).  The modular reference is the same
+# spanning algorithm with every entry taken to F_p through its own map
+# zeta -> w and reduced by its own elimination; it shares no code with the
+# oracle's shadow.
+
+def _is_prime(n: int) -> bool:
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    return all(n % q for q in range(3, int(n ** 0.5) + 1, 2))
+
+
+def _prime_and_root(N: int, below: int) -> tuple[int, int]:
+    """The largest prime p < below with p = 1 mod N, and an element w of
+    F_p of multiplicative order N, so that zeta -> w is a ring map
+    Z[zeta_N] -> F_p."""
+    p = below - 1 - (below - 2) % N
+    while not _is_prime(p):
+        p -= N
+    qs = [q for q in range(2, N + 1) if N % q == 0 and _is_prime(q)]
+    for g in range(2, p):
+        w = pow(g, (p - 1) // N, p)
+        if all(pow(w, N // q, p) != 1 for q in qs):
+            return p, w
+    raise AssertionError("no element of order N")
+
+
+def modular_computed_dims(H, B, kappa, N, k, p, w):
+    """reference_computed_dims with every entry in F_p, zeta mapped to w.
+
+    Agreement with ``filtered_dims`` at two primes is evidence, not proof:
+    reduction mod p can change a table, by making a row that is nonzero over
+    Q(zeta_N) vanish, or a pivot lead (see ROADMAP on the rejected F_p
+    oracle).  The exact Scalar reference stays the proof on the presets
+    where it is fast enough.
+    """
+    vd, d, D = B.vdim, H.dim, N + k
+    one = Scalar.one(H.order)
+    wpow = [pow(w, i, p) for i in range(len(one.num))]
+
+    def fp(s):
+        assert s.den % p, "a denominator vanishes mod p"
+        return sum(c * x for c, x in zip(s.num, wpow)) * pow(s.den, -1, p) % p
+
+    def table(moved):
+        return [(word, h, fp(c)) for (word, h), c in moved.items()]
+
+    mult = [[[(h2, fp(c)) for h2, c in H.mult[h1][h].items()] for h in range(d)]
+            for h1 in range(d)]
+    left_h, right_v = {}, {}
+    pivots, gen_of, pending = {}, {}, deque()
+
+    def insert(row, gen, seed):
+        row = {key: c for key, c in row.items() if c}
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = pow(row[lead], -1, p)
+                pivots[lead] = {key: c * inv % p for key, c in row.items()}
+                gen_of[lead] = gen
+                pending.append((lead, gen, seed))
+                return
+            f = row.pop(lead)
+            for key, c in piv.items():
+                if key != lead:
+                    c = (row.get(key, 0) - f * c) % p
+                    if c:
+                        row[key] = c
+                    else:
+                        row.pop(key, None)
+
+    def times_h(row, g, left):
+        out = Counter()
+        for (negm, word, h), c in row.items():
+            if left:
+                if (g, word) not in left_h:
+                    left_h[g, word] = table(straighten(H, B, {g: one}, {word: one}))
+                moved = left_h[g, word]
+            else:
+                moved = [(word, h, 1)]
+            for w2, h1, c1 in moved:
+                for h2, c2 in (mult[h1][h] if left else mult[h1][g]):
+                    out[negm, w2, h2] += c * c1 * c2
+        return {key: c % p for key, c in out.items()}
+
+    def times_v(row, v, left):
+        if left:
+            return {(negm - 1, (v,) + word, h): c for (negm, word, h), c in row.items()}
+        out = Counter()
+        for (negm, word, h), c in row.items():
+            if (h, v) not in right_v:
+                right_v[h, v] = table(straighten(H, B, {h: one}, {(v,): one}))
+            for (v2,), h2, c2 in right_v[h, v]:
+                out[negm - 1, word + (v2,), h2] += c * c2
+        return {key: c % p for key, c in out.items()}
+
+    def drain():
+        while pending:
+            lead, gen, seed = pending.popleft()
+            row = pivots[lead]
+            for g in algebra_generators(H):
+                insert(times_h(row, g, False), gen, seed)
+                if seed:
+                    insert(times_h(row, g, True), gen, True)
+
+    for a in range(B.dim_relations()):
+        row = Counter()
+        for (i, j), c in B.relation_sparse(a).items():
+            for u, cu in H.unit.items():
+                row[-2, (i, j), u] += fp(c * cu)
+        for (v, h), c in kappa.l_vec(a).items():
+            row[-1, (v,), h] -= fp(c)
+        for h, c in kappa.c_vec(a).items():
+            row[0, (), h] -= fp(c)
+        insert({key: c % p for key, c in row.items()}, 2, True)
+    drain()
+    for j in range(2, D):
+        for lead in [lead for lead, g in gen_of.items() if g == j]:
+            for v in range(vd):
+                insert(times_v(pivots[lead], v, True), j + 1, False)
+                insert(times_v(pivots[lead], v, False), j + 1, False)
+        drain()
+    return [d * sum(vd ** j for j in range(m + 1)) - sum(1 for lead in pivots if -lead[0] <= m)
+            for m in range(N + 1)]
+
+
+@pytest.mark.parametrize("name, dense, N, k", [("taft-7", False, 3, 1), ("taft-7", True, 3, 0),
+                                               ("taft-9", True, 3, 0)])
+def test_oracle_matches_the_modular_reference(problem, name, dense, N, k):
+    # over Q(zeta_7) and Q(zeta_9); the dense kappa is the one of
+    # test_dense_kappa_over_q_zeta7_keeps_coefficients_small, which the
+    # Scalar reference takes 12 s to span at (3, 0) on taft-7
+    prob = problem(name, True)
+    H, B = prob.hopf, prob.algebra
+    kp = _dense_kappa(prob, 1) if dense else prob.kappa
+    want = filtered_dims(H, B, kp, N, k).computed_dims
+    for below in (2 ** 31, 2 ** 29):
+        p, w = _prime_and_root(H.order, below)
+        t0 = time.monotonic()
+        assert modular_computed_dims(H, B, kp, N, k, p, w) == want, p
+        assert time.monotonic() - t0 < 10, p
+
+
 def _ha1_kappa(prob, rel, cvec):
     cv = [dict() for _ in range(6)]
     cv[rel] = cvec

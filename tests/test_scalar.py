@@ -212,6 +212,51 @@ def test_product_is_chosen_from_phi():
         assert (f.phi <= STRAIGHT_LINE_MAX_PHI) == (f.mul_vec.__name__ != "_mul_loop"), n
 
 
+# -- sympy as an independent reference ------------------------------------------------------
+#
+# reference_mul_vec and reference_inverse read the same ``redrows`` table and
+# ``mul_vec`` as the code they check, so a wrong cyclotomic reduction table
+# passes both.  sympy reduces modulo its own cyclotomic_poly(N).
+
+def _sympy_operands(phi, rng):
+    """A two-term 1 +- 2 zeta^j, and for phi <= 32 a dense small vector."""
+    two_term = [0] * phi
+    two_term[0] = 1
+    two_term[rng.randrange(phi)] += rng.choice((-2, 2))
+    ops = [tuple(two_term)]
+    if phi <= 32:
+        ops.append(tuple(rng.randint(-3, 3) for _ in range(phi)))
+    return [a for a in ops if any(a)]
+
+
+@pytest.mark.parametrize("order", KERNEL_ORDERS)
+def test_kernel_matches_sympy_modulo_the_cyclotomic_polynomial(order):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    f = field(order)
+    cyclo = sympy.Poly(sympy.cyclotomic_poly(order, x), x, domain="QQ")
+
+    def poly(vec):
+        return sympy.Poly(list(reversed(vec)), x, domain="QQ")
+
+    def coords(p):
+        low_first = [Fraction(int(c.p), int(c.q)) for c in reversed(p.rem(cyclo).all_coeffs())]
+        return low_first + [Fraction(0)] * (f.phi - len(low_first))
+
+    rng = random.Random(f"sympy:{order}")
+    ops = _sympy_operands(f.phi, rng)
+    for a in ops + [tuple(rng.randint(-9, 9) for _ in range(f.phi))]:
+        for b in ops:
+            assert list(f.mul_vec(a, b)) == coords(poly(a) * poly(b)), (order, a, b)
+    for a in ops:
+        # a * norm_cofactor(a) is the norm, the resultant of Phi_N and a
+        norm = coords(poly(a) * poly(f.norm_cofactor(a)))
+        assert norm == [Fraction(int(cyclo.resultant(poly(a))))] + [0] * (f.phi - 1), order
+        inv = Scalar._make(order, 2, a).inverse()
+        want = coords(poly(a).invert(cyclo) * 2)
+        assert [Fraction(c, inv.den) for c in inv.num] == want, (order, a)
+
+
 def reference_format_scalar(s: Scalar) -> str:
     """format_scalar as it was before it skipped the zero numerators."""
     parts = []

@@ -8,7 +8,7 @@ from hopfpbw import oracle
 from hopfpbw.scalar import Scalar
 from hopfpbw.hopf import add_into, adjoint_on_H, algebra_generators, h_mul
 from hopfpbw.modalg import act_on_tensor
-from hopfpbw.smash import act_on_generator, straighten, adjoint_on_VH
+from hopfpbw.smash import straighten, adjoint_on_VH
 
 from test_acceptance import PRESET_LIST
 from test_hopf import coproduct_iter
@@ -182,6 +182,18 @@ def test_adjoint_on_VH_module_axiom(problem):
                 assert lhs == rhs
 
 
+def act_on_letter(B, h: int, v: int) -> dict:
+    """e_h . v as a sparse vector over V, read from the action matrix."""
+    return {r: row[v] for r, row in enumerate(B.action[h]) if not row[v].is_zero()}
+
+
+@pytest.mark.parametrize("name", PRESET_LIST)
+def test_action_columns_are_read_off_the_matrices(problem, name):
+    B = problem(name).algebra
+    assert B._columns == [[act_on_letter(B, h, v) for v in range(B.vdim)]
+                          for h in range(len(B.action))]
+
+
 class ReferenceAdjointVH:
     """The left adjoint action of one fixed a on V (x) H.
 
@@ -214,7 +226,7 @@ class ReferenceAdjointVH:
         out: dict = {}
         for (v, l), cw in w.items():
             for k1, mid in self._mid(l):
-                for vout, cv in act_on_generator(self.B, k1, v).items():
+                for vout, cv in act_on_letter(self.B, k1, v).items():
                     f = cw * cv
                     for hout, ch in mid.items():
                         add_into(out, (vout, hout), f * ch)
@@ -300,8 +312,7 @@ def reference_act_on_tensor(H, B, a, t):
     legs = coproduct_iter(H, a, m)
     for key, c in legs.items():
         for word, cw in t.items():
-            parts = [{r: B.action[key[pos]][r][word[pos]] for r in range(B.vdim)
-                      if not B.action[key[pos]][r][word[pos]].is_zero()} for pos in range(m)]
+            parts = [act_on_letter(B, key[pos], word[pos]) for pos in range(m)]
             _expand_product(out, parts, c * cw)
     return out
 
