@@ -307,14 +307,19 @@ class SparseEchelon:
     operations on coefficients are the attributes ``mul``, ``add``, ``sub``,
     ``scale`` (by an int) and ``is_zero``.
 
-    Reduction cross-multiplies by the pivot's leading coefficient and strips
-    the integer content of the result, so nothing is divided until
-    ``rref_rows``; ``insert`` first makes a wide non-rational lead rational
-    (``MAX_CYCLOTOMIC_LEAD_BITS``).  Scalar rows enter through
-    ``from_scalars``, which clears one common denominator per row and so
-    keeps the row space.  The pivot rows are stored unreduced against each
-    other; insertion order does not affect the row space, and ``rref_rows``
-    returns its unique reduced row echelon form.
+    ``insert`` stores a pivot whose lead is a root of unity +-zeta^j
+    divided by that unit, so with lead exactly ``one``: a reduction by it
+    subtracts a multiple of it and neither cross-multiplies nor strips.  A
+    reduction by any other pivot cross-multiplies by its leading coefficient
+    and strips the integer content of the result, so nothing is divided
+    until ``rref_rows``; ``insert`` first makes a wide non-rational lead
+    rational (``MAX_CYCLOTOMIC_LEAD_BITS``).  Keeping pivots monic is the
+    practice of Faugere's F4 (J. Pure Appl. Algebra 139 (1999)).  Scalar
+    rows enter through ``from_scalars``, which clears one common
+    denominator per row and so keeps the row space.  The pivot rows are
+    stored unreduced against each other; insertion order does not affect
+    the row space, and ``rref_rows`` returns its unique reduced row echelon
+    form.
 
     A pivot may be stored as a token in place of its row (``adopt``); every
     read of it goes through ``row``, which makes the row with the caller's
@@ -330,7 +335,6 @@ class SparseEchelon:
         # derive(pivots, col) -> the row of the pivot at col when pivots holds
         # a token or nothing there, None when col has no pivot
         self.derive = _no_pivot
-        self._unit = 1 if f.phi == 1 else (1,) + (0,) * (f.phi - 1)
         self.phi = f.phi
         if f.phi == 1:
             self.mul, self.add, self.sub, self.scale = mul, add, sub, mul
@@ -343,6 +347,13 @@ class SparseEchelon:
             self.is_zero = lambda a: not any(a)
             self._content = lambda a: gcd(*a)
             self._divide = lambda a, g: tuple(x // g for x in a)
+        # _unit_inverse[u] = u^-1 for each of the 2N roots of unity
+        # u = +-zeta^j; one, the coefficient 1, is the lead of every pivot
+        # stored with such a lead
+        pows = [v[0] for v in f.powers] if f.phi == 1 else list(f.powers)
+        self.one = pows[0]
+        self._unit_inverse = {self.scale(u, s): self.scale(pows[-j % order], s)
+                              for j, u in enumerate(pows) for s in (1, -1)}
 
     @property
     def rank(self) -> int:
@@ -375,7 +386,7 @@ class SparseEchelon:
     def _reduce(self, row: dict) -> tuple[int | None, dict]:
         """Reduce a row until its leading column has no pivot; returns that
         column and the stripped row, or (None, {}) when the row reduces to 0."""
-        mul, sub, scale, is_zero = self.mul, self.sub, self.scale, self.is_zero
+        mul, sub, scale, is_zero, one = self.mul, self.sub, self.scale, self.is_zero, self.one
         row = {c: v for c, v in row.items() if not is_zero(v)}
         while row:
             c = min(row)
@@ -386,7 +397,8 @@ class SparseEchelon:
                     return c, self._strip(row)
             pc = piv[c]
             rc = row.pop(c)
-            out = row if pc == self._unit else {col: mul(pc, v) for col, v in row.items()}
+            monic = pc == one
+            out = row if monic else {col: mul(pc, v) for col, v in row.items()}
             for col, v in piv.items():
                 if col == c:
                     continue
@@ -397,7 +409,9 @@ class SparseEchelon:
                     out.pop(col, None)
                 else:
                     out[col] = nv
-            row = self._strip(out)
+            # a step by a monic pivot does not scale the row up, so it is
+            # stripped only after a cross-multiply and when it stops
+            row = out if monic else self._strip(out)
         return None, {}
 
     def insert(self, row: dict) -> int | None:
@@ -406,7 +420,14 @@ class SparseEchelon:
         c, row = self._reduce(row)
         if c is not None:
             lead = row[c]
-            if (self.phi > 1 and max(map(abs, lead)).bit_length() > MAX_CYCLOTOMIC_LEAD_BITS
+            inv = self._unit_inverse.get(lead)
+            if inv is not None:
+                # a root-of-unity lead: store the row divided by it, lead one;
+                # a unit multiple of a stripped row is stripped
+                if inv != self.one:
+                    mul = self.mul
+                    row = {col: mul(inv, v) for col, v in row.items()}
+            elif (self.phi > 1 and max(map(abs, lead)).bit_length() > MAX_CYCLOTOMIC_LEAD_BITS
                     and any(lead[1:])):
                 f, mul = field(self.order).norm_cofactor(lead), self.mul
                 row = self._strip({col: mul(f, v) for col, v in row.items()})

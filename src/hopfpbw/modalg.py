@@ -13,8 +13,9 @@ A ``ModuleAlgebra`` derives each table that depends on B alone once and
 keeps it: the canonical relations as degree-2 tensors and the nonzero
 columns e_h . v of the action when it is built, the degree-3 overlap space
 with both expansions of each basis element on the first read of
-``overlap_expansions``.  No table is derived again, so a changed relation
-or action matrix means a new object (``dataclasses.replace``).
+``overlap_expansions``, and each graded dimension on its first
+``graded_dim``.  No table is derived again, so a changed relation or action
+matrix means a new object (``dataclasses.replace``).
 
 Tensors in V^(x)m are sparse dicts keyed by index words (tuples).
 """
@@ -61,6 +62,8 @@ class ModuleAlgebra:
     cutoff: int = DEFAULT_CUTOFF
     _words: list = field(init=False, repr=False, compare=False)
     _columns: list = field(init=False, repr=False, compare=False)
+    # degree n -> dim B_n, filled by graded_dim
+    _graded: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         vd = self.vdim
@@ -234,15 +237,21 @@ def _layer_rows(B: ModuleAlgebra, n: int, j: int) -> list[dict]:
     """Sparse spanning rows of V^j (x) I (x) V^(n-2-j) inside V^(x)n, whose
     columns are the words read as numbers in base vdim.  A degree with more
     than ``MAX_KOSZUL_WORDS`` words is refused with ``ModAlgError``."""
-    if B.vdim ** n > MAX_KOSZUL_WORDS:
-        raise ModAlgError(f"degree {n} has {B.vdim ** n} words, above the limit {MAX_KOSZUL_WORDS}")
+    _check_words(B, n)
     vv, tail = B.vdim ** 2, B.vdim ** (n - 2 - j)
     return [{(pre * vv + w) * tail + post: c for w, c in rel.items()}
             for pre in range(B.vdim ** j) for rel in B.relations.rows for post in range(tail)]
 
 
+def _check_words(B: ModuleAlgebra, n: int) -> None:
+    if B.vdim ** n > MAX_KOSZUL_WORDS:
+        raise ModAlgError(f"degree {n} has {B.vdim ** n} words, above the limit {MAX_KOSZUL_WORDS}")
+
+
 def graded_dim(B: ModuleAlgebra, n: int) -> int:
-    """Dimension of the degree-n component of B."""
+    """Dimension of the degree-n component of B, derived on the first call
+    for (B, n) and kept on B; the degree, cutoff and word-count refusals run
+    on every call."""
     if n < 0:
         raise ModAlgError("negative degree")
     if n > B.cutoff:
@@ -251,11 +260,15 @@ def graded_dim(B: ModuleAlgebra, n: int) -> int:
         return 1
     if n == 1:
         return B.vdim
-    ech = SparseEchelon(B.order)
-    for j in range(n - 1):
-        for row in _layer_rows(B, n, j):
-            ech.insert(ech.from_scalars(row))
-    return B.vdim ** n - ech.rank
+    _check_words(B, n)
+    dim = B._graded.get(n)
+    if dim is None:
+        ech = SparseEchelon(B.order)
+        for j in range(n - 1):
+            for row in _layer_rows(B, n, j):
+                ech.insert(ech.from_scalars(row))
+        dim = B._graded[n] = B.vdim ** n - ech.rank
+    return dim
 
 
 def koszul_component(B: ModuleAlgebra, i: int) -> Subspace:

@@ -78,14 +78,28 @@ rings.  The exact products keep one denominator for the whole table, the
 lcm of the denominators of H.mult, so that lazily converted entries are
 the ones the whole table would give.
 
-The F_p shadow.  Most candidate rows op(pivot) lie in the span already,
-and reducing them exactly is the bulk of the work.  So every candidate is
-first built and reduced modulo a prime ideal P = (p, zeta - w), with p a
-prime below 2^61, p = 1 (mod N) and w a primitive N-th root of unity mod
-p, against the images of the exact pivots, each normalized to lead 1 and
-packed in flat arrays.  Only a candidate whose image does not reduce to
-zero is rebuilt from the exact pivot and inserted into the exact engine.
-The shadow decides nothing else:
+The F_p shadow.  Most candidate rows op(pivot) lie in the span already.
+The exact engine stores a pivot whose lead is a root of unity with lead
+one (``SparseEchelon.one``), and a reduction by such a pivot only
+subtracts, so while every stored lead is one the span builds no shadow:
+every candidate goes straight to ``ech.insert``, and the span, its pivot
+columns and its tables are exactly the exact span's.  Every bundled
+preset's kappa at buffers 0..2, and every span of the benchmark's family
+members, is of this kind.  The first pivot stored with another lead (a
+relator whose kappa^C has a denominator, or the cross-multiplied
+remainder of a dense kappa^C) starts the shadow, and
+from then on reducing candidates exactly is the bulk of the work.  So
+every later candidate is first built and reduced modulo a prime ideal
+P = (p, zeta - w), with p a prime below 2^61, p = 1 (mod N) and w a
+primitive N-th root of unity mod p, against the images of the exact
+pivots, each normalized to lead 1 and packed in flat arrays.  Only a
+candidate whose image does not reduce to zero is rebuilt from the exact
+pivot and inserted into the exact engine.  The shadow starts as a prime
+move does (``_next_shadow``): it images every pivot stored so far, the
+adopted ones derived, and reads the virtual ones off their sources.  On a
+dense kappa^C over Q(zeta_7) (taft-7 at (3, 0) and (3, 1)) a copy that
+never starts the shadow took 4.1 s instead of 0.40 s.  The shadow decides
+nothing else:
 
 - It never adds a row.  Every row the exact engine holds is still a
   genuine multiple of an element of the ideal, so the exact span can only
@@ -95,7 +109,8 @@ The shadow decides nothing else:
   the exact span reduces to zero in the shadow too, and a candidate the
   shadow keeps adds an exact pivot.  The tables are then the ones an
   exact-only span gives, unless a row that is nonzero over Z[zeta_N]
-  vanishes modulo P.
+  vanishes modulo P; a span that never starts the shadow has no such
+  caveat.
 - An exact pivot whose lead lies in P would break that, so the shadow
   moves to the next prime of one fixed deterministic list and re-images
   the stored exact pivots.
@@ -114,13 +129,13 @@ of v w (x) h and preserves the column order, so v x has its lead at the
 image of x's lead column, with x's lead coefficient, a unit modulo P.
 When that column has no pivot, v x is a new pivot as it stands: the
 relabelled exact row is already stripped, and the relabelled shadow slice
-is already its image with lead 1.  It is stored with no reduction.  The
-shadow keeps the relabelled slice (``_Shadow.adopt``), since later shadow
-reductions read it.  The exact engine keeps only the letter v
-(``SparseEchelon.adopt``): the source pivot's column follows from v and
+is already its image with lead 1.  It is stored with no reduction.  A
+running shadow keeps the relabelled slice (``_Shadow.adopt``), since
+later shadow reductions read it.  The exact engine keeps only the letter
+v (``SparseEchelon.adopt``): the source pivot's column follows from v and
 the new column, so every exact read of the pivot (a reduction that meets
-its column, an exact candidate built from it, or re-imaging after a
-prime move) derives the row, ``_derive``, by walking back through the
+its column, an exact candidate built from it, or imaging when a shadow
+starts or moves) derives the row, ``_derive``, by walking back through the
 letters to the nearest stored row and relabelling that row down.  The
 derived row is exactly the row that ``insert`` would store.
 
@@ -136,15 +151,16 @@ phase meets each virtual pivot once, and counts it by degree for the
 tables there.  The lookup is in place before the last left phase reduces
 anything, so no reduction stops at a virtual column and no pivot is ever
 stored at one; a left multiple whose column is taken is still reduced,
-through the virtual pivots.  A new shadow after a prime move reads the
-same lookup, and a virtual pivot has nothing to re-image.  The span is the
+through the virtual pivots.  A shadow that starts or moves reads the same
+lookup, and a virtual pivot has nothing to image.  The span is the
 one above, S_D = S_{D-1} + V L_{D-1} + L_{D-1} V, and the pivot columns of
 a span are unique, so the pivot columns and the tables are unchanged.
 Generations before the last keep their letters and slices: they are the
 sources of the next generation's multiples.  On ha1 at (N, k) = (3, 2),
 3,200 left multiples are adopted and 14,144 are virtual, and exact reads
-derive 4,078 rows, through chains of at most three letters, each dropped
-after use, so the engine holds only the rows that ``insert`` stored.
+derive 12,070 rows (no shadow screens that span), through chains of at
+most three letters, each dropped after use, so the engine holds only the
+rows that ``insert`` stored.
 """
 
 from __future__ import annotations
@@ -171,11 +187,11 @@ class OracleError(Exception):
 # The largest span the oracle starts: d * sum_{m <= D} vd^m columns.  Its
 # cost grows with the column count and the depth D: on the preset kappa,
 # ha1 (vd = 4) at D = 5/6/7 has 21,840/87,376/349,520 columns and takes
-# 0.3/1.0/2.9 s, and sweedler (vd = 2) at D = 10/11/13 has
-# 8,188/16,380/65,532 columns and takes 0.2/0.5/2.8 s (Python 3.11, one
-# core of a shared two-core host, one run each).  The bound admits every
-# bundled preset at the CLI defaults (ha1 at D = 5 is the largest) and
-# refuses larger spans before anything is built.
+# 0.13/0.37/1.3-1.5 s, and sweedler (vd = 2) at D = 10/11/13 has
+# 8,188/16,380/65,532 columns and takes 0.10/0.25/1.5-1.9 s (Python 3.11,
+# one core of a shared two-core host; one run each, three at D = 7 and
+# 13).  The bound admits every bundled preset at the CLI defaults (ha1 at
+# D = 5 is the largest) and refuses larger spans before anything is built.
 MAX_SPAN_COLUMNS = 25_000
 
 
@@ -655,7 +671,9 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
     Only the seeds are closed under H, each generation takes all its left
     V-multiples before its right ones, only pivots not born of a left
     V-multiple get right V-multiples, and the last generation's free left
-    multiples stay virtual; the span is the same (module docstring).  H and the action must already pass ``validate_hopf`` and
+    multiples stay virtual; the span is the same (module docstring).  The
+    F_p shadow starts at the first pivot stored with a lead other than one.
+    H and the action must already pass ``validate_hopf`` and
     ``validate_action``.  A negative buffer, and a span of more than
     ``MAX_SPAN_COLUMNS`` columns, are refused with ``OracleError``."""
     if N < 2:
@@ -678,7 +696,8 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
     exact = _exact_ring(ech, H, vd, straightened)
     primes = _shadow_primes(H.order)
     den = _table_den(H, B)
-    shadow = _next_shadow(primes, den, H, amb, straightened, ech)
+    # no shadow while every stored pivot lead is one (module docstring)
+    shadow = None
 
     # pivot columns by generation degree: those born of a left V-multiple,
     # whose right V-multiples lie in the span already (module docstring),
@@ -694,12 +713,17 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
         if piv is None:
             return
         layer.append(piv)
-        if not shadow.add_pivot(piv, ech.pivots[piv]):
+        if shadow is None and ech.pivots[piv][piv] == ech.one:
+            return
+        # the first lead other than one starts the shadow, and a lead in P
+        # moves it; either way the new shadow images every pivot stored so far
+        if shadow is None or not shadow.add_pivot(piv, ech.pivots[piv]):
             shadow = _next_shadow(primes, den, H, amb, straightened, ech)
 
     def consider(op, piv: int, arg: int, layer: list) -> None:
-        # the exact engine only sees rows whose shadow adds a pivot
-        if not shadow.reduces_to_zero(op(shadow.ring, amb, shadow.row(piv), arg)):
+        # once the shadow runs, the exact engine only sees rows whose shadow
+        # adds a pivot
+        if shadow is None or not shadow.reduces_to_zero(op(shadow.ring, amb, shadow.row(piv), arg)):
             record(ech.insert(op(exact, amb, ech.row(piv).items(), arg)), layer)
 
     def left_multiple(piv: int, v: int, layer: list) -> None:
@@ -715,7 +739,8 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
             # the engine keeps the letter and derives the row on each exact
             # read; the relabelled shadow slice is its image with lead 1
             ech.adopt(c, v)
-            shadow.adopt(c, piv, amb.deg, shift)
+            if shadow is not None:
+                shadow.adopt(c, piv, amb.deg, shift)
             layer.append(c)
 
     for row in _relator_rows(H, B, kappa, amb, ech):

@@ -296,6 +296,63 @@ def test_engine_makes_wide_cyclotomic_leads_rational():
             assert _rref_rows(rows, c) == reference_rref(rows, c)
 
 
+def test_engine_stores_root_of_unity_leads_as_one():
+    # A pivot whose lead is a root of unity +-zeta^j is stored divided by
+    # it, with lead exactly one; any other lead is stored as the reduction
+    # leaves it.
+    from hopfpbw.exactla import SparseEchelon
+    for order in FIELDS:
+        x = Scalar._make(order, 1, [2] + [1] * (field(order).phi - 1))
+        for j in range(order):
+            for sign in (1, -1):
+                u = zeta(order, j) * S(sign, order)
+                ech = SparseEchelon(order)
+                assert ech.insert(ech.from_scalars({0: u, 3: x})) == 0
+                stored = ech.pivots[0]
+                assert stored[0] == ech.one
+                assert Scalar._make(order, 1, (stored[3],) if order == 1 else stored[3]) \
+                    == x * u.inverse()
+    # -1 over Q, and zeta^8 = -zeta^2 - zeta^5 over Q(zeta_9)
+    ech = SparseEchelon(1)
+    ech.insert({2: -1, 5: 4})
+    assert ech.pivots == {2: {2: 1, 5: -4}}
+    assert field(9).powers[8] == (0, 0, -1, 0, 0, -1)
+    ech = SparseEchelon(9)
+    ech.insert({0: (0, 0, -1, 0, 0, -1), 1: (1, 0, 0, 0, 0, 0)})
+    assert ech.pivots[0] == {0: ech.one, 1: field(9).powers[1]}
+    # leads 2 over Q and 1 + i over Q(i) are no units: stored unchanged
+    ech = SparseEchelon(1)
+    ech.insert({0: 2, 1: 3})
+    assert ech.pivots == {0: {0: 2, 1: 3}}
+    ech = SparseEchelon(4)
+    ech.insert({0: (1, 1), 1: (0, 2)})
+    assert ech.pivots == {0: {0: (1, 1), 1: (0, 2)}}
+    # a reduction by a monic pivot subtracts without stripping; the row is
+    # stripped when it stops: (0, -2, 2) -> (0, -1, 1), then lead -1 -> 1
+    ech = SparseEchelon(1)
+    ech.insert({0: 1, 1: 1})
+    assert ech.insert({0: 1, 1: -1, 2: 2}) == 1
+    assert ech.pivots[1] == {1: 1, 2: -1}
+
+
+def test_unit_leads_keep_rref_and_kernel():
+    # rows whose leads are roots of unity, among other rows: the unique RREF
+    # and kernel must not move when the engine stores those leads as one
+    rng = random.Random(41)
+    for order in FIELDS:
+        units = [zeta(order, j) * S(sign, order) for j in range(order) for sign in (1, -1)]
+        for _ in range(12):
+            r, c = rng.randint(1, 6), rng.randint(1, 7)
+            rows = []
+            for _ in range(r):
+                row = [rand_scalar(rng, order) for _ in range(c)]
+                row[rng.randrange(c)] = rng.choice(units)
+                rows.append(row)
+            assert _rref_rows(rows, c) == reference_rref(rows, c)
+            assert sparse_kernel(dense_to_sparse(rows), c, order) == \
+                dense_to_sparse(reference_kernel(rows, c, order))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(FIELDS), st.integers(1, 4), st.integers(1, 5), st.data())
 def test_engine_matches_reference_hypothesis(order, r, c, data):

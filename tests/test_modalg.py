@@ -118,6 +118,38 @@ def test_graded_dim_cutoff():
         graded_dim(B, B.cutoff + 1)
 
 
+def test_graded_dim_is_derived_once_and_refusals_run_on_every_call(monkeypatch):
+    # the rank of each degree is taken on its first call and kept on B; a
+    # lowered cutoff, a negative degree and a degree with too many words
+    # are refused on every call, derived or not
+    from hopfpbw import modalg
+    _H, B = symmetric_algebra(3)
+    builds = []
+    real = modalg._layer_rows
+
+    def counted(B, n, j):
+        builds.append(n)
+        return real(B, n, j)
+
+    monkeypatch.setattr(modalg, "_layer_rows", counted)
+    assert [graded_dim(B, n) for n in range(5)] == [1, 3, 6, 10, 15]
+    assert builds == [2, 3, 3, 4, 4, 4]
+    assert [graded_dim(B, n) for n in range(5)] == [1, 3, 6, 10, 15]
+    assert len(builds) == 6
+    # a new object derives its own tables
+    fresh = dataclasses.replace(B)
+    assert graded_dim(fresh, 3) == 10 and len(builds) == 8
+    B.cutoff = 3
+    with pytest.raises(CutoffExceeded):
+        graded_dim(B, 4)
+    with pytest.raises(ModAlgError, match="negative"):
+        graded_dim(B, -1)
+    monkeypatch.setattr(modalg, "MAX_KOSZUL_WORDS", 26)
+    with pytest.raises(ModAlgError, match="words, above the limit"):
+        graded_dim(B, 3)
+    assert len(builds) == 8
+
+
 def test_koszul_degree_with_too_many_words_is_refused(problem):
     # ha1 (vd = 4) at n = 8 has 65,536 words: 9.6 s and 117 MB for the tables
     # through degree 8 when nothing refused it

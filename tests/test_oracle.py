@@ -558,31 +558,122 @@ def test_shadow_matches_reference_on_presets_catalog_and_dense(problem):
             (prob.name, N, k)
 
 
+def _constant_kappa(prob, c):
+    """kappa^C(r) = c on the single relation r of h8 or a Taft algebra.
+    Clearing the denominator of c = 1/q makes the relator's lead q, so the
+    first pivot the span stores has a lead other than one."""
+    return Kappa.from_vectors(prob.hopf, prob.algebra, [{0: c}], [dict()])
+
+
+def _ha1_noninvariant(ha1):
+    """The non-invariant kappa^C that the ha1 benchmark draws at seed 1."""
+    one4 = Scalar.one(4)
+    cv = [dict() for _ in range(6)]
+    cv[0] = {8: one4, 15: Scalar.from_int(4, 3)}
+    cv[2] = {0: one4}
+    cv[3] = {15: one4}
+    return Kappa.from_vectors(ha1.hopf, ha1.algebra, cv, [dict() for _ in range(6)])
+
+
 def test_exact_engine_sees_only_rows_that_add_a_pivot(problem, monkeypatch):
-    # While every exact pivot lead is a unit mod the prime, a row the shadow
-    # keeps is outside the exact span; a shadow with wrong tables would pass
-    # rows that reduce to zero, and its skips would no longer be screened.
+    # Once the shadow runs, and while every exact pivot lead is a unit mod
+    # the prime, a row the shadow keeps is outside the exact span; a shadow
+    # with wrong tables would pass rows that reduce to zero, and its skips
+    # would no longer be screened.  Before the shadow starts every candidate
+    # is inserted, so only the inserts made while a shadow exists count, on
+    # spans that start it at their first pivot (h8 with 1/3, taft-5 with
+    # 1/11, h8 rescaled) or among the seeds.
     kept = []
+    shadows = []
 
     class Counting(oracle.SparseEchelon):
         def insert(self, row):
             piv = super().insert(row)
-            kept.append(piv is not None)
+            if shadows:
+                kept.append(piv is not None)
             return piv
 
+    class Shadow(oracle._Shadow):
+        def __init__(self, *args):
+            super().__init__(*args)
+            shadows.append(self)
+
     monkeypatch.setattr(oracle, "SparseEchelon", Counting)
-    h8, ha1 = problem("h8", True), problem("ha1", True)
+    monkeypatch.setattr(oracle, "_Shadow", Shadow)
+    h8, ha1, taft5 = problem("h8", True), problem("ha1", True), problem("taft-5")
     one1 = Scalar.one(1)
     xz = h8.hopf.labels.index("xz")
     B2, move = _rescale(h8.algebra, [2, 1])
     bad = Kappa.from_vectors(h8.hopf, h8.algebra, [{0: one1, xz: -one1}], [dict()])
-    cases = [(h8.hopf, h8.algebra, h8.kappa, 3, 1), (h8.hopf, h8.algebra, bad, 3, 1),
-             (h8.hopf, B2, move(h8.hopf, bad), 3, 1), (ha1.hopf, ha1.algebra, ha1.kappa, 3, 0),
+    cases = [(h8.hopf, h8.algebra, _constant_kappa(h8, Scalar.from_rational(1, 1, 3)), 3, 1),
+             (h8.hopf, h8.algebra, bad, 3, 1), (h8.hopf, B2, move(h8.hopf, bad), 3, 1),
+             (taft5.hopf, taft5.algebra, _constant_kappa(taft5, Scalar.from_rational(5, 1, 11)), 3, 0),
+             (ha1.hopf, ha1.algebra, _ha1_noninvariant(ha1), 3, 0),
              (ha1.hopf, ha1.algebra, _dense_kappa(ha1, 2), 3, 0)]
     for H, B, kp, N, k in cases:
         kept.clear()
+        shadows.clear()
         filtered_dims(H, B, kp, N, k)
+        assert shadows, B.vlabels
         assert len(kept) > B.dim_relations() and all(kept)
+
+
+def _member(H, B, coeffs):
+    """sum c_i * basis_i over the linear basis of B's kappa family."""
+    kp = Kappa.zero(H, B)
+    for c, basis in zip(coeffs, solve_kappa(H, B).linear_basis):
+        kp = kp.add(basis.scale(Scalar.from_int(H.order, c)))
+    return kp
+
+
+def test_shadow_starts_at_the_first_lead_other_than_one(problem, monkeypatch):
+    # The engine stores a root-of-unity lead as one, and while every stored
+    # lead is one the span builds no shadow: it is the exact span itself.
+    # The first stored lead other than one starts the shadow, which must
+    # image every pivot stored so far; a shadow that missed one would read
+    # that pivot's multiples as zero and skip them, and the tables would
+    # grow past the reference's.
+    built, starts = [], []
+    real_next_shadow = oracle._next_shadow
+
+    class Shadow(oracle._Shadow):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    def next_shadow(primes, den, H, amb, straightened, ech):
+        sh = real_next_shadow(primes, den, H, amb, straightened, ech)
+        if not starts:
+            others = [c for c in ech.pivots if ech.row(c)[c] != ech.one]
+            assert len(others) == 1, others
+            starts.append(len(ech.pivots))
+        assert all(sh.size[c] for c in ech.pivots)
+        return sh
+
+    monkeypatch.setattr(oracle, "_Shadow", Shadow)
+    monkeypatch.setattr(oracle, "_next_shadow", next_shadow)
+    ha1, taft7, h8 = problem("ha1"), problem("taft-7"), problem("h8")
+    one4 = Scalar.one(4)
+    quiet = [(ha1, _member(ha1.hopf, ha1.algebra, (2, -3)), 3, 2, "CONSISTENT"),
+             (ha1, _ha1_kappa(ha1, 5, {9: one4, 13: -one4}), 3, 2, "FALSIFIED"),
+             (taft7, _member(taft7.hopf, taft7.algebra, (3, -2)), 3, 1, "CONSISTENT")]
+    for prob, kp, N, k, verdict in quiet:
+        built.clear()
+        rep = filtered_dims(prob.hopf, prob.algebra, kp, N, k)
+        assert rep.verdict == verdict and not built, prob.name
+    stored = []     # the pivots stored when the shadow starts
+    for prob, kp, N, k in ((ha1, _ha1_noninvariant(ha1), 3, 0),
+                           (h8, _constant_kappa(h8, Scalar.from_rational(1, 1, 3)), 3, 1)):
+        built.clear()
+        starts.clear()
+        rep = filtered_dims(prob.hopf, prob.algebra, kp, N, k)
+        assert built, prob.name
+        stored += starts
+        H, B = prob.hopf, prob.algebra
+        assert rep.computed_dims == reference_computed_dims(H, B, kp, N, k), prob.name
+    # h8's relator starts the shadow; ha1's starts it with seeds stored,
+    # whose multiples the shadow then screens
+    assert stored[0] > 1 and stored[1] == 1, stored
 
 
 def test_dense_kappa_guard(problem):
@@ -664,10 +755,13 @@ def test_shadow_prime_fallback_is_sound(problem, monkeypatch):
 
 def test_h_multiples_run_on_seed_pivots_only(problem, monkeypatch):
     # Every generation after the seeds is a two-sided H-module already
-    # (oracle module docstring), so the shadow builds |S| right and |S| left
-    # H-multiples of each seed pivot and none of a V-layer pivot.
-    events = []
-    engines, shadows = [], []
+    # (oracle module docstring), so the span screens |S| right and |S| left
+    # H-multiples of each seed pivot and none of a V-layer pivot.  A
+    # candidate is screened on the shadow's ring once a shadow runs and on
+    # the exact ring before one starts (ha1 and h8 on their preset kappa
+    # never start one; h8 with kappa^C(r) = 1/3 starts it at the relator).
+    events = []     # (operator, screened) or ("pivot"/"adopt", added)
+    engines, shadows, ambients = [], [], []
     exact_rings = []
     real_exact_ring = oracle._exact_ring
 
@@ -681,12 +775,13 @@ def test_h_multiples_run_on_seed_pivots_only(problem, monkeypatch):
 
     def counted(name, op):
         def run(R, amb, row, arg):
-            events.append((name, R is not exact_rings[-1]))
+            exact = R is exact_rings[-1]
+            events.append((name, not exact or not shadows))
             row = list(row)
             src = min(c for c, _ in row)
-            if R is exact_rings[-1]:
+            if exact:
                 source[:] = [name, src]
-            if name in ("_left_v", "_right_v"):
+            if name in ("_left_v", "_right_v") and (not exact or not shadows):
                 v_layers.append((name, born[src][0]))
             return op(R, amb, row, arg)
         return run
@@ -695,6 +790,11 @@ def test_h_multiples_run_on_seed_pivots_only(problem, monkeypatch):
         name, src = source or ("seed", None)
         v_layer = name in ("_left_v", "_right_v")
         born[piv] = (born[src][0] + 1 if v_layer else 2, name == "_left_v")
+
+    class Ambient(oracle._Ambient):
+        def __init__(self, *args):
+            super().__init__(*args)
+            ambients.append(self)
 
     class Counting(oracle.SparseEchelon):
         def __init__(self, order):
@@ -708,66 +808,72 @@ def test_h_multiples_run_on_seed_pivots_only(problem, monkeypatch):
                 note(piv)
             return piv
 
+        # an adoption builds no row, so it is counted where the engine
+        # stores the letter; its source pivot is the letter's column shift back
+        def adopt(self, c, row):
+            super().adopt(c, row)
+            amb = ambients[-1]
+            src = c - amb.lshift[row][amb.deg[c] - 1]
+            events.append(("adopt", False))
+            v_layers.append(("adopt", born[src][0]))
+            born[c] = (born[src][0] + 1, True)
+
     class Shadow(oracle._Shadow):
         def __init__(self, *args):
             super().__init__(*args)
             shadows.append(self)
 
-    # an adoption builds no exact row, so it is counted where the shadow
-    # relabels the source pivot's slice
-    shadow_adopt = oracle._Shadow.adopt
-
-    def adopt(self, c, piv, deg, shift):
-        shadow_adopt(self, c, piv, deg, shift)
-        events.append(("adopt", False))
-        v_layers.append(("adopt", born[piv][0]))
-        born[c] = (born[piv][0] + 1, True)
-
     monkeypatch.setattr(oracle, "_exact_ring", exact_ring)
     for name in ("_right_h", "_left_h", "_left_v", "_right_v"):
         monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
+    monkeypatch.setattr(oracle, "_Ambient", Ambient)
     monkeypatch.setattr(oracle, "SparseEchelon", Counting)
-    monkeypatch.setattr(oracle._Shadow, "adopt", adopt)
     monkeypatch.setattr(oracle, "_Shadow", Shadow)
-    for prob, N, k in ((problem("ha1", True), 3, 2), (problem("h8", True), 3, 1)):
+    h8 = problem("h8", True)
+    third = _constant_kappa(h8, Scalar.from_rational(1, 1, 3))
+    for prob, kappa, N, k, starts in ((problem("ha1", True), None, 3, 2, False),
+                                      (h8, None, 3, 1, False), (h8, third, 3, 1, True)):
+        kappa = kappa or prob.kappa
         events.clear()
         engines.clear()
         shadows.clear()
+        ambients.clear()
         source.clear()
         born.clear()
         v_layers.clear()
-        rep = filtered_dims(prob.hopf, prob.algebra, prob.kappa, N, k)
+        rep = filtered_dims(prob.hopf, prob.algebra, kappa, N, k)
         assert rep.verdict == "CONSISTENT"
+        assert bool(shadows) == starts, prob.name
         S = algebra_generators(prob.hopf)
         first_v = next(i for i, (name, _) in enumerate(events) if name in ("_left_v", "adopt"))
         seeds = sum(1 for name, kept in events[:first_v] if name == "pivot" and kept)
-        in_shadow = Counter(name for name, shadow in events if name != "pivot" and shadow)
-        assert in_shadow["_right_h"] == in_shadow["_left_h"] == len(S) * seeds, prob.name
+        screened = Counter(name for name, s in events if name not in ("pivot", "adopt") and s)
+        assert screened["_right_h"] == screened["_left_h"] == len(S) * seeds, prob.name
         assert all(name not in ("_right_h", "_left_h") for name, _ in events[first_v:])
         # the V-layers do add pivots, so the last check is not vacuous
         assert any(name == "pivot" and kept for name, kept in events[first_v:])
-        # every pivot of generations 2..D-1 gets vd left multiples, through
-        # the shadow, relabelled or, in generation D - 1, left virtual at a
+        # every pivot of generations 2..D-1 gets vd left multiples, screened,
+        # relabelled or, in generation D - 1, left virtual at a
         # column that never holds a pivot; only those not born of a left
         # multiple get right multiples (the product lemma)
         D = N + k
         multiplied = [left for gen, left in born.values() if gen < D]
         adopted = sum(1 for name, _ in events if name == "adopt")
         vd = prob.algebra.vdim
-        amb = oracle._Ambient(vd, prob.hopf.dim, D)
+        amb, = ambients
         pivots, = (ech.pivots for ech in engines)
         virtual = [c + amb.lshift[v][amb.deg[c]] for c, (gen, _) in born.items() if gen == D - 1
                    for v in range(vd)]
         virtual = [c for c in virtual if c not in pivots]
         assert adopted > 0 and virtual and multiplied.count(True) > 0, prob.name
-        assert in_shadow["_left_v"] + adopted + len(virtual) == vd * len(multiplied), prob.name
-        assert in_shadow["_right_v"] == vd * multiplied.count(False) > 0, prob.name
+        assert screened["_left_v"] + adopted + len(virtual) == vd * len(multiplied), prob.name
+        assert screened["_right_v"] == vd * multiplied.count(False) > 0, prob.name
         # no left multiple of the last generation is stored, in the engine
         # or in any shadow
         assert all(gen < D - 1 for name, gen in v_layers if name == "adopt"), prob.name
         assert not any(sh.size[c] for sh in shadows for c in virtual), prob.name
-        # each generation takes every left multiple, through the shadow or
-        # adopted, before its first right multiple, so adopted left
+        # each generation takes every left multiple, screened or adopted,
+        # before its first right multiple, so adopted left
         # multiples claim their lead columns first
         for j in range(2, D):
             names = [name for name, gen in v_layers if gen == j]
@@ -782,18 +888,22 @@ def test_h_multiples_run_on_seed_pivots_only(problem, monkeypatch):
 def test_adopted_left_multiples_match_insert_and_add_pivot(problem, monkeypatch):
     # A left V-multiple whose lead column is free is stored as its letter,
     # and its exact row is derived on every read: the derived row must be
-    # what `insert` on a copy of the engine stores at the same column, and
-    # the relabelled shadow slice what `add_pivot` on a blank shadow stores.
-    # A left multiple of an adopted pivot is adopted in turn, so the
-    # derivation walks chains of letters back to a stored row.  A free left
-    # multiple of the last generation is stored nowhere: the same must hold
-    # for the row that the engine derives at its column once the span is
-    # done, and for the shadow's image, its source's slice relabelled.
+    # what `insert` on a copy of the engine stores at the same column, and,
+    # once a shadow runs, the relabelled shadow slice what `add_pivot` on a
+    # blank shadow stores.  A left multiple of an adopted pivot is adopted
+    # in turn, so the derivation walks chains of letters back to a stored
+    # row.  A free left multiple of the last generation is stored nowhere:
+    # the same must hold for the row that the engine derives at its column
+    # once the span is done, and for the shadow's image, its source's slice
+    # relabelled.  The preset kappa of h8 and ha1 start no shadow; h8
+    # rescaled starts it at its first pivot, and the dense ha1 kappa among
+    # the seeds.
     from types import SimpleNamespace
     adopted = {}
     chain = {}      # adopted column -> number of letters back to a stored row
     virtual = []    # the virtual columns of each span
-    spans = []      # (engine, shadow) of the running span
+    spans = []      # (engine, shadow, column layout) of the running span
+    sliced = []     # adopted columns whose shadow slice was checked
     Plain = oracle.SparseEchelon
 
     def blank_image(sh, c, row):
@@ -802,8 +912,7 @@ def test_adopted_left_multiples_match_insert_and_add_pivot(problem, monkeypatch)
         return list(zip(blank.cols, blank.vals))
 
     def check_virtual():
-        ech, sh = spans[-1]
-        amb = sh.amb
+        ech, sh, amb = spans[-1]
         cols = [c for c in range(amb.total) if c not in ech.pivots and amb.virtual(c)]
         for c in cols:
             row = ech.derive(ech.pivots, c)
@@ -812,16 +921,22 @@ def test_adopted_left_multiples_match_insert_and_add_pivot(problem, monkeypatch)
             twin.derive = lambda pivots, col: None if col == c else ech.derive(pivots, col)
             assert twin.insert(dict(row)) == c
             assert list(twin.pivots[c].items()) == list(row.items())
-            v, src = amb.virtual(c)
-            relabelled = [(col + amb.lshift[v][amb.deg[col]], x) for col, x in sh.row(src)]
-            assert relabelled == blank_image(sh, c, row)
-            assert sh.size[c] == 0
+            if sh is not None:
+                v, src = amb.virtual(c)
+                relabelled = [(col + amb.lshift[v][amb.deg[col]], x) for col, x in sh.row(src)]
+                assert relabelled == blank_image(sh, c, row)
+                assert sh.size[c] == 0
         virtual.append(len(cols))
+
+    class Ambient(oracle._Ambient):
+        def __init__(self, *args):
+            super().__init__(*args)
+            spans.append([None, None, self])
 
     class Checked(oracle.SparseEchelon):
         def __init__(self, order):
             super().__init__(order)
-            spans.append([self, None])
+            spans[-1][0] = self
 
         def adopt(self, c, row):
             assert not isinstance(row, dict)
@@ -834,13 +949,16 @@ def test_adopted_left_multiples_match_insert_and_add_pivot(problem, monkeypatch)
             super().adopt(c, row)
             assert list(self.row(c).items()) == list(derived.items())
             adopted[c] = derived
+            amb = spans[-1][2]
+            piv = c - amb.lshift[row][amb.deg[c] - 1]
+            chain[c] = chain.get(piv, 0) + 1
 
     shadow_adopt = oracle._Shadow.adopt
 
     def checked_shadow_adopt(self, c, piv, deg, shift):
         shadow_adopt(self, c, piv, deg, shift)
-        chain[c] = chain.get(piv, 0) + 1
         assert list(self.row(c)) == blank_image(self, c, adopted[c])
+        sliced.append(c)
 
     class Shadow(oracle._Shadow):
         def __init__(self, *args):
@@ -855,6 +973,7 @@ def test_adopted_left_multiples_match_insert_and_add_pivot(problem, monkeypatch)
             check_virtual()
         return real_graded_dim(B, j)
 
+    monkeypatch.setattr(oracle, "_Ambient", Ambient)
     monkeypatch.setattr(oracle, "SparseEchelon", Checked)
     monkeypatch.setattr(oracle._Shadow, "adopt", checked_shadow_adopt)
     monkeypatch.setattr(oracle, "_Shadow", Shadow)
@@ -869,10 +988,12 @@ def test_adopted_left_multiples_match_insert_and_add_pivot(problem, monkeypatch)
              (ha1.hopf, ha1.algebra, _ha1_kappa(ha1, 5, {9: one4, 13: -one4}), 3, 2),
              (ha1.hopf, ha1.algebra, _dense_kappa(ha1, 2), 3, 1), (h8.hopf, h8.algebra, h8.kappa, 3, 3)]
     longest = []
+    shadowed = []
     for H, B, kp, N, k in cases:
         adopted.clear()
         chain.clear()
         spans.clear()
+        sliced.clear()
         want = reference_computed_dims(H, B, kp, N, k) if H is h8.hopf else None
         rep = filtered_dims(H, B, kp, N, k)
         assert adopted and virtual[-1], (B.vlabels, N, k)
@@ -880,9 +1001,14 @@ def test_adopted_left_multiples_match_insert_and_add_pivot(problem, monkeypatch)
         longest.append(max(chain.values()))
         if want is not None:
             assert rep.computed_dims == want
+        # these shadows start before the first adoption, so the shadow
+        # relabels every adopted pivot's slice
+        shadowed.append(spans[-1][1] is not None)
+        assert set(sliced) == (adopted.keys() if shadowed[-1] else set()), (B.vlabels, N, k)
     # only generations 3..D - 1 are adopted: h8 at (3, 1) stores chains of
     # one letter, ha1 at (3, 2) chains of two and h8 at (3, 3) of three
     assert longest == [1, 1, 1, 2, 2, 1, 3]
+    assert shadowed == [False, True, True, False, False, True, False]
 
 
 def test_engine_holds_only_inserted_rows_and_nothing_outlives_a_span(problem, monkeypatch):
@@ -890,6 +1016,8 @@ def test_engine_holds_only_inserted_rows_and_nothing_outlives_a_span(problem, mo
     # dict for exactly the columns that `insert` returned.  No reference
     # cycle holds the span's state: with the collector off, the engine and
     # every shadow die by reference counting when `filtered_dims` returns.
+    # ha1 and taft-5 on their preset kappa start no shadow; h8 with
+    # kappa^C(r) = 1/3 starts it at its first pivot.
     import gc
     import weakref
     engines, shadows, inserted = [], [], []
@@ -922,7 +1050,12 @@ def test_engine_holds_only_inserted_rows_and_nothing_outlives_a_span(problem, mo
         return real_graded_dim(B, j)
 
     monkeypatch.setattr(oracle, "graded_dim", graded_dim)
-    for prob, N, k in ((problem("ha1", True), 3, 2), (problem("taft-5", True), 3, 1)):
+    h8 = problem("h8")
+    third = _constant_kappa(h8, Scalar.from_rational(1, 1, 3))
+    for prob, kappa, N, k, starts in ((problem("ha1", True), None, 3, 2, False),
+                                      (problem("taft-5", True), None, 3, 1, False),
+                                      (h8, third, 3, 2, True)):
+        kappa = kappa or prob.kappa
         engines.clear()
         shadows.clear()
         inserted.clear()
@@ -930,8 +1063,8 @@ def test_engine_holds_only_inserted_rows_and_nothing_outlives_a_span(problem, mo
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            rep = filtered_dims(prob.hopf, prob.algebra, prob.kappa, N, k)
-            assert len(engines) == 1 and shadows
+            rep = filtered_dims(prob.hopf, prob.algebra, kappa, N, k)
+            assert len(engines) == 1 and bool(shadows) == starts, prob.name
             assert all(ref() is None for ref in engines + shadows), prob.name
         finally:
             if was_enabled:
@@ -950,10 +1083,12 @@ def test_prime_move_after_adoptions_re_images_derived_chains(problem, monkeypatc
     # recorded before the first adoption).  The next shadow re-images every
     # stored pivot, deriving the rows of adopted chains, and the tables must
     # equal the unforced run.  Only generations 3..D - 1 are adopted, so a
-    # stored chain of three letters needs D = 6: h8 at (3, 3).
-    prob = problem("h8", True)
+    # stored chain of three letters needs D = 6: h8 at (3, 3), with
+    # kappa^C(r) = 1/3 so that the shadow runs from the first pivot.
+    prob = problem("h8")
     H, B = prob.hopf, prob.algebra
-    want = filtered_dims(H, B, prob.kappa, 3, 3)
+    kappa = _constant_kappa(prob, Scalar.from_rational(1, 1, 3))
+    want = filtered_dims(H, B, kappa, 3, 3)
     chain = {}          # adopted column -> letters back to a stored row
     state = {"failed": None, "reimaged": {}}
     add_pivot, shadow_adopt = oracle._Shadow.add_pivot, oracle._Shadow.adopt
@@ -973,7 +1108,7 @@ def test_prime_move_after_adoptions_re_images_derived_chains(problem, monkeypatc
 
     monkeypatch.setattr(oracle._Shadow, "adopt", adopt)
     monkeypatch.setattr(oracle._Shadow, "add_pivot", forced)
-    rep = filtered_dims(H, B, prob.kappa, 3, 3)
+    rep = filtered_dims(H, B, kappa, 3, 3)
     assert state["failed"] is not None
     p, c = state["failed"]
     assert c not in chain
