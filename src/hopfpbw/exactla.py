@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import add, floordiv, mul, not_, sub
+from operator import add, floordiv, mul, not_
 
 from .scalar import Scalar, field
 
@@ -304,8 +304,11 @@ class SparseEchelon:
     A row is a dict col -> coefficient, where a coefficient holds the
     integer coordinates of an element of Z[zeta_N] in the power basis: a
     tuple of phi(N) ints, or a plain int when phi(N) = 1.  The ring
-    operations on coefficients are the attributes ``mul``, ``add``, ``sub``,
-    ``scale`` (by an int) and ``is_zero``.
+    operations on coefficients are the attributes ``mul``, ``add``,
+    ``scale`` (by an int) and ``is_zero``, and the row operation
+    ``submul_row(out, a, piv, c)``, out -= a * piv in place over every
+    column of piv but its lead column c: one call per reduction step,
+    ``CycloField.submul_row`` for phi(N) > 1.
 
     ``insert`` stores a pivot whose lead is a root of unity +-zeta^j
     divided by that unit, so with lead exactly ``one``: a reduction by it
@@ -337,12 +340,12 @@ class SparseEchelon:
         self.derive = _no_pivot
         self.phi = f.phi
         if f.phi == 1:
-            self.mul, self.add, self.sub, self.scale = mul, add, sub, mul
+            self.mul, self.add, self.scale = mul, add, mul
             self.is_zero, self._content, self._divide = not_, abs, floordiv
+            self.submul_row = _submul_int
         else:
-            self.mul = f.mul_vec
+            self.mul, self.submul_row = f.mul_vec, f.submul_row
             self.add = lambda a, b: tuple(map(add, a, b))
-            self.sub = lambda a, b: tuple(map(sub, a, b))
             self.scale = lambda a, c: tuple(x * c for x in a)
             self.is_zero = lambda a: not any(a)
             self._content = lambda a: gcd(*a)
@@ -386,32 +389,26 @@ class SparseEchelon:
     def _reduce(self, row: dict) -> tuple[int | None, dict]:
         """Reduce a row until its leading column has no pivot; returns that
         column and the stripped row, or (None, {}) when the row reduces to 0."""
-        mul, sub, scale, is_zero, one = self.mul, self.sub, self.scale, self.is_zero, self.one
+        mul, submul_row, is_zero, one = self.mul, self.submul_row, self.is_zero, self.one
+        pivots = self.pivots
         row = {c: v for c, v in row.items() if not is_zero(v)}
         while row:
             c = min(row)
-            piv = self.pivots.get(c)
+            piv = pivots.get(c)
             if piv.__class__ is not dict:
-                piv = self.derive(self.pivots, c)
+                piv = self.derive(pivots, c)
                 if piv is None:
                     return c, self._strip(row)
             pc = piv[c]
             rc = row.pop(c)
-            monic = pc == one
-            out = row if monic else {col: mul(pc, v) for col, v in row.items()}
-            for col, v in piv.items():
-                if col == c:
-                    continue
-                t = mul(rc, v)
-                cur = out.get(col)
-                nv = sub(cur, t) if cur is not None else scale(t, -1)
-                if is_zero(nv):
-                    out.pop(col, None)
-                else:
-                    out[col] = nv
             # a step by a monic pivot does not scale the row up, so it is
             # stripped only after a cross-multiply and when it stops
-            row = out if monic else self._strip(out)
+            if pc == one:
+                submul_row(row, rc, piv, c)
+            else:
+                row = {col: mul(pc, v) for col, v in row.items()}
+                submul_row(row, rc, piv, c)
+                row = self._strip(row)
         return None, {}
 
     def insert(self, row: dict) -> int | None:
@@ -472,6 +469,23 @@ class SparseEchelon:
                         row.pop(col, None)
             red[c] = row
         return red
+
+
+def _submul_int(out: dict, a: int, piv: dict, c: int) -> None:
+    """``SparseEchelon.submul_row`` for phi(N) = 1, on plain ints."""
+    get = out.get
+    for col, b in piv.items():
+        if col == c:
+            continue
+        cur = get(col)
+        if cur is None:
+            out[col] = -a * b
+        else:
+            n = cur - a * b
+            if n:
+                out[col] = n
+            else:
+                del out[col]
 
 
 def _no_pivot(pivots: dict, c: int) -> None:

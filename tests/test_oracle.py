@@ -1155,6 +1155,100 @@ def test_last_generation_virtual_pivots_keep_the_tables(problem, monkeypatch):
         assert moves[0] is not None and rep.computed_dims == want, prob.name
 
 
+def reference_derive(amb, pivots: dict, c: int):
+    """``oracle._derive`` with the column shifts of the letter chain composed
+    on every read, as before ``_Ambient.shifts`` kept them per span."""
+    deg, lshift = amb.deg, amb.lshift
+    letters = []
+    row = pivots.get(c)
+    if row is None:
+        src = amb.virtual(c)
+        if src is None:
+            return None
+        v, c = src
+        letters.append(v)
+        row = pivots[c]
+    while row.__class__ is not dict:
+        letters.append(row)
+        c -= lshift[row][deg[c] - 1]
+        row = pivots[c]
+    total = [0] * (deg[c] + 1)
+    for i, v in enumerate(reversed(letters)):
+        shift = lshift[v]
+        for m in range(len(total)):
+            total[m] += shift[m + i]
+    return {col + total[deg[col]]: val for col, val in row.items()}
+
+
+def test_derive_matches_the_per_read_composition(problem, monkeypatch):
+    # Every row that `_derive` returns, during the span and at each adopted
+    # and each virtual column once the span is done, must be the row that
+    # composing the chain's shifts on the spot gives, entries in the same
+    # order.  The ha1 member span at (3, 2) starts no shadow, so every
+    # candidate is reduced exactly; h8 with kappa^C(r) = 1/3 at (3, 1) starts
+    # the shadow at its first pivot, which then images derived rows too.
+    real_derive = oracle._derive
+    spans = []      # [column layout, engine] of the running span
+    shadows = []
+    derived = []    # columns whose derived row was checked
+
+    def derive(amb, pivots, c):
+        row = real_derive(amb, pivots, c)
+        want = reference_derive(amb, pivots, c)
+        assert (row is None) == (want is None), c
+        if row is not None:
+            assert list(row.items()) == list(want.items()), c
+            derived.append(c)
+        return row
+
+    class Ambient(oracle._Ambient):
+        def __init__(self, *args):
+            super().__init__(*args)
+            spans.append([self, None])
+
+    class Engine(oracle.SparseEchelon):
+        def __init__(self, order):
+            super().__init__(order)
+            spans[-1][1] = self
+
+    class Shadow(oracle._Shadow):
+        def __init__(self, *args):
+            super().__init__(*args)
+            shadows.append(self)
+
+    real_graded_dim = oracle.graded_dim
+    covered = []    # (adopted, virtual) columns of each span
+
+    def graded_dim(B, j):
+        # called right after the span, while the engine is alive
+        if j == 0:
+            amb, ech = spans[-1]
+            adopted = [c for c, entry in ech.pivots.items() if entry.__class__ is not dict]
+            virtual = [c for c in range(amb.total) if c not in ech.pivots and amb.virtual(c)]
+            derived.clear()
+            for c in adopted + virtual:
+                assert ech.derive(ech.pivots, c) is not None, c
+            assert derived == adopted + virtual
+            # one composed shift per (degree, letter chain), not per read
+            assert 0 < len(amb.shifts) < 1000
+            covered.append((len(adopted), len(virtual)))
+        return real_graded_dim(B, j)
+
+    monkeypatch.setattr(oracle, "_derive", derive)
+    monkeypatch.setattr(oracle, "_Ambient", Ambient)
+    monkeypatch.setattr(oracle, "SparseEchelon", Engine)
+    monkeypatch.setattr(oracle, "_Shadow", Shadow)
+    monkeypatch.setattr(oracle, "graded_dim", graded_dim)
+    ha1, h8 = problem("ha1"), problem("h8")
+    for prob, kappa, k, shadowed in (
+            (ha1, _member(ha1.hopf, ha1.algebra, (2, -3)), 2, False),
+            (h8, _constant_kappa(h8, Scalar.from_rational(1, 1, 3)), 1, True)):
+        shadows.clear()
+        rep = filtered_dims(prob.hopf, prob.algebra, kappa, 3, k)
+        assert rep.verdict == "CONSISTENT" and bool(shadows) == shadowed, prob.name
+    assert all(adopted and virtual for adopted, virtual in covered), covered
+
+
 # -- refusing oversized spans ------------------------------------------------------
 
 def test_span_size_guard_at_the_bound(problem, monkeypatch):

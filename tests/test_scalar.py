@@ -3,6 +3,7 @@ import pickle
 import random
 from fractions import Fraction
 from math import lcm
+from operator import mul, not_, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from hopfpbw.scalar import (
     Scalar, scalar_make, zeta, field, STRAIGHT_LINE_MAX_PHI,
     parse_scalar, format_scalar, InvalidField, DivideByZero, FieldMismatch,
 )
+from hopfpbw.exactla import SparseEchelon
 
 ORDERS = [1, 2, 3, 4, 5, 8, 12]
 
@@ -210,6 +212,105 @@ def test_product_is_chosen_from_phi():
     for n in KERNEL_ORDERS:
         f = field(n)
         assert (f.phi <= STRAIGHT_LINE_MAX_PHI) == (f.mul_vec.__name__ != "_mul_loop"), n
+
+
+# -- the row kernel submul_row ---------------------------------------------------------------
+
+def reference_submul_row(ops, out, rc, piv, c):
+    """The inner loop of ``SparseEchelon._reduce`` before ``submul_row``,
+    verbatim: four ring calls per entry.  ``ops`` is (mul, sub, scale,
+    is_zero)."""
+    mul, sub, scale, is_zero = ops
+    for col, v in piv.items():
+        if col == c:
+            continue
+        t = mul(rc, v)
+        cur = out.get(col)
+        nv = sub(cur, t) if cur is not None else scale(t, -1)
+        if is_zero(nv):
+            out.pop(col, None)
+        else:
+            out[col] = nv
+
+
+def _tuple_ops(f):
+    return (f.mul_vec, lambda a, b: tuple(x - y for x, y in zip(a, b)),
+            lambda a, k: tuple(x * k for x in a), lambda a: not any(a))
+
+
+def _submul_case(f, rng):
+    """(out, a, piv, c, cancel) with nonzero entries, as the engine holds
+    them: piv has its lead at c, out has no entry at two of piv's other
+    columns, and its entry at the column ``cancel`` cancels exactly; out may
+    hold c."""
+    phi = f.phi
+
+    def coeff():
+        while True:
+            if phi <= 16 and rng.random() < 0.5:
+                v = [rng.randint(-9, 9) for _ in range(phi)]
+            else:
+                v = [0] * phi
+                for i in rng.sample(range(phi), min(phi, 3)):
+                    v[i] = rng.choice((-1, 1)) * rng.getrandbits(rng.choice((2, 70)))
+            if any(v):
+                return tuple(v)
+
+    cols = sorted(rng.sample(range(40), 7))
+    c = cols[0]
+    piv = {col: coeff() for col in cols}
+    a = coeff()
+    out = {col: coeff() for col in rng.sample(range(c + 1, 40), 6)}
+    others = cols[1:]
+    for col in others[:2]:
+        out.pop(col, None)                  # absent: gets the negated product
+    out[others[2]] = f.mul_vec(a, piv[others[2]])
+    if rng.random() < 0.5:
+        out[c] = coeff()                    # the lead column is never touched
+    return out, a, piv, c, others[2]
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@pytest.mark.parametrize("order", KERNEL_ORDERS)
+def test_submul_row_matches_the_reference_loop(order, seed):
+    f = field(order)
+    rng = random.Random(seed)
+    out, a, piv, c, cancel = _submul_case(f, rng)
+    want = dict(out)
+    reference_submul_row(_tuple_ops(f), want, a, piv, c)
+    got = dict(out)
+    assert f.submul_row(got, a, piv, c) is None
+    assert list(got.items()) == list(want.items())
+    assert cancel not in got
+    assert got.get(c) == out.get(c)
+    for col in piv:
+        if col != c and col not in out:
+            assert got[col] == tuple(-x for x in f.mul_vec(a, piv[col]))
+    # phi = 1: the engine's plain-int kernel on the same case
+    if f.phi == 1:
+        ech = SparseEchelon(order)
+        ints = {col: v[0] for col, v in out.items()}
+        ipiv = {col: v[0] for col, v in piv.items()}
+        want = dict(ints)
+        reference_submul_row((mul, sub, mul, not_), want, a[0], ipiv, c)
+        assert ech.submul_row(ints, a[0], ipiv, c) is None
+        assert list(ints.items()) == list(want.items()) and cancel not in ints
+    else:
+        assert SparseEchelon(order).submul_row is f.submul_row
+
+
+def test_row_kernel_is_chosen_from_phi():
+    # the generated submul_row shares one exec, and so one namespace, with
+    # the generated mul_vec; above STRAIGHT_LINE_MAX_PHI both are loops
+    sides = {field(n).submul_row.__name__ == "_submul_loop" for n in KERNEL_ORDERS}
+    assert sides == {True, False}
+    for n in KERNEL_ORDERS:
+        f = field(n)
+        generated = f.phi <= STRAIGHT_LINE_MAX_PHI
+        assert generated == (f.submul_row.__name__ == "submul_row"), n
+        if generated:
+            assert f.submul_row.__globals__ is f.mul_vec.__globals__, n
 
 
 # -- sympy as an independent reference ------------------------------------------------------
