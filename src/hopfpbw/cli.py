@@ -25,6 +25,7 @@ degree 3).  koszul also refuses a degree with more words than
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -124,7 +125,11 @@ def _kappa_json(H: HopfAlgebra, B: ModuleAlgebra, kp: Kappa) -> dict:
 
 
 def render_problem(prob: Problem) -> str:
-    return json.dumps(problem_to_json(prob), indent=2) + "\n"
+    # one buffer, so that the trailing newline does not copy the document
+    out = io.StringIO()
+    json.dump(problem_to_json(prob), out, indent=2)
+    out.write("\n")
+    return out.getvalue()
 
 
 def _parse_sc(text, order: int, where: str) -> Scalar:

@@ -324,19 +324,19 @@ class SparseEchelon:
     the row space, and ``rref_rows`` returns its unique reduced row echelon
     form.
 
-    A pivot may be stored as a token in place of its row (``adopt``); every
-    read of it goes through ``row``, which makes the row with the caller's
-    ``derive(pivots, c)``.  A reduction that meets a column with no entry in
-    ``pivots`` asks ``derive`` too, so a caller may keep pivots that are
-    stored nowhere; ``derive`` returns None for a column with no pivot.
+    ``pivots`` holds a row for every pivot that ``insert`` stored.  A caller
+    may keep pivots that are stored nowhere: a reduction that meets a column
+    with no entry in ``pivots`` asks the caller's ``derive(pivots, c)`` for
+    the row of the pivot there, None when c has no pivot, and ``row`` reads
+    a pivot of either kind.
     """
 
     def __init__(self, order: int):
         f = field(order)
         self.order = order
-        self.pivots: dict = {}      # col -> row with its leading entry at col, or a token
+        self.pivots: dict = {}      # col -> row with its leading entry at col
         # derive(pivots, col) -> the row of the pivot at col when pivots holds
-        # a token or nothing there, None when col has no pivot
+        # nothing there, None when col has no pivot
         self.derive = _no_pivot
         self.phi = f.phi
         if f.phi == 1:
@@ -362,10 +362,11 @@ class SparseEchelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def row(self, c: int) -> dict:
-        """The pivot row at column c, made by ``derive`` if it is stored as a token."""
-        piv = self.pivots[c]
-        return piv if piv.__class__ is dict else self.derive(self.pivots, c)
+    def row(self, c: int) -> dict | None:
+        """The pivot row at column c, made by ``derive`` if it is stored
+        nowhere; None when c has no pivot."""
+        piv = self.pivots.get(c)
+        return piv if piv is not None else self.derive(self.pivots, c)
 
     def coeff(self, s: Scalar, den: int):
         """Integer coordinates of den * s, for den a multiple of s.den."""
@@ -395,7 +396,7 @@ class SparseEchelon:
         while row:
             c = min(row)
             piv = pivots.get(c)
-            if piv.__class__ is not dict:
+            if piv is None:
                 piv = self.derive(pivots, c)
                 if piv is None:
                     return c, self._strip(row)
@@ -431,15 +432,6 @@ class SparseEchelon:
             self.pivots[c] = row
         return c
 
-    def adopt(self, c: int, row) -> None:
-        """Store a row that is already stripped and whose leading column c
-        has no pivot, as ``insert`` would, without reducing it; or store a
-        token (not a dict) from which ``derive`` makes that row on each read.
-        The oracle adopts relabelled pivots as the letter that relabels them."""
-        if c in self.pivots:
-            raise LinAlgError(f"column {c} already has a pivot")
-        self.pivots[c] = row
-
     def contains(self, row: dict) -> bool:
         """Whether an integer row lies in the span of the rows inserted so far."""
         return self._reduce(row)[0] is None
@@ -452,7 +444,7 @@ class SparseEchelon:
         red: dict = {}
         for c in sorted(self.pivots, reverse=True):
             row = {col: Scalar._make(order, 1, (v,) if phi == 1 else v)
-                   for col, v in self.row(c).items()}
+                   for col, v in self.pivots[c].items()}
             if row[c] != one:
                 inv = row[c].inverse()
                 row = {col: s * inv for col, s in row.items()}

@@ -244,8 +244,12 @@ def _layer_rows(B: ModuleAlgebra, n: int, j: int) -> list[dict]:
 
 
 def _check_words(B: ModuleAlgebra, n: int) -> None:
-    if B.vdim ** n > MAX_KOSZUL_WORDS:
-        raise ModAlgError(f"degree {n} has {B.vdim ** n} words, above the limit {MAX_KOSZUL_WORDS}")
+    # vd >= 2 passes the limit by the degree of its bit length, so counting
+    # no further builds no huge integer for a huge n and refuses the same n
+    words = B.vdim ** min(n, MAX_KOSZUL_WORDS.bit_length())
+    if words > MAX_KOSZUL_WORDS:
+        raise ModAlgError(f"degree {n} has at least {words} words, above the limit "
+                          f"{MAX_KOSZUL_WORDS}")
 
 
 def graded_dim(B: ModuleAlgebra, n: int) -> int:

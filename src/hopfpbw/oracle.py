@@ -18,24 +18,24 @@ the generators ``algebra_generators(H)`` are the seeds, generation 2.
 Generation j + 1, for j < N + k, is formed in two passes: first the left
 V-multiples of every generation-j pivot, then the right V-multiples of
 those generation-j pivots that were not born of a left V-multiple.  A
-left multiple whose lead column is free is adopted without reduction
-(relabelling, below), or in the last generation not stored at all
-(virtual pivots, below); taken first, the left multiples claim their lead
-columns before any right multiple does, so more of them are adopted,
-fewer pivots are born of right multiples, and fewer rows reach the
-shadow and the exact engine.  No later generation is closed under H
-again, and neither loses anything.  The two lemmas below are about this
-order; the F_p shadow further down only ever skips rows.
+left multiple whose lead column holds no stored pivot is a new pivot as
+it stands and is stored nowhere (virtual pivots, below); taken first,
+the left multiples claim their lead columns before any right multiple
+does, so more of them stay virtual, fewer pivots are born of right
+multiples, and fewer rows reach the shadow and the exact engine.  No
+later generation is closed under H again, and neither loses anything.
+The two lemmas below are about this order; the F_p shadow further down
+only ever skips rows.
 
 Product lemma.  Let S_j be the span through generation j and L_j the
 generation-j pivots.  Every pivot of generation at most N + k - 1 gets
 its left V-multiples, so V S_j lies in S_{j+1}.  A pivot y of generation
 j < N + k born of a left multiple is y = (lam v x - sum_i mu_i p_i) / g
-for a generation-(j - 1) pivot x, the pivots p_i stored before y and
-scalars lam, mu_i, g != 0 (lam = g = 1 and no p_i when y is adopted, see
-below).  Stored pivots never change, and each p_i is of a generation
-below j or is a left multiple of generation j stored before y, since
-generation j - 1 takes its right multiples last.  So
+for a generation-(j - 1) pivot x, pivots p_i, stored or virtual, that
+exist before y and scalars lam, mu_i, g != 0 (lam = g = 1 and no p_i when
+y is virtual, see below).  Pivots never change, and each p_i is of a
+generation below j or is a left multiple of generation j that exists
+before y, since generation j - 1 takes its right multiples last.  So
 y w = (lam v (x w) - sum_i mu_i p_i w) / g for w in V.  By induction on
 insertion order, not on the loop order, x w lies in S_j and each p_i w
 in S_{j+1}, and v (x w) lies in V S_j, inside S_{j+1}: y V lies in
@@ -95,11 +95,10 @@ primitive N-th root of unity mod p, against the images of the exact
 pivots, each normalized to lead 1 and packed in flat arrays.  Only a
 candidate whose image does not reduce to zero is rebuilt from the exact
 pivot and inserted into the exact engine.  The shadow starts as a prime
-move does (``_next_shadow``): it images every pivot stored so far, the
-adopted ones derived, and reads the virtual ones off their sources.  On a
-dense kappa^C over Q(zeta_7) (taft-7 at (3, 0) and (3, 1)) a copy that
-never starts the shadow took 4.1 s instead of 0.40 s.  The shadow decides
-nothing else:
+move does (``_next_shadow``): it images every pivot stored so far and
+reads the virtual ones off their sources.  On a dense kappa^C over
+Q(zeta_7) (taft-7 at (3, 0) and (3, 1)) a copy that never starts the
+shadow took 4.1 s instead of 0.40 s.  The shadow decides nothing else:
 
 - It never adds a row.  Every row the exact engine holds is still a
   genuine multiple of an element of the ideal, so the exact span can only
@@ -124,50 +123,43 @@ nothing else:
   reduction modulo the cyclotomic polynomial, which is monic, brings in
   none), so p then divides no table denominator either.
 
-Relabelling.  Left multiplication by v maps the column of w (x) h to that
-of v w (x) h and preserves the column order, so v x has its lead at the
-image of x's lead column, with x's lead coefficient, a unit modulo P.
-When that column has no pivot, v x is a new pivot as it stands: the
-relabelled exact row is already stripped, and the relabelled shadow slice
-is already its image with lead 1.  It is stored with no reduction.  A
-running shadow keeps the relabelled slice (``_Shadow.adopt``), since
-later shadow reductions read it.  The exact engine keeps only the letter
-v (``SparseEchelon.adopt``): the source pivot's column follows from v and
-the new column, so every exact read of the pivot (a reduction that meets
-its column, an exact candidate built from it, or imaging when a shadow
-starts or moves) derives the row, ``_derive``, by walking back through the
-letters to the nearest stored row and relabelling that row down.  The
-derived row is exactly the row that ``insert`` would store.
-
-Virtual pivots.  Nothing multiplies a pivot of the last generation
-D = N + k, so a free left multiple of that generation is not stored at all.
-Its column names it.  Let c be a column of degree m with no stored pivot,
-v the first letter of c's word and c' = c - lshift[v][m - 1] the column of
-the rest of it.  When c' holds a generation-(D - 1) pivot x, the pivot at
-c is v x (``_Ambient.virtual``): the exact engine's ``derive`` relabels x's
-row, deriving it first if x is stored as a letter, and the shadow relabels
-x's slice.  Left multiplication is injective on words, so the last left
-phase meets each virtual pivot once, and counts it by degree for the
-tables there.  The lookup is in place before the last left phase reduces
-anything, so no reduction stops at a virtual column and no pivot is ever
-stored at one; a left multiple whose column is taken is still reduced,
-through the virtual pivots.  A shadow that starts or moves reads the same
-lookup, and a virtual pivot has nothing to image.  The span is the
-one above, S_D = S_{D-1} + V L_{D-1} + L_{D-1} V, and the pivot columns of
-a span are unique, so the pivot columns and the tables are unchanged.
-Generations before the last keep their letters and slices: they are the
-sources of the next generation's multiples.  On ha1 at (N, k) = (3, 2),
-3,200 left multiples are adopted and 14,144 are virtual, and exact reads
-derive 12,070 rows (no shadow screens that span), through chains of at
-most three letters, each dropped after use, so the engine holds only the
-rows that ``insert`` stored.
+Virtual pivots.  Left multiplication by v maps the column of w (x) h to
+that of v w (x) h and preserves the column order, so v x has its lead at
+the image of x's lead column, with x's lead coefficient.  When no pivot
+is stored at that column, v x is a new pivot as it stands, and it is
+stored nowhere: its column names it.  Before a generation's left phase
+reduces anything, its pivots are flagged as sources
+(``_Ambient.source``).  Then a column c with no stored pivot holds the
+virtual pivot v x when, for v the first letter of c's word and c' the
+column of the rest of it, c' holds a source pivot x, stored or itself
+virtual; ``_Ambient.virtual`` walks back through the letters to the
+nearest stored row.  The exact engine's ``derive`` relabels that row down
+by all the letters at once, which is exactly the row that ``insert``
+would store at c (the relabelled row is already stripped, and its lead is
+the stored row's), and the shadow relabels that row's slice, which gives
+the image of v x with lead 1.  Left multiplication is injective on words, so each
+left phase meets each of its virtual pivots once and counts it by degree
+for the tables; it lists those of generations below D = N + k as sources
+of the next, and nothing multiplies a pivot of generation D.  The lookup
+is in place before the left phase reduces anything, so no reduction stops
+at a virtual column and no pivot is ever stored at one; a left multiple
+whose column holds a stored pivot is still reduced, through the virtual
+pivots.  A shadow that starts or moves images the stored pivots only.
+The span is the one above, S_{j+1} = S_j + V L_j + L_j V, and the pivot
+columns of a span are unique, so the pivot columns and the tables are
+the ones that storing every pivot gives.  On ha1 at (N, k) = (3, 2),
+17,344 left multiples are virtual and 2,480 pivots are stored, and exact
+reads derive 12,070 rows (no shadow screens that span), through chains of
+at most three letters, each dropped after use, so the engine holds only
+the rows that ``insert`` stored.
 
 Memoized shifts.  What a derived row costs beyond its entries is the
 shift by which a chain of letters moves a column of each degree, and it
-depends only on the chain and the stored row's degree.  ``_derive``
-composes it on the first read of each (degree, letters) key and keeps it
-in ``_Ambient.shifts`` for the rest of the span: 88 keys for the 14,550
-reads of ha1 at (3, 2).  Only shifts are kept, never a derived row.
+depends only on the chain and the stored row's degree.
+``_Ambient.virtual`` composes it on the first read of each (degree,
+letters) key and keeps it in ``_Ambient.shifts`` for the rest of the
+span: 108 keys for the 12,070 rows derived on ha1 at (3, 2).  Only shifts
+are kept, never a derived row.
 """
 
 from __future__ import annotations
@@ -251,11 +243,12 @@ class _Ambient:
         # the word v w has rank v * vd^m + rank(w)
         self.lshift = [[self.base[m + 1] - self.base[m] + v * vdim ** m * hdim
                         for m in range(D)] for v in range(vdim)]
-        # last[c] = 1 for the pivots of generation D - 1, from the start of
-        # the last left phase on: the sources of the virtual pivots
-        self.last = bytearray(self.total)
+        # source[c] = 1 for a pivot whose left multiples are taken, from the
+        # start of its generation's left phase on: the sources of the
+        # virtual pivots
+        self.source = bytearray(self.total)
         # shifts[m, *letters]: how far each column of a stored row of degree
-        # m moves under the letters that ``_derive`` walks back through to
+        # m moves under the letters that ``virtual`` walks back through to
         # it, composed on the first use of the key
         self.shifts: dict = {}
 
@@ -265,16 +258,37 @@ class _Ambient:
     def dim_upto(self, m: int) -> int:
         return sum(self.block[j] for j in range(m + 1))
 
-    def virtual(self, c: int) -> tuple[int, int] | None:
-        """(v, c') when c holds the virtual pivot v x, for x the pivot of
-        generation D - 1 at c', provided no pivot is stored at c; else None.
-        c is the column of v w (x) h and c' that of w (x) h."""
-        m = self.deg[c]
-        if not m:
-            return None
-        v, r = divmod(c - self.base[m], self.block[m - 1])
-        src = self.base[m - 1] + r
-        return (v, src) if self.last[src] else None
+    def virtual(self, c: int, stored) -> tuple[int, list] | None:
+        """(c0, shift) when c, a column with no stored pivot (``stored``
+        holds the columns of those), holds a virtual pivot; else None.  Each
+        step drops the first letter v of c's word: c is the column of
+        v w (x) h, and it holds v x for x the source pivot at the column of
+        w (x) h, until x is stored, at c0.  The virtual pivot is x's row
+        with each column of degree m moved by shift[m]."""
+        deg, base, block, source, lshift = self.deg, self.base, self.block, self.source, self.lshift
+        letters = []
+        while True:
+            m = deg[c]
+            if not m:
+                return None
+            v, r = divmod(c - base[m], block[m - 1])
+            c = base[m - 1] + r
+            if not source[c]:
+                return None
+            letters.append(v)
+            if c in stored:
+                break
+        key = (m - 1, *letters)
+        total = self.shifts.get(key)
+        if total is None:
+            # a column of degree m' moves by lshift[v_n][m'], then by
+            # lshift[v_(n-1)][m' + 1], and so on out to the first letter
+            total = self.shifts[key] = [0] * m
+            for i, v in enumerate(reversed(letters)):
+                shift = lshift[v]
+                for n in range(m):
+                    total[n] += shift[n + i]
+        return c, total
 
 
 # -- coefficient domains ---------------------------------------------------------
@@ -514,14 +528,17 @@ def _images(p: int, pows: list, scalars) -> tuple:
 
 class _Shadow:
     """Images modulo P = (p, zeta - w) of the exact pivot rows, each
-    normalized to lead 1 and packed: the pivot at column c is the slice
-    start[c] : start[c] + size[c] of ``cols``/``vals``, lead first; a
-    virtual pivot has no slice and is read off its source's (``amb``).  The
-    prime must be 1 mod N and divide no table denominator (``_next_shadow``)."""
+    normalized to lead 1 and packed: the pivot stored at column c is the
+    slice start[c] : start[c] + size[c] of ``cols``/``vals``, lead first; a
+    virtual pivot has no slice and is read off the slice that
+    ``amb.virtual`` walks back to, for ``stored`` the exact engine's pivots.
+    The prime must be 1 mod N and divide no table denominator
+    (``_next_shadow``)."""
 
-    def __init__(self, p: int, H: HopfAlgebra, amb: _Ambient, straightened):
+    def __init__(self, p: int, H: HopfAlgebra, amb: _Ambient, straightened, stored: dict):
         self.p = p
         self.amb = amb
+        self.stored = stored
         w = _root_of_unity(H.order, p)
         phi = field(H.order).phi
         self.pows = [pow(w, j, p) for j in range(phi)]
@@ -558,22 +575,15 @@ class _Shadow:
         self.size[c] = len(cols) - self.start[c]
         return True
 
-    def adopt(self, c: int, piv: int, deg, shift) -> None:
-        """Store the image of v x as the pivot at c, for x the pivot at piv:
-        x's slice with every column moved by ``shift`` (v's row of
-        ``_Ambient.lshift``), lead 1 first."""
-        s = self.start[piv]
-        e = s + self.size[piv]
-        cols = self.cols
-        self.start[c] = len(cols)
-        cols.extend([col + shift[deg[col]] for col in cols[s:e]])
-        self.vals.extend(self.vals[s:e])
-        self.size[c] = e - s
-
     def row(self, c: int):
+        """The image of the pivot at c as (col, value) pairs, lead 1 first."""
+        deg, shift = self.amb.deg, None
+        if not self.size[c]:
+            c, shift = self.amb.virtual(c, self.stored)
         s = self.start[c]
         e = s + self.size[c]
-        return zip(self.cols[s:e], self.vals[s:e])
+        pairs = zip(self.cols[s:e], self.vals[s:e])
+        return pairs if shift is None else [(col + shift[deg[col]], x) for col, x in pairs]
 
     def reduces_to_zero(self, row: dict) -> bool:
         """Whether a row (coefficients mod p, not yet reduced) lies in the
@@ -581,7 +591,7 @@ class _Shadow:
         cancel mod p stay in the row as zeros and are dropped when they come
         to lead."""
         p, start, size, cols, vals = self.p, self.start, self.size, self.cols, self.vals
-        virtual = self.amb.virtual
+        virtual, deg, stored = self.amb.virtual, self.amb.deg, self.stored
         red = {c: x % p for c, x in row.items()}
         get = red.get
         while red:
@@ -596,12 +606,11 @@ class _Shadow:
                 for col, x in zip(cols[s:e], vals[s:e]):
                     red[col] = (get(col, 0) - f * x) % p
                 continue
-            src = virtual(c)
+            src = virtual(c, stored)
             if src is None:
                 return False
-            # the image of v x is x's slice relabelled by v
-            v, c = src
-            deg, shift = self.amb.deg, self.amb.lshift[v]
+            # the image of a virtual pivot is its stored source's, relabelled
+            c, shift = src
             s = start[c] + 1
             e = s + size[c] - 1
             for col, x in zip(cols[s:e], vals[s:e]):
@@ -614,49 +623,27 @@ def _next_shadow(primes, den: int, H: HopfAlgebra, amb: _Ambient, straightened,
                  ech: SparseEchelon) -> _Shadow:
     """A shadow on the next prime of the list that is 1 mod N, divides no
     table denominator (``den``, from ``_table_den``) and leaves every stored
-    exact pivot lead a unit.  Pivots stored as tokens are derived to be
-    imaged; a virtual pivot is read off its source's image."""
+    exact pivot lead a unit.  A virtual pivot has nothing to image."""
     for p in primes:
         if (p - 1) % H.order or den % p == 0:
             continue
-        sh = _Shadow(p, H, amb, straightened)
-        if all(sh.add_pivot(c, ech.row(c)) for c in ech.pivots):
+        sh = _Shadow(p, H, amb, straightened, ech.pivots)
+        if all(sh.add_pivot(c, row) for c, row in ech.pivots.items()):
             return sh
     raise OracleError("no usable shadow prime")
 
 
 def _derive(amb: _Ambient, pivots: dict, c: int) -> dict | None:
-    """The exact row of the pivot adopted at c as the letter v of v x, or of
-    the virtual pivot v x at c (``_Ambient.virtual``); None when c has no
-    pivot.  Walk back through the letters to the nearest stored row, then
-    relabel that row down by all the letters at once, their column shifts
-    composed per degree once per span (``_Ambient.shifts``).  The engine
-    calls this on every exact read of an adopted pivot and at every column
-    where ``pivots`` holds nothing."""
-    deg, lshift = amb.deg, amb.lshift
-    letters = []
-    row = pivots.get(c)
-    if row is None:
-        src = amb.virtual(c)
-        if src is None:
-            return None
-        v, c = src
-        letters.append(v)
-        row = pivots[c]
-    while row.__class__ is not dict:
-        letters.append(row)
-        c -= lshift[row][deg[c] - 1]
-        row = pivots[c]
-    # total[m]: how far a column of degree m moves under v_1 ... v_n
-    key = (deg[c], *letters)
-    total = amb.shifts.get(key)
-    if total is None:
-        total = amb.shifts[key] = [0] * (deg[c] + 1)
-        for i, v in enumerate(reversed(letters)):
-            shift = lshift[v]
-            for m in range(len(total)):
-                total[m] += shift[m + i]
-    return {col + total[deg[col]]: val for col, val in row.items()}
+    """The exact row of the virtual pivot at c, a column with no stored
+    pivot: the stored row that ``_Ambient.virtual`` walks back to, relabelled
+    down by all the letters at once; None when c has no pivot.  The engine
+    calls this at every column where ``pivots`` holds nothing."""
+    src = amb.virtual(c, pivots)
+    if src is None:
+        return None
+    c, shift = src
+    deg = amb.deg
+    return {col + shift[deg[col]]: val for col, val in pivots[c].items()}
 
 
 # -- the spanning oracle ---------------------------------------------------------
@@ -685,8 +672,8 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
 
     Only the seeds are closed under H, each generation takes all its left
     V-multiples before its right ones, only pivots not born of a left
-    V-multiple get right V-multiples, and the last generation's free left
-    multiples stay virtual; the span is the same (module docstring).  The
+    V-multiple get right V-multiples, and every free left multiple stays
+    virtual; the span is the same (module docstring).  The
     F_p shadow starts at the first pivot stored with a lead other than one.
     H and the action must already pass ``validate_hopf`` and
     ``validate_action``.  A negative buffer, and a span of more than
@@ -699,10 +686,14 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
     if D > B.cutoff:
         raise CutoffExceeded(f"spanning degree {D} exceeds cutoff {B.cutoff}")
     vd, d = B.vdim, H.dim
-    columns = d * sum(vd ** m for m in range(D + 1))
-    if columns > MAX_SPAN_COLUMNS:
-        raise OracleError(f"the span through degree {D} has {columns} columns, "
-                          f"above the limit {MAX_SPAN_COLUMNS}")
+    # d * sum vd^m grows one degree at a time and is refused at the first
+    # degree where it passes the limit, so a huge D builds no huge integer
+    columns = 0
+    for m in range(D + 1):
+        columns += d * vd ** m
+        if columns > MAX_SPAN_COLUMNS:
+            raise OracleError(f"the span through degree {D} has at least {columns} columns, "
+                              f"above the limit {MAX_SPAN_COLUMNS}")
     amb = _Ambient(vd, d, D)
     ech = SparseEchelon(H.order)
     ech.derive = partial(_derive, amb)
@@ -715,12 +706,12 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
     shadow = None
 
     # pivot columns by generation degree: those born of a left V-multiple,
-    # whose right V-multiples lie in the span already (module docstring),
-    # and all others
+    # virtual or stored, whose right V-multiples lie in the span already
+    # (module docstring), and all others
     lefts = [[] for _ in range(D + 1)]
     others = [[] for _ in range(D + 1)]
-    # pivots by the degree of their column: the virtual ones as the last
-    # left phase meets them, the stored ones once the span is done
+    # pivots by the degree of their column: the virtual ones as their left
+    # phase meets them, the stored ones once the span is done
     by_deg = [0] * (D + 1)
 
     def record(piv, layer: list) -> None:
@@ -741,23 +732,6 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
         if shadow is None or not shadow.reduces_to_zero(op(shadow.ring, amb, shadow.row(piv), arg)):
             record(ech.insert(op(exact, amb, ech.row(piv).items(), arg)), layer)
 
-    def left_multiple(piv: int, v: int, layer: list) -> None:
-        shift = amb.lshift[v]
-        c = piv + shift[amb.deg[piv]]
-        if c in ech.pivots:
-            consider(_left_v, piv, v, layer)
-        elif amb.last[piv]:
-            # nothing multiplies a generation-D pivot: it stays virtual
-            by_deg[amb.deg[c]] += 1
-        else:
-            # a free lead: the relabelled exact row is already stripped, so
-            # the engine keeps the letter and derives the row on each exact
-            # read; the relabelled shadow slice is its image with lead 1
-            ech.adopt(c, v)
-            if shadow is not None:
-                shadow.adopt(c, piv, amb.deg, shift)
-            layer.append(c)
-
     for row in _relator_rows(H, B, kappa, amb, ech):
         record(ech.insert(row), others[2])
     # the seeds' H-closure; the list grows while it is read
@@ -766,17 +740,27 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
             consider(_right_h, piv, g, others[2])
             consider(_left_h, piv, g, others[2])
     # every left multiple of a generation before its right multiples, so
-    # adopted left multiples claim their lead columns first
+    # that the free left multiples claim their lead columns first
+    deg, lshift = amb.deg, amb.lshift
     for j in range(2, D):
         sources = others[j] + lefts[j]
-        if j == D - 1:
-            # before any last left multiple is reduced, so that no reduction
-            # stops at a virtual column
-            for piv in sources:
-                amb.last[piv] = 1
+        # before any left multiple is reduced, so that no reduction stops at
+        # a virtual column
         for piv in sources:
+            amb.source[piv] = 1
+        layer = lefts[j + 1]
+        for piv in sources:
+            m = deg[piv]
             for v in range(vd):
-                left_multiple(piv, v, lefts[j + 1])
+                c = piv + lshift[v][m]
+                if c in ech.pivots:
+                    consider(_left_v, piv, v, layer)
+                else:
+                    # a free lead: v x is the virtual pivot at c, counted
+                    # here; nothing multiplies a pivot of generation D
+                    by_deg[m + 1] += 1
+                    if j + 1 < D:
+                        layer.append(c)
         for piv in others[j]:
             for v in range(vd):
                 consider(_right_v, piv, v, others[j + 1])

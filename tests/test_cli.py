@@ -191,6 +191,30 @@ def test_koszul_refuses_too_many_words_up_front(tmp_path):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("args", [["oracle", "--degree", "20000", "--buffer", "0"],
+                                  ["oracle", "--degree", "300000", "--buffer", "0"],
+                                  ["koszul", "--max", "20000"]])
+def test_huge_degree_refused_without_a_traceback(tmp_path, args):
+    # h8 (vd = 2) at degree 20,000: the oracle summed d * vd^m over every
+    # degree and the koszul word count built vd^n before comparing either
+    # with its limit, then printed a number of 6,000 digits and died in the
+    # int-to-str conversion; at degree 300,000 the oracle had not refused
+    # after 40 s.  Both counts are now refused at the first degree that
+    # passes the limit.
+    import subprocess
+    import sys
+    import time
+    path = emit(tmp_path, "h8")
+    degree = args[2]
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "hopfpbw.cli", "--cutoff", degree, args[0],
+                           str(path), *args[1:]], capture_output=True, text=True, timeout=60)
+    assert time.monotonic() - t0 < 1
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert "above the limit" in proc.stderr
+
+
 def test_koszul_max_is_bounded_by_the_cutoff(tmp_path, capsys):
     path = emit(tmp_path, "h8")
     assert main(["--cutoff", "3", "koszul", str(path), "--max", "4"]) == 1

@@ -490,7 +490,7 @@ def test_oracle_invariant_under_rescaling_v(problem):
 def test_oracle_invariant_under_monomial_change_of_v(problem):
     # Permuting and scaling V's basis gives an isomorphic problem, but it
     # reorders the words and so the columns, the pivots and which left
-    # multiples the oracle adopts by relabelling: the family dimension, the
+    # multiples the oracle keeps virtual: the family dimension, the
     # checker's verdicts and the oracle's tables must not move.
     from hopfpbw.modalg import validate_action
     from test_acceptance import _invalid_catalog
@@ -753,6 +753,25 @@ def test_shadow_prime_fallback_is_sound(problem, monkeypatch):
 
 # -- the seeds are the only H-closure -------------------------------------------------
 
+def _step_back(amb, c: int) -> int:
+    """The column of w (x) h for c the column of v w (x) h."""
+    m = amb.deg[c]
+    return amb.base[m - 1] + (c - amb.base[m]) % amb.block[m - 1]
+
+
+def _virtual_columns(amb, ech) -> list:
+    """The columns that hold a virtual pivot, in column order."""
+    return [c for c in range(amb.total) if c not in ech.pivots and ech.row(c) is not None]
+
+
+def _chain(amb, pivots: dict, c: int) -> int:
+    """How many letters the virtual pivot at c lies from its stored row."""
+    n = 0
+    while c not in pivots:
+        c, n = _step_back(amb, c), n + 1
+    return n
+
+
 def test_h_multiples_run_on_seed_pivots_only(problem, monkeypatch):
     # Every generation after the seeds is a two-sided H-module already
     # (oracle module docstring), so the span screens |S| right and |S| left
@@ -760,7 +779,7 @@ def test_h_multiples_run_on_seed_pivots_only(problem, monkeypatch):
     # candidate is screened on the shadow's ring once a shadow runs and on
     # the exact ring before one starts (ha1 and h8 on their preset kappa
     # never start one; h8 with kappa^C(r) = 1/3 starts it at the relator).
-    events = []     # (operator, screened) or ("pivot"/"adopt", added)
+    events = []     # (operator, screened), ("pivot", added) or ("source", None)
     engines, shadows, ambients = [], [], []
     exact_rings = []
     real_exact_ring = oracle._exact_ring
@@ -771,7 +790,7 @@ def test_h_multiples_run_on_seed_pivots_only(problem, monkeypatch):
 
     source = []     # the operator and the source pivot of the last exact row
     born = {}       # pivot column -> (generation, born of a left V-multiple)
-    v_layers = []   # (V-operator or "adopt", generation of the source pivot)
+    v_layers = []   # (V-operator or "source", generation of the source pivot)
 
     def counted(name, op):
         def run(R, amb, row, arg):
@@ -791,9 +810,21 @@ def test_h_multiples_run_on_seed_pivots_only(problem, monkeypatch):
         v_layer = name in ("_left_v", "_right_v")
         born[piv] = (born[src][0] + 1 if v_layer else 2, name == "_left_v")
 
+    class Flags(bytearray):
+        # a pivot is flagged as a source when its generation's left phase
+        # starts; one stored nowhere is a virtual left multiple of the source
+        # one letter back, and is born here for the count
+        def __setitem__(self, c, flag):
+            super().__setitem__(c, flag)
+            if c not in born:
+                born[c] = (born[_step_back(ambients[-1], c)][0] + 1, True)
+            events.append(("source", None))
+            v_layers.append(("source", born[c][0]))
+
     class Ambient(oracle._Ambient):
         def __init__(self, *args):
             super().__init__(*args)
+            self.source = Flags(self.source)
             ambients.append(self)
 
     class Counting(oracle.SparseEchelon):
@@ -808,20 +839,19 @@ def test_h_multiples_run_on_seed_pivots_only(problem, monkeypatch):
                 note(piv)
             return piv
 
-        # an adoption builds no row, so it is counted where the engine
-        # stores the letter; its source pivot is the letter's column shift back
-        def adopt(self, c, row):
-            super().adopt(c, row)
-            amb = ambients[-1]
-            src = c - amb.lshift[row][amb.deg[c] - 1]
-            events.append(("adopt", False))
-            v_layers.append(("adopt", born[src][0]))
-            born[c] = (born[src][0] + 1, True)
-
     class Shadow(oracle._Shadow):
         def __init__(self, *args):
             super().__init__(*args)
             shadows.append(self)
+
+    real_graded_dim = oracle.graded_dim
+    virtual = []    # the virtual columns, once the span is done
+
+    def graded_dim(B, j):
+        # called right after the span, while the engine is alive
+        if j == 0:
+            virtual[:] = _virtual_columns(ambients[-1], engines[-1])
+        return real_graded_dim(B, j)
 
     monkeypatch.setattr(oracle, "_exact_ring", exact_ring)
     for name in ("_right_h", "_left_h", "_left_v", "_right_v"):
@@ -829,6 +859,7 @@ def test_h_multiples_run_on_seed_pivots_only(problem, monkeypatch):
     monkeypatch.setattr(oracle, "_Ambient", Ambient)
     monkeypatch.setattr(oracle, "SparseEchelon", Counting)
     monkeypatch.setattr(oracle, "_Shadow", Shadow)
+    monkeypatch.setattr(oracle, "graded_dim", graded_dim)
     h8 = problem("h8", True)
     third = _constant_kappa(h8, Scalar.from_rational(1, 1, 3))
     for prob, kappa, N, k, starts in ((problem("ha1", True), None, 3, 2, False),
@@ -845,65 +876,63 @@ def test_h_multiples_run_on_seed_pivots_only(problem, monkeypatch):
         assert rep.verdict == "CONSISTENT"
         assert bool(shadows) == starts, prob.name
         S = algebra_generators(prob.hopf)
-        first_v = next(i for i, (name, _) in enumerate(events) if name in ("_left_v", "adopt"))
+        first_v = next(i for i, (name, _) in enumerate(events) if name == "source")
         seeds = sum(1 for name, kept in events[:first_v] if name == "pivot" and kept)
-        screened = Counter(name for name, s in events if name not in ("pivot", "adopt") and s)
+        screened = Counter(name for name, s in events if name not in ("pivot", "source") and s)
         assert screened["_right_h"] == screened["_left_h"] == len(S) * seeds, prob.name
         assert all(name not in ("_right_h", "_left_h") for name, _ in events[first_v:])
         # the V-layers do add pivots, so the last check is not vacuous
         assert any(name == "pivot" and kept for name, kept in events[first_v:])
-        # every pivot of generations 2..D-1 gets vd left multiples, screened,
-        # relabelled or, in generation D - 1, left virtual at a
-        # column that never holds a pivot; only those not born of a left
-        # multiple get right multiples (the product lemma)
+        # every pivot of generations 2..D-1, stored or virtual, gets vd left
+        # multiples, screened or virtual at a column that never holds a
+        # stored pivot; only those not born of a left multiple get right
+        # multiples (the product lemma)
         D = N + k
         multiplied = [left for gen, left in born.values() if gen < D]
-        adopted = sum(1 for name, _ in events if name == "adopt")
         vd = prob.algebra.vdim
         amb, = ambients
-        pivots, = (ech.pivots for ech in engines)
-        virtual = [c + amb.lshift[v][amb.deg[c]] for c, (gen, _) in born.items() if gen == D - 1
-                   for v in range(vd)]
-        virtual = [c for c in virtual if c not in pivots]
-        assert adopted > 0 and virtual and multiplied.count(True) > 0, prob.name
-        assert screened["_left_v"] + adopted + len(virtual) == vd * len(multiplied), prob.name
+        ech, = engines
+        last = [c for c in virtual if c not in born]
+        assert len(virtual) > len(last) > 0 and multiplied.count(True) > 0, prob.name
+        assert screened["_left_v"] + len(virtual) == vd * len(multiplied), prob.name
         assert screened["_right_v"] == vd * multiplied.count(False) > 0, prob.name
-        # no left multiple of the last generation is stored, in the engine
-        # or in any shadow
-        assert all(gen < D - 1 for name, gen in v_layers if name == "adopt"), prob.name
+        # the engine stores a row for every pivot it holds, and no virtual
+        # pivot is stored, in the engine or in any shadow
+        assert all(entry.__class__ is dict for entry in ech.pivots.values()), prob.name
         assert not any(sh.size[c] for sh in shadows for c in virtual), prob.name
-        # each generation takes every left multiple, screened or adopted,
-        # before its first right multiple, so adopted left
-        # multiples claim their lead columns first
+        # each generation flags its sources before its first V-multiple and
+        # takes every left multiple before its first right multiple, so its
+        # virtual left multiples claim their lead columns first
         for j in range(2, D):
             names = [name for name, gen in v_layers if gen == j]
+            first_left = names.index("_left_v") if "_left_v" in names else len(names)
             first_right = names.index("_right_v")
-            if j < D - 1:
-                assert "adopt" in names[:first_right], (prob.name, j)
+            assert all(name == "source" for name in names[:min(first_left, first_right)])
+            assert "source" not in names[min(first_left, first_right):], (prob.name, j)
             assert all(name == "_right_v" for name in names[first_right:]), (prob.name, j)
+            if j < D - 1:
+                assert any(gen == j + 1 and c not in ech.pivots for c, (gen, _) in born.items()), (
+                    prob.name, j)
 
 
-# -- left multiples adopted by relabelling ------------------------------------------
+# -- virtual pivots ---------------------------------------------------------------
 
-def test_adopted_left_multiples_match_insert_and_add_pivot(problem, monkeypatch):
-    # A left V-multiple whose lead column is free is stored as its letter,
-    # and its exact row is derived on every read: the derived row must be
-    # what `insert` on a copy of the engine stores at the same column, and,
-    # once a shadow runs, the relabelled shadow slice what `add_pivot` on a
-    # blank shadow stores.  A left multiple of an adopted pivot is adopted
-    # in turn, so the derivation walks chains of letters back to a stored
-    # row.  A free left multiple of the last generation is stored nowhere:
-    # the same must hold for the row that the engine derives at its column
-    # once the span is done, and for the shadow's image, its source's slice
-    # relabelled.  The preset kappa of h8 and ha1 start no shadow; h8
-    # rescaled starts it at its first pivot, and the dense ha1 kappa among
-    # the seeds.
+def test_virtual_pivots_match_insert_and_add_pivot(problem, monkeypatch):
+    # A left V-multiple whose lead column holds no stored pivot is stored
+    # nowhere, in every generation, and its exact row is derived on every
+    # read: at every virtual column, once the span is done, the row that
+    # the engine reads must be what `insert` stores at that column on a copy
+    # of the engine that lacks just that pivot, and, once a shadow runs,
+    # the shadow's read there what `add_pivot` on a blank shadow stores for
+    # that row.  A left multiple of a virtual pivot is virtual in turn, so
+    # the derivation walks chains of letters back to a stored row.  The
+    # preset kappa of h8 and ha1 start no shadow; h8 rescaled starts it at
+    # its first pivot, and the dense ha1 kappa among the seeds.
     from types import SimpleNamespace
-    adopted = {}
-    chain = {}      # adopted column -> number of letters back to a stored row
     virtual = []    # the virtual columns of each span
+    sources = []    # those of them that are sources of the next generation
+    longest = []    # the longest chain of letters of each span
     spans = []      # (engine, shadow, column layout) of the running span
-    sliced = []     # adopted columns whose shadow slice was checked
     Plain = oracle.SparseEchelon
 
     def blank_image(sh, c, row):
@@ -913,52 +942,31 @@ def test_adopted_left_multiples_match_insert_and_add_pivot(problem, monkeypatch)
 
     def check_virtual():
         ech, sh, amb = spans[-1]
-        cols = [c for c in range(amb.total) if c not in ech.pivots and amb.virtual(c)]
+        cols = _virtual_columns(amb, ech)
+        assert all(entry.__class__ is dict for entry in ech.pivots.values())
         for c in cols:
-            row = ech.derive(ech.pivots, c)
+            row = ech.row(c)
             twin = Plain(ech.order)
             twin.pivots = ChainMap({}, ech.pivots)      # a copy on write
             twin.derive = lambda pivots, col: None if col == c else ech.derive(pivots, col)
             assert twin.insert(dict(row)) == c
             assert list(twin.pivots[c].items()) == list(row.items())
             if sh is not None:
-                v, src = amb.virtual(c)
-                relabelled = [(col + amb.lshift[v][amb.deg[col]], x) for col, x in sh.row(src)]
-                assert relabelled == blank_image(sh, c, row)
-                assert sh.size[c] == 0
+                assert list(sh.row(c)) == blank_image(sh, c, row)
+                assert sh.size[c] == 0 and sh.reduces_to_zero(dict(sh.row(c)))
         virtual.append(len(cols))
+        sources.append(sum(1 for c in cols if amb.source[c]))
+        longest.append(max(_chain(amb, ech.pivots, c) for c in cols))
 
     class Ambient(oracle._Ambient):
         def __init__(self, *args):
             super().__init__(*args)
             spans.append([None, None, self])
 
-    class Checked(oracle.SparseEchelon):
+    class Engine(oracle.SparseEchelon):
         def __init__(self, order):
             super().__init__(order)
             spans[-1][0] = self
-
-        def adopt(self, c, row):
-            assert not isinstance(row, dict)
-            derived = self.derive(ChainMap({c: row}, self.pivots), c)
-            twin = Plain(self.order)
-            twin.pivots = ChainMap({}, self.pivots)     # a copy on write
-            twin.derive = self.derive
-            assert twin.insert(dict(derived)) == c
-            assert list(twin.pivots[c].items()) == list(derived.items())
-            super().adopt(c, row)
-            assert list(self.row(c).items()) == list(derived.items())
-            adopted[c] = derived
-            amb = spans[-1][2]
-            piv = c - amb.lshift[row][amb.deg[c] - 1]
-            chain[c] = chain.get(piv, 0) + 1
-
-    shadow_adopt = oracle._Shadow.adopt
-
-    def checked_shadow_adopt(self, c, piv, deg, shift):
-        shadow_adopt(self, c, piv, deg, shift)
-        assert list(self.row(c)) == blank_image(self, c, adopted[c])
-        sliced.append(c)
 
     class Shadow(oracle._Shadow):
         def __init__(self, *args):
@@ -974,8 +982,7 @@ def test_adopted_left_multiples_match_insert_and_add_pivot(problem, monkeypatch)
         return real_graded_dim(B, j)
 
     monkeypatch.setattr(oracle, "_Ambient", Ambient)
-    monkeypatch.setattr(oracle, "SparseEchelon", Checked)
-    monkeypatch.setattr(oracle._Shadow, "adopt", checked_shadow_adopt)
+    monkeypatch.setattr(oracle, "SparseEchelon", Engine)
     monkeypatch.setattr(oracle, "_Shadow", Shadow)
     monkeypatch.setattr(oracle, "graded_dim", graded_dim)
     h8, ha1 = problem("h8", True), problem("ha1", True)
@@ -986,41 +993,34 @@ def test_adopted_left_multiples_match_insert_and_add_pivot(problem, monkeypatch)
     cases = [(h8.hopf, h8.algebra, h8.kappa, 3, 1), (h8.hopf, B2, move(h8.hopf, h8.kappa), 3, 1),
              (h8.hopf, B2, move(h8.hopf, bad), 3, 1), (ha1.hopf, ha1.algebra, ha1.kappa, 3, 2),
              (ha1.hopf, ha1.algebra, _ha1_kappa(ha1, 5, {9: one4, 13: -one4}), 3, 2),
-             (ha1.hopf, ha1.algebra, _dense_kappa(ha1, 2), 3, 1), (h8.hopf, h8.algebra, h8.kappa, 3, 3)]
-    longest = []
+             (ha1.hopf, ha1.algebra, _dense_kappa(ha1, 2), 3, 1), (h8.hopf, h8.algebra, h8.kappa, 3, 3),
+             (h8.hopf, h8.algebra, _constant_kappa(h8, Scalar.from_rational(1, 1, 3)), 3, 1)]
     shadowed = []
     for H, B, kp, N, k in cases:
-        adopted.clear()
-        chain.clear()
         spans.clear()
-        sliced.clear()
         want = reference_computed_dims(H, B, kp, N, k) if H is h8.hopf else None
         rep = filtered_dims(H, B, kp, N, k)
-        assert adopted and virtual[-1], (B.vlabels, N, k)
-        assert chain.keys() == adopted.keys()
-        longest.append(max(chain.values()))
+        # virtual pivots below generation D are sources of the next
+        assert virtual[-1] > sources[-1] > 0, (B.vlabels, N, k)
         if want is not None:
             assert rep.computed_dims == want
-        # these shadows start before the first adoption, so the shadow
-        # relabels every adopted pivot's slice
         shadowed.append(spans[-1][1] is not None)
-        assert set(sliced) == (adopted.keys() if shadowed[-1] else set()), (B.vlabels, N, k)
-    # only generations 3..D - 1 are adopted: h8 at (3, 1) stores chains of
-    # one letter, ha1 at (3, 2) chains of two and h8 at (3, 3) of three
-    assert longest == [1, 1, 1, 2, 2, 1, 3]
-    assert shadowed == [False, True, True, False, False, True, False]
+    # a virtual pivot of generation j lies at most j - 2 letters from its
+    # stored row: chains of two letters at D = 4, three at D = 5, four at D = 6
+    assert longest == [2, 2, 2, 3, 3, 2, 4, 2]
+    assert shadowed == [False, True, True, False, False, True, False, True]
 
 
 def test_engine_holds_only_inserted_rows_and_nothing_outlives_a_span(problem, monkeypatch):
-    # An adopted pivot is stored as its letter, so the engine keeps a row
-    # dict for exactly the columns that `insert` returned.  No reference
-    # cycle holds the span's state: with the collector off, the engine and
-    # every shadow die by reference counting when `filtered_dims` returns.
-    # ha1 and taft-5 on their preset kappa start no shadow; h8 with
-    # kappa^C(r) = 1/3 starts it at its first pivot.
+    # A virtual pivot is stored nowhere, so the engine keeps a row dict for
+    # exactly the columns that `insert` returned, and nothing else.  No
+    # reference cycle holds the span's state: with the collector off, the
+    # engine, the column layout and every shadow die by reference counting
+    # when `filtered_dims` returns.  ha1 and taft-5 on their preset kappa
+    # start no shadow; h8 with kappa^C(r) = 1/3 starts it at its first pivot.
     import gc
     import weakref
-    engines, shadows, inserted = [], [], []
+    engines, ambients, shadows, inserted = [], [], [], []
 
     class Recording(oracle.SparseEchelon):
         def __init__(self, order):
@@ -1033,12 +1033,18 @@ def test_engine_holds_only_inserted_rows_and_nothing_outlives_a_span(problem, mo
                 inserted.append(piv)
             return piv
 
+    class Ambient(oracle._Ambient):
+        def __init__(self, *args):
+            super().__init__(*args)
+            ambients.append(weakref.ref(self))
+
     class Shadow(oracle._Shadow):
         def __init__(self, *args):
             super().__init__(*args)
             shadows.append(weakref.ref(self))
 
     monkeypatch.setattr(oracle, "SparseEchelon", Recording)
+    monkeypatch.setattr(oracle, "_Ambient", Ambient)
     monkeypatch.setattr(oracle, "_Shadow", Shadow)
     real_graded_dim = oracle.graded_dim
     held = []
@@ -1046,7 +1052,8 @@ def test_engine_holds_only_inserted_rows_and_nothing_outlives_a_span(problem, mo
     def graded_dim(B, j):
         # called right after the span, while the engine is alive
         if not held:
-            held.append(dict(engines[-1]().pivots))
+            ech = engines[-1]()
+            held.append((dict(ech.pivots), len(_virtual_columns(ambients[-1](), ech))))
         return real_graded_dim(B, j)
 
     monkeypatch.setattr(oracle, "graded_dim", graded_dim)
@@ -1057,6 +1064,7 @@ def test_engine_holds_only_inserted_rows_and_nothing_outlives_a_span(problem, mo
                                       (h8, third, 3, 2, True)):
         kappa = kappa or prob.kappa
         engines.clear()
+        ambients.clear()
         shadows.clear()
         inserted.clear()
         held.clear()
@@ -1064,41 +1072,56 @@ def test_engine_holds_only_inserted_rows_and_nothing_outlives_a_span(problem, mo
         gc.disable()
         try:
             rep = filtered_dims(prob.hopf, prob.algebra, kappa, N, k)
-            assert len(engines) == 1 and bool(shadows) == starts, prob.name
-            assert all(ref() is None for ref in engines + shadows), prob.name
+            assert len(engines) == len(ambients) == 1 and bool(shadows) == starts, prob.name
+            assert all(ref() is None for ref in engines + ambients + shadows), prob.name
         finally:
             if was_enabled:
                 gc.enable()
         assert rep.verdict == "CONSISTENT"
-        pivots, = held
-        rows = {c for c, entry in pivots.items() if isinstance(entry, dict)}
-        assert rows == set(inserted) and len(inserted) == len(rows), prob.name
-        assert all(isinstance(entry, int) for c, entry in pivots.items() if c not in rows)
-        assert len(rows) < len(pivots), prob.name
+        (pivots, virtual), = held
+        assert all(entry.__class__ is dict for entry in pivots.values()), prob.name
+        assert pivots.keys() == set(inserted) and len(inserted) == len(pivots), prob.name
+        assert virtual > len(pivots), prob.name
 
 
-def test_prime_move_after_adoptions_re_images_derived_chains(problem, monkeypatch):
-    # Fail `add_pivot` once, at the first pivot recorded after a chain of
-    # three letters was adopted (generation 3 or later: every seed is
-    # recorded before the first adoption).  The next shadow re-images every
-    # stored pivot, deriving the rows of adopted chains, and the tables must
-    # equal the unforced run.  Only generations 3..D - 1 are adopted, so a
-    # stored chain of three letters needs D = 6: h8 at (3, 3), with
-    # kappa^C(r) = 1/3 so that the shadow runs from the first pivot.
+def test_prime_move_after_virtual_chains_keeps_the_tables(problem, monkeypatch):
+    # Fail `add_pivot` once, at the first pivot recorded after a virtual
+    # pivot two letters from its stored row became a source, so that chains
+    # of three letters can be read.  The next shadow re-images every stored
+    # pivot, the failed one included, and reads each virtual pivot off the
+    # image of its stored row: at every virtual column it must read the
+    # image that `add_pivot` on a blank shadow stores for the engine's row
+    # there, and the tables must equal the unforced run.  A virtual chain of
+    # three letters needs generation 5: h8 at (3, 3), with kappa^C(r) = 1/3
+    # so that the shadow runs from the first pivot.
+    from types import SimpleNamespace
     prob = problem("h8")
     H, B = prob.hopf, prob.algebra
     kappa = _constant_kappa(prob, Scalar.from_rational(1, 1, 3))
     want = filtered_dims(H, B, kappa, 3, 3)
-    chain = {}          # adopted column -> letters back to a stored row
-    state = {"failed": None, "reimaged": {}}
-    add_pivot, shadow_adopt = oracle._Shadow.add_pivot, oracle._Shadow.adopt
+    state = {"failed": None, "reimaged": {}, "chains": Counter(), "deep": False}
+    spans = []      # (engine, column layout) of the running span
+    add_pivot, real_next_shadow = oracle._Shadow.add_pivot, oracle._next_shadow
 
-    def adopt(self, c, piv, deg, shift):
-        shadow_adopt(self, c, piv, deg, shift)
-        chain[c] = chain.get(piv, 0) + 1
+    class Flags(bytearray):
+        def __setitem__(self, c, flag):
+            super().__setitem__(c, flag)
+            ech, amb = spans[-1]
+            state["deep"] |= c not in ech.pivots and _chain(amb, ech.pivots, c) >= 2
+
+    class Ambient(oracle._Ambient):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.source = Flags(self.source)
+            spans.append([None, self])
+
+    class Engine(oracle.SparseEchelon):
+        def __init__(self, order):
+            super().__init__(order)
+            spans[-1][0] = self
 
     def forced(self, c, row):
-        if state["failed"] is None and 3 in chain.values():
+        if state["failed"] is None and state["deep"]:
             state["failed"] = (self.p, c)
             return False
         if state["failed"] is not None and self.p != state["failed"][0]:
@@ -1106,17 +1129,29 @@ def test_prime_move_after_adoptions_re_images_derived_chains(problem, monkeypatc
             return state["reimaged"][c] is not None
         return add_pivot(self, c, row)
 
-    monkeypatch.setattr(oracle._Shadow, "adopt", adopt)
+    def next_shadow(primes, den, H, amb, straightened, ech):
+        sh = real_next_shadow(primes, den, H, amb, straightened, ech)
+        if state["failed"] is not None and not state["chains"]:
+            assert state["reimaged"].keys() == ech.pivots.keys()
+            for c in _virtual_columns(amb, ech):
+                blank = SimpleNamespace(p=sh.p, image=sh.image, start={}, size={}, cols=[], vals=[])
+                assert add_pivot(blank, c, ech.row(c))
+                assert list(sh.row(c)) == list(zip(blank.cols, blank.vals)), c
+                state["chains"][_chain(amb, ech.pivots, c)] += 1
+        return sh
+
+    monkeypatch.setattr(oracle, "_Ambient", Ambient)
+    monkeypatch.setattr(oracle, "SparseEchelon", Engine)
     monkeypatch.setattr(oracle._Shadow, "add_pivot", forced)
+    monkeypatch.setattr(oracle, "_next_shadow", next_shadow)
     rep = filtered_dims(H, B, kappa, 3, 3)
     assert state["failed"] is not None
     p, c = state["failed"]
-    assert c not in chain
     reimaged = state["reimaged"]
     # every pivot stored at the move, the failed one included, is re-imaged
     assert c in reimaged and None not in reimaged.values()
-    moved_chains = Counter(chain[col] for col in reimaged if col in chain)
-    assert moved_chains[1] and moved_chains[2] and moved_chains[3], moved_chains
+    chains = state["chains"]
+    assert chains[1] and chains[2] and chains[3], chains
     assert (rep.computed_dims, rep.verdict) == (want.computed_dims, want.verdict)
 
 
@@ -1136,7 +1171,7 @@ def test_last_generation_virtual_pivots_keep_the_tables(problem, monkeypatch):
     moves = []
 
     def forced(self, c, row):
-        if moves == [None] and any(self.amb.last):
+        if moves == [None] and any(self.amb.source):
             moves[0] = self.p
             return False
         return add_pivot(self, c, row)
@@ -1156,37 +1191,37 @@ def test_last_generation_virtual_pivots_keep_the_tables(problem, monkeypatch):
 
 
 def reference_derive(amb, pivots: dict, c: int):
-    """``oracle._derive`` with the column shifts of the letter chain composed
-    on every read, as before ``_Ambient.shifts`` kept them per span."""
+    """``oracle._derive`` with the walk back to the stored row and the
+    column shifts of the letter chain done on every read, as before
+    ``_Ambient.shifts`` kept them per span; None unless c holds a virtual
+    pivot."""
     deg, lshift = amb.deg, amb.lshift
     letters = []
-    row = pivots.get(c)
-    if row is None:
-        src = amb.virtual(c)
-        if src is None:
+    while c not in pivots:
+        m = deg[c]
+        if not m:
             return None
-        v, c = src
+        v = (c - amb.base[m]) // amb.block[m - 1]
+        c -= lshift[v][m - 1]
+        if not amb.source[c]:
+            return None
         letters.append(v)
-        row = pivots[c]
-    while row.__class__ is not dict:
-        letters.append(row)
-        c -= lshift[row][deg[c] - 1]
-        row = pivots[c]
     total = [0] * (deg[c] + 1)
     for i, v in enumerate(reversed(letters)):
         shift = lshift[v]
         for m in range(len(total)):
             total[m] += shift[m + i]
-    return {col + total[deg[col]]: val for col, val in row.items()}
+    return {col + total[deg[col]]: val for col, val in pivots[c].items()}
 
 
 def test_derive_matches_the_per_read_composition(problem, monkeypatch):
-    # Every row that `_derive` returns, during the span and at each adopted
-    # and each virtual column once the span is done, must be the row that
+    # Every row that `_derive` returns, during the span and at each virtual
+    # column once the span is done, must be the row that walking back and
     # composing the chain's shifts on the spot gives, entries in the same
     # order.  The ha1 member span at (3, 2) starts no shadow, so every
     # candidate is reduced exactly; h8 with kappa^C(r) = 1/3 at (3, 1) starts
-    # the shadow at its first pivot, which then images derived rows too.
+    # the shadow at its first pivot, and the exact rows of the candidates
+    # that it keeps are built from derived rows too.
     real_derive = oracle._derive
     spans = []      # [column layout, engine] of the running span
     shadows = []
@@ -1217,21 +1252,21 @@ def test_derive_matches_the_per_read_composition(problem, monkeypatch):
             shadows.append(self)
 
     real_graded_dim = oracle.graded_dim
-    covered = []    # (adopted, virtual) columns of each span
+    covered = []    # (sources, all) of the virtual columns of each span
 
     def graded_dim(B, j):
         # called right after the span, while the engine is alive
         if j == 0:
             amb, ech = spans[-1]
-            adopted = [c for c, entry in ech.pivots.items() if entry.__class__ is not dict]
-            virtual = [c for c in range(amb.total) if c not in ech.pivots and amb.virtual(c)]
+            virtual = [c for c in range(amb.total)
+                       if c not in ech.pivots and reference_derive(amb, ech.pivots, c) is not None]
             derived.clear()
-            for c in adopted + virtual:
+            for c in virtual:
                 assert ech.derive(ech.pivots, c) is not None, c
-            assert derived == adopted + virtual
+            assert derived == virtual
             # one composed shift per (degree, letter chain), not per read
             assert 0 < len(amb.shifts) < 1000
-            covered.append((len(adopted), len(virtual)))
+            covered.append((sum(1 for c in virtual if amb.source[c]), len(virtual)))
         return real_graded_dim(B, j)
 
     monkeypatch.setattr(oracle, "_derive", derive)
@@ -1246,7 +1281,7 @@ def test_derive_matches_the_per_read_composition(problem, monkeypatch):
         shadows.clear()
         rep = filtered_dims(prob.hopf, prob.algebra, kappa, 3, k)
         assert rep.verdict == "CONSISTENT" and bool(shadows) == shadowed, prob.name
-    assert all(adopted and virtual for adopted, virtual in covered), covered
+    assert all(0 < sources < virtual for sources, virtual in covered), covered
 
 
 # -- refusing oversized spans ------------------------------------------------------
