@@ -25,7 +25,6 @@ degree 3).  koszul also refuses a degree with more words than
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 
@@ -125,11 +124,9 @@ def _kappa_json(H: HopfAlgebra, B: ModuleAlgebra, kp: Kappa) -> dict:
 
 
 def render_problem(prob: Problem) -> str:
-    # one buffer, so that the trailing newline does not copy the document
-    out = io.StringIO()
-    json.dump(problem_to_json(prob), out, indent=2)
-    out.write("\n")
-    return out.getvalue()
+    # the encoder's chunks and the trailing newline joined once: no write
+    # per chunk and no copy of the document for the newline
+    return "".join([*json.JSONEncoder(indent=2).iterencode(problem_to_json(prob)), "\n"])
 
 
 def _parse_sc(text, order: int, where: str) -> Scalar:

@@ -17,15 +17,15 @@ Spanning order.  The relator rows and their left and right multiples by
 the generators ``algebra_generators(H)`` are the seeds, generation 2.
 Generation j + 1, for j < N + k, is formed in two passes: first the left
 V-multiples of every generation-j pivot, then the right V-multiples of
-those generation-j pivots that were not born of a left V-multiple.  A
-left multiple whose lead column holds no stored pivot is a new pivot as
-it stands and is stored nowhere (virtual pivots, below); taken first,
-the left multiples claim their lead columns before any right multiple
-does, so more of them stay virtual, fewer pivots are born of right
-multiples, and fewer rows reach the shadow and the exact engine.  No
-later generation is closed under H again, and neither loses anything.
-The two lemmas below are about this order; the F_p shadow further down
-only ever skips rows.
+those generation-j pivots that were not born of a left V-multiple and
+are not translated virtual pivots (below).  A left multiple whose lead
+column holds no pivot is a new pivot as it stands and is stored nowhere
+(virtual pivots, below); taken first, the left multiples claim their
+lead columns before any right multiple does, so more of them stay
+virtual, fewer pivots are born of right multiples, and fewer rows reach
+the shadow and the exact engine.  No later generation is closed under H
+again, and neither loses anything.  The lemmas below are about this
+order; the F_p shadow further down only ever skips rows.
 
 Product lemma.  Let S_j be the span through generation j and L_j the
 generation-j pivots.  Every pivot of generation at most N + k - 1 gets
@@ -125,41 +125,93 @@ shadow took 4.1 s instead of 0.40 s.  The shadow decides nothing else:
 
 Virtual pivots.  Left multiplication by v maps the column of w (x) h to
 that of v w (x) h and preserves the column order, so v x has its lead at
-the image of x's lead column, with x's lead coefficient.  When no pivot
-is stored at that column, v x is a new pivot as it stands, and it is
-stored nowhere: its column names it.  Before a generation's left phase
-reduces anything, its pivots are flagged as sources
-(``_Ambient.source``).  Then a column c with no stored pivot holds the
-virtual pivot v x when, for v the first letter of c's word and c' the
-column of the rest of it, c' holds a source pivot x, stored or itself
-virtual; ``_Ambient.virtual`` walks back through the letters to the
-nearest stored row.  The exact engine's ``derive`` relabels that row down
+the image of x's lead column, with x's lead coefficient.  When that
+column holds no stored pivot and no translate (below), v x is a new
+pivot as it stands, and it is stored nowhere: its column names it.
+Before a generation's left phase reduces anything, its pivots are
+flagged as sources (``_Ambient.source``).  Then a column c with no
+stored pivot and no translate holds the virtual pivot v x when, for v
+the first letter of c's word and c' the column of the rest of it, c'
+holds a source pivot x, stored, translated or itself virtual;
+``_Ambient.virtual`` walks back through the letters to the nearest stored
+row or translate.  The exact engine's ``derive`` relabels that row down
 by all the letters at once, which is exactly the row that ``insert``
 would store at c (the relabelled row is already stripped, and its lead is
 the stored row's), and the shadow relabels that row's slice, which gives
-the image of v x with lead 1.  Left multiplication is injective on words, so each
-left phase meets each of its virtual pivots once and counts it by degree
-for the tables; it lists those of generations below D = N + k as sources
-of the next, and nothing multiplies a pivot of generation D.  The lookup
-is in place before the left phase reduces anything, so no reduction stops
-at a virtual column and no pivot is ever stored at one; a left multiple
-whose column holds a stored pivot is still reduced, through the virtual
-pivots.  A shadow that starts or moves images the stored pivots only.
-The span is the one above, S_{j+1} = S_j + V L_j + L_j V, and the pivot
-columns of a span are unique, so the pivot columns and the tables are
-the ones that storing every pivot gives.  On ha1 at (N, k) = (3, 2),
-17,344 left multiples are virtual and 2,480 pivots are stored, and exact
-reads derive 12,070 rows (no shadow screens that span), through chains of
-at most three letters, each dropped after use, so the engine holds only
-the rows that ``insert`` stored.
+the image of v x with lead 1.  Left multiplication is injective on
+words, so each left phase meets each of its virtual pivots once and
+counts it by degree for the tables; it lists those of generations below
+D = N + k as sources of the next, and nothing multiplies a pivot of
+generation D.  The lookup is in place before the left phase reduces
+anything, so no reduction stops at a virtual column and no pivot is ever
+stored at one; a left multiple whose column holds a stored pivot or a
+translate is still reduced, through the virtual pivots.  A shadow that
+starts or moves images the stored pivots only.  The span is the one
+above, S_{j+1} = S_j + V L_j + L_j V, and the pivot columns of a span are
+unique, so the pivot columns and the tables are the ones that storing
+every pivot gives.  Chains are dropped after use, so the engine holds
+only the rows that ``insert`` stored.
 
-Memoized shifts.  What a derived row costs beyond its entries is the
-shift by which a chain of letters moves a column of each degree, and it
-depends only on the chain and the stored row's degree.
-``_Ambient.virtual`` composes it on the first read of each (degree,
-letters) key and keeps it in ``_Ambient.shifts`` for the rest of the
-span: 108 keys for the 12,070 rows derived on ha1 at (3, 2).  Only shifts
-are kept, never a derived row.
+Translated pivots.  G is the set of group-like basis elements e_g != 1
+of H, Delta(e_g) = e_g (x) e_g, whose right multiplication sends each e_h
+to a root-of-unity multiple of a basis element, by a bijection, with G
+and the unit closed under products (``_translations``): sweedler has 1,
+taft-n n - 1, h8 3, ha1 7 and cbh-cyclic-n n - 1.  In a basis where this
+fails G is empty and the span is the one without translations.  Right
+multiplication by 1 # e_g, R_g, moves each column within its word and
+multiplies its entry by a unit: a relabelling, like left multiplication
+by a letter, but within each word.  Every pivot y that ``insert`` stores
+brings its translates y e_g, g in G.  When y's lead word carries one
+H-entry, y e_g has its lead at the image of y's lead column, with y's
+lead coefficient times a unit u; when that column holds no pivot,
+stored, virtual or translated, y e_g / u is a new pivot as it stands, a
+translated virtual pivot, stored nowhere (``_Ambient.translated``) and
+counted by degree.  It is a source in its generation's left phase and
+is never right-multiplied.  Any other translate is inserted as a row of
+y's layer, and a pivot that it stores brings its own translates.
+
+- Every generation's span is R_G-invariant.  Each stored pivot brings
+  its translates; a translate of a translate is a translate, since G and
+  the unit form a group; and a virtual left multiple's translate is
+  (v x) e_g = v (x e_g), with x e_g in S_j, so it lies in V S_j, inside
+  S_{j+1} (product lemma: translates are sources too).
+- A translated virtual pivot y e_g / u needs no right V-multiples: for a
+  group-like, e_g w = (g . w) e_g, so (y e_g) w = (y (g . w)) e_g lies in
+  S_{j+1} R_g, inside S_{j+1}, once y V does (product lemma, by induction
+  on insertion order).  The product lemma's p_i may now be translates,
+  whose right multiples lie in S_{j+1} by this step.
+- The seeds' H-closure drops right multiplication by the generators in
+  G, whose products are the translates, and takes right multiples by
+  every other generator of every seed pivot, stored or translated: a span
+  is closed under H when each element of a basis of it, the translates
+  included, has its products by the generators in it.  Left H-multiples
+  of a translate are not needed: e_h (y e_g) = (e_h y) e_g lies in the
+  span once e_h y does, by R_G-invariance.
+- A translated virtual pivot is safe for the shadow.  y's lead word
+  carries one H-entry, so the lead of y e_g / u is at the image of y's
+  lead column with y's lead coefficient, a unit modulo P whenever y's is,
+  and its image is y's image relabelled with the images of the units,
+  lead 1: what ``add_pivot`` stores for it.  ``_Ambient.virtual`` reads
+  it, and every virtual left multiple of it, off y's slice.
+
+So each generation's span is the old one, with the same pivot columns
+and tables.  Cutting a Groebner computation by the orbits of a
+commutative group that acts on the ideal is the idea of Faugere and
+Svartz (ISSAC 2013).  On ha1 at (N, k) = (3, 2), 310 pivots are stored,
+2,170 are translated and 17,344 left multiples are virtual (storing
+every pivot gives 2,480 stored), and exact reads derive 1,764 rows
+during the span (12,070 without translations; no shadow screens that
+span), through chains of at most three letters.
+
+Memoized moves.  What a derived row costs beyond its entries is the
+shift by which a chain of letters moves a column of each degree, which
+depends only on the chain and the stored row's degree, and for a
+translate the move and units within each word, which depend only on the
+translation and the H-index of the stored row's lead.  ``_Ambient.virtual``
+composes each on the first read of its key and keeps it in
+``_Ambient.shifts`` and ``_Ambient.moves`` for the rest of the span: 88
+and 15 keys for the 1,764 rows derived on ha1 at (3, 2).  Only these are
+kept, never a derived row.
 """
 
 from __future__ import annotations
@@ -186,11 +238,13 @@ class OracleError(Exception):
 # The largest span the oracle starts: d * sum_{m <= D} vd^m columns.  Its
 # cost grows with the column count and the depth D: on the preset kappa,
 # ha1 (vd = 4) at D = 5/6/7 has 21,840/87,376/349,520 columns and takes
-# 0.13/0.37/1.3-1.5 s, and sweedler (vd = 2) at D = 10/11/13 has
-# 8,188/16,380/65,532 columns and takes 0.10/0.25/1.5-1.9 s (Python 3.11,
+# 0.04/0.11/0.35-0.45 s, and sweedler (vd = 2) at D = 10/11/13 has
+# 8,188/16,380/65,532 columns and takes 0.09/0.23/1.2-1.3 s (Python 3.11.7,
 # one core of a shared two-core host; one run each, three at D = 7 and
-# 13).  The bound admits every bundled preset at the CLI defaults (ha1 at
-# D = 5 is the largest) and refuses larger spans before anything is built.
+# 13; without translated pivots the same runs took 0.15/0.46/1.4-1.5 s and
+# 0.16/0.37/2.0 s).  The bound admits every bundled preset at the CLI
+# defaults (ha1 at D = 5 is the largest) and refuses larger spans before
+# anything is built.
 MAX_SPAN_COLUMNS = 25_000
 
 
@@ -226,7 +280,7 @@ class ProbeReport:
 class _Ambient:
     """Column layout for T(V)#H up to degree D, highest degree first."""
 
-    def __init__(self, vdim: int, hdim: int, D: int):
+    def __init__(self, vdim: int, hdim: int, D: int, translations: tuple = ((), ())):
         self.vdim = vdim
         self.hdim = hdim
         self.block = [vdim ** m * hdim for m in range(D + 1)]
@@ -251,6 +305,18 @@ class _Ambient:
         # m moves under the letters that ``virtual`` walks back through to
         # it, composed on the first use of the key
         self.shifts: dict = {}
+        # the right translations (``_translations``): units[e] is a root of
+        # unity, and group[t] = (hmove, exps) moves the entry of each column
+        # of H-index h by hmove[h] and multiplies it by units[exps[h]]
+        units, group = translations
+        self.units = list(units) if group else []
+        self.group = [([k - h for h, k in enumerate(perm)], exps) for _, perm, exps in group]
+        # translated[c] = (c1, t): c holds the translated virtual pivot, the
+        # stored pivot at c1 times the t-th translation, divided by the unit
+        # that its lead picks up
+        self.translated: dict = {}
+        # moves[t, h0]: group[t] with the exponents divided by that of h0
+        self.moves: dict = {}
 
     def col(self, word_rank: int, deg: int, h: int) -> int:
         return self.base[deg] + word_rank * self.hdim + h
@@ -258,16 +324,28 @@ class _Ambient:
     def dim_upto(self, m: int) -> int:
         return sum(self.block[j] for j in range(m + 1))
 
-    def virtual(self, c: int, stored) -> tuple[int, list] | None:
-        """(c0, shift) when c, a column with no stored pivot (``stored``
-        holds the columns of those), holds a virtual pivot; else None.  Each
-        step drops the first letter v of c's word: c is the column of
-        v w (x) h, and it holds v x for x the source pivot at the column of
-        w (x) h, until x is stored, at c0.  The virtual pivot is x's row
-        with each column of degree m moved by shift[m]."""
+    def virtual(self, c: int, stored) -> tuple[int, list | None, tuple | None] | None:
+        """(c0, shift, move) when c, a column with no stored pivot
+        (``stored`` holds the columns of those), holds a virtual pivot; else
+        None.  Each step drops the first letter v of c's word: c is the
+        column of v w (x) h, and it holds v x for x the source pivot at the
+        column of w (x) h, until x is stored, at c0, or a translate of the
+        stored pivot at c0.  The virtual pivot is the row stored at c0 with
+        the entry at each column col, of degree m and H-index h, moved to
+        col + shift[m] + hmove[h] and multiplied by units[exps[h]], for
+        move = (hmove, exps); shift is None when no letter is dropped, and
+        move when no translate is met (``_moved``)."""
         deg, base, block, source, lshift = self.deg, self.base, self.block, self.source, self.lshift
+        translated = self.translated
         letters = []
+        move = None
         while True:
+            tr = translated.get(c)
+            if tr is not None:
+                c, t = tr
+                key = (t, c % self.hdim)
+                move = self.moves.get(key) or self._move(key)
+                break
             m = deg[c]
             if not m:
                 return None
@@ -278,17 +356,78 @@ class _Ambient:
             letters.append(v)
             if c in stored:
                 break
-        key = (m - 1, *letters)
+        if not letters:
+            return c, None, move
+        m = deg[c]
+        key = (m, *letters)
         total = self.shifts.get(key)
         if total is None:
             # a column of degree m' moves by lshift[v_n][m'], then by
             # lshift[v_(n-1)][m' + 1], and so on out to the first letter
-            total = self.shifts[key] = [0] * m
+            total = self.shifts[key] = [0] * (m + 1)
             for i, v in enumerate(reversed(letters)):
                 shift = lshift[v]
-                for n in range(m):
+                for n in range(m + 1):
                     total[n] += shift[n + i]
-        return c, total
+        return c, total, move
+
+    def _move(self, key: tuple) -> tuple:
+        """moves[t, h0]: the t-th translation of a row whose lead has
+        H-index h0, divided by the unit units[exps[h0]] that the lead picks
+        up, so that the lead keeps its coefficient.  A unit exponent e
+        stands for (-1)^(e // N) zeta^(e % N) (``_translations``)."""
+        t, h0 = key
+        hmove, exps = self.group[t]
+        N = len(self.units) // 2
+        s0, k0 = divmod(exps[h0], N)
+        norm = [(s - s0) % 2 * N + (k - k0) % N for s, k in (divmod(e, N) for e in exps)]
+        move = self.moves[key] = (hmove, norm)
+        return move
+
+
+# -- right translations ------------------------------------------------------------
+
+def _translations(H: HopfAlgebra) -> tuple[list, list]:
+    """(units, G): the right translations of the span.  units[e] is
+    (-1)^(e // N) zeta^(e % N), e < 2N, so every root of unity of Q(zeta_N).
+    G lists (g, perm, exps), one per group-like basis element e_g != 1
+    (Delta(e_g) = e_g (x) e_g) whose right multiplication is monomial:
+    e_h e_g = units[exps[h]] e_perm[h] for every h, perm a bijection.  G is
+    empty unless G and the unit are closed under products."""
+    order, d = H.order, H.dim
+    f = field(order)
+    powers = [Scalar._make(order, 1, v) for v in f.powers]
+    units = powers + [-u for u in powers]
+    exp: dict = {}
+    for e, u in enumerate(units):
+        exp.setdefault(u, e)
+    one = units[0]
+    if len(H.unit) != 1 or one not in H.unit.values():
+        return units, []
+    u1, = H.unit
+    group = []
+    for g in range(d):
+        if g == u1 or H.comult[g] != {(g, g): one}:
+            continue
+        perm, exps = [], []
+        for h in range(d):
+            prod = H.mult[h][g]
+            if len(prod) != 1:
+                break
+            (k, c), = prod.items()
+            e = exp.get(c)
+            if e is None:
+                break
+            perm.append(k)
+            exps.append(e)
+        else:
+            if len(set(perm)) == d:
+                group.append((g, perm, exps))
+    # e_g2 e_g must be a member itself, with coefficient one
+    members = {g for g, _, _ in group} | {u1}
+    if any(perm[g2] not in members or exps[g2] for _, perm, exps in group for g2 in members):
+        return units, []
+    return units, group
 
 
 # -- coefficient domains ---------------------------------------------------------
@@ -339,12 +478,15 @@ class _Ring:
     Scalars to (den, coefficients of den * s) for one common den.
 
     ``straight`` is converted up front, since ``_right_v`` reads all of it;
-    ``hmul`` and ``moved`` convert an entry on its first read.  No table
+    ``hmul`` and ``moved`` convert an entry on its first read, and
+    ``units`` (the roots of unity of ``_Ambient.units``) up front.  No table
     holds a reference to the ring, so a ring dies with its last user."""
 
-    def __init__(self, ops: tuple, convert, H: HopfAlgebra, vdim: int, straightened: _Lazy):
+    def __init__(self, ops: tuple, convert, H: HopfAlgebra, vdim: int, straightened: _Lazy,
+                 units=()):
         self.mul, self.add, self.is_zero, self.scale = ops
         scale = self.scale
+        self.units = convert(list(units))[1] if units else []
         # straight[h][v] = [(v_out, h_out, c)] for e_h . v, one denominator for the table
         moved = [[straightened[h, v, 1] for v in range(vdim)] for h in range(H.dim)]
         _, cs = convert([c for per_v in moved for terms in per_v for *_, c in terms])
@@ -374,12 +516,13 @@ class _Ring:
         self.moved = _Lazy(moved_entry)
 
 
-def _exact_ring(ech: SparseEchelon, H: HopfAlgebra, vdim: int, straightened: _Lazy) -> _Ring:
+def _exact_ring(ech: SparseEchelon, H: HopfAlgebra, vdim: int, straightened: _Lazy,
+                units=()) -> _Ring:
     def convert(scalars):
         den = lcm(*(s.den for s in scalars))
         return den, [ech.coeff(s, den) for s in scalars]
 
-    return _Ring((ech.mul, ech.add, ech.is_zero, ech.scale), convert, H, vdim, straightened)
+    return _Ring((ech.mul, ech.add, ech.is_zero, ech.scale), convert, H, vdim, straightened, units)
 
 
 def _table_den(H: HopfAlgebra, B: ModuleAlgebra) -> int:
@@ -543,7 +686,9 @@ class _Shadow:
         phi = field(H.order).phi
         self.pows = [pow(w, j, p) for j in range(phi)]
         self.ring = _Ring((mul, add, not_, mul), partial(_images, p, self.pows), H, amb.vdim,
-                          straightened)
+                          straightened, amb.units)
+        # a translated image is multiplied by the image of a unit, mod p
+        self.unit_mul = lambda x, u: x * u % p
         self.start = array("q", bytes(8 * amb.total))
         self.size = array("q", bytes(8 * amb.total))
         self.cols = array("q")
@@ -577,13 +722,14 @@ class _Shadow:
 
     def row(self, c: int):
         """The image of the pivot at c as (col, value) pairs, lead 1 first."""
-        deg, shift = self.amb.deg, None
-        if not self.size[c]:
-            c, shift = self.amb.virtual(c, self.stored)
+        if self.size[c]:
+            s = self.start[c]
+            return zip(self.cols[s:s + self.size[c]], self.vals[s:s + self.size[c]])
+        c, shift, move = self.amb.virtual(c, self.stored)
         s = self.start[c]
         e = s + self.size[c]
-        pairs = zip(self.cols[s:e], self.vals[s:e])
-        return pairs if shift is None else [(col + shift[deg[col]], x) for col, x in pairs]
+        return _moved(self.amb, zip(self.cols[s:e], self.vals[s:e]), shift, move, self.ring.units,
+                      self.unit_mul).items()
 
     def reduces_to_zero(self, row: dict) -> bool:
         """Whether a row (coefficients mod p, not yet reduced) lies in the
@@ -591,7 +737,8 @@ class _Shadow:
         cancel mod p stay in the row as zeros and are dropped when they come
         to lead."""
         p, start, size, cols, vals = self.p, self.start, self.size, self.cols, self.vals
-        virtual, deg, stored = self.amb.virtual, self.amb.deg, self.stored
+        amb, stored, units = self.amb, self.stored, self.ring.units
+        virtual, deg = amb.virtual, amb.deg
         red = {c: x % p for c, x in row.items()}
         get = red.get
         while red:
@@ -610,12 +757,17 @@ class _Shadow:
             if src is None:
                 return False
             # the image of a virtual pivot is its stored source's, relabelled
-            c, shift = src
+            c, shift, move = src
             s = start[c] + 1
             e = s + size[c] - 1
-            for col, x in zip(cols[s:e], vals[s:e]):
-                col += shift[deg[col]]
-                red[col] = (get(col, 0) - f * x) % p
+            if move is None:
+                for col, x in zip(cols[s:e], vals[s:e]):
+                    col += shift[deg[col]]
+                    red[col] = (get(col, 0) - f * x) % p
+            else:
+                for col, x in _moved(amb, zip(cols[s:e], vals[s:e]), shift, move, units,
+                                     self.unit_mul).items():
+                    red[col] = (get(col, 0) - f * x) % p
         return True
 
 
@@ -633,17 +785,33 @@ def _next_shadow(primes, den: int, H: HopfAlgebra, amb: _Ambient, straightened,
     raise OracleError("no usable shadow prime")
 
 
-def _derive(amb: _Ambient, pivots: dict, c: int) -> dict | None:
+def _moved(amb: _Ambient, pairs, shift, move, units: list, mul) -> dict:
+    """The (col, value) pairs of a stored row moved as ``_Ambient.virtual``
+    says, the units taken from ``units`` and multiplied in by ``mul``."""
+    deg = amb.deg
+    if move is None:
+        return {col + shift[deg[col]]: val for col, val in pairs}
+    hmove, exps = move
+    d = amb.hdim
+    out = {}
+    for col, val in pairs:
+        h = col % d
+        e = exps[h]
+        out[col + hmove[h] + (shift[deg[col]] if shift else 0)] = mul(val, units[e]) if e else val
+    return out
+
+
+def _derive(amb: _Ambient, units: list, mul, pivots: dict, c: int) -> dict | None:
     """The exact row of the virtual pivot at c, a column with no stored
     pivot: the stored row that ``_Ambient.virtual`` walks back to, relabelled
-    down by all the letters at once; None when c has no pivot.  The engine
-    calls this at every column where ``pivots`` holds nothing."""
+    down by all the letters at once and translated, the units being the
+    exact ring's; None when c has no pivot.  The engine calls this at every
+    column where ``pivots`` holds nothing."""
     src = amb.virtual(c, pivots)
     if src is None:
         return None
-    c, shift = src
-    deg = amb.deg
-    return {col + shift[deg[col]]: val for col, val in pivots[c].items()}
+    c, shift, move = src
+    return _moved(amb, pivots[c].items(), shift, move, units, mul)
 
 
 # -- the spanning oracle ---------------------------------------------------------
@@ -672,8 +840,10 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
 
     Only the seeds are closed under H, each generation takes all its left
     V-multiples before its right ones, only pivots not born of a left
-    V-multiple get right V-multiples, and every free left multiple stays
-    virtual; the span is the same (module docstring).  The
+    V-multiple get right V-multiples, every free left multiple stays
+    virtual, and every stored pivot brings its translates by the
+    group-likes G, of which those with a free lead stay virtual; the span
+    is the same (module docstring).  The
     F_p shadow starts at the first pivot stored with a lead other than one.
     H and the action must already pass ``validate_hopf`` and
     ``validate_action``.  A negative buffer, and a span of more than
@@ -694,30 +864,32 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
         if columns > MAX_SPAN_COLUMNS:
             raise OracleError(f"the span through degree {D} has at least {columns} columns, "
                               f"above the limit {MAX_SPAN_COLUMNS}")
-    amb = _Ambient(vd, d, D)
+    units, group = _translations(H)
+    amb = _Ambient(vd, d, D, (units, group))
     ech = SparseEchelon(H.order)
-    ech.derive = partial(_derive, amb)
-    hgens = algebra_generators(H)
     straightened = _straightened(H, B)
-    exact = _exact_ring(ech, H, vd, straightened)
+    exact = _exact_ring(ech, H, vd, straightened, amb.units)
+    ech.derive = partial(_derive, amb, exact.units, exact.mul)
+    hgens = algebra_generators(H)
+    # right multiplication by a generator in G is one of the translations
+    in_group = {g for g, _, _ in group}
     primes = _shadow_primes(H.order)
     den = _table_den(H, B)
     # no shadow while every stored pivot lead is one (module docstring)
     shadow = None
 
     # pivot columns by generation degree: those born of a left V-multiple,
-    # virtual or stored, whose right V-multiples lie in the span already
-    # (module docstring), and all others
+    # virtual or stored, and the translated virtual pivots, whose right
+    # V-multiples lie in the span already (module docstring), and all others
     lefts = [[] for _ in range(D + 1)]
     others = [[] for _ in range(D + 1)]
-    # pivots by the degree of their column: the virtual ones as their left
-    # phase meets them, the stored ones once the span is done
+    # pivots by the degree of their column: the virtual ones as they are
+    # met, the stored ones once the span is done
     by_deg = [0] * (D + 1)
+    deg, lshift, translated = amb.deg, amb.lshift, amb.translated
 
-    def record(piv, layer: list) -> None:
+    def keep(piv: int, layer: list) -> None:
         nonlocal shadow
-        if piv is None:
-            return
         layer.append(piv)
         if shadow is None and ech.pivots[piv][piv] == ech.one:
             return
@@ -726,22 +898,59 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
         if shadow is None or not shadow.add_pivot(piv, ech.pivots[piv]):
             shadow = _next_shadow(primes, den, H, amb, straightened, ech)
 
-    def consider(op, piv: int, arg: int, layer: list) -> None:
+    def screened(op, piv: int, arg: int) -> int | None:
         # once the shadow runs, the exact engine only sees rows whose shadow
         # adds a pivot
         if shadow is None or not shadow.reduces_to_zero(op(shadow.ring, amb, shadow.row(piv), arg)):
-            record(ech.insert(op(exact, amb, ech.row(piv).items(), arg)), layer)
+            return ech.insert(op(exact, amb, ech.row(piv).items(), arg))
+        return None
 
+    def record(piv, layer: list, translates: list) -> None:
+        # a stored pivot brings its translates: the virtual ones are listed
+        # in translates, and one inserted as a row is a row of the layer,
+        # whose pivot brings its own
+        if piv is None:
+            return
+        keep(piv, layer)
+        work = [piv]
+        while work:
+            piv = work.pop()
+            row = ech.pivots[piv]
+            h0 = piv % d
+            # one H-entry in the lead word: the translate's lead is the
+            # lead's image, with the lead's coefficient once divided by a unit
+            lone = not any(c in row for c in range(piv + 1, piv - h0 + d))
+            for t, (g, perm, _) in enumerate(group):
+                c = piv - h0 + perm[h0]
+                if lone and c not in ech.pivots and amb.virtual(c, ech.pivots) is None:
+                    translated[c] = (piv, t)
+                    by_deg[deg[c]] += 1
+                    translates.append(c)
+                else:
+                    new = screened(_right_h, piv, g)
+                    if new is not None:
+                        keep(new, layer)
+                        work.append(new)
+
+    def consider(op, piv: int, arg: int, layer: list, translates: list) -> None:
+        record(screened(op, piv, arg), layer, translates)
+
+    # the seeds, stored and translated, in one list that grows while it is
+    # read: the H-closure
+    seeds = []
     for row in _relator_rows(H, B, kappa, amb, ech):
-        record(ech.insert(row), others[2])
-    # the seeds' H-closure; the list grows while it is read
-    for piv in others[2]:
+        record(ech.insert(row), seeds, seeds)
+    for piv in seeds:
+        stored = piv in ech.pivots
         for g in hgens:
-            consider(_right_h, piv, g, others[2])
-            consider(_left_h, piv, g, others[2])
+            if g not in in_group:
+                consider(_right_h, piv, g, seeds, seeds)
+            if stored:
+                consider(_left_h, piv, g, seeds, seeds)
+    others[2] = [c for c in seeds if c in ech.pivots]
+    lefts[2] = [c for c in seeds if c in translated]
     # every left multiple of a generation before its right multiples, so
     # that the free left multiples claim their lead columns first
-    deg, lshift = amb.deg, amb.lshift
     for j in range(2, D):
         sources = others[j] + lefts[j]
         # before any left multiple is reduced, so that no reduction stops at
@@ -753,8 +962,8 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
             m = deg[piv]
             for v in range(vd):
                 c = piv + lshift[v][m]
-                if c in ech.pivots:
-                    consider(_left_v, piv, v, layer)
+                if c in ech.pivots or c in translated:
+                    consider(_left_v, piv, v, layer, layer)
                 else:
                     # a free lead: v x is the virtual pivot at c, counted
                     # here; nothing multiplies a pivot of generation D
@@ -763,7 +972,7 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
                         layer.append(c)
         for piv in others[j]:
             for v in range(vd):
-                consider(_right_v, piv, v, others[j + 1])
+                consider(_right_v, piv, v, others[j + 1], layer)
 
     # pivot counts by degree, virtual and stored, give dim(span  cap  T_{<=m})
     for c in ech.pivots:

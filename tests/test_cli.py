@@ -31,6 +31,16 @@ def test_round_trip_byte_identical(tmp_path, name):
     assert render_problem(load_spec(str(path2))) == text1
 
 
+def test_render_problem_matches_json_dumps():
+    # the encoder's chunks are joined once; the bytes must be json.dumps's
+    from hopfpbw.cli import problem_to_json
+    for name in PRESETS + ["taft-7", "taft-9"]:
+        for with_kappa in (False, True):
+            prob = build_problem(name, with_kappa=with_kappa)
+            want = json.dumps(problem_to_json(prob), indent=2) + "\n"
+            assert render_problem(prob) == want, (name, with_kappa)
+
+
 @pytest.mark.parametrize("name", PRESETS)
 def test_validate_exit_zero(tmp_path, capsys, name):
     path = emit(tmp_path, name, with_kappa=False)
@@ -598,8 +608,8 @@ def test_parse_interns_each_distinct_literal_once(monkeypatch):
 
 # -- hostile input fuzz -------------------------------------------------------------
 
-FUZZ_PRESETS = ["sweedler", "taft-3", "h8", "cbh-cyclic-3"]
-FUZZ_FIELDS = [("hopf", "mult"), ("hopf", "comult"), ("hopf", "antipode"), ("hopf", "unit"),
+FUZZ_PRESETS = ["sweedler", "taft-3", "h8", "ha1", "cbh-cyclic-3"]
+FUZZ_FIELDS = [("field", "cyclotomic_order"), ("hopf", "mult"), ("hopf", "comult"), ("hopf", "antipode"), ("hopf", "unit"),
                ("hopf", "counit"), ("hopf", "labels"), ("hopf", "dim"), ("algebra", "action"),
                ("algebra", "relations"), ("kappa", "constant"), ("kappa", "linear")]
 
@@ -618,9 +628,12 @@ def test_fuzz_hostile_documents_exit_cleanly():
     # entry (a scalar of a kappa row, an entry of a relation or one of its
     # slots), a whole entry, or a dropped entry.  hopf.dim is replaced
     # whole, by a hostile value or by a size whose labels and counit follow
-    # it, so that the parser reads on into the tables.  Whatever the
-    # document, the CLI returns a documented exit code and raises nothing
-    # but SystemExit.
+    # it, so that the parser reads on into the tables, and the field's
+    # cyclotomic order by a hostile value.  A document that validate accepts
+    # also goes through a small oracle span, so that hostile tables reach the
+    # oracle's reading of H (its group-likes).  Whatever the document, the
+    # CLI returns a documented exit code, raises nothing but SystemExit and
+    # prints no traceback.
     import contextlib
     import io
     import tempfile
@@ -639,10 +652,12 @@ def test_fuzz_hostile_documents_exit_cleanly():
         doc = json.loads(json.dumps(docs[data.draw(st.sampled_from(FUZZ_PRESETS))]))
         block, key = data.draw(st.sampled_from(FUZZ_FIELDS))
         field = doc[block][key]
-        pos = data.draw(st.integers(0, len(field) - 1)) if key != "dim" else 0
+        pos = data.draw(st.integers(0, len(field) - 1)) if isinstance(field, list) else 0
         value = data.draw(_fuzz_values())
         kind = data.draw(st.sampled_from(["slot", "entry", "drop"]))
-        if key == "dim":
+        if key == "cyclotomic_order":
+            doc[block][key] = value
+        elif key == "dim":
             hdoc = doc["hopf"]
             if kind == "entry":
                 hdoc["dim"] = value
@@ -661,14 +676,19 @@ def test_fuzz_hostile_documents_exit_cleanly():
         else:
             field[pos] = value
         path.write_text(json.dumps(doc))
-        for cmd in ("validate", "check"):
+        codes = {}
+        for cmd in (["validate"], ["check"], ["oracle", "--degree", "2", "--buffer", "0"]):
+            if cmd[0] == "oracle" and codes["validate"] != 0:
+                break
             sink = io.StringIO()
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 try:
-                    rc = main([cmd, str(path)])
+                    rc = main([cmd[0], str(path), *cmd[1:]])
                 except SystemExit as exc:
                     rc = exc.code
+            codes[cmd[0]] = rc
             assert rc in (0, 1, 2, 3, 4), (cmd, block, key, pos, kind, value, sink.getvalue())
+            assert "Traceback" not in sink.getvalue(), (cmd, block, key, pos, kind, value)
 
     try:
         run()

@@ -131,6 +131,72 @@ def test_smash_mult_associativity(problem):
                         _op(R, amb, *inner, _op(R, amb, *outer, x)), (name, outer, inner)
 
 
+def _word_keyed(amb, row: dict) -> dict:
+    """A row keyed by (word, h) instead of the oracle's columns."""
+    out = {}
+    for col, c in row.items():
+        m = amb.deg[col]
+        wr, h = divmod(col - amb.base[m], amb.hdim)
+        word = []
+        for _ in range(m):
+            wr, v = divmod(wr, amb.vdim)
+            word.append(v)
+        out[tuple(reversed(word)), h] = c
+    return out
+
+
+def reference_products(H, B, vec: dict) -> dict:
+    """Every product of a (word, h)-keyed vector that the oracle forms, in
+    Scalars from straighten and H.mult: ("left_v", v) -> (v # 1) vec,
+    ("right_v", v) -> vec (v # 1), ("left_h", g) -> (1 # e_g) vec and
+    ("right_h", g) -> vec (1 # e_g)."""
+    o = one(H.order)
+    out = {}
+    for v in range(B.vdim):
+        left, right = {}, {}
+        for (word, h), c in vec.items():
+            add_into(left, ((v,) + word, h), c)
+            for ((v2,), h2), c2 in straighten(H, B, {h: o}, {(v,): o}).items():
+                add_into(right, (word + (v2,), h2), c * c2)
+        out["left_v", v], out["right_v", v] = left, right
+    for g in range(H.dim):
+        right = {}
+        for (word, h), c in vec.items():
+            for h2, c2 in H.mult[h][g].items():
+                add_into(right, (word, h2), c * c2)
+        out["left_h", g], out["right_h", g] = h_times(H, B, {g: o}, vec), right
+    return out
+
+
+@pytest.mark.parametrize("name", ["ha1", "taft-7", "h8"])
+def test_row_operators_match_scalar_products_entry_by_entry(problem, name):
+    # The oracle's tables agree with straighten and H.mult only if every
+    # coefficient each operator writes is the product's: a dims-only
+    # comparison passed a copy of `_right_v` that squared each coefficient.
+    # On seeded rows with cyclotomic coefficients, each operator over the
+    # Scalar ring must give the Scalar product entry by entry.
+    prob = problem(name)
+    H, B = prob.hopf, prob.algebra
+    R = scalar_ring(H, B)
+    units = oracle._translations(H)[0]
+    amb = oracle._Ambient(B.vdim, H.dim, 3)
+    rng = random.Random(f"row-operators-{name}")
+    for _ in range(4):
+        x = {}
+        for _ in range(5):
+            m = rng.randint(0, 2)
+            c = Scalar.from_int(H.order, rng.choice((-3, -2, -1, 1, 2, 3))) * units[
+                rng.randrange(len(units))]
+            add_into(x, amb.col(rng.randrange(B.vdim ** m), m, rng.randrange(H.dim)), c)
+        want = reference_products(H, B, _word_keyed(amb, x))
+        for v in range(B.vdim):
+            assert _word_keyed(amb, _op(R, amb, oracle._left_v, v, x)) == want["left_v", v]
+            assert _word_keyed(amb, _op(R, amb, oracle._right_v, v, x)) == want["right_v", v]
+        for g in range(H.dim):
+            assert _word_keyed(amb, _op(R, amb, oracle._left_h, g, x)) == want["left_h", g]
+            assert _word_keyed(amb, _op(R, amb, oracle._right_h, g, x)) == want["right_h", g]
+
+
 def h_times(H, B, a, vec):
     """a . vec in T(V) # H, for a in H and vec a (word, h)-keyed vector."""
     o = one(H.order)
