@@ -15,6 +15,10 @@ Commands and exit codes:
   koszul <file>              0; graded and overlap dimension tables
   preset <name>              0; writes a problem file
 
+Any command whose stdout is closed before it has written its report (a
+pipe into ``head``) ends with exit code 141, as a process that SIGPIPE
+ended reads in the shell (128 + 13), and prints no traceback.
+
 The global --json flag switches every report to a stable machine-readable
 schema; --cutoff (default 6) bounds the degrees of koszul --max and of the
 oracle span, and check and solve do not read it (the criterion works in
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .scalar import Scalar, parse_scalar, format_scalar, ScalarError
@@ -35,6 +40,11 @@ from .modalg import (ModuleAlgebra, ModAlgError, action_from_generators, validat
 from .deform import Kappa, check_pbw, solve_kappa, kappa_block_dims
 from .oracle import filtered_dims, pbw_probe, CONSISTENT_CAVEAT, OracleError
 from .presets import Problem, build_problem, PRESET_NAMES
+
+
+# The exit code when stdout is closed early: 128 + SIGPIPE, what the shell
+# reports for a process that the signal ended.
+EXIT_BROKEN_PIPE = 141
 
 
 class ParseError(Exception):
@@ -570,6 +580,21 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("-o", "--output", default=None)
 
     args = ap.parse_args(argv)
+    try:
+        code = _run(args)
+        # flush here, so that a reader who closed the pipe is seen inside the try
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout was closed early (`hopfpbw --json solve t9.json | head -c 100`):
+        # point it at devnull, so the flush at exit raises nothing, and end
+        # quietly, as the Python documentation of signal.SIGPIPE advises
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+
+
+def _run(args) -> int:
     try:
         if args.command == "validate":
             return cmd_validate(args.file, args.json, args.cutoff)

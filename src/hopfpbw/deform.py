@@ -24,7 +24,11 @@ once, as one sparse matrix with a column per coordinate of kappa
 (``_Columns``).  The checker sums kappa's entries times their columns, so
 it touches kappa's support only; the solver reads the columns as rows and
 computes the joint kernel of (a) and (b) exactly, then expands (c) and (d)
-on that space.  The quadratic coefficient tensors vanish in every bundled
+on that space.  It presolves as it goes: over a field, a row with one
+nonzero entry c x_u forces x_u = 0, so the solver builds the rows one
+generator at a time, drops every unknown that such a row forces to zero
+from the live set and from every row, and builds no more columns for it
+(``solve_kappa``).  The quadratic coefficient tensors vanish in every bundled
 problem (the linear part of the solution space is zero, or the overlap
 space is), so the residual constraints are linear and the solver reports
 the final family; otherwise it returns the residual polynomial system
@@ -216,7 +220,11 @@ def _overlap_expansions(B: ModuleAlgebra) -> tuple[list, list]:
 
 class _Columns:
     """Condition (a) and the overlap mismatches as one sparse matrix with a
-    column per coordinate of kappa, built on demand for one call.
+    column per coordinate of kappa, built on demand for one call.  The
+    checker builds the columns of kappa's support.  The solver builds a
+    generator's columns, and then the overlap columns, for the coordinates
+    that are still live; it skips every coordinate that an earlier
+    generator's one-entry row forced to zero (``solve_kappa``).
 
     A coordinate u = (a, k) is the coefficient of k in kappa(r_a), with
     k = h for kappa^C and k = (v, h) for kappa^L.  Both conditions are
@@ -428,6 +436,62 @@ def check_pbw(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa) -> ConditionReport
 
 # -- the solver ----------------------------------------------------------------
 
+def _ab_kernel(cols: _Columns, unknowns: list) -> tuple:
+    """Stage 1 of ``solve_kappa``: the canonical basis of the joint kernel
+    of (a) and (b) over ``unknowns``, presolved block by block."""
+    H, B = cols.H, cols.B
+    n, vd = len(unknowns), B.vdim
+    # every column read as a row entry.  (a) is the adjoint half minus the
+    # relabelled half; (b) is the remainder of deltaL modulo I (x) H, which
+    # kappa^C does not enter
+    words = {(v1, v2, (v1, v2)): cols.one for v1 in range(vd) for v2 in range(vd)}
+    rem_map: dict = {}      # word of V (x) V -> [(word, coefficient of its remainder mod I)]
+    for (w, out), c in reduce_slices(B, words, 2)[1].items():
+        rem_map.setdefault(w, []).append((out, c))
+    rows: dict = {}         # row key -> {unknown j: coefficient}
+    where: dict = {}        # unknown j -> the keys of the rows that j enters
+    dead: set = set()       # the unknowns that a one-entry row forced to zero
+
+    def presolve(block: dict) -> None:
+        rows.update(block)
+        for key, row in block.items():
+            for j in row:
+                where.setdefault(j, []).append(key)
+        todo = list(block)      # the new rows, then each row that loses an entry
+        while todo:
+            row = rows[todo.pop()]
+            if len(row) == 1:
+                (j,) = row
+                dead.add(j)
+                for key in where.pop(j):
+                    other = rows[key]
+                    del other[j]
+                    if len(other) == 1:
+                        todo.append(key)
+
+    one = cols.one
+    for i in sorted(algebra_generators(H), key=lambda i: H.comult[i] != {(i, i): one}):
+        block: dict = {}
+        for j, u in enumerate(unknowns):
+            if j not in dead:
+                for (b, half, k), c in cols.invariance(i, u).items():
+                    add_into(block.setdefault(("a", i, b, k), {}), j, -c if half else c)
+        presolve(block)
+    block = {}
+    for j, u in enumerate(unknowns):
+        if j not in dead and type(u[1]) is tuple:
+            for (t, (v1, v2, h)), c in cols.overlap(u).items():
+                for w, r in rem_map.get((v1, v2), ()):
+                    add_into(block.setdefault(("b", t, h, w), {}), j, c * r)
+    presolve(block)
+    live = [j for j in range(n) if j not in dead]
+    at = {j: col for col, j in enumerate(live)}
+    kernel = sparse_kernel([{at[j]: c for j, c in r.items()} for r in rows.values() if r],
+                           len(live), H.order)
+    return Subspace.from_sparse(n, [{live[col]: c for col, c in v.items()} for v in kernel],
+                                H.order).rows
+
+
 def solve_kappa(H: HopfAlgebra, B: ModuleAlgebra, force_linear_zero: bool = False) -> KappaFamily:
     """Solve for the full family of deformation maps passing all conditions.
 
@@ -446,6 +510,28 @@ def solve_kappa(H: HopfAlgebra, B: ModuleAlgebra, force_linear_zero: bool = Fals
     ``algebra_generators(H)`` only.  The elements under which kappa is
     invariant form a unital subalgebra, so this is the same kernel as
     imposing it for every basis element (see ``hopf``).
+
+    Stage 1 presolves as it builds the rows, one block per generator and
+    then the block of (b).  It rests on one lemma:
+
+        Over a field, a row whose only nonzero entry is c x_u (c != 0)
+        holds exactly when x_u = 0.  So the kernel of the rows is the
+        kernel of the other rows with x_u = 0, that is, with u's entries
+        deleted from them and u's coordinate set to zero.
+
+    So after each block, an unknown that some row holds alone is dropped
+    from the live set and from every row, and each row that this leaves
+    with one entry drops its unknown in turn, until no row has one entry;
+    only the new rows and the rows that lost an entry are scanned.  The
+    next block is built for the live unknowns only: a dropped unknown is
+    zero in every solution, so its columns add nothing.  The kernel of the
+    rows left is taken over the live columns and lifted back with zeros at
+    the dropped ones.  It is the kernel of the whole system, and
+    ``Subspace.from_sparse`` is canonical, so the basis does not depend on
+    the order of the blocks.  The group-like generators (Delta(e_g) =
+    e_g (x) e_g) come first, because in the bundled bases their rows are
+    mostly singletons: g drops 216 of taft-9's 243 unknowns, and ha1's two
+    group-like generators drop 424 of its 480.
     """
     d, vd, p = H.dim, B.vdim, B.dim_relations()
     unknowns = [(a, h) for a in range(p) for h in range(d)]
@@ -454,26 +540,7 @@ def solve_kappa(H: HopfAlgebra, B: ModuleAlgebra, force_linear_zero: bool = Fals
     n = len(unknowns)
     expansions, notes = _overlap_expansions(B)
     cols = _Columns(H, B, expansions)
-
-    # stage 1: every column read as a row entry.  (a) is the adjoint half
-    # minus the relabelled half; (b) is the remainder of deltaL modulo
-    # I (x) H, which kappa^C does not enter
-    words = {(v1, v2, (v1, v2)): cols.one for v1 in range(vd) for v2 in range(vd)}
-    rem_map: dict = {}      # word of V (x) V -> [(word, coefficient of its remainder mod I)]
-    for (w, out), c in reduce_slices(B, words, 2)[1].items():
-        rem_map.setdefault(w, []).append((out, c))
-    rows: dict = {}
-    gens = algebra_generators(H)
-    for j, u in enumerate(unknowns):
-        for i in gens:
-            for (b, half, k), c in cols.invariance(i, u).items():
-                add_into(rows.setdefault(("a", i, b, k), {}), j, -c if half else c)
-        if type(u[1]) is tuple:
-            for (t, (v1, v2, h)), c in cols.overlap(u).items():
-                for w, r in rem_map.get((v1, v2), ()):
-                    add_into(rows.setdefault(("b", t, h, w), {}), j, c * r)
-    kernel_vecs = Subspace.from_sparse(n, sparse_kernel([r for r in rows.values() if r], n, H.order),
-                                       H.order).rows
+    kernel_vecs = _ab_kernel(cols, unknowns)
 
     def vec_to_kappa(vec: dict) -> Kappa:
         kp = Kappa.zero(H, B)

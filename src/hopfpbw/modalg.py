@@ -4,7 +4,8 @@ The action is one vdim x vdim matrix per H-basis element, usually given
 on the algebra generators of H only and extended by
 ``hopf.derive_from_generators``, which also derives every preset's Delta
 and S.  The action on degree-m tensors is the counit applied to the H-leg
-of ``smash.straighten``, so the smash product has one commutation rule.
+of ``smash.straighten``, so the smash product has one commutation rule
+(the last letter is acted on directly, by the counit law).
 Relation input may be any spanning set of I inside V (x) V; it is
 canonicalized to a reduced-echelon basis once, so downstream reports and
 deformation-map coordinates always refer to the same basis.
@@ -136,11 +137,24 @@ def reduce_slices(B: ModuleAlgebra, t: dict, leg: int) -> tuple[list, dict]:
 
 
 def act_on_tensor(H: HopfAlgebra, B: ModuleAlgebra, a: dict, t: dict) -> dict:
-    """Action of an H-element on a tensor in T(V): the counit applied to the
-    H-leg of ``straighten``, since a . w = sum (a1 . w) eps(a2)."""
+    """Action of an H-element on a tensor in T(V): a . w = sum (a1 . w) eps(a2),
+    the counit applied to the H-leg of ``straighten``.  The last letter v
+    needs no coproduct, since sum (h1 . v) eps(h2) = h . v: each word is
+    straightened through all letters but its last, and the H-leg h left
+    over acts on that letter through B's column e_h . v (on the empty word
+    it is the counit)."""
+    columns = B._columns
+    by_last: dict = {}      # last letter, or () -> {the rest of the word: coefficient}
+    for word, c in t.items():
+        by_last.setdefault(word[-1:], {})[word[:-1]] = c
     out: dict = {}
-    for (word, h), c in straighten(H, B, a, t).items():
-        add_into(out, word, c * H.counit[h])
+    for last, head in by_last.items():
+        for (prefix, h), c in straighten(H, B, a, head).items():
+            if not last:
+                add_into(out, prefix, c * H.counit[h])
+                continue
+            for v, cv in columns[h][last[0]].items():
+                add_into(out, prefix + (v,), c * cv)
     return out
 
 

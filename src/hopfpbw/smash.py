@@ -18,7 +18,8 @@ This is the only code that applies the coproduct to the action.
 four row operators, which form every product it takes in T(V) # H.  The
 two actions the package reads are the H-leg of one straightening with one
 more map applied: the counit for the action of H on T(V)
-(``modalg.act_on_tensor``), and the adjoint action on H for the action on
+(``modalg.act_on_tensor``, which by the counit law acts on the last letter
+directly), and the adjoint action on H for the action on
 V (x) H that condition (a) reads (``adjoint_on_VH``).  The one-letter
 action e_h . v comes from the nonzero columns that ``ModuleAlgebra``
 derives once from its action matrices.

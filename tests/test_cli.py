@@ -5,7 +5,8 @@ import random
 import pytest
 
 from hopfpbw.cli import (main, load_spec, parse_problem, render_problem, emit_preset, ParseError,
-                         ValidationError, MAX_ALGEBRA_GENERATORS, MAX_CYCLOTOMIC_ORDER, MAX_HOPF_DIM)
+                         ValidationError, EXIT_BROKEN_PIPE, MAX_ALGEBRA_GENERATORS,
+                         MAX_CYCLOTOMIC_ORDER, MAX_HOPF_DIM)
 from hopfpbw.presets import build_problem
 from hopfpbw.hopf import add_into
 from hopfpbw.scalar import Scalar, format_scalar, parse_scalar, zeta
@@ -223,6 +224,29 @@ def test_huge_degree_refused_without_a_traceback(tmp_path, args):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
     assert "above the limit" in proc.stderr
+
+
+@pytest.mark.parametrize("args", [["--json", "solve", "FILE"], ["solve", "FILE"],
+                                  ["--json", "check", "FILE"], ["preset", "taft-9"]])
+def test_closed_stdout_ends_quietly(tmp_path, args):
+    # `hopfpbw --json solve t9.json | head -c 100` printed a BrokenPipeError
+    # traceback from cmd_solve's print.  A reader that is gone before the
+    # first byte is the same case, with no race: the command ends with
+    # exit code 141 (128 + SIGPIPE) and writes nothing to stderr
+    import os
+    import subprocess
+    import sys
+    path = emit(tmp_path, "taft-9")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hopfpbw.cli",
+                               *(str(path) if a == "FILE" else a for a in args)],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_BROKEN_PIPE == 141
+    assert proc.stderr == ""
 
 
 def test_koszul_max_is_bounded_by_the_cutoff(tmp_path, capsys):

@@ -1,11 +1,12 @@
+import dataclasses
 import random
 
 import pytest
 
 from hopfpbw.scalar import Scalar, zeta
-from hopfpbw.exactla import Subspace
+from hopfpbw import deform, modalg
+from hopfpbw.exactla import Subspace, sparse_kernel
 from hopfpbw.hopf import _fmt_tensor, add_into, algebra_generators, format_hvec
-from hopfpbw import modalg
 from hopfpbw.modalg import koszul_component, reduce_mod_relations
 from hopfpbw.presets import build_problem
 from hopfpbw.smash import straighten
@@ -611,6 +612,69 @@ def test_solver_kernel_matches_the_reference_matrix(problem, name):
            for kp in solve_kappa(H, B).ab_basis]
     assert len(got) == len(want)
     assert reference_rref(got, n)[0] == reference_rref(want, n)[0]
+
+
+# -- the presolve against the whole system ----------------------------------------
+# Stage 1 builds its rows one generator at a time and drops each unknown that
+# a one-entry row forces to zero before it builds the next block.  The
+# reference is stage 1 without that: the rows of every generator, in the
+# order of algebra_generators(H), for every unknown, stacked with the (b)
+# rows and reduced in one sparse_kernel.
+
+def reference_ab_kernel(cols, unknowns):
+    H, B = cols.H, cols.B
+    n, vd = len(unknowns), B.vdim
+    words = {(v1, v2, (v1, v2)): cols.one for v1 in range(vd) for v2 in range(vd)}
+    rem_map = {}
+    for (w, out), c in modalg.reduce_slices(B, words, 2)[1].items():
+        rem_map.setdefault(w, []).append((out, c))
+    rows = {}
+    for j, u in enumerate(unknowns):
+        for i in algebra_generators(H):
+            for (b, half, k), c in cols.invariance(i, u).items():
+                add_into(rows.setdefault(("a", i, b, k), {}), j, -c if half else c)
+        if type(u[1]) is tuple:
+            for (t, (v1, v2, h)), c in cols.overlap(u).items():
+                for w, r in rem_map.get((v1, v2), ()):
+                    add_into(rows.setdefault(("b", t, h, w), {}), j, c * r)
+    kernel = sparse_kernel([r for r in rows.values() if r], n, H.order)
+    return Subspace.from_sparse(n, kernel, H.order).rows
+
+
+PRESOLVE_CASES = ["sweedler", "taft-3", "taft-4", "taft-5", "taft-7", "taft-9", "h8", "ha1",
+                  "cbh-cyclic-2", "cbh-cyclic-3", "cbh-cyclic-4",
+                  "taft-3-rebased", "ha1-rebased", "poly3", "square-zero"]
+
+
+@pytest.mark.parametrize("force_linear_zero", [False, True])
+@pytest.mark.parametrize("greedy", [False, True])
+@pytest.mark.parametrize("name", PRESOLVE_CASES)
+def test_presolve_matches_the_whole_system(problem, monkeypatch, name, greedy, force_linear_zero):
+    # the rebased problems write H in the basis f_a = e_a + e_b of
+    # tests/test_oracle.py, where the rows of the group-likes are not all
+    # singletons; the two local algebras are the ones where (b) cuts
+    from test_oracle import _rebased
+    local = {"poly3": _poly3_problem, "square-zero": _square_zero_problem}
+    rebased = {"taft-3-rebased": ("taft-3", 3, 1), "ha1-rebased": ("ha1", 1, 8)}
+    if name in local:
+        H, B = local[name]()
+    elif name in rebased:
+        base, a, b = rebased[name]
+        prob = problem(base)
+        H, B, _move = _rebased(prob, a, b, prob.hopf.one_scalar())
+        H = dataclasses.replace(H, generators=prob.hopf.generators)
+    else:
+        H, B = problem(name).hopf, problem(name).algebra
+    if greedy:
+        H = dataclasses.replace(H, generators=None)
+    got = solve_kappa(H, B, force_linear_zero)
+    monkeypatch.setattr(deform, "_ab_kernel", reference_ab_kernel)
+    want = solve_kappa(H, B, force_linear_zero)
+    assert got.ab_basis == want.ab_basis
+    assert got.linear_basis == want.linear_basis
+    assert got.family_dim == want.family_dim
+    assert ([rp.render() for rp in got.residual_system]
+            == [rp.render() for rp in want.residual_system])
 
 
 def test_overlap_space_is_derived_once_per_algebra(monkeypatch):

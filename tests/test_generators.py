@@ -661,13 +661,22 @@ def test_solver_assembles_condition_a_on_generators_only(monkeypatch):
     fam = solve_kappa(H, B)
     assert fam.family_dim == 10
     S = algebra_generators(H)
-    assert len(S) == 2
-    # |S| * vdim * d images on V (x) H, not d * vdim * d.  The images on H
-    # are ad(e_k)(e_l) for k in S and for the second legs k of the
+    assert [H.labels[i] for i in S] == ["g", "x"]
+    # at most |S| * vdim * d images on V (x) H, not d * vdim * d.  The images
+    # on H are ad(e_k)(e_l) for k in S and for the second legs k of the
     # coproducts of S, which the images on V (x) H read from the same cache
     K = set(S) | {k for s in S for _j, k in H.comult[s]}
-    assert calls["vh"] == len(S) * B.vdim * H.dim == 100
-    assert calls["h"] == len(K) * H.dim == 75
+    # the solver presolves (see deform.solve_kappa): the group-like g comes
+    # first, with all 25 kappa^C and 50 kappa^L unknowns live, so its block
+    # takes 50 images on V (x) H and the 25 ad(g)(e_h) on H (those images
+    # read ad(g) only, Delta(g) = g (x) g).  Its one-entry rows leave live
+    # the 5 kappa^C unknowns at h = g^j x^4 and 10 kappa^L unknowns, (u, g^j x^4)
+    # and (v, g^j).  x's block, Delta(x) = x (x) 1 + g (x) x, takes 10 images
+    # on V (x) H, and on H ad(x)(e_l) at the 10 H-legs l of the live unknowns
+    # and ad(1)(e_l) at the 5 l = g^j, the legs of (v, g^j), since x . v = u
+    # and x . u = 0
+    assert calls["vh"] == 50 + 10 == 60 <= len(S) * B.vdim * H.dim == 100
+    assert calls["h"] == 25 + 10 + 5 == 40 <= len(K) * H.dim == 75
 
 
 def test_solver_computes_no_linear_columns_under_fix_linear_zero(monkeypatch):
@@ -688,8 +697,12 @@ def test_solver_computes_no_linear_columns_under_fix_linear_zero(monkeypatch):
     monkeypatch.setattr(deform, "adjoint_on_H", count_h)
     fam = solve_kappa(H, B, force_linear_zero=True)
     assert all(not row for kp in fam.linear_basis for row in kp.linear)
-    # with no kappa^L unknowns, no image on V (x) H is needed
-    assert calls == {"vh": 0, "h": len(algebra_generators(H)) * H.dim}
+    # with no kappa^L unknowns, no image on V (x) H is needed.  On H, g's
+    # block takes ad(g)(e_h) for all 25 kappa^C unknowns; its one-entry rows
+    # leave the 5 at h = g^j x^4 live, and x's block takes ad(x)(e_h) at
+    # those 5 alone (see deform.solve_kappa)
+    assert calls == {"vh": 0, "h": 25 + 5}
+    assert calls["h"] <= len(algebra_generators(H)) * H.dim == 50
 
 
 def test_hopf_validation_multiplies_each_constant_pair_once(monkeypatch):
