@@ -29,7 +29,7 @@ from functools import cached_property
 from .scalar import Scalar
 from .exactla import Subspace, SparseEchelon, intersect
 from .hopf import (HopfAlgebra, ValidationReport, add_into, algebra_generators,
-                   derive_from_generators, format_terms, product_memo)
+                   derive_from_generators, format_terms, ScalarMemo)
 from .smash import straighten
 
 
@@ -191,9 +191,16 @@ def validate_action(H: HopfAlgebra, B: ModuleAlgebra) -> ValidationReport:
     algebra law in higher degrees then holds automatically because the
     action on tensors is defined through the iterated coproduct.
 
-    H must already pass ``validate_hopf``: multiplicativity is checked
-    for first factors in ``algebra_generators(H)`` only, which is exact
-    once H is associative and rho(1) = id (see ``hopf``).
+    H must already pass ``validate_hopf``.  Multiplicativity is checked
+    for first factors in S = ``algebra_generators(H)`` only, which is exact
+    once H is associative and rho(1) = id (see ``hopf``).  Relation
+    stability is checked on S first, by one lemma: once rho is unital and
+    multiplicative and Delta is multiplicative, h -> rho(h1) (x) rho(h2) is
+    a unital algebra map on V (x) V, so the h whose action keeps I form a
+    unital subalgebra, which is H once it holds S.  Only when a generator
+    fails, or the report already holds a failure (and the lemma does not
+    apply), is every basis element tried, in order, so the witnesses are
+    those of the loop over every basis element.
     """
     fails = []
     d = H.dim
@@ -201,7 +208,7 @@ def validate_action(H: HopfAlgebra, B: ModuleAlgebra) -> ValidationReport:
     zero = Scalar.zero(B.order)
     one = Scalar.one(B.order)
 
-    mul = product_memo()
+    mul = ScalarMemo()
     # sparse rows of the action matrices: nz[h][r] = [(t, rho(e_h)[r][t]) nonzero]
     nz = [[[(t, c) for t, c in enumerate(row) if not c.is_zero()] for row in mat]
           for mat in B.action]
@@ -219,7 +226,8 @@ def validate_action(H: HopfAlgebra, B: ModuleAlgebra) -> ValidationReport:
                 fails.append(("action_unital", (r, s), str(ident[r][s]), str(want)))
 
     # rho(e_i) rho(e_j) = rho(e_i e_j), for i in the generating set
-    for i in algebra_generators(H):
+    gens = algebra_generators(H)
+    for i in gens:
         for j in range(d):
             prod = [[zero] * vd for _ in range(vd)]
             target = [[zero] * vd for _ in range(vd)]
@@ -236,13 +244,20 @@ def validate_action(H: HopfAlgebra, B: ModuleAlgebra) -> ValidationReport:
                         fails.append(("action_multiplicative", (i, j, r, s),
                                       str(prod[r][s]), str(target[r][s])))
 
-    # H-stability of the relation space
-    for i in range(d):
+    # H-stability of the relation space, on the generating set first
+    def unstable(i: int) -> list:
+        out = []
         for a in range(B.dim_relations()):
             img = act_on_tensor(H, B, H.basis_vec(i), B.relation_sparse(a))
             if reduce_mod_relations(B, img)[1]:
-                fails.append(("relations_stable", (i, a),
-                              B.format_tensor(img), "element of the relation space"))
+                out.append(("relations_stable", (i, a),
+                            B.format_tensor(img), "element of the relation space"))
+        return out
+
+    found = {i: unstable(i) for i in gens}
+    if fails or any(found.values()):
+        for i in range(d):
+            fails.extend(found[i] if i in found else unstable(i))
 
     return ValidationReport(passed=not fails, failures=fails)
 

@@ -155,9 +155,10 @@ only the rows that ``insert`` stored.
 Translated pivots.  G is the set of group-like basis elements e_g != 1
 of H, Delta(e_g) = e_g (x) e_g, whose right multiplication sends each e_h
 to a root-of-unity multiple of a basis element, by a bijection, with G
-and the unit closed under products (``_translations``): sweedler has 1,
-taft-n n - 1, h8 3, ha1 7 and cbh-cyclic-n n - 1.  In a basis where this
-fails G is empty and the span is the one without translations.  Right
+and the unit closed under products (``HopfAlgebra.right_translations``,
+read off H's tables once per H): sweedler has 1, taft-n n - 1, h8 3, ha1 7
+and cbh-cyclic-n n - 1.  In a basis where this fails G is empty and the
+span is the one without translations.  Right
 multiplication by 1 # e_g, R_g, moves each column within its word and
 multiplies its entry by a unit: a relabelling, like left multiplication
 by a letter, but within each word.  Every pivot y that ``insert`` stores
@@ -305,9 +306,10 @@ class _Ambient:
         # m moves under the letters that ``virtual`` walks back through to
         # it, composed on the first use of the key
         self.shifts: dict = {}
-        # the right translations (``_translations``): units[e] is a root of
-        # unity, and group[t] = (hmove, exps) moves the entry of each column
-        # of H-index h by hmove[h] and multiplies it by units[exps[h]]
+        # the right translations (``HopfAlgebra.right_translations``):
+        # units[e] is a root of unity, and group[t] = (hmove, exps) moves the
+        # entry of each column of H-index h by hmove[h] and multiplies it by
+        # units[exps[h]]
         units, group = translations
         self.units = list(units) if group else []
         self.group = [([k - h for h, k in enumerate(perm)], exps) for _, perm, exps in group]
@@ -375,7 +377,8 @@ class _Ambient:
         """moves[t, h0]: the t-th translation of a row whose lead has
         H-index h0, divided by the unit units[exps[h0]] that the lead picks
         up, so that the lead keeps its coefficient.  A unit exponent e
-        stands for (-1)^(e // N) zeta^(e % N) (``_translations``)."""
+        stands for (-1)^(e // N) zeta^(e % N)
+        (``HopfAlgebra.right_translations``)."""
         t, h0 = key
         hmove, exps = self.group[t]
         N = len(self.units) // 2
@@ -383,51 +386,6 @@ class _Ambient:
         norm = [(s - s0) % 2 * N + (k - k0) % N for s, k in (divmod(e, N) for e in exps)]
         move = self.moves[key] = (hmove, norm)
         return move
-
-
-# -- right translations ------------------------------------------------------------
-
-def _translations(H: HopfAlgebra) -> tuple[list, list]:
-    """(units, G): the right translations of the span.  units[e] is
-    (-1)^(e // N) zeta^(e % N), e < 2N, so every root of unity of Q(zeta_N).
-    G lists (g, perm, exps), one per group-like basis element e_g != 1
-    (Delta(e_g) = e_g (x) e_g) whose right multiplication is monomial:
-    e_h e_g = units[exps[h]] e_perm[h] for every h, perm a bijection.  G is
-    empty unless G and the unit are closed under products."""
-    order, d = H.order, H.dim
-    f = field(order)
-    powers = [Scalar._make(order, 1, v) for v in f.powers]
-    units = powers + [-u for u in powers]
-    exp: dict = {}
-    for e, u in enumerate(units):
-        exp.setdefault(u, e)
-    one = units[0]
-    if len(H.unit) != 1 or one not in H.unit.values():
-        return units, []
-    u1, = H.unit
-    group = []
-    for g in range(d):
-        if g == u1 or H.comult[g] != {(g, g): one}:
-            continue
-        perm, exps = [], []
-        for h in range(d):
-            prod = H.mult[h][g]
-            if len(prod) != 1:
-                break
-            (k, c), = prod.items()
-            e = exp.get(c)
-            if e is None:
-                break
-            perm.append(k)
-            exps.append(e)
-        else:
-            if len(set(perm)) == d:
-                group.append((g, perm, exps))
-    # e_g2 e_g must be a member itself, with coefficient one
-    members = {g for g, _, _ in group} | {u1}
-    if any(perm[g2] not in members or exps[g2] for _, perm, exps in group for g2 in members):
-        return units, []
-    return units, group
 
 
 # -- coefficient domains ---------------------------------------------------------
@@ -864,7 +822,7 @@ def filtered_dims(H: HopfAlgebra, B: ModuleAlgebra, kappa: Kappa,
         if columns > MAX_SPAN_COLUMNS:
             raise OracleError(f"the span through degree {D} has at least {columns} columns, "
                               f"above the limit {MAX_SPAN_COLUMNS}")
-    units, group = _translations(H)
+    units, group = H.right_translations
     amb = _Ambient(vd, d, D, (units, group))
     ech = SparseEchelon(H.order)
     straightened = _straightened(H, B)

@@ -11,15 +11,22 @@ condition (a) must give the decision and witnesses of the loop over every
 basis element.
 
 ``reference_validate_hopf`` is the validator as it was before its loops
-combined the tables directly; the rewritten one must return the same
-failure list, tuple for tuple and in order, on every preset and corpus,
-and must multiply each pair of constants once per call.
+combined the tables directly; the rewritten one, which compares a whole
+table row at a time, must return the same failure list, tuple for tuple
+and in order, on every preset and corpus (rows scaled so that many k fail
+in one row, Delta and eps failing at one (i, j), tables holding explicit
+zeros, a rebased H whose products have several terms), and must multiply
+each pair of constants once per call.  ``reference_validate_action`` is
+the action validator as it was before relation stability ran on S first;
+the reduced one must return its failure list on the action corpora and on
+mutated relations.
 """
 
 import dataclasses
 import importlib
 import importlib.util
 import json
+import operator
 import random
 from pathlib import Path
 from types import SimpleNamespace
@@ -33,13 +40,14 @@ from hopfpbw.exactla import Matrix, rref
 from hopfpbw.hopf import (NotGenerating, ValidationReport, _fmt_tensor, _generator_set,
                           _left_closure, add_into, adjoint_on_H, algebra_generators,
                           format_hvec, h_mul, tensor_mult, validate_hopf, vec_eq)
-from hopfpbw.modalg import act_on_tensor, validate_action
+from hopfpbw.modalg import act_on_tensor, reduce_mod_relations, validate_action
 from hopfpbw.oracle import filtered_dims
 from hopfpbw.presets import build_problem, preset_hopf
 from hopfpbw.scalar import Scalar, format_scalar, parse_scalar
 
 from test_acceptance import PRESET_LIST, _mutate, _mutation_sites
 from test_hopf import coproduct_iter
+from test_oracle import _rebased
 from test_smash import ReferenceAdjointVH, reference_adjoint_on_VH
 
 HOPF_PRESETS = ["sweedler", "taft-3", "taft-4", "taft-5", "h8", "ha1",
@@ -293,6 +301,74 @@ def reference_validate_hopf(H):
     return ValidationReport(passed=not fails, failures=fails)
 
 
+# validate_action as it was before relation stability ran on S first, kept
+# verbatim (its product memo replaced by plain products) as the reference
+# for the reduced check's full failure list
+
+def reference_validate_action(H, B):
+    """Check that the action makes B an H-module algebra in degree <= 2.
+
+    Verifies that h -> action matrix is a unital algebra map on V and that
+    the relation space is stable under the degree-2 action; the module
+    algebra law in higher degrees then holds automatically because the
+    action on tensors is defined through the iterated coproduct.
+
+    H must already pass ``validate_hopf``: multiplicativity is checked
+    for first factors in ``algebra_generators(H)`` only, which is exact
+    once H is associative and rho(1) = id (see ``hopf``).
+    """
+    fails = []
+    d = H.dim
+    vd = B.vdim
+    zero = Scalar.zero(B.order)
+    one = Scalar.one(B.order)
+
+    mul = operator.mul
+    # sparse rows of the action matrices: nz[h][r] = [(t, rho(e_h)[r][t]) nonzero]
+    nz = [[[(t, c) for t, c in enumerate(row) if not c.is_zero()] for row in mat]
+          for mat in B.action]
+
+    # rho(1_H) = id
+    ident = [[zero] * vd for _ in range(vd)]
+    for i, c in H.unit.items():
+        for r in range(vd):
+            for s, a in nz[i][r]:
+                ident[r][s] = ident[r][s] + mul(c, a)
+    for r in range(vd):
+        for s in range(vd):
+            want = one if r == s else zero
+            if ident[r][s] != want:
+                fails.append(("action_unital", (r, s), str(ident[r][s]), str(want)))
+
+    # rho(e_i) rho(e_j) = rho(e_i e_j), for i in the generating set
+    for i in algebra_generators(H):
+        for j in range(d):
+            prod = [[zero] * vd for _ in range(vd)]
+            target = [[zero] * vd for _ in range(vd)]
+            for r in range(vd):
+                for t, a in nz[i][r]:
+                    for s, b in nz[j][t]:
+                        prod[r][s] = prod[r][s] + mul(a, b)
+                for k, ck in H.mult[i][j].items():
+                    for s, b in nz[k][r]:
+                        target[r][s] = target[r][s] + mul(ck, b)
+            for r in range(vd):
+                for s in range(vd):
+                    if prod[r][s] != target[r][s]:
+                        fails.append(("action_multiplicative", (i, j, r, s),
+                                      str(prod[r][s]), str(target[r][s])))
+
+    # H-stability of the relation space
+    for i in range(d):
+        for a in range(B.dim_relations()):
+            img = act_on_tensor(H, B, H.basis_vec(i), B.relation_sparse(a))
+            if reduce_mod_relations(B, img)[1]:
+                fails.append(("relations_stable", (i, a),
+                              B.format_tensor(img), "element of the relation space"))
+
+    return ValidationReport(passed=not fails, failures=fails)
+
+
 def _unvalidated(doc):
     return parse_problem(json.loads(json.dumps(doc)))
 
@@ -475,6 +551,171 @@ def test_validator_matches_reference_on_table_mutations(key):
     assert failed >= 10
 
 
+# -- a whole table row per comparison, split only where it fails -------------------------
+
+FACTORS = ("2", "-1", "1/2", "3")
+
+
+def _scaled(H, cells, factor):
+    """A new H whose products e_i e_j, (i, j) in cells, are scaled by factor."""
+    mult = [list(row) for row in H.mult]
+    for i, j in cells:
+        mult[i][j] = {k: factor * c for k, c in H.mult[i][j].items()}
+    return dataclasses.replace(H, mult=mult)
+
+
+def _with_zeros(H, rng):
+    """A new H with explicit zero Scalars set in a third of the cells of mult
+    and of comult (at least one of each), at keys the tables leave out."""
+    zero = Scalar.zero(H.order)
+    d = H.dim
+    mult = [[dict(cell) for cell in row] for row in H.mult]
+    comult = [dict(cell) for cell in H.comult]
+    for cells, keys in (([cell for row in mult for cell in row], list(range(d))),
+                        (comult, [(a, b) for a in range(d) for b in range(d)])):
+        open_cells = [cell for cell in cells if len(cell) < len(keys)]
+        for cell in rng.sample(open_cells, max(1, len(open_cells) // 3)):
+            cell[rng.choice([k for k in keys if k not in cell])] = zero
+    return dataclasses.replace(H, mult=mult, comult=comult)
+
+
+@pytest.mark.parametrize("name", HOPF_PRESETS)
+def test_row_read_off_matches_reference_on_scaled_rows(name):
+    # the whole row mult[i][.] scaled, for each i in S: e_i 1 = c e_i, so
+    # (e_i 1) e_k and e_i (1 e_k) differ at every k with e_i e_k != 0, and
+    # the split row must emit each failing k once, in ascending order
+    H = preset_hopf(name)
+    rng = random.Random(f"scaled-row:{name}")
+    rows_with_many = 0
+    for i in algebra_generators(H):
+        factor = parse_scalar(rng.choice(FACTORS[:1] + FACTORS[2:]), H.order)
+        rep = _same_failures_as_reference(_scaled(H, [(i, j) for j in range(H.dim)], factor))
+        assert not rep.passed
+        per_row: dict = {}
+        for axiom, wit, _, _ in rep.failures:
+            if axiom == "associativity":
+                per_row[wit[:2]] = per_row.get(wit[:2], 0) + 1
+        rows_with_many += any(n > 1 for n in per_row.values())
+    # cyclic-1 is one-dimensional: a row has one k
+    assert rows_with_many == (len(algebra_generators(H)) if H.dim > 1 else 0), name
+
+
+@pytest.mark.parametrize("name", ["sweedler", "taft-3", "taft-4", "h8", "ha1"])
+def test_row_read_off_matches_reference_in_a_rebased_basis(name):
+    # f_a = e_a + c e_b for seeded a, b, c: products of several terms, whose
+    # row sums cancel, and rows whose failing k are not met in ascending
+    # order while the sides are summed; valid, then each row of S scaled
+    prob = build_problem(name)
+    rng = random.Random(f"rebased:{name}")
+    d = prob.hopf.dim
+    for trial in range(3):
+        a, b = rng.sample(range(d), 2)
+        c = parse_scalar(rng.choice(FACTORS), prob.hopf.order)
+        H = _rebased(prob, a, b, c)[0]
+        assert _same_failures_as_reference(H).passed, (name, a, b)
+        for i in algebra_generators(H):
+            factor = parse_scalar(rng.choice(FACTORS[:1] + FACTORS[2:]), H.order)
+            cells = [(i, j) for j in range(d)]
+            assert not _same_failures_as_reference(_scaled(H, cells, factor)).passed
+
+
+@pytest.mark.parametrize("name", HOPF_PRESETS)
+def test_row_read_off_matches_reference_where_delta_and_eps_fail_together(name):
+    # e_i e_j doubled where eps(e_i e_j) != 0: both the Delta and the eps
+    # failure are at (i, j), Delta's first
+    H = preset_hopf(name)
+    rng = random.Random(f"delta-eps:{name}")
+    S = algebra_generators(H)
+    zero = H.zero_scalar()
+    cells = [(i, j) for i in S for j in range(H.dim)
+             if sum((c * H.counit[m] for m, c in H.mult[i][j].items()), zero) != zero]
+    for i, j in rng.sample(cells, min(3, len(cells))):
+        rep = _same_failures_as_reference(_scaled(H, [(i, j)], Scalar.from_int(H.order, 2)))
+        at = [f for f in rep.failures if f[0] == "bialgebra" and f[1] == (i, j)]
+        assert len(at) == 2 and "(x)" in at[0][2] and "(x)" not in at[1][2], (name, i, j)
+
+
+@pytest.mark.parametrize("name", [n for n in HOPF_PRESETS if n != "cyclic-1"])
+def test_row_read_off_matches_reference_with_explicit_zero_entries(name):
+    # a table that keeps zero entries describes the same H: no side may keep
+    # a zero, valid or mutated (cyclic-1's one cell of mult is full)
+    H = preset_hopf(name)
+    rng = random.Random(f"explicit-zeros:{name}")
+    Z = _with_zeros(H, rng)
+    assert any(c.is_zero() for row in Z.mult for cell in row for c in cell.values())
+    assert any(c.is_zero() for cell in Z.comult for c in cell.values())
+    assert _same_failures_as_reference(Z).passed
+    i = rng.choice(algebra_generators(Z))
+    factor = parse_scalar(rng.choice(FACTORS), H.order)
+    assert not _same_failures_as_reference(_scaled(Z, [(i, j) for j in range(H.dim)],
+                                                   factor + H.one_scalar())).passed
+
+
+# -- relation stability on S first == the loop over every basis element -----------------
+
+def _same_action_failures_as_reference(H, B):
+    rep = validate_action(H, B)
+    want = reference_validate_action(H, B)
+    assert rep.failures == want.failures
+    assert rep.passed == want.passed
+    return rep
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_action_validator_matches_reference_on_presets(name):
+    prob = build_problem(name)
+    assert _same_action_failures_as_reference(prob.hopf, prob.algebra).passed
+
+
+@pytest.mark.parametrize("name", ["taft-3", "h8", "ha1"])
+def test_action_validator_matches_reference_on_derived_matrices(name):
+    # the corpus of test_reduced_action_matches_exhaustive_on_derived_matrices,
+    # same draws: the report already holds a failure, so every basis
+    # element's relations are tried
+    prob = build_problem(name)
+    H, B = prob.hopf, prob.algebra
+    S = algebra_generators(H)
+    rng = random.Random(f"action-outside-s:{name}")
+    for trial in range(10):
+        h = rng.choice([i for i in range(H.dim) if i not in S])
+        r, c = rng.randrange(B.vdim), rng.randrange(B.vdim)
+        action = list(B.action)
+        action[h] = [list(row) for row in action[h]]
+        action[h][r][c] = action[h][r][c] + Scalar.one(H.order)
+        mB = dataclasses.replace(B, action=action)
+        assert not _same_action_failures_as_reference(H, mB).passed, (name, h, r, c)
+
+
+def test_action_validator_matches_reference_on_relation_mutations():
+    # 6 seeded single-entry mutations of the relations per preset: an entry
+    # bumped, or one the document leaves out set.  A diagonal action (the
+    # cbh-cyclic presets) keeps most of them stable; the others mostly not
+    unstable = 0
+    for name in PROBLEMS:
+        doc = problem_to_json(build_problem(name))
+        order, vd = doc["field"]["cyclotomic_order"], len(doc["algebra"]["generators"])
+        rng = random.Random(f"relation-mutation:{name}")
+        for trial in range(6):
+            mutated = json.loads(json.dumps(doc))
+            rel = rng.choice(mutated["algebra"]["relations"])
+            bump = parse_scalar(rng.choice(TABLE_BUMPS), order)
+            if rng.random() < 0.5:
+                ent = rng.choice(rel)
+                ent[2] = format_scalar(parse_scalar(ent[2], order) + bump)
+            else:
+                i, j = rng.randrange(vd), rng.randrange(vd)
+                ent = next((e for e in rel if e[:2] == [i, j]), None)
+                if ent is None:
+                    rel.append([i, j, format_scalar(bump)])
+                else:
+                    ent[2] = format_scalar(parse_scalar(ent[2], order) + bump)
+            prob = _unvalidated(mutated)
+            assert validate_hopf(prob.hopf).passed
+            rep = _same_action_failures_as_reference(prob.hopf, prob.algebra)
+            unstable += not rep.passed
+    assert unstable >= 30
+
+
 # -- where S comes from -------------------------------------------------------------------
 
 def test_greedy_set_matches_the_hints():
@@ -638,6 +879,29 @@ def test_rebinding_a_table_derives_the_generating_set_again(monkeypatch):
     assert validate_hopf(H).passed and runs[0] == 6
     # a copy built from the same tables derives its own
     assert algebra_generators(dataclasses.replace(H)) == hint and runs[0] == 7
+
+
+def test_rebinding_a_table_derives_the_translations_again():
+    # the right translations are derived on the first read and kept on H;
+    # rebinding mult, comult or unit drops them
+    prob = build_problem("taft-3", with_kappa=True)
+    H, B = dataclasses.replace(prob.hopf), prob.algebra
+    assert filtered_dims(H, B, prob.kappa, 2, 1).verdict == "CONSISTENT"
+    units, group = H.__dict__["right_translations"]
+    assert H.right_translations is H.__dict__["right_translations"]
+    g, g2 = sorted(g for g, _, _ in group)
+    # e_h e_g doubled at h = 0: right multiplication by e_g is no longer
+    # monomial, so e_g leaves G, and e_g2 with it, since e_g2 e_g2 = e_g
+    # (G must be closed under products)
+    H.mult = [list(row) for row in H.mult]
+    H.mult[0][g] = {k: Scalar.from_int(3, 2) * c for k, c in H.mult[0][g].items()}
+    assert "right_translations" not in H.__dict__
+    assert H.right_translations == (units, [])
+    H.mult = prob.hopf.mult
+    assert [g for g, _, _ in H.right_translations[1]] == [g for g, _, _ in group]
+    for name in ("comult", "unit"):
+        setattr(H, name, getattr(H, name))
+        assert "right_translations" not in H.__dict__, name
 
 
 # -- the exact-count guard --------------------------------------------------------------

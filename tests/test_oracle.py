@@ -896,7 +896,7 @@ def test_h_multiples_run_on_seed_pivots_only(problem, monkeypatch):
         source.clear()
         born.clear()
         v_layers.clear()
-        G = [g for g, _, _ in oracle._translations(prob.hopf)[1]]
+        G = [g for g, _, _ in prob.hopf.right_translations[1]]
         in_group.clear()
         in_group.update(G)
         rep = filtered_dims(prob.hopf, prob.algebra, kappa, N, k)
@@ -1336,7 +1336,7 @@ def test_derive_matches_the_per_read_composition(problem, monkeypatch):
             (ha1, _member(ha1.hopf, ha1.algebra, (2, -3)), 2, False),
             (h8, _constant_kappa(h8, Scalar.from_rational(1, 1, 3)), 1, True)):
         shadows.clear()
-        hopf.append((prob.hopf, [g for g, _, _ in oracle._translations(prob.hopf)[1]]))
+        hopf.append((prob.hopf, [g for g, _, _ in prob.hopf.right_translations[1]]))
         rep = filtered_dims(prob.hopf, prob.algebra, kappa, 3, k)
         assert rep.verdict == "CONSISTENT" and bool(shadows) == shadowed, prob.name
     assert all(0 < sources < virtual and 0 < translates < virtual
@@ -1371,7 +1371,7 @@ def test_translated_pivots_are_scalar_translates(problem, monkeypatch):
     def check(H):
         amb, ech = spans[-1]
         order, d = H.order, H.dim
-        gs = [g for g, _, _ in oracle._translations(H)[1]]
+        gs = [g for g, _, _ in H.right_translations[1]]
         assert amb.translated
 
         def scalars(row):
@@ -1433,7 +1433,7 @@ def test_translations_read_off_the_tables(problem, name):
     # every non-unit group-like of each preset's basis is a right
     # translation: sweedler 1, taft-n n - 1, h8 3, ha1 7, cbh-cyclic-n n - 1
     H = problem(name).hopf
-    units, group = oracle._translations(H)
+    units, group = H.right_translations
     assert len(group) == TRANSLATIONS[name]
     members = {g for g, _, _ in group}
     for g, perm, exps in group:
@@ -1524,7 +1524,7 @@ def test_a_basis_without_monomial_translations_keeps_the_tables(problem):
         H, B = prob.hopf, prob.algebra
         H2, B2, move = _rebased(prob, a, b, H.one_scalar())
         assert validate_hopf(H2).passed and validate_action(H2, B2).passed, name
-        assert oracle._translations(H)[1] and not oracle._translations(H2)[1], name
+        assert H.right_translations[1] and not H2.right_translations[1], name
         _, bads = _invalid_catalog(problem, name, count=2)
         for kp in [prob.kappa] + bads:
             for N, k in ((2, 1), (3, 1)):

@@ -178,7 +178,7 @@ def test_row_operators_match_scalar_products_entry_by_entry(problem, name):
     prob = problem(name)
     H, B = prob.hopf, prob.algebra
     R = scalar_ring(H, B)
-    units = oracle._translations(H)[0]
+    units = H.right_translations[0]
     amb = oracle._Ambient(B.vdim, H.dim, 3)
     rng = random.Random(f"row-operators-{name}")
     for _ in range(4):
