@@ -50,22 +50,20 @@ and the row k -> e_i (e_j e_k) = sum_m mult[j][k][m] mult[i][m] is another,
 built by walking mult[j] and then mult[i][m]; one ``==`` compares them, and
 only a row whose two dicts differ is split by k, each differing k emitting
 the failure one comparison per (i, j, k) would, in ascending k.  The
-bialgebra law compares j -> Delta(e_i e_j) with j -> Delta(e_i) Delta(e_j)
-the same way, keyed (j, (p, q)), and keeps its per-(i, j) order: the
-Delta failure, then the eps one.  Every sum accumulates inline under
-``add_into``'s rule, so each side is a canonical dict with no zero
-entries.
+bialgebra law stays one comparison per (i, j): each side is a sum of
+tensors of several terms, so a row of them is no faster to compare and
+holds d times the entries.  Its two sides, Delta(e_i e_j) = sum_m
+mult[i][j][m] comult[m] and Delta(e_i) Delta(e_j), and the two sides of
+associativity accumulate inline under ``add_into``'s rule; the other
+axioms, O(d) sums of a few terms each, go through ``add_into``.  So each
+side is a canonical dict with no zero entries.
 
-The constants are combined through ``ScalarMemo``s that live for one call:
-each product, and each sum of two values, is computed once per operand
-pair and interned, so equal values are one object (a comparison that
-agrees stops at identity) and the field's zero is the only zero (``v is
-zero``).  That is exact because a Scalar is frozen and canonical and the
-operations are pure functions, and it pays because the tables hold a
-handful of distinct constants (for taft-n, the powers of zeta): validating
-taft-9 takes 679 Scalar products and 482 sums, against 44,523 products
-with one product per term, and 1,077 products and 1,126 sums with a memo
-of products alone.
+The products of two constants come from one ``ProductMemo`` per call,
+keyed by the operand pair.  That is exact because a Scalar is frozen and
+canonical and multiplication is a pure function, and it pays because the
+tables hold a handful of distinct constants (for taft-n, the powers of
+zeta): validating taft-9 takes 931 Scalar products, the closure of S
+included, instead of 44,523.
 
 ``MAX_CYCLOTOMIC_ORDER`` and ``MAX_HOPF_DIM`` bound the problems the loader
 accepts, and so the indices of the bundled Hopf algebras (``presets``).
@@ -73,7 +71,6 @@ accepts, and so the indices of the bundled Hopf algebras (``presets``).
 
 from __future__ import annotations
 
-import operator
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -138,49 +135,40 @@ def vec_eq(a: dict, b: dict) -> bool:
     return diff == {}
 
 
-class ScalarMemo(dict):
-    """A Scalar operation ``op(a, b)``, each operand pair computed once.
+class ProductMemo(dict):
+    """A Scalar product a * b that computes each operand pair once.
 
-    ``memo[a]`` is the dict b -> op(a, b), so a loop that combines one
-    constant with a whole row hashes only the row's constants; ``memo(a,
-    b)`` is the same value.  Values are interned in the dict ``interned``,
-    which memos may share: equal values are one object, so sides built from
-    the memos compare by identity where they agree, and a zero seeded into
-    ``interned`` is the only zero any of them returns (``v is zero``).
+    ``memo[a]`` is the dict b -> a * b, so a loop that scales a whole row by
+    one constant hashes only the row's constants; ``memo(a, b)`` is the same
+    product.
 
-    Exact: a Scalar is frozen and canonical and the operation is a pure
-    function, so equal pairs have equal values, and a pair from two fields
-    is its own key and still raises FieldMismatch.  A memo dies with the
-    call that made it.
+    Exact: a Scalar is frozen and canonical, so equal pairs have equal
+    products, and a pair from two fields is its own key and still raises
+    FieldMismatch.  A memo dies with the call that made it.
     """
 
-    __slots__ = ("op", "interned")
-
-    def __init__(self, op=operator.mul, interned: dict | None = None):
-        super().__init__()
-        self.op, self.interned = op, {} if interned is None else interned
+    __slots__ = ()
 
     def __missing__(self, a: Scalar) -> dict:
-        row = self[a] = _MemoRow(self.op, a, self.interned)
+        row = self[a] = _ProductRow(a)
         return row
 
     def __call__(self, a: Scalar, b: Scalar) -> Scalar:
         return self[a][b]
 
 
-class _MemoRow(dict):
-    """One row of a ``ScalarMemo``: b -> op(a, b) for a fixed a."""
+class _ProductRow(dict):
+    """One row of a ``ProductMemo``: b -> a * b for a fixed a."""
 
-    __slots__ = ("op", "a", "interned")
+    __slots__ = ("a",)
 
-    def __init__(self, op, a: Scalar, interned: dict):
+    def __init__(self, a: Scalar):
         super().__init__()
-        self.op, self.a, self.interned = op, a, interned
+        self.a = a
 
     def __missing__(self, b: Scalar) -> Scalar:
-        v = self.op(self.a, b)
-        v = self[b] = self.interned.setdefault(v, v)
-        return v
+        p = self[b] = self.a * b
+        return p
 
 
 @dataclass
@@ -408,33 +396,31 @@ def validate_hopf(H: HopfAlgebra) -> ValidationReport:
     carry (axiom name, witness basis indices, lhs, rhs) with both sides
     rendered in the basis labels.
 
-    Associativity and the bialgebra law are compared one table row at a
-    time, each side one sparse dict keyed by the position in the row first;
-    only a row whose sides differ is split by position, and each position
-    whose parts differ is a failure, in ascending order (see the module
-    docstring).
+    Associativity is compared one table row at a time, each side one sparse
+    dict keyed by the position in the row first; only a row whose sides
+    differ is split by position, and each position whose parts differ is a
+    failure, in ascending order.  Every product of two constants comes from
+    one ``ProductMemo`` that lives for this call only (see the module
+    docstring for why that is exact).
     """
     fails = []
     d = H.dim
     mult, comult, counit, antipode = H.mult, H.comult, H.counit, H.antipode
     one, zero = H.one_scalar(), H.zero_scalar()
-    # products and sums share one intern table seeded with zero, so a zero
-    # product or sum is ``zero`` itself
-    values = {zero: zero}
-    prod = ScalarMemo(operator.mul, values)
-    plus = ScalarMemo(operator.add, values)
+    prod = ProductMemo()
 
     def emit(axiom, witness, lhs, rhs):
         fails.append((axiom, witness, lhs, rhs))
 
-    S, problem = _generator_set(H)
+    S, problem = H._generated
     if problem is not None:
         emit("generators", tuple(S if H.generators is None else H.generators), problem,
              "a set that left-generates H")
 
     # associativity, first factor in S: the row k -> (e_i e_j) e_k, which is
     # sum_m mult[i][j][m] mult[m][k], against k -> e_i (e_j e_k), which is
-    # sum_m mult[j][k][m] mult[i][m]; both keyed (k, p)
+    # sum_m mult[j][k][m] mult[i][m]; both keyed (k, p).  Each term is added
+    # as add_into adds it, inline
     for i in S:
         mi = mult[i]
         for j in range(d):
@@ -445,13 +431,15 @@ def validate_hopf(H: HopfAlgebra) -> ValidationReport:
                 for k, mk in enumerate(mult[m]):
                     for p, cp in mk.items():
                         v = pc[cp]
-                        if v is not zero:
-                            key = (k, p)
-                            cur = get(key)
-                            if cur is not None and (v := plus[cur][v]) is zero:
-                                del lhs[key]
-                            else:
+                        key = (k, p)
+                        cur = get(key)
+                        if cur is None:
+                            if not v.is_zero():
                                 lhs[key] = v
+                        elif (v := cur + v).is_zero():
+                            del lhs[key]
+                        else:
+                            lhs[key] = v
             rhs: dict = {}
             get = rhs.get
             for k, jk in enumerate(mult[j]):
@@ -459,13 +447,15 @@ def validate_hopf(H: HopfAlgebra) -> ValidationReport:
                     pc = prod[c]
                     for p, cp in mi[m].items():
                         v = pc[cp]
-                        if v is not zero:
-                            key = (k, p)
-                            cur = get(key)
-                            if cur is not None and (v := plus[cur][v]) is zero:
-                                del rhs[key]
-                            else:
+                        key = (k, p)
+                        cur = get(key)
+                        if cur is None:
+                            if not v.is_zero():
                                 rhs[key] = v
+                        elif (v := cur + v).is_zero():
+                            del rhs[key]
+                        else:
+                            rhs[key] = v
             if lhs != rhs:
                 for k, (left, right) in enumerate(zip(_parts(lhs, d), _parts(rhs, d))):
                     if left != right:
@@ -494,23 +484,9 @@ def validate_hopf(H: HopfAlgebra) -> ValidationReport:
         for (j, k), c in comult[i].items():
             pc = prod[c]
             for (a, b), c2 in comult[j].items():
-                v = pc[c2]
-                if v is not zero:
-                    key = (a, b, k)
-                    cur = lhs.get(key)
-                    if cur is not None and (v := plus[cur][v]) is zero:
-                        del lhs[key]
-                    else:
-                        lhs[key] = v
+                add_into(lhs, (a, b, k), pc[c2])
             for (a, b), c2 in comult[k].items():
-                v = pc[c2]
-                if v is not zero:
-                    key = (j, a, b)
-                    cur = rhs.get(key)
-                    if cur is not None and (v := plus[cur][v]) is zero:
-                        del rhs[key]
-                    else:
-                        rhs[key] = v
+                add_into(rhs, (j, a, b), pc[c2])
         if lhs != rhs:
             emit("coassociativity", (i,), str(len(lhs)), str(len(rhs)))
 
@@ -520,20 +496,8 @@ def validate_hopf(H: HopfAlgebra) -> ValidationReport:
         rvec: HVec = {}
         for (j, k), c in comult[i].items():
             pc = prod[c]
-            v = pc[counit[j]]
-            if v is not zero:
-                cur = lvec.get(k)
-                if cur is not None and (v := plus[cur][v]) is zero:
-                    del lvec[k]
-                else:
-                    lvec[k] = v
-            v = pc[counit[k]]
-            if v is not zero:
-                cur = rvec.get(j)
-                if cur is not None and (v := plus[cur][v]) is zero:
-                    del rvec[j]
-                else:
-                    rvec[j] = v
+            add_into(lvec, k, pc[counit[j]])
+            add_into(rvec, j, pc[counit[k]])
         e = {i: one}
         if lvec != e:
             emit("counit", (i,), format_hvec(H, lvec), H.labels[i])
@@ -542,10 +506,7 @@ def validate_hopf(H: HopfAlgebra) -> ValidationReport:
 
     # bialgebra compatibility
     def eps(a: HVec) -> Scalar:
-        e = zero
-        for m, c in a.items():
-            e = plus[e][prod[c][counit[m]]]
-        return e
+        return sum((prod(c, counit[m]) for m, c in a.items()), zero)
 
     unit_tensor: TVec = {}
     cop_unit: TVec = {}
@@ -560,28 +521,28 @@ def validate_hopf(H: HopfAlgebra) -> ValidationReport:
     eps_unit = eps(H.unit)
     if eps_unit != one:
         emit("bialgebra", ("unit",), str(eps_unit), "1")
-    # first factor in S: the row j -> Delta(e_i e_j), which is
-    # sum_m mult[i][j][m] comult[m], against j -> Delta(e_i) Delta(e_j), both
-    # keyed (j, (p, q)); then j -> eps(e_i e_j) against eps(e_i) eps(e_j)
+    # first factor in S: Delta(e_i e_j), which is sum_m mult[i][j][m]
+    # comult[m], against Delta(e_i) Delta(e_j); then eps(e_i e_j) against
+    # eps(e_i) eps(e_j)
     for i in S:
         mi, di = mult[i], comult[i].items()
-        lhs = {}
-        get = lhs.get
-        for j, ij in enumerate(mi):
-            for m, c in ij.items():
+        for j in range(d):
+            lhs = {}
+            get = lhs.get
+            for m, c in mi[j].items():
                 pc = prod[c]
                 for pq, cpq in comult[m].items():
                     v = pc[cpq]
-                    if v is not zero:
-                        key = (j, pq)
-                        cur = get(key)
-                        if cur is not None and (v := plus[cur][v]) is zero:
-                            del lhs[key]
-                        else:
-                            lhs[key] = v
-        rhs = {}
-        get = rhs.get
-        for j in range(d):
+                    cur = get(pq)
+                    if cur is None:
+                        if not v.is_zero():
+                            lhs[pq] = v
+                    elif (v := cur + v).is_zero():
+                        del lhs[pq]
+                    else:
+                        lhs[pq] = v
+            rhs = {}
+            get = rhs.get
             for (a1, a2), ca in di:
                 pa = prod[ca]
                 for (b1, b2), cb in comult[j].items():
@@ -591,22 +552,22 @@ def validate_hopf(H: HopfAlgebra) -> ValidationReport:
                         pl = prod[pc[cp]]
                         for q, cq in right:
                             v = pl[cq]
-                            if v is not zero:
-                                key = (j, (p, q))
-                                cur = get(key)
-                                if cur is not None and (v := plus[cur][v]) is zero:
-                                    del rhs[key]
-                                else:
+                            key = (p, q)
+                            cur = get(key)
+                            if cur is None:
+                                if not v.is_zero():
                                     rhs[key] = v
-        el = [eps(ij) for ij in mi]
-        er = [prod(counit[i], cj) for cj in counit]
-        if lhs != rhs or el != er:
-            for j, (left, right) in enumerate(zip(_parts(lhs, d), _parts(rhs, d))):
-                if left != right:
-                    emit("bialgebra", (i, j), _fmt_tensor(left, H.labels, H.labels),
-                         _fmt_tensor(right, H.labels, H.labels))
-                if el[j] != er[j]:
-                    emit("bialgebra", (i, j), str(el[j]), str(er[j]))
+                            elif (v := cur + v).is_zero():
+                                del rhs[key]
+                            else:
+                                rhs[key] = v
+            if lhs != rhs:
+                emit("bialgebra", (i, j), _fmt_tensor(lhs, H.labels, H.labels),
+                     _fmt_tensor(rhs, H.labels, H.labels))
+            el = eps(mi[j])
+            er = prod(counit[i], counit[j])
+            if el != er:
+                emit("bialgebra", (i, j), str(el), str(er))
 
     # antipode law (both convolution sides): sum S(a1) a2 = sum a1 S(a2) = eps(a) 1
     for i in range(d):
@@ -617,23 +578,11 @@ def validate_hopf(H: HopfAlgebra) -> ValidationReport:
             for m, s in antipode[j].items():
                 ps = prod[s]
                 for p, cp in mult[m][k].items():
-                    v = pc[ps[cp]]
-                    if v is not zero:
-                        cur = lvec.get(p)
-                        if cur is not None and (v := plus[cur][v]) is zero:
-                            del lvec[p]
-                        else:
-                            lvec[p] = v
+                    add_into(lvec, p, pc[ps[cp]])
             for m, s in antipode[k].items():
                 ps = prod[s]
                 for p, cp in mult[j][m].items():
-                    v = pc[ps[cp]]
-                    if v is not zero:
-                        cur = rvec.get(p)
-                        if cur is not None and (v := plus[cur][v]) is zero:
-                            del rvec[p]
-                        else:
-                            rvec[p] = v
+                    add_into(rvec, p, pc[ps[cp]])
         target: HVec = {}
         for u, cu in H.unit.items():
             add_into(target, u, prod(counit[i], cu))
@@ -642,15 +591,12 @@ def validate_hopf(H: HopfAlgebra) -> ValidationReport:
         if rvec != target:
             emit("antipode", (i,), format_hvec(H, rvec), format_hvec(H, target))
 
-    # bijectivity of S, by rank only.  A monomial S, each column one nonzero
-    # entry and no two in one row, has rank d; any other S puts its d
-    # columns S(e_c) in one echelon
-    if len({r for col in antipode if len(col) == 1 for r, c in col.items() if c != zero}) < d:
-        ech = SparseEchelon(H.order)
-        for col in antipode:
-            ech.insert(ech.from_scalars(col))
-        if ech.rank < d:
-            emit("antipode_bijective", ("S",), f"rank {ech.rank}", f"rank {d}")
+    # bijectivity of S, by rank only: its d columns S(e_c) in one echelon
+    ech = SparseEchelon(H.order)
+    for col in antipode:
+        ech.insert(ech.from_scalars(col))
+    if ech.rank < d:
+        emit("antipode_bijective", ("S",), f"rank {ech.rank}", f"rank {d}")
 
     return ValidationReport(passed=not fails, failures=fails)
 
@@ -748,7 +694,6 @@ def _left_closure(H: HopfAlgebra, gens: list[int] | None) -> tuple[list[int], in
     """
     one = H.one_scalar()
     ech = SparseEchelon(H.order)
-    mul = ScalarMemo()
     S: list[int] = []
     kept: list[HVec] = []
     work: deque = deque()
@@ -763,14 +708,7 @@ def _left_closure(H: HopfAlgebra, gens: list[int] | None) -> tuple[list[int], in
         work.extend((g, v) for v in kept)
         while work:
             h, v = work.popleft()
-            # e_h v, as h_mul computes it, with each constant product once
-            row = H.mult[h]
-            hv: HVec = {}
-            for m, c in v.items():
-                pc = mul[c]
-                for p, cp in row[m].items():
-                    add_into(hv, p, pc[cp])
-            add(hv)
+            add(h_mul(H, {h: one}, v))
 
     add(H.unit)
     for i in (gens if gens is not None else range(H.dim)):

@@ -29,7 +29,7 @@ from functools import cached_property
 from .scalar import Scalar
 from .exactla import Subspace, SparseEchelon, intersect
 from .hopf import (HopfAlgebra, ValidationReport, add_into, algebra_generators,
-                   derive_from_generators, format_terms, ScalarMemo)
+                   derive_from_generators, format_terms, ProductMemo)
 from .smash import straighten
 
 
@@ -208,7 +208,7 @@ def validate_action(H: HopfAlgebra, B: ModuleAlgebra) -> ValidationReport:
     zero = Scalar.zero(B.order)
     one = Scalar.one(B.order)
 
-    mul = ScalarMemo()
+    mul = ProductMemo()
     # sparse rows of the action matrices: nz[h][r] = [(t, rho(e_h)[r][t]) nonzero]
     nz = [[[(t, c) for t, c in enumerate(row) if not c.is_zero()] for row in mat]
           for mat in B.action]
