@@ -3,8 +3,13 @@
 Problems live in single JSON documents: a cyclotomic field declaration,
 Hopf structure constants (sparse, scalar values as literal strings), the
 quadratic algebra with its action, and optionally a deformation map whose
-rows refer to the canonical (reduced-echelon) relation basis.  Emission is
-canonical, so preset -> load -> re-emit is byte-identical.
+rows refer to the canonical (reduced-echelon) relation basis.  Every sparse
+table (hopf.mult, comult, antipode and unit, each relation, algebra.action)
+is read by one rule: each entry is a list of its indices and a scalar,
+each index a JSON integer below its bound, each index tuple at most once,
+and a zero value is not stored, except that an action entry marks its h
+as given.  Emission is canonical and every emitted document loads back:
+emit -> load -> re-emit is byte-identical.
 
 Commands and exit codes:
 
@@ -32,6 +37,8 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
+from operator import itemgetter
 
 from .scalar import Scalar, parse_scalar, format_scalar, ScalarError
 from .hopf import HopfAlgebra, validate_hopf, format_hvec, HopfError, MAX_CYCLOTOMIC_ORDER, MAX_HOPF_DIM
@@ -88,15 +95,14 @@ def problem_to_json(prob: Problem) -> dict:
         rel = B.relation_sparse(a)
         relations.append([[i, j, format_scalar(c)] for (i, j), c in sorted(rel.items())])
     # action matrices only for the declared algebra generators (the loader
-    # derives the rest multiplicatively); without a generator hint, all of them
+    # derives the rest multiplicatively); without a generator hint, all of
+    # them.  An h acting by zero gets one zero entry, which marks it given.
     hs = H.generators if H.generators is not None else list(range(d))
     action = []
     for h in hs:
-        for r in range(B.vdim):
-            for c in range(B.vdim):
-                s = B.action[h][r][c]
-                if not s.is_zero():
-                    action.append([h, r, c, format_scalar(s)])
+        nonzero = [[h, r, c, format_scalar(s)] for r, row in enumerate(B.action[h])
+                   for c, s in enumerate(row) if s]
+        action.extend(nonzero or [[h, 0, 0, "0"]])
     doc = {
         "field": {"cyclotomic_order": H.order},
         "cutoff": B.cutoff,
@@ -169,11 +175,6 @@ def _list(x, where: str) -> list:
     return x
 
 
-def _entry(ent, size: int, where: str, shape: str) -> None:
-    if not isinstance(ent, list) or len(ent) != size:
-        raise ParseError(f"{where} entry {ent!r} is not {shape}")
-
-
 def parse_problem(doc: dict, cutoff: int | None = None) -> Problem:
     """Parse a problem document without validating its axioms.
 
@@ -205,52 +206,65 @@ def parse_problem(doc: dict, cutoff: int | None = None) -> Problem:
     zero = Scalar.zero(order)
     # one Scalar per distinct literal of this document, so that equal
     # constants are one object (validate_hopf's product memo then hits by
-    # identity); the memo dies with this call
+    # identity), and every zero literal is ``zero`` itself; the memo dies
+    # with this call
     literals: dict = {}
 
     def scalar(text, where: str) -> Scalar:
         s = literals.get(text) if isinstance(text, str) else None
         if s is None:
-            s = literals[text] = _parse_sc(text, order, where)
+            s = literals[text] = _parse_sc(text, order, where) or zero
         return s
 
+    def table(entries, where: str, bounds: tuple):
+        """The nonzero entries of a sparse table [i_1, ..., i_n, scalar] as
+        an iterator of ((i_1, ..., i_n), Scalar), in document order.  Each
+        entry is a list of n + 1 fields, each i_t a JSON integer below
+        bounds[t], and each index tuple appears at most once.  Every rule is
+        checked on a whole column at once, before the iterator is returned;
+        only a failing check walks the column to name a culprit.  The
+        iterator holds no copy of the table, so the caller's tables are
+        built with no table-sized temporary alive."""
+        n = len(bounds)
+        ents = _list(entries, where)
+        if not ents:
+            return iter(())
+        if not set(map(type, ents)) <= {list} or not set(map(len, ents)) <= {n + 1}:
+            bad = next(e for e in ents if type(e) is not list or len(e) != n + 1)
+            raise ParseError(f"{where} entry {bad!r} is not a list of {n} indices and a scalar")
+        for t, b in enumerate(bounds):
+            col = list(map(itemgetter(t), ents))
+            if not (set(map(type, col)) <= {int} and 0 <= min(col) <= max(col) < b):
+                for x in col:
+                    _index(x, b, where)  # raises at the first bad index
+        texts = list(map(itemgetter(n), ents))
+        # each distinct literal is parsed once; a non-string is refused in order
+        for text in dict.fromkeys(texts) if set(map(type, texts)) <= {str} else texts:
+            scalar(text, where)
+
+        def keys():
+            return zip(*(map(itemgetter(t), ents) for t in range(n)))
+
+        if len(set(keys())) < len(ents):
+            dup = next(k for k, c in Counter(keys()).items() if c > 1)
+            raise ParseError(f"{where}: index tuple {list(dup)} given twice")
+        values = map(literals.__getitem__, map(itemgetter(n), ents))
+        return ((k, s) for k, s in zip(keys(), values) if s is not zero)
+
     mult = [[{} for _ in range(d)] for _ in range(d)]
-    for ent in _list(hdoc.get("mult", []), "hopf.mult"):
-        _entry(ent, 4, "hopf.mult", "[i, j, k, scalar]")
-        i, j, k = (_index(x, d, "hopf.mult") for x in ent[:3])
-        s = scalar(ent[3], "hopf.mult")
-        if not s.is_zero():
-            mult[i][j][k] = s
-
+    for (i, j, k), s in table(hdoc.get("mult", []), "hopf.mult", (d, d, d)):
+        mult[i][j][k] = s
     comult = [{} for _ in range(d)]
-    for ent in _list(hdoc.get("comult", []), "hopf.comult"):
-        _entry(ent, 4, "hopf.comult", "[i, j, k, scalar]")
-        i, j, k = (_index(x, d, "hopf.comult") for x in ent[:3])
-        s = scalar(ent[3], "hopf.comult")
-        if not s.is_zero():
-            comult[i][(j, k)] = s
-
+    for (i, j, k), s in table(hdoc.get("comult", []), "hopf.comult", (d, d, d)):
+        comult[i][(j, k)] = s
     antipode = [{} for _ in range(d)]
-    for ent in _list(hdoc.get("antipode", []), "hopf.antipode"):
-        _entry(ent, 3, "hopf.antipode", "[i, j, scalar]")
-        i, j = (_index(x, d, "hopf.antipode") for x in ent[:2])
-        s = scalar(ent[2], "hopf.antipode")
-        if not s.is_zero():
-            antipode[i][j] = s
-
+    for (i, j), s in table(hdoc.get("antipode", []), "hopf.antipode", (d, d)):
+        antipode[i][j] = s
+    # the shorthand "unit": i is the sparse vector [[i, "1"]]
     unit_doc = hdoc.get("unit")
-    unit: dict = {}
     if isinstance(unit_doc, int):
-        unit[_index(unit_doc, d, "hopf.unit")] = Scalar.one(order)
-    elif isinstance(unit_doc, list):
-        for ent in unit_doc:
-            _entry(ent, 2, "hopf.unit", "[index, scalar]")
-            u = _index(ent[0], d, "hopf.unit")
-            s = scalar(ent[1], "hopf.unit")
-            if not s.is_zero():
-                unit[u] = s
-    else:
-        raise ParseError("hopf.unit must be an index or a sparse vector")
+        unit_doc = [[unit_doc, "1"]]
+    unit = {i: s for (i,), s in table(unit_doc, "hopf.unit", (d,))}
 
     counit_doc = hdoc.get("counit")
     if not isinstance(counit_doc, list) or len(counit_doc) != d:
@@ -276,25 +290,14 @@ def parse_problem(doc: dict, cutoff: int | None = None) -> Problem:
                          f"{MAX_ALGEBRA_GENERATORS}")
     if not all(isinstance(lab, str) for lab in vlabels):
         raise ParseError("algebra.generators must be strings")
-    rel_vecs = []
-    for rdoc in _list(adoc.get("relations", []), "algebra.relations"):
-        if not isinstance(rdoc, list):
-            raise ParseError(f"algebra.relations entry {rdoc!r} is not a list of [i, j, scalar]")
-        rel = {}
-        for ent in rdoc:
-            _entry(ent, 3, "algebra.relations", "[i, j, scalar]")
-            i, j = (_index(x, vd, "algebra.relations") for x in ent[:2])
-            s = scalar(ent[2], "algebra.relations")
-            if not s.is_zero():
-                rel[(i, j)] = s
-        rel_vecs.append(rel)
-    given: dict = {}
-    for ent in _list(adoc.get("action", []), "algebra.action"):
-        _entry(ent, 4, "algebra.action", "[h, row, col, scalar]")
-        h = _index(ent[0], d, "algebra.action")
-        r, c = (_index(x, vd, "algebra.action") for x in ent[1:3])
-        mat = given.setdefault(h, [[zero] * vd for _ in range(vd)])
-        mat[r][c] = scalar(ent[3], "algebra.action")
+    rel_vecs = [dict(table(rdoc, "algebra.relations", (vd, vd)))
+                for rdoc in _list(adoc.get("relations", []), "algebra.relations")]
+    action_doc = adoc.get("action", [])
+    entries = table(action_doc, "algebra.action", (d, vd, vd))
+    # every entry marks its h as given, a zero one too: h acts by zero
+    given = {ent[0]: [[zero] * vd for _ in range(vd)] for ent in action_doc}
+    for (h, r, c), s in entries:
+        given[h][r][c] = s
     try:
         action = action_from_generators(H, vd, given)
     except ModAlgError as exc:

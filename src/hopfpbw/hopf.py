@@ -195,7 +195,8 @@ class HopfAlgebra:
 
     @cached_property
     def _generated(self) -> tuple[list[int], str | None]:
-        """``_generator_set``'s answer, derived on the first read."""
+        """The set S of ``algebra_generators`` and why it fails to
+        left-generate H, or None when it does; derived on the first read."""
         d = self.dim
         if self.generators is not None:
             ok = [g for g in self.generators if type(g) is int and 0 <= g < d]
@@ -717,20 +718,13 @@ def _left_closure(H: HopfAlgebra, gens: list[int] | None) -> tuple[list[int], in
     return S, ech.rank
 
 
-def _generator_set(H: HopfAlgebra) -> tuple[list[int], str | None]:
-    """The set S of ``algebra_generators`` and why it fails to left-generate
-    H, or None when it does; kept on H after the first read."""
-    S, problem = H._generated
-    return list(S), problem
-
-
 def algebra_generators(H: HopfAlgebra) -> list[int]:
     """Basis indices that generate H as a unital algebra: the
     ``generators`` hint, or greedily the first basis elements outside the
     subalgebra generated so far.  Either way the set is verified to
     left-generate H from its unit; raises NotGenerating otherwise.
     """
-    S, problem = _generator_set(H)
+    S, problem = H._generated
     if problem is not None:
         raise NotGenerating(problem)
-    return S
+    return list(S)

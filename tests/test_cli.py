@@ -7,8 +7,9 @@ import pytest
 from hopfpbw.cli import (main, load_spec, parse_problem, render_problem, emit_preset, ParseError,
                          ValidationError, EXIT_BROKEN_PIPE, MAX_ALGEBRA_GENERATORS,
                          MAX_CYCLOTOMIC_ORDER, MAX_HOPF_DIM)
-from hopfpbw.presets import build_problem
+from hopfpbw.presets import Problem, build_problem
 from hopfpbw.hopf import add_into
+from hopfpbw.modalg import ModuleAlgebra, action_from_generators
 from hopfpbw.scalar import Scalar, format_scalar, parse_scalar, zeta
 
 PRESETS = ["sweedler", "taft-3", "h8", "ha1", "cbh-cyclic-3"]
@@ -20,9 +21,30 @@ def emit(tmp_path, name, with_kappa=True):
     return path
 
 
-@pytest.mark.parametrize("name", PRESETS)
-def test_round_trip_byte_identical(tmp_path, name):
-    path = emit(tmp_path, name)
+def _x_acts_by_zero(hint: bool) -> Problem:
+    """sweedler with x, and so gx, acting on V by the zero matrix; with or
+    without the generator hint.  Both validators pass it, and its emitted
+    action once held no entry for x, so the document did not load."""
+    prob = build_problem("sweedler")
+    H, B = prob.hopf, prob.algebra
+    g, x = H.generators
+    zero = Scalar.zero(H.order)
+    x_mat = [[zero] * B.vdim for _ in range(B.vdim)]
+    action = action_from_generators(H, B.vdim, {g: B.action[g], x: x_mat})
+    if not hint:
+        H.generators = None
+    rels = [B.relation_sparse(a) for a in range(B.dim_relations())]
+    return Problem("x-acts-by-zero", H, ModuleAlgebra.make(H.order, B.vlabels, rels, action))
+
+
+@pytest.mark.parametrize("name", PRESETS + ["x-acts-by-zero", "x-acts-by-zero-no-hint"])
+def test_round_trip_byte_identical(tmp_path, capsys, name):
+    if name.startswith("x-acts-by-zero"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(render_problem(_x_acts_by_zero(hint=not name.endswith("no-hint"))))
+    else:
+        path = emit(tmp_path, name)
+    assert main(["validate", str(path)]) == 0
     text1 = path.read_text()
     prob = load_spec(str(path))
     assert render_problem(prob) == text1
@@ -458,6 +480,17 @@ def _set(block, key, pos, slot, value):
     return edit
 
 
+def _repeat(*path, value=None):
+    """Append the first entry of the table at ``path`` once more, with
+    ``value`` in place of its scalar if given."""
+    def edit(doc):
+        tab = doc
+        for key in path:
+            tab = tab[key]
+        tab.append(tab[0][:-1] + [tab[0][-1] if value is None else value])
+    return edit
+
+
 HOSTILE = [
     ("unit-99", _set("hopf", "unit", 0, 0, 99), "hopf.unit"),
     ("unit-string", _set("hopf", "unit", 0, 0, "0"), "hopf.unit"),
@@ -480,6 +513,16 @@ HOSTILE = [
     ("action-99", _set("algebra", "action", 0, 0, 99), "algebra.action"),
     ("action-string", _set("algebra", "action", 0, 1, "r"), "algebra.action"),
     ("action-bool", _set("algebra", "action", 0, 2, True), "algebra.action"),
+    # an index tuple given twice: a later zero once was ignored in the Hopf
+    # tables and cleared the earlier value in the action
+    ("mult-repeated", _repeat("hopf", "mult"), "hopf.mult"),
+    ("mult-repeated-zero", _repeat("hopf", "mult", value="0"), "hopf.mult"),
+    ("comult-repeated", _repeat("hopf", "comult"), "hopf.comult"),
+    ("antipode-repeated", _repeat("hopf", "antipode"), "hopf.antipode"),
+    ("unit-repeated", _repeat("hopf", "unit"), "hopf.unit"),
+    ("relation-repeated", _repeat("algebra", "relations", 0), "algebra.relations"),
+    ("action-repeated", _repeat("algebra", "action"), "algebra.action"),
+    ("action-repeated-zero", _repeat("algebra", "action", value="0"), "algebra.action"),
     # structural fields of the wrong JSON type
     ("cutoff-string", lambda doc: doc.update(cutoff="x"), "cutoff"),
     ("kappa-constant-int-row", lambda doc: doc["kappa"].update(constant=[5]), "kappa.constant"),

@@ -37,7 +37,7 @@ from hopfpbw import deform, hopf
 from hopfpbw.cli import parse_problem, problem_from_json, problem_to_json
 from hopfpbw.deform import Kappa, check_invariance, check_pbw, rel_coords, solve_kappa
 from hopfpbw.exactla import Matrix, rref
-from hopfpbw.hopf import (NotGenerating, ValidationReport, _fmt_tensor, _generator_set,
+from hopfpbw.hopf import (NotGenerating, ValidationReport, _fmt_tensor,
                           _left_closure, add_into, adjoint_on_H, algebra_generators,
                           format_hvec, h_mul, tensor_mult, validate_hopf, vec_eq)
 from hopfpbw.modalg import act_on_tensor, reduce_mod_relations, validate_action
@@ -199,7 +199,7 @@ def reference_validate_hopf(H):
     def emit(axiom, witness, lhs, rhs):
         fails.append((axiom, witness, lhs, rhs))
 
-    S, problem = _generator_set(H)
+    S, problem = H._generated
     if problem is not None:
         emit("generators", tuple(S if H.generators is None else H.generators), problem,
              "a set that left-generates H")
