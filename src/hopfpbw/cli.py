@@ -41,7 +41,8 @@ from collections import Counter
 from operator import itemgetter
 
 from .scalar import Scalar, parse_scalar, format_scalar, ScalarError
-from .hopf import HopfAlgebra, validate_hopf, format_hvec, HopfError, MAX_CYCLOTOMIC_ORDER, MAX_HOPF_DIM
+from .hopf import (HopfAlgebra, validate_hopf, format_hvec, format_terms, HopfError, MAX_CYCLOTOMIC_ORDER,
+                   MAX_HOPF_DIM)
 from .modalg import (ModuleAlgebra, ModAlgError, action_from_generators, validate_action, graded_dim,
                      koszul_component, DEFAULT_CUTOFF)
 from .deform import Kappa, check_pbw, solve_kappa, kappa_block_dims
@@ -393,13 +394,8 @@ def _kappa_lines(H: HopfAlgebra, B: ModuleAlgebra, kp: Kappa) -> list[str]:
         if cv:
             parts.append(f"C: {format_hvec(H, cv)}")
         if lv:
-            terms = []
-            for (v, h) in sorted(lv):
-                c = lv[(v, h)]
-                cs = format_scalar(c)
-                pre = "" if cs == "1" else (f"({cs})*" if ("+" in cs or "z" in cs) else f"{cs}*")
-                terms.append(f"{pre}{B.vlabels[v]}(x){H.labels[h]}")
-            parts.append("L: " + " + ".join(terms))
+            parts.append("L: " + format_terms((lv[v, h], f"{B.vlabels[v]}(x){H.labels[h]}")
+                                              for v, h in sorted(lv)))
         lines.append(f"    r{a}: " + "; ".join(parts))
     if not lines:
         lines.append("    0")

@@ -45,10 +45,12 @@ kappa^L.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 from .scalar import Scalar
 from .exactla import Subspace, NotMember, sparse_kernel
-from .hopf import HopfAlgebra, _fmt_tensor, add_into, adjoint_on_H, algebra_generators, format_hvec
+from .hopf import (HopfAlgebra, Lazy, _fmt_tensor, add_into, adjoint_on_H, algebra_generators,
+                   format_hvec)
 from .modalg import ModuleAlgebra, act_on_tensor, reduce_mod_relations, reduce_slices
 from .smash import straighten, adjoint_on_VH
 
@@ -218,6 +220,37 @@ def _overlap_expansions(B: ModuleAlgebra) -> tuple[list, list]:
 
 # -- conditions (a) and (b): one matrix ----------------------------------------
 
+def _adjoint_image(H: HopfAlgebra, key: tuple) -> dict:
+    """ad(e_i)(e_k) for key (i, k)."""
+    i, k = key
+    return adjoint_on_H(H, H.basis_vec(i), H.basis_vec(k))
+
+
+def _adjoint_image_vh(H: HopfAlgebra, B: ModuleAlgebra, on_h: Lazy, key: tuple) -> dict:
+    """e_i . (v (x) e_h) for key (i, (v, h)), its H-legs read off ``on_h``."""
+    i, k = key
+    return adjoint_on_VH(H, B, H.basis_vec(i), {k: H.one_scalar()}, lambda a, l: on_h[a, l])
+
+
+def _relabelled(H: HopfAlgebra, B: ModuleAlgebra, i: int) -> dict:
+    """{a: {b: coefficient of r_a in e_i . r_b}}."""
+    rel: dict = {}
+    for b in range(B.dim_relations()):
+        img = act_on_tensor(H, B, H.basis_vec(i), B.relation_sparse(b))
+        for q, c in enumerate(rel_coords(B, img)):
+            if c:
+                rel.setdefault(q, {})[b] = c
+    return rel
+
+
+def _overlap_leg(H: HopfAlgebra, B: ModuleAlgebra, expansions, key: tuple) -> dict:
+    """straighten(e_h, y_a) for key (t, a, h), y_a the left expansion's
+    V-leg of r_a at the overlap element s_t."""
+    t, a, h = key
+    ys = expansions[t][0]
+    return straighten(H, B, {h: H.one_scalar()}, {(w,): c for w, c in ys[a].items()})
+
+
 class _Columns:
     """Condition (a) and the overlap mismatches as one sparse matrix with a
     column per coordinate of kappa, built on demand for one call.  The
@@ -239,42 +272,29 @@ class _Columns:
       (t, (v1, v2, h)) of deltaL, under (t, (v, h)) of deltaC.  Condition
       (b) asks that each deltaL lie in I (x) H.
 
-    The adjoint image of each unit under e_i, the coordinates of each
-    e_i . r_b and each straighten(e_h, y_a) are computed once.
+    Each entry the columns read is made once, on its first read, in a
+    ``Lazy`` table: the adjoint images of the units of H (``on_h``) and of
+    V (x) H (``on_vh``, which reads its H-legs off ``on_h``), the
+    coordinates of each e_i . r_b (``relabel``) and each
+    straighten(e_h, y_a) (``legs``).  Each make function holds H, B, the
+    expansions or another table, never the columns: a table whose make
+    function held its owner would keep the owner alive until the garbage
+    collector ran.
     """
 
     def __init__(self, H: HopfAlgebra, B: ModuleAlgebra, expansions=()):
         self.H, self.B, self.expansions = H, B, expansions
         self.one = Scalar.one(H.order)
-        self._images: dict = {}     # (i, k) -> the adjoint image of unit k under e_i
-        self._relabel: dict = {}    # i -> {a: {b: coefficient of r_a in e_i . r_b}}
-        self._straight: dict = {}   # (t, a, h) -> straighten(e_h, y_a)
-
-    def _image(self, i: int, k) -> dict:
-        img = self._images.get((i, k))
-        if img is None:
-            H, ei, unit = self.H, self.H.basis_vec(i), {k: self.one}
-            if type(k) is int:
-                img = adjoint_on_H(H, ei, unit)
-            else:
-                # the legs' images on H come from the same cache
-                img = adjoint_on_VH(H, self.B, ei, unit, self._image)
-            self._images[(i, k)] = img
-        return img
+        self.on_h = Lazy(partial(_adjoint_image, H))
+        self.on_vh = Lazy(partial(_adjoint_image_vh, H, B, self.on_h))
+        self.relabel = Lazy(partial(_relabelled, H, B))
+        self.legs = Lazy(partial(_overlap_leg, H, B, expansions))
 
     def invariance(self, i: int, u: tuple) -> dict:
-        H, B = self.H, self.B
-        rel = self._relabel.get(i)
-        if rel is None:
-            rel = self._relabel[i] = {}
-            for b in range(B.dim_relations()):
-                img = act_on_tensor(H, B, H.basis_vec(i), B.relation_sparse(b))
-                for q, c in enumerate(rel_coords(B, img)):
-                    if c:
-                        rel.setdefault(q, {})[b] = c
         a, k = u
-        col = {(a, 0, key): c for key, c in self._image(i, k).items()}
-        col.update(((b, 1, k), c) for b, c in rel.get(a, {}).items())
+        images = self.on_h if type(k) is int else self.on_vh
+        col = {(a, 0, key): c for key, c in images[i, k].items()}
+        col.update(((b, 1, k), c) for b, c in self.relabel[i].get(a, {}).items())
         return col
 
     def overlap(self, u: tuple) -> dict:
@@ -283,11 +303,7 @@ class _Columns:
         col: dict = {}
         for t, (ys, zs) in enumerate(self.expansions):
             if ys[a]:
-                img = self._straight.get((t, a, h))
-                if img is None:
-                    img = self._straight[(t, a, h)] = straighten(
-                        self.H, self.B, {h: self.one}, {(w,): c for w, c in ys[a].items()})
-                for (word, h2), c in img.items():
+                for (word, h2), c in self.legs[t, a, h].items():
                     add_into(col, (t, v_leg + (word[0], h2)), c)
             for zv, cz in zs[a].items():
                 add_into(col, (t, (zv,) + v_leg + (h,)), -cz)

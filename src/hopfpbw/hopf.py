@@ -58,10 +58,15 @@ associativity accumulate inline under ``add_into``'s rule; the other
 axioms, O(d) sums of a few terms each, go through ``add_into``.  So each
 side is a canonical dict with no zero entries.
 
-The products of two constants come from one ``ProductMemo`` per call,
-keyed by the operand pair.  That is exact because a Scalar is frozen and
-canonical and multiplication is a pure function, and it pays because the
-tables hold a handful of distinct constants (for taft-n, the powers of
+The products of two constants come from one table per call,
+``prod = Lazy(lambda a: Lazy(a.__mul__))``, read as ``prod[a][b]``:
+``prod[a]`` is the row b -> a * b, so a loop that scales a whole row by one
+constant hashes only the row's constants.  Each product is made on its
+first read and kept.  Like every ``Lazy``, the table's make functions hold
+data (here one constant), never the table's owner.  That is exact because
+a Scalar is frozen and canonical and multiplication is a pure function,
+and a pair from two fields still raises FieldMismatch.  It pays because
+the tables hold a handful of distinct constants (for taft-n, the powers of
 zeta): validating taft-9 takes 931 Scalar products, the closure of S
 included, instead of 44,523.
 
@@ -135,40 +140,25 @@ def vec_eq(a: dict, b: dict) -> bool:
     return diff == {}
 
 
-class ProductMemo(dict):
-    """A Scalar product a * b that computes each operand pair once.
+class Lazy(dict):
+    """A table whose entry at a key is made by ``make(key)`` on its first
+    read and kept: the one memo of the package.
 
-    ``memo[a]`` is the dict b -> a * b, so a loop that scales a whole row by
-    one constant hashes only the row's constants; ``memo(a, b)`` is the same
-    product.
-
-    Exact: a Scalar is frozen and canonical, so equal pairs have equal
-    products, and a pair from two fields is its own key and still raises
-    FieldMismatch.  A memo dies with the call that made it.
+    ``make`` holds the data it reads (H, B, other tables), never the
+    table's owner: an owner that holds a table whose ``make`` holds the
+    owner is a reference cycle, so it outlives its last use until the
+    garbage collector runs.
     """
 
-    __slots__ = ()
+    __slots__ = ("make",)
 
-    def __missing__(self, a: Scalar) -> dict:
-        row = self[a] = _ProductRow(a)
-        return row
-
-    def __call__(self, a: Scalar, b: Scalar) -> Scalar:
-        return self[a][b]
-
-
-class _ProductRow(dict):
-    """One row of a ``ProductMemo``: b -> a * b for a fixed a."""
-
-    __slots__ = ("a",)
-
-    def __init__(self, a: Scalar):
+    def __init__(self, make):
         super().__init__()
-        self.a = a
+        self.make = make
 
-    def __missing__(self, b: Scalar) -> Scalar:
-        p = self[b] = self.a * b
-        return p
+    def __missing__(self, key):
+        val = self[key] = self.make(key)
+        return val
 
 
 @dataclass
@@ -401,14 +391,14 @@ def validate_hopf(H: HopfAlgebra) -> ValidationReport:
     dict keyed by the position in the row first; only a row whose sides
     differ is split by position, and each position whose parts differ is a
     failure, in ascending order.  Every product of two constants comes from
-    one ``ProductMemo`` that lives for this call only (see the module
+    one ``Lazy`` table that lives for this call only (see the module
     docstring for why that is exact).
     """
     fails = []
     d = H.dim
     mult, comult, counit, antipode = H.mult, H.comult, H.counit, H.antipode
     one, zero = H.one_scalar(), H.zero_scalar()
-    prod = ProductMemo()
+    prod = Lazy(lambda a: Lazy(a.__mul__))
 
     def emit(axiom, witness, lhs, rhs):
         fails.append((axiom, witness, lhs, rhs))
@@ -470,9 +460,9 @@ def validate_hopf(H: HopfAlgebra) -> ValidationReport:
         right: HVec = {}
         for u, c in H.unit.items():
             for p, cp in mult[u][i].items():
-                add_into(left, p, prod(c, cp))
+                add_into(left, p, prod[c][cp])
             for p, cp in mult[i][u].items():
-                add_into(right, p, prod(c, cp))
+                add_into(right, p, prod[c][cp])
         if left != e:
             emit("unit", (i,), format_hvec(H, left), H.labels[i])
         if right != e:
@@ -507,15 +497,15 @@ def validate_hopf(H: HopfAlgebra) -> ValidationReport:
 
     # bialgebra compatibility
     def eps(a: HVec) -> Scalar:
-        return sum((prod(c, counit[m]) for m, c in a.items()), zero)
+        return sum((prod[c][counit[m]] for m, c in a.items()), zero)
 
     unit_tensor: TVec = {}
     cop_unit: TVec = {}
     for u, c in H.unit.items():
         for u2, c2 in H.unit.items():
-            add_into(unit_tensor, (u, u2), prod(c, c2))
+            add_into(unit_tensor, (u, u2), prod[c][c2])
         for pq, cpq in comult[u].items():
-            add_into(cop_unit, pq, prod(c, cpq))
+            add_into(cop_unit, pq, prod[c][cpq])
     if cop_unit != unit_tensor:
         emit("bialgebra", ("unit",), _fmt_tensor(cop_unit, H.labels, H.labels),
              _fmt_tensor(unit_tensor, H.labels, H.labels))
@@ -566,7 +556,7 @@ def validate_hopf(H: HopfAlgebra) -> ValidationReport:
                 emit("bialgebra", (i, j), _fmt_tensor(lhs, H.labels, H.labels),
                      _fmt_tensor(rhs, H.labels, H.labels))
             el = eps(mi[j])
-            er = prod(counit[i], counit[j])
+            er = prod[counit[i]][counit[j]]
             if el != er:
                 emit("bialgebra", (i, j), str(el), str(er))
 
@@ -586,7 +576,7 @@ def validate_hopf(H: HopfAlgebra) -> ValidationReport:
                     add_into(rvec, p, pc[ps[cp]])
         target: HVec = {}
         for u, cu in H.unit.items():
-            add_into(target, u, prod(counit[i], cu))
+            add_into(target, u, prod[counit[i]][cu])
         if lvec != target:
             emit("antipode", (i,), format_hvec(H, lvec), format_hvec(H, target))
         if rvec != target:

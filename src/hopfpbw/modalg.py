@@ -29,7 +29,7 @@ from functools import cached_property
 from .scalar import Scalar
 from .exactla import Subspace, SparseEchelon, intersect
 from .hopf import (HopfAlgebra, ValidationReport, add_into, algebra_generators,
-                   derive_from_generators, format_terms, ProductMemo)
+                   derive_from_generators, format_terms, Lazy)
 from .smash import straighten
 
 
@@ -208,7 +208,7 @@ def validate_action(H: HopfAlgebra, B: ModuleAlgebra) -> ValidationReport:
     zero = Scalar.zero(B.order)
     one = Scalar.one(B.order)
 
-    mul = ProductMemo()
+    mul = Lazy(lambda a: Lazy(a.__mul__))
     # sparse rows of the action matrices: nz[h][r] = [(t, rho(e_h)[r][t]) nonzero]
     nz = [[[(t, c) for t, c in enumerate(row) if not c.is_zero()] for row in mat]
           for mat in B.action]
@@ -218,7 +218,7 @@ def validate_action(H: HopfAlgebra, B: ModuleAlgebra) -> ValidationReport:
     for i, c in H.unit.items():
         for r in range(vd):
             for s, a in nz[i][r]:
-                ident[r][s] = ident[r][s] + mul(c, a)
+                ident[r][s] = ident[r][s] + mul[c][a]
     for r in range(vd):
         for s in range(vd):
             want = one if r == s else zero
@@ -234,10 +234,10 @@ def validate_action(H: HopfAlgebra, B: ModuleAlgebra) -> ValidationReport:
             for r in range(vd):
                 for t, a in nz[i][r]:
                     for s, b in nz[j][t]:
-                        prod[r][s] = prod[r][s] + mul(a, b)
+                        prod[r][s] = prod[r][s] + mul[a][b]
                 for k, ck in H.mult[i][j].items():
                     for s, b in nz[k][r]:
-                        target[r][s] = target[r][s] + mul(ck, b)
+                        target[r][s] = target[r][s] + mul[ck][b]
             for r in range(vd):
                 for s in range(vd):
                     if prod[r][s] != target[r][s]:

@@ -208,11 +208,14 @@ Memoized moves.  What a derived row costs beyond its entries is the
 shift by which a chain of letters moves a column of each degree, which
 depends only on the chain and the stored row's degree, and for a
 translate the move and units within each word, which depend only on the
-translation and the H-index of the stored row's lead.  ``_Ambient.virtual``
-composes each on the first read of its key and keeps it in
-``_Ambient.shifts`` and ``_Ambient.moves`` for the rest of the span: 88
-and 15 keys for the 1,764 rows derived on ha1 at (3, 2).  Only these are
-kept, never a derived row.
+translation and the H-index of the stored row's lead.  ``_Ambient.shifts``
+and ``_Ambient.moves`` are ``Lazy`` tables: ``_Ambient.virtual`` reads
+each key, its entry is composed (``_shift``, ``_move``) on the first read
+and kept for the rest of the span: 88 and 15 keys for the 1,764 rows
+derived on ha1 at (3, 2).  Only these are kept, never a derived row.  Their
+make functions hold the letter shifts and the translations, never the
+``_Ambient``, so no reference cycle keeps a span's layout alive after the
+span.
 """
 
 from __future__ import annotations
@@ -226,7 +229,7 @@ from operator import add, mul, not_
 
 from .scalar import Scalar, field
 from .exactla import SparseEchelon
-from .hopf import HopfAlgebra, add_into, algebra_generators
+from .hopf import HopfAlgebra, Lazy, add_into, algebra_generators
 from .modalg import ModuleAlgebra, CutoffExceeded, graded_dim
 from .smash import straighten
 from .deform import Kappa
@@ -304,8 +307,8 @@ class _Ambient:
         self.source = bytearray(self.total)
         # shifts[m, *letters]: how far each column of a stored row of degree
         # m moves under the letters that ``virtual`` walks back through to
-        # it, composed on the first use of the key
-        self.shifts: dict = {}
+        # it (``_shift``)
+        self.shifts = Lazy(partial(_shift, self.lshift))
         # the right translations (``HopfAlgebra.right_translations``):
         # units[e] is a root of unity, and group[t] = (hmove, exps) moves the
         # entry of each column of H-index h by hmove[h] and multiplies it by
@@ -318,7 +321,8 @@ class _Ambient:
         # that its lead picks up
         self.translated: dict = {}
         # moves[t, h0]: group[t] with the exponents divided by that of h0
-        self.moves: dict = {}
+        # (``_move``)
+        self.moves = Lazy(partial(_move, self.group, len(self.units) // 2))
 
     def col(self, word_rank: int, deg: int, h: int) -> int:
         return self.base[deg] + word_rank * self.hdim + h
@@ -337,7 +341,7 @@ class _Ambient:
         col + shift[m] + hmove[h] and multiplied by units[exps[h]], for
         move = (hmove, exps); shift is None when no letter is dropped, and
         move when no translate is met (``_moved``)."""
-        deg, base, block, source, lshift = self.deg, self.base, self.block, self.source, self.lshift
+        deg, base, block, source = self.deg, self.base, self.block, self.source
         translated = self.translated
         letters = []
         move = None
@@ -345,8 +349,7 @@ class _Ambient:
             tr = translated.get(c)
             if tr is not None:
                 c, t = tr
-                key = (t, c % self.hdim)
-                move = self.moves.get(key) or self._move(key)
+                move = self.moves[t, c % self.hdim]
                 break
             m = deg[c]
             if not m:
@@ -360,51 +363,35 @@ class _Ambient:
                 break
         if not letters:
             return c, None, move
-        m = deg[c]
-        key = (m, *letters)
-        total = self.shifts.get(key)
-        if total is None:
-            # a column of degree m' moves by lshift[v_n][m'], then by
-            # lshift[v_(n-1)][m' + 1], and so on out to the first letter
-            total = self.shifts[key] = [0] * (m + 1)
-            for i, v in enumerate(reversed(letters)):
-                shift = lshift[v]
-                for n in range(m + 1):
-                    total[n] += shift[n + i]
-        return c, total, move
+        return c, self.shifts[(deg[c], *letters)], move
 
-    def _move(self, key: tuple) -> tuple:
-        """moves[t, h0]: the t-th translation of a row whose lead has
-        H-index h0, divided by the unit units[exps[h0]] that the lead picks
-        up, so that the lead keeps its coefficient.  A unit exponent e
-        stands for (-1)^(e // N) zeta^(e % N)
-        (``HopfAlgebra.right_translations``)."""
-        t, h0 = key
-        hmove, exps = self.group[t]
-        N = len(self.units) // 2
-        s0, k0 = divmod(exps[h0], N)
-        norm = [(s - s0) % 2 * N + (k - k0) % N for s, k in (divmod(e, N) for e in exps)]
-        move = self.moves[key] = (hmove, norm)
-        return move
+
+def _shift(lshift: list, key: tuple) -> list:
+    """shifts[m, *letters]: a column of degree m' moves by lshift[v_n][m'],
+    then by lshift[v_(n-1)][m' + 1], and so on out to the first letter."""
+    m, *letters = key
+    total = [0] * (m + 1)
+    for i, v in enumerate(reversed(letters)):
+        shift = lshift[v]
+        for n in range(m + 1):
+            total[n] += shift[n + i]
+    return total
+
+
+def _move(group: list, N: int, key: tuple) -> tuple:
+    """moves[t, h0]: the t-th translation of a row whose lead has H-index
+    h0, divided by the unit units[exps[h0]] that the lead picks up, so that
+    the lead keeps its coefficient.  A unit exponent e stands for
+    (-1)^(e // N) zeta^(e % N) (``HopfAlgebra.right_translations``)."""
+    t, h0 = key
+    hmove, exps = group[t]
+    s0, k0 = divmod(exps[h0], N)
+    return hmove, [(s - s0) % 2 * N + (k - k0) % N for s, k in (divmod(e, N) for e in exps)]
 
 
 # -- coefficient domains ---------------------------------------------------------
 
-class _Lazy(dict):
-    """A table whose entry at a key is made by ``make(key)`` on its first read."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        val = self[key] = self.make(key)
-        return val
-
-
-def _straightened(H: HopfAlgebra, B: ModuleAlgebra) -> _Lazy:
+def _straightened(H: HopfAlgebra, B: ModuleAlgebra) -> Lazy:
     """straighten(e_g, word) as [(word rank, h, Scalar)], keyed (g, word
     rank, m) for a word of length m; each key is taken once, on its first
     read, and serves both rings."""
@@ -426,7 +413,7 @@ def _straightened(H: HopfAlgebra, B: ModuleAlgebra) -> _Lazy:
             terms.append((wr2, h2, c))
         return terms
 
-    return _Lazy(make)
+    return Lazy(make)
 
 
 class _Ring:
@@ -440,7 +427,7 @@ class _Ring:
     ``units`` (the roots of unity of ``_Ambient.units``) up front.  No table
     holds a reference to the ring, so a ring dies with its last user."""
 
-    def __init__(self, ops: tuple, convert, H: HopfAlgebra, vdim: int, straightened: _Lazy,
+    def __init__(self, ops: tuple, convert, H: HopfAlgebra, vdim: int, straightened: Lazy,
                  units=()):
         self.mul, self.add, self.is_zero, self.scale = ops
         scale = self.scale
@@ -463,7 +450,7 @@ class _Ring:
             f = den // dp
             return [(k, c if f == 1 else scale(c, f)) for k, c in zip(prod, cs)]
 
-        self.hmul = [_Lazy(partial(product, per_g)) for per_g in H.mult]
+        self.hmul = [Lazy(partial(product, per_g)) for per_g in H.mult]
 
         # moved[g, word rank, m] = (den, [(word rank, h, c)]) for straighten(e_g, word)
         def moved_entry(key):
@@ -471,10 +458,10 @@ class _Ring:
             dm, cs = convert([c for *_, c in terms])
             return dm, [(w, h, c) for (w, h, _), c in zip(terms, cs)]
 
-        self.moved = _Lazy(moved_entry)
+        self.moved = Lazy(moved_entry)
 
 
-def _exact_ring(ech: SparseEchelon, H: HopfAlgebra, vdim: int, straightened: _Lazy,
+def _exact_ring(ech: SparseEchelon, H: HopfAlgebra, vdim: int, straightened: Lazy,
                 units=()) -> _Ring:
     def convert(scalars):
         den = lcm(*(s.den for s in scalars))

@@ -781,3 +781,17 @@ def test_padded_generators_parse_without_dense_products(monkeypatch):
     assert prob.algebra.vdim == MAX_ALGEBRA_GENERATORS
     # 6 derived matrices, each a product of two with at most 3 nonzero entries
     assert len(calls) <= 6 * 9
+
+
+def test_kappa_lines_render_both_parts_as_one_signed_sum():
+    # kappa^L goes through the formatter of kappa^C: a coefficient -1 joins
+    # its term with " - ", one with a power of z is put in parentheses
+    from hopfpbw.cli import _kappa_lines
+    from hopfpbw.deform import Kappa
+    prob = build_problem("taft-3")
+    H, B = prob.hopf, prob.algebra
+    one = Scalar.one(H.order)
+    x, gx, x2 = (H.labels.index(lab) for lab in ("x", "gx", "x^2"))
+    kp = Kappa.from_vectors(H, B, [{x: one, gx: -one}],
+                            [{(0, x): one, (0, gx): -one, (1, x2): zeta(H.order)}])
+    assert _kappa_lines(H, B, kp) == ["    r0: C: x - gx; L: u(x)x - u(x)gx + (1*z)*v(x)x^2"]

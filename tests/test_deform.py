@@ -699,3 +699,35 @@ def test_overlap_space_is_derived_once_per_algebra(monkeypatch):
     assert check_pbw(H, B, overlap_only).status("c") == "fail"
     assert check_pbw(H, B, Kappa.zero(H, B)).passed
     assert degrees == [3]
+
+
+def test_nothing_a_check_or_a_solve_builds_outlives_the_call(problem, monkeypatch):
+    # The columns' tables are derived on first read; no make function holds
+    # the columns, so with the collector off every `_Columns` dies by
+    # reference counting when the call returns.  ha1 builds one for (a) and
+    # one for the overlap conditions in `check_pbw`, and one in
+    # `solve_kappa`; taft-5 has no overlap space.
+    import gc
+    import weakref
+    built = []
+
+    class Columns(deform._Columns):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(deform, "_Columns", Columns)
+    for name, count in (("ha1", 3), ("taft-5", 2)):
+        prob = problem(name, True)
+        H, B = prob.hopf, prob.algebra
+        built.clear()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert check_pbw(H, B, prob.kappa).passed, name
+            assert solve_kappa(H, B).family_dim is not None, name
+            assert len(built) == count, name
+            assert all(ref() is None for ref in built), name
+        finally:
+            if was_enabled:
+                gc.enable()
